@@ -28,6 +28,7 @@
 #include "align/simd_dispatch.hh"
 #include "bench_report.hh"
 #include "obs/profile.hh"
+#include "obs/snapshot.hh"
 #include "obs/trace.hh"
 #include "par/thread_pool.hh"
 
@@ -163,8 +164,10 @@ main(int argc, char **argv)
         if (!trace_out.empty())
             dnasim::obs::Trace::global().setExitFlushPath(trace_out);
     }
+    // The profiler's RSS series comes from the telemetry sampler,
+    // which appends one reading per tick while tracing is on.
     if (profile)
-        dnasim::obs::RssSampler::global().start();
+        dnasim::obs::TelemetrySampler::global().start(25);
 
     benchmark::Initialize(&kept_argc, keep.data());
     if (benchmark::ReportUnrecognizedArguments(kept_argc, keep.data()))
@@ -174,7 +177,7 @@ main(int argc, char **argv)
     benchmark::Shutdown();
 
     if (profile) {
-        dnasim::obs::RssSampler::global().stop();
+        dnasim::obs::TelemetrySampler::global().stop();
         std::cerr << dnasim::obs::profileToText(
             dnasim::obs::buildProfile(dnasim::obs::Trace::global()));
     }

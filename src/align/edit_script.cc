@@ -1,8 +1,6 @@
 #include "align/edit_script.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 
 #include "align/pattern_access.hh"
@@ -427,24 +425,6 @@ namespace
 
 using align_detail::EditOpsStats;
 
-std::atomic<int> g_engine_override{-1};
-
-EditOpsEngine
-engineFromEnv()
-{
-    static const EditOpsEngine cached = [] {
-        const char *env = std::getenv("DNASIM_EDITOPS");
-        if (env == nullptr || *env == '\0')
-            return EditOpsEngine::Auto;
-        if (auto parsed = parseEditOpsEngine(env))
-            return *parsed;
-        warn_once("ignoring unknown DNASIM_EDITOPS value '", env,
-                  "' (expected auto or reference)");
-        return EditOpsEngine::Auto;
-    }();
-    return cached;
-}
-
 /**
  * Tier selection shared by both editOpsInto() overloads. @p pattern
  * may be null (the one-shot path, which then builds or skips the
@@ -456,12 +436,6 @@ editOpsDispatch(const MyersPattern *pattern, std::string_view ref,
                 std::vector<EditOp> &out)
 {
     auto &st = EditOpsStats::get();
-    if (editOpsEngine() == EditOpsEngine::Reference) {
-        st.fallback.inc();
-        align_detail::editOpsReference(ref, copy, rng, out);
-        return;
-    }
-
     const size_t n = ref.size(), m = copy.size();
     if (n == 0 || m == 0) {
         align_detail::trivialScript(ref, copy, out);
@@ -517,33 +491,6 @@ editOpsDispatch(const MyersPattern *pattern, std::string_view ref,
 }
 
 } // anonymous namespace
-
-EditOpsEngine
-editOpsEngine()
-{
-    const int ov = g_engine_override.load(std::memory_order_relaxed);
-    if (ov >= 0)
-        return static_cast<EditOpsEngine>(ov);
-    return engineFromEnv();
-}
-
-void
-setEditOpsEngineOverride(std::optional<EditOpsEngine> engine)
-{
-    g_engine_override.store(
-        engine ? static_cast<int>(*engine) : -1,
-        std::memory_order_relaxed);
-}
-
-std::optional<EditOpsEngine>
-parseEditOpsEngine(std::string_view name)
-{
-    if (name == "auto")
-        return EditOpsEngine::Auto;
-    if (name == "reference")
-        return EditOpsEngine::Reference;
-    return std::nullopt;
-}
 
 void
 editOpsInto(std::string_view ref, std::string_view copy, Rng *rng,

@@ -31,16 +31,16 @@
  *   the full matrix, at O((2d+1) * n) cost.
  *
  * The original flat DP survives as the reference implementation: the
- * equivalence suite pins both tiers to it, and DNASIM_EDITOPS=
- * reference (or --editops=reference) forces it at runtime so CI can
- * byte-compare whole-pipeline outputs old-engine vs new.
+ * equivalence suite (tests/test_editscript.cc) pins both tiers to it
+ * on synthetic pairs and on whole calibrate / reconstruct workloads,
+ * and dispatch falls back to it for non-ACGT references and for pairs
+ * whose band would be as wide as a full row.
  */
 
 #ifndef DNASIM_ALIGN_EDIT_SCRIPT_HH
 #define DNASIM_ALIGN_EDIT_SCRIPT_HH
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -50,29 +50,6 @@
 
 namespace dnasim
 {
-
-/** Which implementation serves editOpsInto(). */
-enum class EditOpsEngine : uint8_t
-{
-    Auto,      ///< bit-vector / banded tiers with reference fallback
-    Reference, ///< flat O(n*m) DP only (the escape hatch)
-};
-
-/**
- * The engine in effect: the test override if set, else
- * DNASIM_EDITOPS from the environment (read once), else Auto.
- * Unknown environment values warn once and mean Auto.
- */
-EditOpsEngine editOpsEngine();
-
-/**
- * Force an engine (pass std::nullopt to return to the environment
- * selection). For tests and the --editops CLI flag.
- */
-void setEditOpsEngineOverride(std::optional<EditOpsEngine> engine);
-
-/** Parse "auto" / "reference"; nullopt on anything else. */
-std::optional<EditOpsEngine> parseEditOpsEngine(std::string_view name);
 
 namespace align_detail
 {
@@ -92,8 +69,9 @@ struct EditOpsStats
 
 /**
  * The original flat-matrix DP + backtrace — the reference
- * implementation both tiers are pinned to. Exposed for the
- * equivalence tests and the DNASIM_EDITOPS=reference escape hatch.
+ * implementation both tiers are pinned to, and the dispatch fallback
+ * for non-ACGT references and full-width bands. Exposed for the
+ * equivalence tests.
  */
 void editOpsReference(std::string_view ref, std::string_view copy,
                       Rng *rng, std::vector<EditOp> &out);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "core/channel_simulator.hh"
 #include "obs/progress.hh"
 #include "par/thread_pool.hh"
 
@@ -14,13 +13,13 @@ std::vector<Strand>
 reconstructAll(const Dataset &data, const Reconstructor &algo,
                Rng &rng)
 {
-    // Pre-forked per-cluster streams keep the estimates identical to
-    // the serial run for any thread count (see forkClusterStreams).
-    std::vector<Rng> streams = forkClusterStreams(rng, data.size());
+    // Per-cluster streams forked by index keep the estimates
+    // identical to the serial run for any thread count.
     obs::ProgressScope progress("reconstruct", data.size());
     return par::parallelTransform(data.size(), [&](size_t i) {
+        Rng cluster_rng = rng.fork(i);
         auto estimate = algo.reconstruct(
-            data[i].copies, data[i].reference.size(), streams[i]);
+            data[i].copies, data[i].reference.size(), cluster_rng);
         progress.advance();
         return estimate;
     });
@@ -86,7 +85,6 @@ evaluatePoolAccuracy(const StrandPoolView &reads,
         uint64_t correct = 0;
     };
 
-    std::vector<Rng> streams = forkClusterStreams(rng, num_clusters);
     obs::ProgressScope progress("reconstruct", num_clusters);
     std::vector<ClusterScore> scores = par::parallelTransform(
         static_cast<size_t>(num_clusters), [&](size_t c) {
@@ -123,8 +121,9 @@ evaluatePoolAccuracy(const StrandPoolView &reads,
                           " out of reference range");
             Strand ref;
             references.materialize(majority, ref);
+            Rng cluster_rng = rng.fork(c);
             const Strand estimate =
-                algo.reconstruct(copies, ref.size(), streams[c]);
+                algo.reconstruct(copies, ref.size(), cluster_rng);
             ClusterScore score;
             score.perfect = estimate == ref ? 1 : 0;
             score.chars = ref.size();

@@ -43,9 +43,14 @@ class Rng
      *
      * The child seed mixes the parent seed with @p salt via
      * splitmix64 so children with different salts are decorrelated.
+     * Forking reads only the seed, never the engine state, so child
+     * i is a pure function of (seed, i) and concurrent forks from a
+     * parallel loop body are race-free: per-cluster work forks
+     * rng.fork(i) inline and draws the exact numbers the serial loop
+     * would (DESIGN.md, "Deterministic parallelism").
      */
     Rng
-    fork(uint64_t salt)
+    fork(uint64_t salt) const
     {
         return Rng(mix(seed_, salt));
     }

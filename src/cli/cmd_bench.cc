@@ -7,10 +7,12 @@
  *       fold BENCH_*.json reports (files or directories) into the
  *       append-only JSONL ledger, deduplicating repeats
  *   bench diff <baseline> <candidate> [--threshold p] [--sigma k]
- *              [--mem-threshold p] [--mem-gate]
+ *              [--mem-threshold p] [--mem-gate] [--json] [--out FILE]
  *       compare two run sets with the noise-aware verdict; exits 2
- *       when a benchmark regressed (CI perf-gate contract). RSS
- *       high-water deltas are advisory unless --mem-gate.
+ *       when a benchmark regressed (the CI perf gate), 1 on a usage
+ *       or I/O error. RSS high-water deltas are advisory unless
+ *       --mem-gate. --out also writes the dnasim.benchdiff.v1 JSON
+ *       report to FILE.
  *   bench list [--ledger FILE]
  *       print the per-key trajectory summary of a ledger
  *
@@ -20,6 +22,7 @@
 
 #include "cli/commands.hh"
 
+#include <fstream>
 #include <iostream>
 
 #include "base/logging.hh"
@@ -80,7 +83,8 @@ benchDiff(const Args &args)
     if (pos.size() != 4) {
         std::cerr << "usage: dnasim bench diff <baseline> "
                      "<candidate> [--threshold p] [--sigma k] "
-                     "[--mem-threshold p] [--mem-gate] [--json]\n";
+                     "[--mem-threshold p] [--mem-gate] [--json] "
+                     "[--out FILE]\n";
         return 1;
     }
     obs::DiffOptions options;
@@ -109,6 +113,16 @@ benchDiff(const Args &args)
         std::cout << obs::diffToJson(report, options);
     else
         std::cout << obs::diffToText(report, options);
+    const std::string out_path = args.get("out");
+    if (!out_path.empty()) {
+        std::ofstream os(out_path);
+        os << obs::diffToJson(report, options);
+        os.close();
+        if (!os) {
+            warn("bench: cannot write ", out_path);
+            return 1;
+        }
+    }
     // 0 = clean, 2 = regression; 1 stays reserved for usage/IO
     // errors so CI can tell "slow" apart from "broken".
     return report.ok() ? 0 : 2;
@@ -149,6 +163,7 @@ cmdBench(const Args &args)
                  "perf comparison\n"
                  "       [--threshold p] [--sigma k] "
                  "[--mem-threshold p] [--mem-gate] [--json]\n"
+                 "       [--out FILE]\n"
                  "  list [--ledger FILE]                trajectory "
                  "summary per run key\n";
     return verb.empty() ? 1 : (verb == "help" ? 0 : 1);

@@ -111,10 +111,8 @@ cmdExplain(const Args &args)
         clusters = clusterReads(pool, clusterOptionsFromArgs(args),
                                 &assignments);
 
-        // Reconstruct every recovered cluster with pre-forked
-        // per-cluster streams (identical at any thread count).
-        std::vector<Rng> streams =
-            forkClusterStreams(rng, clusters.size());
+        // Reconstruct every recovered cluster with per-cluster
+        // streams forked by index (identical at any thread count).
         obs::ProgressScope progress("reconstruct", clusters.size());
         estimates = par::parallelTransform(
             clusters.size(), [&](size_t i) {
@@ -122,8 +120,9 @@ cmdExplain(const Args &args)
                 copies.reserve(clusters[i].members.size());
                 for (size_t m : clusters[i].members)
                     copies.push_back(pool[m]);
+                Rng cluster_rng = rng.fork(i);
                 auto estimate = algo->reconstruct(
-                    copies, design_len, streams[i]);
+                    copies, design_len, cluster_rng);
                 progress.advance();
                 return estimate;
             });

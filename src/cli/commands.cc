@@ -763,10 +763,6 @@ cmdRoundtrip(const Args &args)
     pipeline_config.recluster = args.has("recluster");
     pipeline_config.cluster = clusterOptionsFromArgs(args);
     ArchivalPipeline pipeline(pipeline_config);
-    StoredObject object = pipeline.store(file);
-    std::cout << "encoded " << file.size() << " bytes into "
-              << object.strands.size() << " strands of length "
-              << pipeline.strandLength() << "\n";
 
     ErrorProfile channel_profile =
         NanoporeDatasetGenerator::groundTruthProfile(
@@ -779,10 +775,14 @@ cmdRoundtrip(const Args &args)
     const bool want_lineage = args.has("lineage-out");
     LineageLog lineage;
     Dataset simulated;
+    StoredObject object;
     RetrievedObject result = pipeline.roundTrip(
         file, channel, coverage, *algo, rng,
         want_lineage ? &lineage : nullptr,
-        want_lineage ? &simulated : nullptr);
+        want_lineage ? &simulated : nullptr, &object);
+    std::cout << "encoded " << file.size() << " bytes into "
+              << object.strands.size() << " strands of length "
+              << pipeline.strandLength() << "\n";
     if (want_lineage) {
         LineageInputs inputs;
         inputs.truth = &simulated;

@@ -26,10 +26,6 @@
  *                     (default: DNASIM_SIMD or the widest tier the
  *                     CPU supports); results are identical for
  *                     every tier
- *   --editops={auto,reference}  edit-script engine (default:
- *                     DNASIM_EDITOPS or auto); reference forces the
- *                     flat DP the bit-vector/banded tiers are pinned
- *                     to; results are identical for every engine
  *
  * Telemetry only ever writes to its own files and stderr; stdout and
  * all data outputs stay byte-identical whether or not it is enabled.
@@ -39,7 +35,6 @@
 #include <iostream>
 #include <memory>
 
-#include "align/edit_script.hh"
 #include "align/simd_dispatch.hh"
 #include "base/logging.hh"
 #include "cli/args.hh"
@@ -139,18 +134,6 @@ main(int argc, char **argv)
     }
     activeSimdTier();
 
-    // Same fail-fast treatment for the edit-script engine escape
-    // hatch; an explicit flag outranks DNASIM_EDITOPS.
-    const std::string editops = args.get("editops", "");
-    if (!editops.empty()) {
-        auto parsed = parseEditOpsEngine(editops);
-        if (!parsed) {
-            DNASIM_FATAL("--editops must be auto or reference, got '",
-                         editops, "'");
-        }
-        setEditOpsEngineOverride(*parsed);
-    }
-
     if (progress_mode != "auto" && progress_mode != "always" &&
         progress_mode != "never") {
         DNASIM_FATAL("--progress must be auto, always or never, "
@@ -171,61 +154,52 @@ main(int argc, char **argv)
     }
 
     // One background sampler drives every streaming consumer: the
-    // OpenMetrics file, the telemetry JSONL, the stderr heartbeat —
-    // and, when --profile is also active, the phase profiler's RSS
-    // buffer (instead of RssSampler's own polling thread).
+    // OpenMetrics file, the telemetry JSONL, the stderr heartbeat and
+    // the phase profiler's RSS series (fed while tracing is on). The
+    // profiler alone wants a fine 25 ms cadence; once a sink or the
+    // heartbeat is attached the telemetry interval sets it.
     auto &sampler = obs::TelemetrySampler::global();
     const bool telemetry = !metrics_out.empty() ||
                            !telemetry_out.empty() || heartbeat;
     std::shared_ptr<obs::OpenMetricsSink> metrics_sink;
     std::shared_ptr<obs::JsonlTelemetrySink> telemetry_sink;
-    if (telemetry) {
-        if (!metrics_out.empty()) {
-            metrics_sink =
-                std::make_shared<obs::OpenMetricsSink>(metrics_out);
-            sampler.addSink(metrics_sink);
-        }
-        if (!telemetry_out.empty()) {
-            telemetry_sink =
-                std::make_shared<obs::JsonlTelemetrySink>(
-                    telemetry_out);
-            sampler.addSink(telemetry_sink);
-        }
-        sampler.setFeedProfilerRss(profile);
-        sampler.start(telemetry_interval);
-    } else if (profile) {
-        obs::RssSampler::global().start();
+    if (!metrics_out.empty()) {
+        metrics_sink =
+            std::make_shared<obs::OpenMetricsSink>(metrics_out);
+        sampler.addSink(metrics_sink);
     }
+    if (!telemetry_out.empty()) {
+        telemetry_sink =
+            std::make_shared<obs::JsonlTelemetrySink>(telemetry_out);
+        sampler.addSink(telemetry_sink);
+    }
+    if (telemetry || profile)
+        sampler.start(telemetry ? telemetry_interval : 25);
     if (!stats_out.empty())
         obs::startLogCapture();
 
     int rc = 1;
     try {
         auto &reg = obs::Registry::global();
-        obs::ScopedTimer timer(
+        obs::Span span(
+            command.empty() ? "help" : command.c_str(), "cli",
             reg.timer("cli." + command + ".time",
                       "wall time of the '" + command + "' command"));
-        obs::ScopedTrace span(
-            command.empty() ? "help" : command.c_str(), "cli");
         rc = dispatch(command, args);
     } catch (const FatalError &) {
         // Message already printed by fatal(); still flush whatever
         // stats and trace data accumulated before the failure.
     }
 
-    if (telemetry) {
-        // Takes one final sample (so short runs still get one),
-        // clears the heartbeat line and closes the sinks.
-        sampler.stop();
-        if (metrics_sink && metrics_sink->ok())
-            inform("metrics: wrote ", metrics_out);
-        if (telemetry_sink && telemetry_sink->ok()) {
-            inform("telemetry: wrote ", telemetry_out, " (",
-                   sampler.samplesTaken(), " samples)");
-        }
+    // Takes one final sample (so short runs still get one), clears
+    // the heartbeat line and closes the sinks.
+    sampler.stop();
+    if (metrics_sink && metrics_sink->ok())
+        inform("metrics: wrote ", metrics_out);
+    if (telemetry_sink && telemetry_sink->ok()) {
+        inform("telemetry: wrote ", telemetry_out, " (",
+               sampler.samplesTaken(), " samples)");
     }
-    if (profile)
-        obs::RssSampler::global().stop();
 
     if (!stats_out.empty() || stats_text || !trace_out.empty() ||
         profile) {

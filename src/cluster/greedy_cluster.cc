@@ -112,10 +112,9 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
     static obs::Counter &stat_sk_empty = reg.counter(
         "cluster.sketch.empty_signatures",
         "reads with no sketchable k-mer (short or non-ACGT)");
-    obs::ScopedTimer timer(stat_time);
     const bool use_sketch = options.index == ClusterIndexKind::Sketch;
-    obs::ScopedTrace span(
-        use_sketch ? "cluster.sketch" : "cluster.greedy", "cluster");
+    obs::Span span(use_sketch ? "cluster.sketch" : "cluster.greedy",
+                   "cluster", stat_time);
     uint64_t comparisons = 0;
     uint64_t sketch_probes = 0;
     uint64_t sketch_verified = 0;

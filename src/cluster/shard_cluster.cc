@@ -29,7 +29,7 @@ clusterReadsSharded(const StrandPoolView &view,
     static obs::Counter &stat_groups = reg.counter(
         "cluster.shard.groups",
         "shard-cluster groups unioned by the merge step");
-    obs::ScopedTrace span("cluster.sharded", "cluster");
+    obs::Span span("cluster.sharded", "cluster");
 
     // Phase 1: cluster each contiguous segment independently. The
     // shard loop is serial on purpose — one shard's signatures and
@@ -74,7 +74,7 @@ clusterReadsSharded(const StrandPoolView &view,
         for (size_t j = 0; j < all.size(); ++j)
             groups[j] = {j};
     } else {
-        obs::ScopedTrace merge_span("cluster.shard.merge", "cluster");
+        obs::Span merge_span("cluster.shard.merge", "cluster");
         std::vector<Strand> reps;
         reps.reserve(all.size());
         for (const ReadCluster &c : all)

@@ -82,7 +82,7 @@ SketchIndex::build(const StrandPoolView &view, size_t offset,
                   "sketch range out of pool bounds");
 
     {
-        obs::ScopedTrace span("cluster.sketch.signatures", "cluster");
+        obs::Span span("cluster.sketch.signatures", "cluster");
         // Per-read signatures through the order-preserving par
         // layer: every read writes its own index-determined slots of
         // the flat key array, so the result is byte-identical at any

@@ -70,41 +70,29 @@ struct SimStats
 
 } // anonymous namespace
 
-std::vector<Rng>
-forkClusterStreams(Rng &rng, size_t n)
-{
-    std::vector<Rng> streams;
-    streams.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        streams.push_back(rng.fork(i));
-    return streams;
-}
-
 Dataset
 ChannelSimulator::simulate(const std::vector<Strand> &references,
                            const CoverageModel &coverage, Rng &rng,
                            LineageLog *lineage) const
 {
     SimStats &ss = SimStats::get();
-    obs::ScopedTimer timer(ss.time);
-    obs::ScopedTrace span("channel.simulate", "channel");
+    obs::Span span("channel.simulate", "channel", ss.time);
 
-    // Pre-forked per-cluster streams: cluster i draws from
-    // rng.fork(i) regardless of which thread simulates it, so the
-    // output is bit-identical to the serial run for any --threads.
+    // Per-cluster streams: cluster i draws from rng.fork(i)
+    // regardless of which thread simulates it, so the output is
+    // bit-identical to the serial run for any --threads.
     // Lineage arenas are per cluster too, each touched only by the
     // worker that owns that cluster — the log needs no merge step
     // and no locks to come out identical at any thread count.
-    std::vector<Rng> streams =
-        forkClusterStreams(rng, references.size());
     std::vector<Cluster> clusters(references.size());
     if (lineage != nullptr)
         lineage->beginRun(references.size());
     obs::ProgressScope progress("simulate", references.size());
     par::parallelFor(0, references.size(), [&](size_t i) {
-        size_t n = coverage.sample(i, streams[i]);
+        Rng cluster_rng = rng.fork(i);
+        size_t n = coverage.sample(i, cluster_rng);
         clusters[i] = simulateCluster(
-            references[i], n, streams[i],
+            references[i], n, cluster_rng,
             lineage != nullptr ? &lineage->cluster(i) : nullptr);
         ss.clusters.inc();
         ss.cluster_size.record(n);
@@ -122,31 +110,26 @@ ChannelSimulator::simulateToPool(const StrandPoolView &references,
                                  const PoolSimulateOptions &options) const
 {
     SimStats &ss = SimStats::get();
-    obs::ScopedTimer timer(ss.time);
-    obs::ScopedTrace span("channel.simulateToPool", "channel");
+    obs::Span span("channel.simulateToPool", "channel", ss.time);
     DNASIM_ASSERT(options.chunk_clusters > 0, "zero chunk size");
 
     PoolSimulateResult result;
     const size_t n = references.size();
-    std::vector<Rng> streams;
     std::vector<Cluster> chunk;
     obs::ProgressScope progress("simulate", n);
     for (size_t lo = 0; lo < n && !result.truncated;
          lo += options.chunk_clusters) {
         const size_t len = std::min(options.chunk_clusters, n - lo);
-        // Streams are forked by *global* cluster index, so cluster i
-        // draws exactly the numbers simulate() would — chunking is
-        // invisible in the output.
-        streams.clear();
-        streams.reserve(len);
-        for (size_t k = 0; k < len; ++k)
-            streams.push_back(rng.fork(lo + k));
         chunk.assign(len, Cluster{});
         par::parallelFor(0, len, [&](size_t k) {
+            // Streams are forked by *global* cluster index, so
+            // cluster i draws exactly the numbers simulate() would —
+            // chunking is invisible in the output.
+            Rng cluster_rng = rng.fork(lo + k);
             thread_local Strand ref;
             references.materialize(lo + k, ref);
-            const size_t copies = coverage.sample(lo + k, streams[k]);
-            chunk[k] = simulateCluster(ref, copies, streams[k]);
+            const size_t copies = coverage.sample(lo + k, cluster_rng);
+            chunk[k] = simulateCluster(ref, copies, cluster_rng);
             ss.clusters.inc();
             ss.cluster_size.record(copies);
             progress.advance();
@@ -183,17 +166,16 @@ ChannelSimulator::simulateLike(const Dataset &shape, Rng &rng,
                                LineageLog *lineage) const
 {
     SimStats &ss = SimStats::get();
-    obs::ScopedTimer timer(ss.time);
-    obs::ScopedTrace span("channel.simulateLike", "channel");
+    obs::Span span("channel.simulateLike", "channel", ss.time);
 
-    std::vector<Rng> streams = forkClusterStreams(rng, shape.size());
     std::vector<Cluster> clusters(shape.size());
     if (lineage != nullptr)
         lineage->beginRun(shape.size());
     obs::ProgressScope progress("simulate", shape.size());
     par::parallelFor(0, shape.size(), [&](size_t i) {
+        Rng cluster_rng = rng.fork(i);
         clusters[i] = simulateCluster(
-            shape[i].reference, shape[i].coverage(), streams[i],
+            shape[i].reference, shape[i].coverage(), cluster_rng,
             lineage != nullptr ? &lineage->cluster(i) : nullptr);
         ss.clusters.inc();
         ss.cluster_size.record(shape[i].coverage());

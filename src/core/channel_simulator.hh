@@ -20,22 +20,11 @@
 namespace dnasim
 {
 
-/**
- * Fork @p n independent per-cluster Rng streams from @p rng by
- * index: stream i is rng.fork(i). Forking reads only the parent
- * seed, so the streams are a pure function of (seed, index) — this
- * is the determinism contract that lets parallel loops draw the
- * exact random numbers the serial loop would (DESIGN.md,
- * "Deterministic parallelism").
- */
-std::vector<Rng> forkClusterStreams(Rng &rng, size_t n);
-
 /** Options for ChannelSimulator::simulateToPool(). */
 struct PoolSimulateOptions
 {
     /// Clusters simulated per bounded-memory chunk: one chunk of
-    /// clusters (and its forked Rng streams) is the only simulated
-    /// data in RAM at a time.
+    /// clusters is the only simulated data in RAM at a time.
     size_t chunk_clusters = 4096;
     /// Stop after this many reads (0 = unlimited); the last cluster
     /// may be truncated mid-coverage.

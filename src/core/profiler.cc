@@ -261,14 +261,12 @@ ErrorProfile
 ErrorProfiler::calibrate(const Dataset &data) const
 {
     ProfilerStats &ps = ProfilerStats::get();
-    obs::ScopedTimer timer(ps.calibrate_time);
-    obs::ScopedTrace span("profiler.calibrate", "profiler");
+    obs::Span span("profiler.calibrate", "profiler", ps.calibrate_time);
 
     // One tie-breaking stream per cluster, forked by cluster index,
     // so pair alignment parallelizes without the backtrace draws
     // depending on the processing order.
-    Rng root(options_.seed);
-    std::vector<Rng> streams = forkClusterStreams(root, data.size());
+    const Rng root(options_.seed);
 
     // Per-cluster accumulation with an index-ordered tree merge:
     // identical totals for any thread count or chunking.
@@ -276,8 +274,9 @@ ErrorProfiler::calibrate(const Dataset &data) const
         par::parallelTransform(
             data.size(),
             [&](size_t i) {
+                Rng cluster_rng = root.fork(i);
                 CalibrationAccum local;
-                local.absorbCluster(data[i], options_, streams[i]);
+                local.absorbCluster(data[i], options_, cluster_rng);
                 return local;
             },
             /*grain=*/4);

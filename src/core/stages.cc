@@ -203,14 +203,13 @@ StagedChannel::run(const std::vector<Strand> &references,
             Molecule{references[i], static_cast<uint32_t>(i)});
 
     auto &reg = obs::Registry::global();
-    obs::ScopedTrace run_span("stages.run", "stages");
+    obs::Span run_span("stages.run", "stages");
     for (const auto &stage : stages_) {
         const std::string name = stage->name();
         const std::string prefix = "stage." + name;
-        obs::ScopedTimer timer(
-            reg.timer(prefix + ".time",
-                      "wall time in the " + name + " stage"));
-        obs::ScopedTrace span(name.c_str(), "stages");
+        obs::Span span(name.c_str(), "stages",
+                       reg.timer(prefix + ".time",
+                                 "wall time in the " + name + " stage"));
         stage->apply(pool, rng);
         reg.counter(prefix + ".applications",
                     "times the stage ran")

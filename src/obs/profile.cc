@@ -241,8 +241,8 @@ buildProfile(const std::vector<TraceSpan> &spans,
 Profile
 buildProfile(const Trace &trace, size_t top_n)
 {
-    return buildProfile(trace.completeSpans(),
-                        RssSampler::global().samples(), top_n);
+    return buildProfile(trace.completeSpans(), trace.rssSamples(),
+                        top_n);
 }
 
 std::string
@@ -298,69 +298,6 @@ profileToJson(const Profile &profile)
     jsonNode(w, profile.root, "tree");
     w.endObject();
     return os.str();
-}
-
-RssSampler &
-RssSampler::global()
-{
-    static RssSampler *s = new RssSampler();
-    return *s;
-}
-
-void
-RssSampler::start(uint64_t interval_ms)
-{
-    if (running_.exchange(true))
-        return;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        samples_.clear();
-    }
-    stop_requested_.store(false);
-    thread_ = std::thread([this, interval_ms] { loop(interval_ms); });
-}
-
-void
-RssSampler::stop()
-{
-    if (!running_.load())
-        return;
-    stop_requested_.store(true);
-    if (thread_.joinable())
-        thread_.join();
-    running_.store(false);
-}
-
-void
-RssSampler::record(uint64_t ts_ns, uint64_t rss_bytes)
-{
-    if (rss_bytes == 0)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    samples_.push_back(RssSample{ts_ns, rss_bytes});
-}
-
-std::vector<RssSample>
-RssSampler::samples() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return samples_;
-}
-
-void
-RssSampler::loop(uint64_t interval_ms)
-{
-    while (!stop_requested_.load()) {
-        RssSample sample;
-        sample.ts_ns = Trace::global().nowNs();
-        sample.rss_bytes = currentRssBytes();
-        if (sample.rss_bytes > 0) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            samples_.push_back(sample);
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(interval_ms));
-    }
 }
 
 uint64_t

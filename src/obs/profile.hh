@@ -13,10 +13,10 @@
  * the exclusive times sum to at most the synthetic root's inclusive
  * time (strictly less only where clock jitter forces clamping).
  *
- * An optional sampling thread (RssSampler) records resident-set-size
- * samples on a fixed cadence; at build time each sample is
- * attributed to every phase active at its timestamp, giving
- * per-phase RSS high-water marks.
+ * While tracing is on, the telemetry sampler thread (obs/snapshot.hh)
+ * appends a resident-set-size sample to the trace on every tick; at
+ * build time each sample is attributed to every phase active at its
+ * timestamp, giving per-phase RSS high-water marks.
  *
  * The profile is exported three ways: a "profile" section inside
  * dnasim.stats.v1 documents (obs/report.hh), the same section inside
@@ -27,11 +27,8 @@
 #ifndef DNASIM_OBS_PROFILE_HH
 #define DNASIM_OBS_PROFILE_HH
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -82,13 +79,6 @@ struct Profile
     }
 };
 
-/** One resident-set-size sample from the sampling thread. */
-struct RssSample
-{
-    uint64_t ts_ns = 0; ///< trace-relative timestamp
-    uint64_t rss_bytes = 0;
-};
-
 /**
  * Aggregate @p spans (plus optional RSS @p samples) into a profile.
  * @p top_n bounds the hotspot ranking.
@@ -97,7 +87,7 @@ Profile buildProfile(const std::vector<TraceSpan> &spans,
                      const std::vector<RssSample> &samples = {},
                      size_t top_n = 10);
 
-/** Convenience: build from the trace buffer and the global sampler. */
+/** Convenience: build from a trace's spans and RSS samples. */
 Profile buildProfile(const Trace &trace, size_t top_n = 10);
 
 /** Render the call tree as an indented text table. */
@@ -106,48 +96,6 @@ std::string profileToText(const Profile &profile,
 
 /** Render as the JSON object embedded under "profile" in stats.v1. */
 std::string profileToJson(const Profile &profile);
-
-/**
- * Background thread sampling the process resident set size on a
- * fixed cadence, stamping samples with trace-relative timestamps.
- * Start it together with tracing (the --profile flag does); samples
- * are attributed to phases when the profile is built.
- */
-class RssSampler
-{
-  public:
-    static RssSampler &global();
-
-    /** Start sampling every @p interval_ms (no-op when running). */
-    void start(uint64_t interval_ms = 25);
-
-    /** Stop and join the sampling thread (no-op when stopped). */
-    void stop();
-
-    /**
-     * Append one externally measured sample (trace-relative
-     * timestamp). The telemetry sampler feeds the profiler through
-     * this when both are active, so one background thread serves
-     * both consumers instead of two threads polling /proc.
-     */
-    void record(uint64_t ts_ns, uint64_t rss_bytes);
-
-    bool running() const { return running_.load(); }
-
-    /** Copy of the samples collected since the last start(). */
-    std::vector<RssSample> samples() const;
-
-  private:
-    RssSampler() = default;
-
-    void loop(uint64_t interval_ms);
-
-    mutable std::mutex mutex_;
-    std::vector<RssSample> samples_;
-    std::thread thread_;
-    std::atomic<bool> running_{false};
-    std::atomic<bool> stop_requested_{false};
-};
 
 /**
  * Current resident set size in bytes (VmRSS, falling back to the

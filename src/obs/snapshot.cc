@@ -142,10 +142,7 @@ TelemetrySampler::sampleNow(bool final_sample)
     }
     samples_taken_.fetch_add(1);
 
-    if (feed_profiler_rss_) {
-        RssSampler::global().record(Trace::global().nowNs(),
-                                    sample.rss_bytes);
-    }
+    Trace::global().recordRss(sample.rss_bytes);
     paintProgressHeartbeat(sample.rss_bytes);
     for (auto &sink : sinks)
         sink->onSample(sample);

@@ -9,6 +9,10 @@
  * journal entries that arrived since the last tick, and hands the
  * resulting IntervalSample to every attached TelemetrySink (the
  * OpenMetrics file writer, the dnasim.telemetry.v1 JSONL stream).
+ * It is the process's only background sampling thread: while tracing
+ * is enabled each tick also appends its RSS reading to the trace,
+ * where the phase profiler (obs/profile.hh) attributes it to the
+ * phases open at that moment.
  *
  * Consistency model: one sample is built from a single
  * Registry::snapshot() call, which merges all thread shards under
@@ -108,12 +112,6 @@ class TelemetrySampler
     void clearSinks();
 
     /**
-     * Also forward each tick's RSS reading into the phase profiler's
-     * RssSampler buffer, replacing its own polling thread.
-     */
-    void setFeedProfilerRss(bool feed) { feed_profiler_rss_ = feed; }
-
-    /**
      * Start sampling @p registry (nullptr = the global registry)
      * every @p period_ms. No-op when already running.
      */
@@ -142,7 +140,6 @@ class TelemetrySampler
 
     std::vector<std::shared_ptr<TelemetrySink>> sinks_;
     const Registry *registry_ = nullptr;
-    bool feed_profiler_rss_ = false;
 
     std::thread thread_;
     std::atomic<bool> running_{false};

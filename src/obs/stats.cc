@@ -221,18 +221,6 @@ Timer::percentileNs(double q) const
 }
 
 void
-ScopedTimer::stop()
-{
-    if (!timer_)
-        return;
-    auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
-    timer_->record(static_cast<uint64_t>(ns));
-    timer_ = nullptr;
-}
-
-void
 Distribution::record(uint64_t value)
 {
     std::lock_guard<std::mutex> lock(mutex_);

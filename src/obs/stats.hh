@@ -11,8 +11,8 @@
  *                  when a snapshot is taken, so concurrent simulation
  *                  threads never contend.
  *  - Gauge:        a signed level that can move both ways.
- *  - Timer:        accumulated wall time over intervals, fed by the
- *                  RAII ScopedTimer; intervals also feed a
+ *  - Timer:        accumulated wall time over intervals, fed by
+ *                  obs::Span (obs/trace.hh); intervals also feed a
  *                  log-bucketed HDR histogram, so snapshots carry
  *                  p50/p90/p99/p999 latencies accurate across the
  *                  ns–minutes range.
@@ -32,7 +32,6 @@
 #define DNASIM_OBS_STATS_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -133,27 +132,6 @@ class Timer
     HdrHistogram hist_;
     std::string name_;
     std::string desc_;
-};
-
-/** RAII interval feeding a Timer. */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Timer &timer)
-        : timer_(&timer), start_(std::chrono::steady_clock::now())
-    {}
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-    /** Record the interval now instead of at destruction. */
-    void stop();
-
-    ~ScopedTimer() { stop(); }
-
-  private:
-    Timer *timer_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 /**

@@ -62,7 +62,8 @@ void
 Trace::enable()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    events_.clear();
+    spans_.clear();
+    rss_.clear();
     origin_ = std::chrono::steady_clock::now();
     enabled_.store(true, std::memory_order_relaxed);
 }
@@ -85,51 +86,44 @@ Trace::nowNs() const
 }
 
 void
-Trace::recordComplete(std::string name, std::string cat,
-                      uint64_t ts_ns, uint64_t dur_ns,
-                      std::string args_json, uint64_t cpu_ns)
+Trace::record(TraceSpan span)
 {
     if (!enabled())
         return;
-    uint32_t tid = threadId();
+    span.tid = threadId();
     std::lock_guard<std::mutex> lock(mutex_);
-    events_.push_back(Event{std::move(name), std::move(cat),
-                            std::move(args_json), 'X', ts_ns, dur_ns,
-                            cpu_ns, tid});
+    spans_.push_back(std::move(span));
 }
 
 void
-Trace::recordInstant(std::string name, std::string cat)
+Trace::recordRss(uint64_t rss_bytes)
 {
-    if (!enabled())
+    if (!enabled() || rss_bytes == 0)
         return;
-    uint64_t ts = nowNs();
-    uint32_t tid = threadId();
+    const uint64_t ts = nowNs();
     std::lock_guard<std::mutex> lock(mutex_);
-    events_.push_back(Event{std::move(name), std::move(cat),
-                            std::string(), 'i', ts, 0, 0, tid});
+    rss_.push_back(RssSample{ts, rss_bytes});
 }
 
 size_t
 Trace::numEvents() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return events_.size();
+    return spans_.size();
 }
 
 std::vector<TraceSpan>
 Trace::completeSpans() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<TraceSpan> spans;
-    spans.reserve(events_.size());
-    for (const auto &e : events_) {
-        if (e.ph != 'X')
-            continue;
-        spans.push_back(TraceSpan{e.name, e.cat, e.ts_ns, e.dur_ns,
-                                  e.cpu_ns, e.tid});
-    }
-    return spans;
+    return spans_;
+}
+
+std::vector<RssSample>
+Trace::rssSamples() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return rss_;
 }
 
 void
@@ -140,23 +134,18 @@ Trace::writeJson(std::ostream &os) const
     w.beginObject();
     w.value("displayTimeUnit", "ms");
     w.beginArray("traceEvents");
-    for (const auto &e : events_) {
+    for (const auto &e : spans_) {
         w.beginObject();
         w.value("name", e.name);
         w.value("cat", e.cat.empty() ? "dnasim" : e.cat);
-        w.value("ph", std::string(1, e.ph));
+        w.value("ph", "X");
         // Chrome trace timestamps are microseconds; keep sub-us
         // precision as decimals.
         w.value("ts", static_cast<double>(e.ts_ns) / 1000.0);
-        if (e.ph == 'X')
-            w.value("dur", static_cast<double>(e.dur_ns) / 1000.0);
-        if (e.ph == 'i')
-            w.value("s", "t");
+        w.value("dur", static_cast<double>(e.dur_ns) / 1000.0);
         w.value("pid", static_cast<uint64_t>(1));
         w.value("tid", static_cast<uint64_t>(e.tid));
-        if (!e.args.empty()) {
-            w.rawValue("args", e.args);
-        } else if (e.cpu_ns > 0) {
+        if (e.cpu_ns > 0) {
             w.beginObject("args");
             w.value("cpu_ns", e.cpu_ns);
             w.endObject();
@@ -212,7 +201,8 @@ void
 Trace::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    events_.clear();
+    spans_.clear();
+    rss_.clear();
 }
 
 } // namespace obs

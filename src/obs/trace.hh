@@ -1,18 +1,20 @@
 /**
  * @file
- * Scoped tracing with Chrome trace-event / Perfetto JSON output.
+ * Scoped spans with Chrome trace-event / Perfetto JSON output.
  *
- * ScopedTrace marks a span; when tracing is enabled the span is
- * recorded as a complete ("X") event with category, optional JSON
- * args and the thread CPU time consumed inside the span, and the
- * buffer serializes to a file that loads directly in chrome://tracing
- * or https://ui.perfetto.dev. When tracing is disabled (the default)
- * a ScopedTrace costs one relaxed atomic load, so spans can stay
- * compiled into hot-ish paths.
+ * Span is the one primitive for timing a scope. Given a stats Timer
+ * it feeds the Timer's interval on every run; while tracing is
+ * enabled it also records a complete ("X") event with category and
+ * the thread CPU time consumed inside the span, and the buffer
+ * serializes to a file that loads directly in chrome://tracing or
+ * https://ui.perfetto.dev. When tracing is disabled (the default)
+ * the trace half of a Span costs one relaxed atomic load, so spans
+ * can stay compiled into hot-ish paths.
  *
- * The recorded spans are also the raw material of the hierarchical
- * phase profiler (obs/profile.hh), which nests them into an
- * inclusive/exclusive call tree at snapshot time.
+ * The recorded spans, together with the RSS samples the telemetry
+ * sampler appends while tracing is on, are the raw material of the
+ * hierarchical phase profiler (obs/profile.hh), which nests them
+ * into an inclusive/exclusive call tree at snapshot time.
  */
 
 #ifndef DNASIM_OBS_TRACE_HH
@@ -25,6 +27,8 @@
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "obs/stats.hh"
 
 namespace dnasim
 {
@@ -48,6 +52,13 @@ struct TraceSpan
     uint32_t tid = 0;
 };
 
+/** One resident-set-size sample, stamped on the trace clock. */
+struct RssSample
+{
+    uint64_t ts_ns = 0; ///< trace-relative timestamp
+    uint64_t rss_bytes = 0;
+};
+
 /** The process-wide trace buffer. */
 class Trace
 {
@@ -65,26 +76,27 @@ class Trace
     }
 
     /**
-     * Record a complete span. @p ts_ns is the span start relative to
-     * the enable() origin; @p args_json, if non-empty, must be a
-     * valid JSON object literal; @p cpu_ns is the thread CPU time
-     * consumed inside the span (0 when not measured).
+     * Record a complete span (Span's destructor does); the span's
+     * tid is set here. No-op when disabled.
      */
-    void recordComplete(std::string name, std::string cat,
-                        uint64_t ts_ns, uint64_t dur_ns,
-                        std::string args_json = "",
-                        uint64_t cpu_ns = 0);
+    void record(TraceSpan span);
 
-    /** Record an instant event at the current time. */
-    void recordInstant(std::string name, std::string cat);
+    /**
+     * Append an RSS reading stamped now (the telemetry sampler does,
+     * once per tick). No-op when disabled or @p rss_bytes is 0.
+     */
+    void recordRss(uint64_t rss_bytes);
 
     /** Nanoseconds since enable() (0 when disabled). */
     uint64_t nowNs() const;
 
     size_t numEvents() const;
 
-    /** Copy of the buffered complete ('X') spans. */
+    /** Copy of the buffered complete spans. */
     std::vector<TraceSpan> completeSpans() const;
+
+    /** Copy of the RSS samples recorded since enable(). */
+    std::vector<RssSample> rssSamples() const;
 
     /** Serialize as {"traceEvents": [...]} JSON. */
     void writeJson(std::ostream &os) const;
@@ -108,24 +120,13 @@ class Trace
      */
     bool flushExitFile();
 
-    /** Drop all buffered events. */
+    /** Drop all buffered spans and RSS samples. */
     void clear();
 
   private:
-    struct Event
-    {
-        std::string name;
-        std::string cat;
-        std::string args;
-        char ph;
-        uint64_t ts_ns;
-        uint64_t dur_ns;
-        uint64_t cpu_ns;
-        uint32_t tid;
-    };
-
     mutable std::mutex mutex_;
-    std::vector<Event> events_;
+    std::vector<TraceSpan> spans_;
+    std::vector<RssSample> rss_;
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point origin_;
 
@@ -136,53 +137,73 @@ class Trace
 };
 
 /**
- * RAII trace span. Records nothing when tracing is disabled; the
- * name and category must outlive the scope (string literals).
+ * RAII span over the enclosing scope. With a Timer it records the
+ * scope's wall interval into the Timer every time; while tracing is
+ * enabled it also records a trace span. The name and category must
+ * outlive the scope (string literals, or a string alive across it).
  */
-class ScopedTrace
+class Span
 {
   public:
-    explicit ScopedTrace(const char *name, const char *cat = "dnasim")
-        : ScopedTrace(name, cat, std::string())
-    {}
+    Span(const char *name, const char *cat) : name_(name), cat_(cat)
+    {
+        beginTrace();
+    }
 
-    ScopedTrace(const char *name, const char *cat,
-                std::string args_json)
-        : name_(name), cat_(cat)
+    Span(const char *name, const char *cat, Timer &timer)
+        : name_(name), cat_(cat), timer_(&timer),
+          timer_start_(std::chrono::steady_clock::now())
+    {
+        beginTrace();
+    }
+
+    Span(const Span &) = delete;
+    Span &operator=(const Span &) = delete;
+
+    ~Span()
+    {
+        if (trace_active_)
+            endTrace();
+        if (timer_ != nullptr) {
+            timer_->record(static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - timer_start_)
+                    .count()));
+        }
+    }
+
+  private:
+    void
+    beginTrace()
     {
         Trace &trace = Trace::global();
-        active_ = trace.enabled();
-        if (active_) {
-            args_ = std::move(args_json);
+        trace_active_ = trace.enabled();
+        if (trace_active_) {
             start_ns_ = trace.nowNs();
             start_cpu_ns_ = threadCpuNs();
         }
     }
 
-    ScopedTrace(const ScopedTrace &) = delete;
-    ScopedTrace &operator=(const ScopedTrace &) = delete;
-
-    ~ScopedTrace()
+    void
+    endTrace()
     {
-        if (!active_)
-            return;
         Trace &trace = Trace::global();
         if (!trace.enabled())
             return; // disabled mid-span; drop it
-        uint64_t end_ns = trace.nowNs();
-        uint64_t end_cpu_ns = threadCpuNs();
-        trace.recordComplete(name_, cat_, start_ns_,
-                             end_ns - start_ns_, std::move(args_),
-                             end_cpu_ns - start_cpu_ns_);
+        const uint64_t end_ns = trace.nowNs();
+        const uint64_t end_cpu_ns = threadCpuNs();
+        trace.record(TraceSpan{name_, cat_, start_ns_,
+                               end_ns - start_ns_,
+                               end_cpu_ns - start_cpu_ns_, 0});
     }
 
-  private:
     const char *name_;
     const char *cat_;
-    std::string args_;
+    Timer *timer_ = nullptr;
+    std::chrono::steady_clock::time_point timer_start_;
     uint64_t start_ns_ = 0;
     uint64_t start_cpu_ns_ = 0;
-    bool active_ = false;
+    bool trace_active_ = false;
 };
 
 } // namespace obs

@@ -361,7 +361,7 @@ ThreadPool::forRange(size_t begin, size_t end, size_t grain,
     }
 
     ps.regions.inc();
-    obs::ScopedTimer region_timer(ps.region_time);
+    obs::Span region_span("par.region", "par", ps.region_time);
 
     Task task;
     task.offset = begin;

@@ -93,8 +93,7 @@ StoredObject
 ArchivalPipeline::store(const Bytes &file) const
 {
     PipelineStats &ps = PipelineStats::get();
-    obs::ScopedTimer timer(ps.store_time);
-    obs::ScopedTrace span("pipeline.store", "pipeline");
+    obs::Span span("pipeline.store", "pipeline", ps.store_time);
 
     StoredObject object;
     object.file_size = file.size();
@@ -170,8 +169,7 @@ ArchivalPipeline::retrieve(const Dataset &clusters,
                            const StoredObject &object, Rng &rng) const
 {
     PipelineStats &ps = PipelineStats::get();
-    obs::ScopedTimer timer(ps.retrieve_time);
-    obs::ScopedTrace span("pipeline.retrieve", "pipeline");
+    obs::Span span("pipeline.retrieve", "pipeline", ps.retrieve_time);
 
     RetrievedObject result;
     auto &stats = result.stats;
@@ -366,8 +364,8 @@ RetrievedObject
 ArchivalPipeline::roundTrip(const Bytes &file, const ErrorModel &model,
                             const CoverageModel &coverage,
                             const Reconstructor &algo, Rng &rng,
-                            LineageLog *lineage,
-                            Dataset *simulated) const
+                            LineageLog *lineage, Dataset *simulated,
+                            StoredObject *stored) const
 {
     StoredObject object = store(file);
     ChannelSimulator sim(model);
@@ -384,7 +382,7 @@ ArchivalPipeline::roundTrip(const Bytes &file, const ErrorModel &model,
         // edit-distance similarity. Retrieval does not need the true
         // origins — frames carry their own indices — so imperfect
         // clusters only cost decode attempts, not correctness.
-        obs::ScopedTrace cluster_span("pipeline.recluster", "pipeline");
+        obs::Span cluster_span("pipeline.recluster", "pipeline");
         std::vector<Strand> pool = clusters.pooledReads();
         Rng shuffle_rng = rng.fork(0x5eed);
         shuffle_rng.shuffle(pool);
@@ -403,7 +401,10 @@ ArchivalPipeline::roundTrip(const Bytes &file, const ErrorModel &model,
         clusters = Dataset(std::move(rebuilt));
     }
     Rng decode_rng = rng.fork(0xdec0de);
-    return retrieve(clusters, algo, object, decode_rng);
+    RetrievedObject result = retrieve(clusters, algo, object, decode_rng);
+    if (stored != nullptr)
+        *stored = std::move(object);
+    return result;
 }
 
 } // namespace dnasim

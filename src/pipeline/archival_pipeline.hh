@@ -133,15 +133,17 @@ class ArchivalPipeline
      * A non-null @p lineage records the channel's injected error
      * events; a non-null @p simulated receives a copy of the
      * pseudo-clustered dataset the channel produced (the ground
-     * truth the lineage log indexes). Neither affects the
-     * retrieval — the decoded bytes are identical either way.
+     * truth the lineage log indexes); a non-null @p stored receives
+     * the object store() encoded. None affects the retrieval — the
+     * decoded bytes are identical either way.
      */
     RetrievedObject roundTrip(const Bytes &file,
                               const ErrorModel &model,
                               const CoverageModel &coverage,
                               const Reconstructor &algo, Rng &rng,
                               LineageLog *lineage = nullptr,
-                              Dataset *simulated = nullptr) const;
+                              Dataset *simulated = nullptr,
+                              StoredObject *stored = nullptr) const;
 
   private:
     const DnaCodec &codec() const;

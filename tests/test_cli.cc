@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "base/logging.hh"
 #include "cli/args.hh"
 #include "cli/commands.hh"
 #include "data/io.hh"
+#include "obs/json.hh"
 
 namespace dnasim
 {
@@ -240,6 +243,96 @@ TEST_F(CliCommands, RoundtripMissingFileIsFatal)
 {
     Args rt = makeArgs({"roundtrip", "/nonexistent/file.bin"});
     EXPECT_THROW(cmdRoundtrip(rt), FatalError);
+}
+
+/**
+ * Bench report directories laid out like the perf gate's: one
+ * BENCH_perf_demo.json per repeat subdirectory r1/, r2/, ..., whose
+ * single row took the given times.
+ */
+class BenchDiffCommand : public CliCommands
+{
+  protected:
+    void
+    SetUp() override
+    {
+        root_ = tmpPath("benchdiff");
+        std::filesystem::remove_all(root_);
+        writeRuns("baseline", {100.0, 101.0, 99.0});
+        writeRuns("same", {100.0, 101.0, 99.0});
+        writeRuns("slower", {120.0, 121.0, 119.0});
+    }
+
+    void
+    TearDown() override
+    {
+        std::filesystem::remove_all(root_);
+    }
+
+    std::string dir(const std::string &side) { return root_ + "/" + side; }
+
+    int
+    diff(std::vector<std::string> extra)
+    {
+        std::vector<std::string> tokens = {"bench", "diff"};
+        tokens.insert(tokens.end(), extra.begin(), extra.end());
+        return cmdBench(makeArgs(tokens));
+    }
+
+  private:
+    void
+    writeRuns(const std::string &side, std::vector<double> row_ns)
+    {
+        for (size_t r = 0; r < row_ns.size(); ++r) {
+            const std::string repeat =
+                dir(side) + "/r" + std::to_string(r + 1);
+            std::filesystem::create_directories(repeat);
+            std::ofstream(repeat + "/BENCH_perf_demo.json")
+                << "{\"schema\":\"dnasim.bench.v1\","
+                   "\"name\":\"perf_demo\",\"git_rev\":\"abc1234\","
+                   "\"seed\":42,\"wall_time_s\":1.0,"
+                   "\"config\":{\"threads\":\"1\"},"
+                   "\"benchmarks\":[{\"name\":\"BM_Main\","
+                   "\"real_time_ns\":"
+                << row_ns[r]
+                << ",\"cpu_time_ns\":100.0,\"iterations\":1000}]}";
+        }
+    }
+
+    std::string root_;
+};
+
+TEST_F(BenchDiffCommand, ExitCodes)
+{
+    // 0 clean, 2 regression, 1 usage or I/O error: the perf gate
+    // tells "slow" apart from "broken" by these.
+    EXPECT_EQ(diff({dir("baseline"), dir("same")}), 0);
+    EXPECT_EQ(diff({dir("baseline"), dir("slower")}), 2);
+    EXPECT_EQ(diff({dir("baseline"), dir("missing")}), 1);
+    EXPECT_EQ(diff({dir("missing"), dir("same")}), 1);
+    EXPECT_EQ(diff({dir("baseline")}), 1);
+}
+
+TEST_F(BenchDiffCommand, OutWritesJsonReport)
+{
+    const std::string out = dir("diff.json");
+    ASSERT_EQ(diff({dir("baseline"), dir("slower"), "--out", out}), 2);
+    std::ifstream in(out);
+    ASSERT_TRUE(in.is_open());
+    std::stringstream text;
+    text << in.rdbuf();
+    obs::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(text.str(), doc, &error)) << error;
+    EXPECT_EQ(doc.find("schema")->asString(), "dnasim.benchdiff.v1");
+    ASSERT_EQ(doc.find("rows")->array().size(), 1u);
+    EXPECT_EQ(doc.find("rows")->array()[0].find("verdict")->asString(),
+              "REGRESSED");
+
+    // An unwritable --out is an I/O error, not a verdict.
+    EXPECT_EQ(diff({dir("baseline"), dir("same"), "--out",
+                    dir("no/such/dir/diff.json")}),
+              1);
 }
 
 TEST_F(CliCommands, MissingPositionalIsFatal)

@@ -4,21 +4,28 @@
  * (align/edit_script.hh): both tiers are pinned byte-for-byte to the
  * reference flat DP — identical scripts in deterministic mode,
  * identical scripts AND identical Rng consumption in random
- * tie-break mode — plus the edge cases the tiers special-case
- * (empty strands, word-boundary lengths, band escapes, non-ACGT
- * fallbacks, engine selection).
+ * tie-break mode — on synthetic pairs, on every pair a calibrate →
+ * simulate → reconstruct workload feeds them, and on the edge cases
+ * the tiers special-case (empty strands, word-boundary lengths, band
+ * escapes, non-ACGT fallbacks, tier selection).
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "align/edit_distance.hh"
 #include "align/edit_script.hh"
+#include "analysis/accuracy.hh"
 #include "base/rng.hh"
+#include "core/channel_simulator.hh"
 #include "core/ids_model.hh"
+#include "core/profiler.hh"
+#include "core/wetlab.hh"
 #include "data/strand_factory.hh"
+#include "reconstruct/iterative.hh"
 
 namespace dnasim
 {
@@ -255,46 +262,172 @@ TEST(EditScript, BandWiderThanDistanceStillExact)
 TEST(EditScript, NonAcgtFallsBackToReference)
 {
     // 'N's in either strand must not break equivalence: the engine
-    // routes non-ACGT references to the flat DP and lets Tier A
-    // handle non-ACGT copies via all-zero Peq rows.
+    // routes non-ACGT references to the flat DP (visible through the
+    // fallback counter) and lets Tier A handle non-ACGT copies via
+    // all-zero Peq rows.
+    auto &fallback = EditOpsStats::get().fallback;
     const std::string ref = "ACGTNNACGTACGT";
     const std::string copy = "ACGTNACGTACGGT";
+    const uint64_t fallback_before = fallback.value();
     EXPECT_EQ(engineScript(ref, copy, nullptr),
               refScript(ref, copy, nullptr));
+    EXPECT_EQ(fallback.value(), fallback_before + 1);
     Rng a(3), b(3);
     EXPECT_EQ(engineScript(ref, copy, &a), refScript(ref, copy, &b));
     EXPECT_TRUE(a.engine() == b.engine());
 
     const std::string clean_ref = "ACGTACGTACGTAC";
+    const uint64_t clean_before = fallback.value();
     EXPECT_EQ(engineScript(clean_ref, copy, nullptr),
               refScript(clean_ref, copy, nullptr));
+    EXPECT_EQ(fallback.value(), clean_before);
 }
 
 TEST(EditScript, EngineSelection)
 {
-    EXPECT_EQ(parseEditOpsEngine("auto"), EditOpsEngine::Auto);
-    EXPECT_EQ(parseEditOpsEngine("reference"),
-              EditOpsEngine::Reference);
-    EXPECT_EQ(parseEditOpsEngine("bogus"), std::nullopt);
-    EXPECT_EQ(parseEditOpsEngine(""), std::nullopt);
-
-    // Forcing the reference engine must route dispatch to the flat
-    // DP (visible through the fallback counter) and produce the
-    // same script.
+    // Dispatch picks the tier from the input alone: Tier A without
+    // an Rng, Tier B with one, and the flat DP once the band would
+    // be as wide as a full row. Every route yields the reference
+    // script.
+    auto &st = EditOpsStats::get();
     const std::string ref = "ACGTTGCAACGTTGCA";
     const std::string copy = "ACGTGCAACGTTGGCA";
-    auto auto_script = engineScript(ref, copy, nullptr);
 
-    setEditOpsEngineOverride(EditOpsEngine::Reference);
-    const uint64_t fallback_before =
-        EditOpsStats::get().fallback.value();
-    auto forced = engineScript(ref, copy, nullptr);
-    const uint64_t fallback_after =
-        EditOpsStats::get().fallback.value();
-    setEditOpsEngineOverride(std::nullopt);
+    const uint64_t bitvec_before = st.bitvec.value();
+    EXPECT_EQ(engineScript(ref, copy, nullptr),
+              refScript(ref, copy, nullptr));
+    EXPECT_EQ(st.bitvec.value(), bitvec_before + 1);
 
-    EXPECT_EQ(forced, auto_script);
-    EXPECT_GT(fallback_after, fallback_before);
+    const uint64_t banded_before = st.banded.value();
+    Rng a(21), b(21);
+    EXPECT_EQ(engineScript(ref, copy, &a), refScript(ref, copy, &b));
+    EXPECT_TRUE(a.engine() == b.engine());
+    EXPECT_EQ(st.banded.value(), banded_before + 1);
+
+    const std::string far(ref.size(), 'A');
+    const uint64_t fallback_before = st.fallback.value();
+    Rng c(22), d(22);
+    EXPECT_EQ(engineScript(ref, far, &c), refScript(ref, far, &d));
+    EXPECT_TRUE(c.engine() == d.engine());
+    EXPECT_EQ(st.fallback.value(), fallback_before + 1);
+}
+
+/**
+ * Drive one pair through both editOpsInto() overloads — one-shot and
+ * MyersPattern reuse — and the reference DP. With an Rng each call
+ * draws from its own copy of @p rng's stream; the scripts and the
+ * streams' end states must all agree. @p rng advances as the
+ * reference consumed it, so a caller can chain pairs on one stream.
+ */
+void
+expectOverloadsMatchReference(const Strand &ref, const Strand &copy,
+                              const MyersPattern &pattern, Rng *rng)
+{
+    std::optional<Rng> one_shot_rng, reuse_rng;
+    if (rng != nullptr) {
+        one_shot_rng = *rng;
+        reuse_rng = *rng;
+    }
+    std::vector<EditOp> expected, one_shot, reused;
+    editOpsReference(ref, copy, rng, expected);
+    editOpsInto(ref, copy, rng ? &*one_shot_rng : nullptr, one_shot);
+    editOpsInto(pattern, ref, copy, rng ? &*reuse_rng : nullptr,
+                reused);
+    EXPECT_EQ(one_shot, expected) << ref << " vs " << copy;
+    EXPECT_EQ(reused, expected) << ref << " vs " << copy;
+    if (rng != nullptr) {
+        EXPECT_TRUE(one_shot_rng->engine() == rng->engine())
+            << "one-shot Rng consumption diverged for " << ref
+            << " vs " << copy;
+        EXPECT_TRUE(reuse_rng->engine() == rng->engine())
+            << "pattern-reuse Rng consumption diverged for " << ref
+            << " vs " << copy;
+    }
+}
+
+/**
+ * A whole paper-loop workload: 60 generated wetlab clusters (seed
+ * 11), calibrated and re-simulated with the second-order model (seed
+ * 13), then reconstructed by Iterative (seed 17). Its pairs are the
+ * ones calibration (Tier B) and consensus voting (Tier A) feed the
+ * engine in the pipeline.
+ */
+struct PaperLoopWorkload
+{
+    Dataset simulated;
+    std::vector<Strand> estimates;
+
+    static const PaperLoopWorkload &
+    get()
+    {
+        static const PaperLoopWorkload w = [] {
+            WetlabConfig config;
+            config.num_clusters = 60;
+            Rng generate_rng(11);
+            Dataset real =
+                NanoporeDatasetGenerator(config).generate(generate_rng);
+            IdsChannelModel model = IdsChannelModel::secondOrder(
+                ErrorProfiler().calibrate(real));
+            PaperLoopWorkload out;
+            Rng simulate_rng(13);
+            out.simulated =
+                ChannelSimulator(model).simulateLike(real, simulate_rng);
+            Rng reconstruct_rng(17);
+            out.estimates = reconstructAll(out.simulated, Iterative(),
+                                           reconstruct_rng);
+            return out;
+        }();
+        return w;
+    }
+};
+
+TEST(EditScript, CalibrationPairsMatchReference)
+{
+    // Every (reference, copy) pair with the per-cluster stream
+    // calibrate() forks, consumed copy after copy as it does.
+    const PaperLoopWorkload &w = PaperLoopWorkload::get();
+    const Rng root(ProfilerOptions().seed);
+    size_t pairs = 0;
+    MyersPattern pattern;
+    for (size_t i = 0; i < w.simulated.size(); ++i) {
+        const Cluster &cluster = w.simulated[i];
+        if (cluster.reference.empty())
+            continue;
+        Rng rng = root.fork(i);
+        pattern.assign(cluster.reference);
+        for (const Strand &copy : cluster.copies) {
+            expectOverloadsMatchReference(cluster.reference, copy,
+                                          pattern, &rng);
+            ++pairs;
+        }
+    }
+    EXPECT_GT(pairs, 1000u);
+}
+
+TEST(EditScript, IterativeEstimatePairsMatchReference)
+{
+    // Every (Iterative estimate, copy) pair, deterministic as the
+    // consensus vote calls it and with a per-cluster stream.
+    const PaperLoopWorkload &w = PaperLoopWorkload::get();
+    ASSERT_EQ(w.estimates.size(), w.simulated.size());
+    const Rng root(29);
+    size_t pairs = 0;
+    MyersPattern pattern;
+    for (size_t i = 0; i < w.simulated.size(); ++i) {
+        const Strand &estimate = w.estimates[i];
+        if (estimate.empty())
+            continue;
+        Rng rng = root.fork(i);
+        pattern.assign(estimate);
+        for (const Strand &copy : w.simulated[i].copies) {
+            expectOverloadsMatchReference(estimate, copy, pattern,
+                                          nullptr);
+            expectOverloadsMatchReference(estimate, copy, pattern,
+                                          &rng);
+            ++pairs;
+        }
+    }
+    EXPECT_GT(pairs, 1000u);
 }
 
 TEST(EditScript, StatsCountTierUsage)

@@ -102,19 +102,26 @@ TEST(ObsTimer, RecordsIntervals)
     EXPECT_EQ(t.maxNs(), 300u);
 }
 
-TEST(ObsTimer, ScopedTimerRecordsOnce)
+TEST(ObsTimer, SpanRecordsOnce)
 {
+    // A Span feeds its Timer exactly once per scope, at destruction,
+    // whether or not tracing is on.
     obs::Registry reg;
     obs::Timer &t = reg.timer("scoped");
+    obs::Trace &trace = obs::Trace::global();
+    trace.disable();
     {
-        obs::ScopedTimer s(t);
-        s.stop();
-        s.stop(); // idempotent
+        obs::Span s("untraced", "test", t);
     }
+    EXPECT_EQ(t.count(), 1u);
+    trace.enable();
     {
-        obs::ScopedTimer s(t); // records at destruction
+        obs::Span s("traced", "test", t);
     }
+    trace.disable();
     EXPECT_EQ(t.count(), 2u);
+    EXPECT_EQ(trace.numEvents(), 1u);
+    trace.clear();
 }
 
 TEST(ObsDistribution, SummaryStatistics)
@@ -288,10 +295,11 @@ TEST(ObsTrace, DisabledModeHasNoSideEffects)
     trace.disable();
     trace.clear();
     {
-        obs::ScopedTrace span("noop", "test");
+        obs::Span span("noop", "test");
     }
-    trace.recordInstant("noop", "test");
+    trace.recordRss(1 << 20);
     EXPECT_EQ(trace.numEvents(), 0u);
+    EXPECT_TRUE(trace.rssSamples().empty());
     EXPECT_EQ(trace.nowNs(), 0u);
 }
 
@@ -300,12 +308,11 @@ TEST(ObsTrace, RecordsSpansWhenEnabled)
     obs::Trace &trace = obs::Trace::global();
     trace.enable();
     {
-        obs::ScopedTrace outer("outer", "test");
-        obs::ScopedTrace inner("inner", "test",
-                               "{\"k\": 1}");
+        obs::Span outer("outer", "test");
+        obs::Span inner("inner", "test");
     }
-    trace.recordInstant("mark", "test");
-    EXPECT_EQ(trace.numEvents(), 3u);
+    EXPECT_EQ(trace.numEvents(), 2u);
+    const std::vector<obs::TraceSpan> spans = trace.completeSpans();
 
     std::ostringstream os;
     trace.writeJson(os);
@@ -313,11 +320,20 @@ TEST(ObsTrace, RecordsSpansWhenEnabled)
     trace.disable();
     trace.clear();
 
+    // Inner closes first; both carry the category and a duration
+    // that nests inside the outer span.
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0].name, "inner");
+    EXPECT_EQ(spans[1].name, "outer");
+    EXPECT_EQ(spans[1].cat, "test");
+    EXPECT_GE(spans[0].ts_ns, spans[1].ts_ns);
+    EXPECT_LE(spans[0].ts_ns + spans[0].dur_ns,
+              spans[1].ts_ns + spans[1].dur_ns);
+
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"outer\""), std::string::npos);
     EXPECT_NE(json.find("\"inner\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("{\"k\": 1}"), std::string::npos);
 }
 
 TEST(ObsTrace, DisableMidSpanDropsTheSpan)
@@ -325,7 +341,7 @@ TEST(ObsTrace, DisableMidSpanDropsTheSpan)
     obs::Trace &trace = obs::Trace::global();
     trace.enable();
     {
-        obs::ScopedTrace span("dropped", "test");
+        obs::Span span("dropped", "test");
         trace.disable();
     }
     EXPECT_EQ(trace.numEvents(), 0u);

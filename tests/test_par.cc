@@ -141,17 +141,27 @@ TEST(ParallelFor, RecordsObservability)
 
 TEST(ForkClusterStreams, PureFunctionOfSeedAndIndex)
 {
-    // Stream i must not depend on how many streams are forked or on
-    // any draws interleaved between forks — the determinism contract.
-    Rng a(1234);
-    Rng b(1234);
-    auto few = forkClusterStreams(a, 3);
-    auto many = forkClusterStreams(b, 100);
-    for (size_t i = 0; i < few.size(); ++i) {
-        Rng x = few[i], y = many[i];
+    // Stream i forked inline from a parallel loop body must equal
+    // the serial fork: it may not depend on the thread, the order
+    // of forks, or draws taken from the parent — the determinism
+    // contract every per-cluster loop relies on.
+    ThreadGuard guard(4);
+    constexpr size_t kStreams = 200;
+    const Rng root(1234);
+    std::vector<uint64_t> parallel(kStreams);
+    par::parallelFor(0, kStreams, [&](size_t i) {
+        Rng stream = root.fork(i);
         for (int k = 0; k < 16; ++k)
-            EXPECT_EQ(x.index(1 << 30), y.index(1 << 30))
-                << "stream " << i;
+            parallel[i] = parallel[i] * 31 + stream.index(1 << 30);
+    });
+    Rng used(1234);
+    for (size_t i = 0; i < kStreams; ++i) {
+        used.uniform(); // parent draws must not leak into forks
+        Rng stream = used.fork(i);
+        uint64_t serial = 0;
+        for (int k = 0; k < 16; ++k)
+            serial = serial * 31 + stream.index(1 << 30);
+        EXPECT_EQ(parallel[i], serial) << "stream " << i;
     }
 }
 

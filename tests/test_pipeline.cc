@@ -9,6 +9,7 @@
 
 #include "core/coverage.hh"
 #include "core/ids_model.hh"
+#include "obs/stats.hh"
 #include "pipeline/archival_pipeline.hh"
 #include "reconstruct/iterative.hh"
 #include "reconstruct/majority.hh"
@@ -64,11 +65,23 @@ TEST(Pipeline, CleanChannelRoundTrip)
     FixedCoverage coverage(3);
     MajorityVote algo;
     Rng rng(160);
-    RetrievedObject result =
-        pipeline.roundTrip(file, model, coverage, algo, rng);
+    obs::Timer &store_time =
+        obs::Registry::global().timer("pipeline.store_time");
+    const uint64_t stores_before = store_time.count();
+    StoredObject stored;
+    RetrievedObject result = pipeline.roundTrip(
+        file, model, coverage, algo, rng, nullptr, nullptr, &stored);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.data, file);
     EXPECT_EQ(result.stats.crc_failures, 0u);
+
+    // The out-param is the object of roundTrip()'s one store() call.
+    EXPECT_EQ(store_time.count(), stores_before + 1);
+    const StoredObject expected = pipeline.store(file);
+    EXPECT_EQ(stored.strands, expected.strands);
+    EXPECT_EQ(stored.file_size, expected.file_size);
+    EXPECT_EQ(stored.num_data_frames, expected.num_data_frames);
+    EXPECT_EQ(stored.num_total_frames, expected.num_total_frames);
 }
 
 TEST(Pipeline, NoisyChannelRoundTrip)

@@ -213,8 +213,8 @@ TEST(Profile, BuildsFromLiveTrace)
     obs::Trace &trace = obs::Trace::global();
     trace.enable();
     {
-        obs::ScopedTrace outer("outer_phase", "test");
-        obs::ScopedTrace inner("inner_phase", "test");
+        obs::Span outer("outer_phase", "test");
+        obs::Span inner("inner_phase", "test");
     }
     obs::Profile p = obs::buildProfile(trace);
     trace.disable();

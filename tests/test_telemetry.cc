@@ -3,7 +3,8 @@
  * Tests of the streaming telemetry subsystem: HDR histogram bucket
  * math and percentile accuracy, interval rate computation, the
  * OpenMetrics and dnasim.telemetry.v1 sink formats, progress scopes,
- * output-path preparation, and the sampler lifecycle.
+ * output-path preparation, and the sampler lifecycle, including the
+ * RSS series it feeds the phase profiler.
  */
 
 #include <chrono>
@@ -22,10 +23,12 @@
 #include "obs/json.hh"
 #include "obs/openmetrics.hh"
 #include "obs/outfile.hh"
+#include "obs/profile.hh"
 #include "obs/progress.hh"
 #include "obs/snapshot.hh"
 #include "obs/stats.hh"
 #include "obs/telemetry.hh"
+#include "obs/trace.hh"
 
 namespace dnasim
 {
@@ -499,6 +502,40 @@ TEST(TelemetrySampler, OpenMetricsSinkKeepsFileComplete)
     EXPECT_NE(content.find("dnasim_done_total 1\n"),
               std::string::npos);
     EXPECT_EQ(content.substr(content.size() - 6), "# EOF\n");
+}
+
+TEST(TelemetrySampler, FeedsProfilerRssWhileTracing)
+{
+    // The sampler is the process's only polling thread: with tracing
+    // on and no sink attached, each tick still appends an RSS
+    // reading to the trace, which the profiler attributes to the
+    // phases open at that moment.
+    obs::Trace &trace = obs::Trace::global();
+    trace.enable();
+    obs::TelemetrySampler sampler;
+    sampler.start(/*period_ms=*/5);
+    {
+        obs::Span held("held_phase", "test");
+        // Every tick counted from here on stamps its RSS after the
+        // span opened; wait for three of them to finish.
+        const uint64_t ticks_at_open = sampler.samplesTaken();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (sampler.samplesTaken() < ticks_at_open + 3 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_GE(sampler.samplesTaken(), ticks_at_open + 3);
+    }
+    sampler.stop();
+    obs::Profile profile = obs::buildProfile(trace);
+    trace.disable();
+    trace.clear();
+
+    EXPECT_GT(profile.rss_samples, 0u);
+    EXPECT_GT(profile.root.rss_hwm_bytes, 0u);
+    ASSERT_EQ(profile.root.children.size(), 1u);
+    EXPECT_EQ(profile.root.children[0].name, "held_phase");
+    EXPECT_GT(profile.root.children[0].rss_hwm_bytes, 0u);
 }
 
 } // anonymous namespace
