@@ -100,11 +100,7 @@ realAtCoverage(const BenchEnv &env, size_t n)
 std::vector<Strand>
 wetlabReferences(const BenchEnv &env)
 {
-    std::vector<Strand> refs;
-    refs.reserve(env.wetlab.size());
-    for (const auto &c : env.wetlab)
-        refs.push_back(c.reference);
-    return refs;
+    return env.wetlab.references();
 }
 
 Dataset

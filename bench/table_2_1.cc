@@ -63,14 +63,11 @@ main(int argc, char **argv)
     Dataset ds_custom = ChannelSimulator(dnasim_model)
                             .simulateLike(env.wetlab, ds_rng);
 
-    std::vector<Strand> references;
-    references.reserve(env.wetlab.size());
-    for (const auto &c : env.wetlab)
-        references.push_back(c.reference);
     FixedCoverage fixed26(26);
     Rng ds26_rng = env.rng(0x203);
-    Dataset ds_fixed26 = ChannelSimulator(dnasim_model)
-                             .simulate(references, fixed26, ds26_rng);
+    Dataset ds_fixed26 =
+        ChannelSimulator(dnasim_model)
+            .simulate(env.wetlab.references(), fixed26, ds26_rng);
 
     const std::vector<Row> rows = {
         {"Real (wetlab)     custom", &env.wetlab, 77.88, 2.73, 83.16},

@@ -35,7 +35,6 @@ main()
 
     PipelineConfig config;
     config.payload_bytes = 18;
-    config.redundancy = RedundancyScheme::ReedSolomon;
     config.rs_stripe_data = 16;
     config.rs_parity = 6;
     ArchivalPipeline pipeline(config);

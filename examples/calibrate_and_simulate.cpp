@@ -57,9 +57,7 @@ main()
     shuffled.shuffleWithinClusters(shuffle_rng);
     Dataset real5 = shuffled.fixedCoverage(5, 10);
 
-    std::vector<Strand> refs;
-    for (const auto &c : real5)
-        refs.push_back(c.reference);
+    const std::vector<Strand> refs = real5.references();
 
     IdsChannelModel models[] = {
         IdsChannelModel::naive(profile),

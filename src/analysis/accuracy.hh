@@ -54,10 +54,13 @@ struct AccuracyResult
 /**
  * Run @p algo over every cluster of @p data. Erasure clusters yield
  * empty estimates. Deterministic in @p rng's seed (one forked
- * stream per cluster).
+ * stream per cluster). Estimates target @p design_len bases, or each
+ * cluster's reference length at the default 0; re-clustered data
+ * passes it explicitly, since representatives vary in length.
  */
 std::vector<Strand> reconstructAll(const Dataset &data,
-                                   const Reconstructor &algo, Rng &rng);
+                                   const Reconstructor &algo, Rng &rng,
+                                   size_t design_len = 0);
 
 /**
  * Score @p estimates (one per cluster, aligned by index) against the

@@ -1,8 +1,10 @@
 #include "analysis/clustered_accuracy.hh"
 
+#include <algorithm>
 #include <unordered_set>
 
-#include "base/logging.hh"
+#include "analysis/accuracy.hh"
+#include "cluster/recluster.hh"
 
 namespace dnasim
 {
@@ -17,30 +19,20 @@ evaluateWithClustering(const Dataset &data,
     if (data.empty())
         return result;
 
-    std::vector<Strand> pool = data.pooledReads();
-    rng.shuffle(pool);
-
-    auto clusters = clusterReads(pool, options);
+    const Dataset clusters =
+        poolAndRecluster(data, options, rng).regrouped();
     result.num_clusters = clusters.size();
 
     size_t design_len = 0;
     for (const auto &c : data)
         design_len = std::max(design_len, c.reference.size());
+    const std::vector<Strand> estimates =
+        reconstructAll(clusters, algo, rng, design_len);
 
-    std::unordered_set<Strand> estimates;
-    estimates.reserve(clusters.size());
-    for (size_t i = 0; i < clusters.size(); ++i) {
-        std::vector<Strand> copies;
-        copies.reserve(clusters[i].members.size());
-        for (size_t member : clusters[i].members)
-            copies.push_back(pool[member]);
-        Rng cluster_rng = rng.fork(i);
-        estimates.insert(
-            algo.reconstruct(copies, design_len, cluster_rng));
-    }
-
+    const std::unordered_set<Strand> recovered(estimates.begin(),
+                                               estimates.end());
     for (const auto &cluster : data)
-        if (estimates.count(cluster.reference) > 0)
+        if (recovered.count(cluster.reference) > 0)
             ++result.recovered_exact;
     return result;
 }

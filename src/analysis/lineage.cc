@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "align/edit_distance.hh"
@@ -62,23 +61,16 @@ struct Unit
     }
 };
 
-/** Majority origin of a member list; ties take the smallest index. */
+/** Majority true origin of a member list (ties to the smallest). */
 uint32_t
 majorityOrigin(const std::vector<size_t> &members,
                const std::vector<ReadIdentity> &identity)
 {
-    std::map<uint32_t, size_t> counts;
+    std::vector<size_t> origins;
+    origins.reserve(members.size());
     for (size_t m : members)
-        ++counts[identity[m].origin_cluster];
-    uint32_t label = 0;
-    size_t best = 0;
-    for (const auto &[origin, n] : counts) {
-        if (n > best) { // map order makes ties pick the smallest key
-            best = n;
-            label = origin;
-        }
-    }
-    return label;
+        origins.push_back(identity[m].origin_cluster);
+    return static_cast<uint32_t>(dnasim::majorityOrigin(origins));
 }
 
 void

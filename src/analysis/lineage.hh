@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "analysis/error_positions.hh"
-#include "cluster/greedy_cluster.hh"
+#include "cluster/recluster.hh"
 #include "core/lineage_log.hh"
 #include "data/dataset.hh"
 
@@ -66,17 +66,6 @@ inline constexpr size_t kNumFailureCauses = 6;
 /** Stable kebab-case name ("coverage-gap", "channel-noise", ...). */
 const char *failureCauseName(FailureCause cause);
 
-/**
- * True origin of one pooled read: which reference it was simulated
- * from, and which copy of that reference it is (the key into
- * LineageLog::readEvents). Callers that shuffle the pool must
- * permute these alongside the reads.
- */
-struct ReadIdentity
-{
-    uint32_t origin_cluster = 0;
-    uint32_t origin_copy = 0;
-};
 
 /** One classified wrong position in one cluster's reconstruction. */
 struct FailureRecord

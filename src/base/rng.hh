@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <span>
 #include <vector>
@@ -111,6 +112,11 @@ class Rng
         DNASIM_ASSERT(lambda >= 0.0, "negative poisson rate");
         if (lambda == 0.0)
             return 0;
+        // libstdc++'s sampler calls lgamma(), which writes the global
+        // signgam: draws from parallel per-cluster streams (coverage
+        // sampling in the channel simulator) would race on it.
+        static std::mutex lgamma_mutex;
+        std::lock_guard<std::mutex> lock(lgamma_mutex);
         return std::poisson_distribution<int64_t>(lambda)(engine_);
     }
 

@@ -17,17 +17,16 @@
 
 #include "cli/commands.hh"
 
+#include <algorithm>
 #include <iostream>
-#include <numeric>
 
 #include "analysis/accuracy.hh"
 #include "analysis/lineage.hh"
 #include "base/logging.hh"
+#include "cluster/recluster.hh"
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
 #include "data/io.hh"
-#include "obs/progress.hh"
-#include "par/thread_pool.hh"
 
 namespace dnasim
 {
@@ -57,12 +56,8 @@ cmdExplain(const Args &args)
     const auto coverage =
         static_cast<size_t>(args.getInt("coverage", 0));
     if (coverage > 0) {
-        std::vector<Strand> refs;
-        refs.reserve(real.size());
-        for (const auto &c : real)
-            refs.push_back(c.reference);
-        FixedCoverage cov(coverage);
-        simulated = sim.simulate(refs, cov, rng, &lineage);
+        simulated = sim.simulate(real.references(),
+                                 FixedCoverage(coverage), rng, &lineage);
     } else {
         simulated = sim.simulateLike(real, rng, &lineage);
     }
@@ -78,58 +73,21 @@ cmdExplain(const Args &args)
         static_cast<size_t>(args.getInt("buckets", 11));
 
     // Recluster-mode storage must outlive the attribution call.
-    std::vector<Strand> pool;
-    std::vector<ReadIdentity> identity;
+    ReclusteredPool reclustered;
     std::vector<ReadAssignment> assignments;
-    std::vector<ReadCluster> clusters;
     std::vector<Strand> estimates;
 
     if (args.has("recluster")) {
-        // Pool the reads with their identities and shuffle both
-        // through one permutation, so ground truth follows every
-        // read into whatever cluster it lands in.
-        std::vector<Strand> raw;
-        std::vector<ReadIdentity> raw_ids;
-        for (size_t i = 0; i < simulated.size(); ++i) {
-            const auto &copies = simulated[i].copies;
-            for (size_t k = 0; k < copies.size(); ++k) {
-                raw.push_back(copies[k]);
-                raw_ids.push_back({static_cast<uint32_t>(i),
-                                   static_cast<uint32_t>(k)});
-            }
-        }
-        std::vector<size_t> perm(raw.size());
-        std::iota(perm.begin(), perm.end(), size_t{0});
-        rng.shuffle(perm);
-        pool.resize(raw.size());
-        identity.resize(raw.size());
-        for (size_t i = 0; i < perm.size(); ++i) {
-            pool[i] = std::move(raw[perm[i]]);
-            identity[i] = raw_ids[perm[i]];
-        }
-
-        clusters = clusterReads(pool, clusterOptionsFromArgs(args),
-                                &assignments);
-
-        // Reconstruct every recovered cluster with per-cluster
-        // streams forked by index (identical at any thread count).
-        obs::ProgressScope progress("reconstruct", clusters.size());
-        estimates = par::parallelTransform(
-            clusters.size(), [&](size_t i) {
-                std::vector<Strand> copies;
-                copies.reserve(clusters[i].members.size());
-                for (size_t m : clusters[i].members)
-                    copies.push_back(pool[m]);
-                Rng cluster_rng = rng.fork(i);
-                auto estimate = algo->reconstruct(
-                    copies, design_len, cluster_rng);
-                progress.advance();
-                return estimate;
-            });
-
-        inputs.clusters = &clusters;
-        inputs.pool = &pool;
-        inputs.identity = &identity;
+        // Identities ride through the shuffle, so ground truth
+        // follows every read into whatever cluster it lands in.
+        reclustered =
+            poolAndRecluster(simulated, clusterOptionsFromArgs(args),
+                             rng, /*with_identity=*/true, &assignments);
+        estimates = reconstructAll(reclustered.regrouped(), *algo, rng,
+                                   design_len);
+        inputs.clusters = &reclustered.clusters;
+        inputs.pool = &reclustered.pool;
+        inputs.identity = &reclustered.identity;
         inputs.assignments = &assignments;
     } else {
         estimates = reconstructAll(simulated, *algo, rng);

@@ -1,11 +1,11 @@
 #include "cli/commands.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
-#include <numeric>
 
 #include "analysis/accuracy.hh"
 #include "analysis/error_positions.hh"
@@ -15,6 +15,7 @@
 #include "base/strand_pool.hh"
 #include "base/table.hh"
 #include "cluster/greedy_cluster.hh"
+#include "cluster/recluster.hh"
 #include "cluster/shard_cluster.hh"
 #include "core/channel_simulator.hh"
 #include "core/dnasimulator_model.hh"
@@ -202,12 +203,9 @@ simulateToCheckpoint(const Args &args, const Dataset &real,
         DNASIM_FATAL("checkpoint: ", error);
 
     CustomCoverage coverage(real.coverages());
-    PoolSimulateOptions pool_options;
-    pool_options.max_reads = max_reads;
     PoolSimulateResult sim_result =
         sim.simulateToPool(StrandPoolView(refs), coverage, rng,
-                           reads_builder, &origins.stream(),
-                           pool_options);
+                           reads_builder, &origins.stream(), max_reads);
 
     if (!reads_builder.finish(&error) || !origins.commit(&error))
         DNASIM_FATAL("checkpoint: ", error);
@@ -231,6 +229,23 @@ simulateToCheckpoint(const Args &args, const Dataset &real,
                                        : "")
               << "\n";
     return 0;
+}
+
+/** Attribute a simulation's injected lineage to --lineage-out. */
+void
+writeInjectedLineage(const Args &args, const Dataset &simulated,
+                     const LineageLog &lineage)
+{
+    LineageInputs inputs;
+    inputs.truth = &simulated;
+    inputs.lineage = &lineage;
+    LineageReport report = attributeLineage(inputs);
+    const std::string lineage_out = args.get("lineage-out");
+    std::string error;
+    if (!writeLineageJsonl(lineage_out, inputs, report, &error))
+        DNASIM_FATAL("lineage: ", error);
+    inform("lineage: wrote ", lineage_out, " (",
+           report.injected.total(), " injected events)");
 }
 
 /**
@@ -500,18 +515,8 @@ cmdSimulate(const Args &args)
         simulated.truncateReads(max_reads);
     writeEvyatFile(simulated, out);
 
-    if (want_lineage) {
-        LineageInputs inputs;
-        inputs.truth = &simulated;
-        inputs.lineage = &lineage;
-        LineageReport report = attributeLineage(inputs);
-        const std::string lineage_out = args.get("lineage-out");
-        std::string error;
-        if (!writeLineageJsonl(lineage_out, inputs, report, &error))
-            DNASIM_FATAL("lineage: ", error);
-        inform("lineage: wrote ", lineage_out, " (",
-               report.injected.total(), " injected events)");
-    }
+    if (want_lineage)
+        writeInjectedLineage(args, simulated, lineage);
 
     auto stats = simulated.stats();
     std::cout << "wrote " << out << " (model " << model->name()
@@ -668,56 +673,33 @@ cmdCluster(const Args &args)
     Dataset dataset = readEvyatFile(input);
     Rng rng(args.getSeed("seed", 0xc105));
 
-    // Pool every copy with its true origin, then shuffle both
-    // through one permutation: the clusterer sees a wetlab-shaped
-    // unordered pool, the scorer still knows the ground truth.
-    std::vector<Strand> pool;
-    std::vector<ReadIdentity> ids;
-    for (size_t i = 0; i < dataset.size(); ++i) {
-        const auto &copies = dataset[i].copies;
-        for (size_t k = 0; k < copies.size(); ++k) {
-            pool.push_back(copies[k]);
-            ids.push_back({static_cast<uint32_t>(i),
-                           static_cast<uint32_t>(k)});
-        }
-    }
-    std::vector<size_t> perm(pool.size());
-    std::iota(perm.begin(), perm.end(), size_t{0});
-    rng.shuffle(perm);
-    std::vector<Strand> shuffled(pool.size());
-    std::vector<ReadIdentity> shuffled_ids(pool.size());
-    std::vector<size_t> shuffled_origins(pool.size());
-    for (size_t i = 0; i < perm.size(); ++i) {
-        shuffled[i] = std::move(pool[perm[i]]);
-        shuffled_ids[i] = ids[perm[i]];
-        shuffled_origins[i] = shuffled_ids[i].origin_cluster;
-    }
-    if (max_reads > 0 && max_reads < shuffled.size()) {
-        shuffled.resize(max_reads);
-        shuffled_ids.resize(max_reads);
-        shuffled_origins.resize(max_reads);
-    }
-
-    // Assignment provenance is captured only on demand; placements
-    // are identical either way. With --shards 1 (the default) the
-    // sharded clusterer is a pass-through of clusterReads.
+    // Pool every copy with its true origin and shuffle: the
+    // clusterer sees a wetlab-shaped unordered pool, the scorer
+    // still knows the ground truth. Assignment provenance is
+    // captured only on demand; placements are identical either way.
     const bool want_lineage = args.has("lineage-out");
     std::vector<ReadAssignment> assignments;
     auto start = std::chrono::steady_clock::now();
-    std::vector<ReadCluster> clusters = clusterReadsSharded(
-        StrandPoolView(shuffled), options, shards,
-        want_lineage ? &assignments : nullptr);
+    ReclusteredPool reclustered = poolAndRecluster(
+        dataset, options, rng, /*with_identity=*/true,
+        want_lineage ? &assignments : nullptr, max_reads,
+        std::max<size_t>(shards, 1));
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();
-    ClusterPurity purity = scoreClustering(clusters, shuffled_origins);
+    const std::vector<ReadCluster> &clusters = reclustered.clusters;
+    std::vector<size_t> origins;
+    origins.reserve(reclustered.identity.size());
+    for (const ReadIdentity &id : reclustered.identity)
+        origins.push_back(id.origin_cluster);
+    ClusterPurity purity = scoreClustering(clusters, origins);
 
     if (want_lineage) {
         LineageInputs inputs;
         inputs.truth = &dataset;
         inputs.clusters = &clusters;
-        inputs.pool = &shuffled;
-        inputs.identity = &shuffled_ids;
+        inputs.pool = &reclustered.pool;
+        inputs.identity = &reclustered.identity;
         inputs.assignments = &assignments;
         LineageReport report = attributeLineage(inputs);
         const std::string lineage_out = args.get("lineage-out");
@@ -783,18 +765,8 @@ cmdRoundtrip(const Args &args)
     std::cout << "encoded " << file.size() << " bytes into "
               << object.strands.size() << " strands of length "
               << pipeline.strandLength() << "\n";
-    if (want_lineage) {
-        LineageInputs inputs;
-        inputs.truth = &simulated;
-        inputs.lineage = &lineage;
-        LineageReport report = attributeLineage(inputs);
-        const std::string lineage_out = args.get("lineage-out");
-        std::string error;
-        if (!writeLineageJsonl(lineage_out, inputs, report, &error))
-            DNASIM_FATAL("lineage: ", error);
-        inform("lineage: wrote ", lineage_out, " (",
-               report.injected.total(), " injected events)");
-    }
+    if (want_lineage)
+        writeInjectedLineage(args, simulated, lineage);
     std::cout << "retrieval " << (result.success ? "OK" : "FAILED")
               << ": erasures=" << result.stats.erasure_clusters
               << " crc-rejects="

@@ -8,7 +8,6 @@
 #include "align/edit_distance.hh"
 #include "align/myers_batch.hh"
 #include "base/logging.hh"
-#include "obs/progress.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "par/thread_pool.hh"
@@ -114,7 +113,7 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
         "reads with no sketchable k-mer (short or non-ACGT)");
     const bool use_sketch = options.index == ClusterIndexKind::Sketch;
     obs::Span span(use_sketch ? "cluster.sketch" : "cluster.greedy",
-                   "cluster", stat_time);
+                   "cluster", stat_time, count);
     uint64_t comparisons = 0;
     uint64_t sketch_probes = 0;
     uint64_t sketch_verified = 0;
@@ -236,11 +235,10 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
     // unpack only the strand under the cursor into this buffer —
     // which is what keeps clustering RSS independent of pool size.
     Strand read_scratch;
-    obs::ProgressScope progress("cluster", count);
     for (size_t i = 0; i < count; ++i) {
         const std::string_view read =
             view.chars(offset + i, read_scratch);
-        progress.advance();
+        span.advance();
         read_pattern.assign(read);
 
         // Tier 1: candidate clusters sharing the anchor prefix.
@@ -357,32 +355,15 @@ scoreClustering(const std::vector<ReadCluster> &clusters,
 {
     ClusterPurity purity;
     purity.num_clusters = clusters.size();
-    // Majority counting over a sorted scratch of the cluster's
-    // origins: the longest run wins, first (= smallest origin) on
-    // ties — the exact semantics of the ordered std::map this
-    // replaces, without a node allocation per distinct origin.
     std::vector<size_t> scratch;
     for (const auto &cluster : clusters) {
         scratch.clear();
-        scratch.reserve(cluster.members.size());
         for (size_t member : cluster.members) {
             DNASIM_ASSERT(member < origins.size(),
                           "read index out of range");
             scratch.push_back(origins[member]);
         }
-        std::sort(scratch.begin(), scratch.end());
-        size_t majority_origin = 0;
-        size_t best = 0;
-        for (size_t lo = 0; lo < scratch.size();) {
-            size_t hi = lo;
-            while (hi < scratch.size() && scratch[hi] == scratch[lo])
-                ++hi;
-            if (hi - lo > best) {
-                best = hi - lo;
-                majority_origin = scratch[lo];
-            }
-            lo = hi;
-        }
+        const size_t majority_origin = majorityOrigin(scratch);
         for (size_t member : cluster.members) {
             ++purity.num_reads;
             if (origins[member] == majority_origin)
@@ -390,6 +371,27 @@ scoreClustering(const std::vector<ReadCluster> &clusters,
         }
     }
     return purity;
+}
+
+size_t
+majorityOrigin(std::vector<size_t> &origins)
+{
+    // The longest run of the sorted origins, first (= smallest) on
+    // ties, without a map node per distinct origin.
+    std::sort(origins.begin(), origins.end());
+    size_t majority = 0;
+    size_t best = 0;
+    for (size_t lo = 0; lo < origins.size();) {
+        size_t hi = lo;
+        while (hi < origins.size() && origins[hi] == origins[lo])
+            ++hi;
+        if (hi - lo > best) {
+            best = hi - lo;
+            majority = origins[lo];
+        }
+        lo = hi;
+    }
+    return majority;
 }
 
 } // namespace dnasim

@@ -151,6 +151,12 @@ struct ClusterPurity
 ClusterPurity scoreClustering(const std::vector<ReadCluster> &clusters,
                               const std::vector<size_t> &origins);
 
+/**
+ * A cluster's label: the most frequent of its members' @p origins,
+ * ties to the smallest (0 when empty). Sorts @p origins in place.
+ */
+size_t majorityOrigin(std::vector<size_t> &origins);
+
 } // namespace dnasim
 
 #endif // DNASIM_CLUSTER_GREEDY_CLUSTER_HH

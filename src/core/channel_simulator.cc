@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "base/logging.hh"
-#include "obs/progress.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "par/thread_pool.hh"
@@ -16,12 +15,12 @@ ChannelSimulator::ChannelSimulator(const ErrorModel &model)
 {}
 
 Cluster
-ChannelSimulator::simulateCluster(const Strand &reference, size_t n,
+ChannelSimulator::simulateCluster(std::string_view reference, size_t n,
                                   Rng &rng,
                                   ClusterLineage *lineage) const
 {
     Cluster cluster;
-    cluster.reference = reference;
+    cluster.reference.assign(reference);
     cluster.copies.reserve(n);
     // Steady-state heap traffic here is the output strands only:
     // per-transmit scratch (e.g. the contextual channel's
@@ -29,14 +28,15 @@ ChannelSimulator::simulateCluster(const Strand &reference, size_t n,
     // models, sized once per worker.
     if (lineage == nullptr) {
         for (size_t k = 0; k < n; ++k)
-            cluster.copies.push_back(model_.transmit(reference, rng));
+            cluster.copies.push_back(
+                model_.transmit(cluster.reference, rng));
         return cluster;
     }
     lineage->read_event_end.reserve(n);
     for (size_t k = 0; k < n; ++k) {
         LineageRecorder recorder(&lineage->events);
         cluster.copies.push_back(
-            model_.transmit(reference, rng, recorder));
+            model_.transmit(cluster.reference, rng, recorder));
         lineage->read_event_end.push_back(
             static_cast<uint32_t>(lineage->events.size()));
     }
@@ -68,6 +68,39 @@ struct SimStats
     }
 };
 
+/// Clusters simulateToPool() holds in RAM at a time.
+constexpr size_t kPoolChunkClusters = 4096;
+
+/**
+ * The one per-cluster loop behind every driver: cluster lo + k lands
+ * in out[k] and draws from rng.fork(lo + k) whichever worker runs
+ * it, so the output is bit-identical to the serial run at any
+ * --threads and however the run is chunked. Each lineage arena is
+ * touched only by the worker that owns its cluster, so the log needs
+ * no merge and no locks either.
+ */
+void
+simulateRange(const ChannelSimulator &sim,
+              const StrandPoolView &references, size_t lo,
+              const CoverageModel &coverage, const Rng &rng,
+              LineageLog *lineage, std::vector<Cluster> &out,
+              obs::Span &span)
+{
+    SimStats &ss = SimStats::get();
+    par::parallelFor(0, out.size(), [&](size_t k) {
+        const size_t i = lo + k;
+        thread_local Strand scratch;
+        Rng cluster_rng = rng.fork(i);
+        const size_t n = coverage.sample(i, cluster_rng);
+        out[k] = sim.simulateCluster(
+            references.chars(i, scratch), n, cluster_rng,
+            lineage != nullptr ? &lineage->cluster(i) : nullptr);
+        ss.clusters.inc();
+        ss.cluster_size.record(n);
+        span.advance();
+    });
+}
+
 } // anonymous namespace
 
 Dataset
@@ -75,29 +108,13 @@ ChannelSimulator::simulate(const std::vector<Strand> &references,
                            const CoverageModel &coverage, Rng &rng,
                            LineageLog *lineage) const
 {
-    SimStats &ss = SimStats::get();
-    obs::Span span("channel.simulate", "channel", ss.time);
-
-    // Per-cluster streams: cluster i draws from rng.fork(i)
-    // regardless of which thread simulates it, so the output is
-    // bit-identical to the serial run for any --threads.
-    // Lineage arenas are per cluster too, each touched only by the
-    // worker that owns that cluster — the log needs no merge step
-    // and no locks to come out identical at any thread count.
+    obs::Span span("channel.simulate", "channel", SimStats::get().time,
+                   references.size());
     std::vector<Cluster> clusters(references.size());
     if (lineage != nullptr)
         lineage->beginRun(references.size());
-    obs::ProgressScope progress("simulate", references.size());
-    par::parallelFor(0, references.size(), [&](size_t i) {
-        Rng cluster_rng = rng.fork(i);
-        size_t n = coverage.sample(i, cluster_rng);
-        clusters[i] = simulateCluster(
-            references[i], n, cluster_rng,
-            lineage != nullptr ? &lineage->cluster(i) : nullptr);
-        ss.clusters.inc();
-        ss.cluster_size.record(n);
-        progress.advance();
-    });
+    simulateRange(*this, StrandPoolView(references), 0, coverage, rng,
+                  lineage, clusters, span);
     return Dataset(std::move(clusters));
 }
 
@@ -107,40 +124,24 @@ ChannelSimulator::simulateToPool(const StrandPoolView &references,
                                  Rng &rng,
                                  PackedStrandPoolBuilder &reads_out,
                                  std::ostream *origins_out,
-                                 const PoolSimulateOptions &options) const
+                                 size_t max_reads) const
 {
-    SimStats &ss = SimStats::get();
-    obs::Span span("channel.simulateToPool", "channel", ss.time);
-    DNASIM_ASSERT(options.chunk_clusters > 0, "zero chunk size");
-
-    PoolSimulateResult result;
     const size_t n = references.size();
+    obs::Span span("channel.simulateToPool", "channel",
+                   SimStats::get().time, n);
+    PoolSimulateResult result;
     std::vector<Cluster> chunk;
-    obs::ProgressScope progress("simulate", n);
     for (size_t lo = 0; lo < n && !result.truncated;
-         lo += options.chunk_clusters) {
-        const size_t len = std::min(options.chunk_clusters, n - lo);
-        chunk.assign(len, Cluster{});
-        par::parallelFor(0, len, [&](size_t k) {
-            // Streams are forked by *global* cluster index, so
-            // cluster i draws exactly the numbers simulate() would —
-            // chunking is invisible in the output.
-            Rng cluster_rng = rng.fork(lo + k);
-            thread_local Strand ref;
-            references.materialize(lo + k, ref);
-            const size_t copies = coverage.sample(lo + k, cluster_rng);
-            chunk[k] = simulateCluster(ref, copies, cluster_rng);
-            ss.clusters.inc();
-            ss.cluster_size.record(copies);
-            progress.advance();
-        });
+         lo += kPoolChunkClusters) {
+        chunk.assign(std::min(kPoolChunkClusters, n - lo), Cluster{});
+        simulateRange(*this, references, lo, coverage, rng, nullptr,
+                      chunk, span);
         // Serial drain keeps builder appends in cluster order.
-        for (size_t k = 0; k < len && !result.truncated; ++k) {
+        for (size_t k = 0; k < chunk.size() && !result.truncated; ++k) {
             const auto origin = static_cast<uint32_t>(lo + k);
             bool contributed = false;
             for (const Strand &copy : chunk[k].copies) {
-                if (options.max_reads != 0 &&
-                    result.reads >= options.max_reads) {
+                if (max_reads != 0 && result.reads >= max_reads) {
                     result.truncated = true;
                     break;
                 }
@@ -165,23 +166,8 @@ Dataset
 ChannelSimulator::simulateLike(const Dataset &shape, Rng &rng,
                                LineageLog *lineage) const
 {
-    SimStats &ss = SimStats::get();
-    obs::Span span("channel.simulateLike", "channel", ss.time);
-
-    std::vector<Cluster> clusters(shape.size());
-    if (lineage != nullptr)
-        lineage->beginRun(shape.size());
-    obs::ProgressScope progress("simulate", shape.size());
-    par::parallelFor(0, shape.size(), [&](size_t i) {
-        Rng cluster_rng = rng.fork(i);
-        clusters[i] = simulateCluster(
-            shape[i].reference, shape[i].coverage(), cluster_rng,
-            lineage != nullptr ? &lineage->cluster(i) : nullptr);
-        ss.clusters.inc();
-        ss.cluster_size.record(shape[i].coverage());
-        progress.advance();
-    });
-    return Dataset(std::move(clusters));
+    return simulate(shape.references(), CustomCoverage(shape.coverages()),
+                    rng, lineage);
 }
 
 } // namespace dnasim

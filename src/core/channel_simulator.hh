@@ -9,6 +9,7 @@
 #define DNASIM_CORE_CHANNEL_SIMULATOR_HH
 
 #include <iosfwd>
+#include <string_view>
 #include <vector>
 
 #include "base/strand_pool.hh"
@@ -19,17 +20,6 @@
 
 namespace dnasim
 {
-
-/** Options for ChannelSimulator::simulateToPool(). */
-struct PoolSimulateOptions
-{
-    /// Clusters simulated per bounded-memory chunk: one chunk of
-    /// clusters is the only simulated data in RAM at a time.
-    size_t chunk_clusters = 4096;
-    /// Stop after this many reads (0 = unlimited); the last cluster
-    /// may be truncated mid-coverage.
-    size_t max_reads = 0;
-};
 
 struct PoolSimulateResult
 {
@@ -73,7 +63,8 @@ class ChannelSimulator
      * Simulate with coverage copied cluster-for-cluster from
      * @p shape (Table 2.1's "custom coverage" protocol): cluster i
      * of the result has exactly as many copies as cluster i of
-     * @p shape, and re-uses its reference strand.
+     * @p shape, and re-uses its reference strand: simulate() with
+     * CustomCoverage(shape.coverages()).
      */
     Dataset simulateLike(const Dataset &shape, Rng &rng,
                          LineageLog *lineage = nullptr) const;
@@ -81,27 +72,28 @@ class ChannelSimulator
     /**
      * Transmit every strand of @p references (pool- or vector-
      * backed) straight into a pool builder, in bounded memory:
-     * clusters are simulated chunk by chunk (parallel inside a
-     * chunk, per-cluster streams forked by global index) and
-     * drained serially to @p reads_out in cluster order, so the
+     * clusters are simulated a fixed-size chunk at a time (parallel
+     * inside a chunk, per-cluster streams forked by global index)
+     * and drained serially to @p reads_out in cluster order, so the
      * reads — and their order — are byte-identical to flattening
-     * simulate() at any --threads and any chunk size. A non-null
+     * simulate() at any --threads. A non-null
      * @p origins_out receives one little-endian u32 cluster index
-     * per read. Lineage capture is not available on this path; use
-     * simulate() when forensics are needed.
+     * per read. A nonzero @p max_reads stops the run after that many
+     * reads, possibly mid-cluster. Lineage capture is not available
+     * on this path; use simulate() when forensics are needed.
      */
     PoolSimulateResult
     simulateToPool(const StrandPoolView &references,
                    const CoverageModel &coverage, Rng &rng,
                    PackedStrandPoolBuilder &reads_out,
                    std::ostream *origins_out = nullptr,
-                   const PoolSimulateOptions &options = {}) const;
+                   size_t max_reads = 0) const;
 
     /**
      * One cluster: @p n transmissions of @p reference, with events
      * appended to @p lineage when non-null.
      */
-    Cluster simulateCluster(const Strand &reference, size_t n,
+    Cluster simulateCluster(std::string_view reference, size_t n,
                             Rng &rng,
                             ClusterLineage *lineage = nullptr) const;
 

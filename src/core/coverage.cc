@@ -30,9 +30,7 @@ FixedCoverage::name() const
 
 CustomCoverage::CustomCoverage(std::vector<size_t> coverages)
     : coverages_(std::move(coverages))
-{
-    DNASIM_ASSERT(!coverages_.empty(), "empty custom coverage vector");
-}
+{}
 
 size_t
 CustomCoverage::sample(size_t cluster_idx, Rng &) const

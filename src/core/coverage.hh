@@ -51,7 +51,8 @@ class FixedCoverage : public CoverageModel
 
 /**
  * Per-cluster coverages copied from another dataset ("custom
- * coverage" in Table 2.1): cluster i gets coverages[i] copies.
+ * coverage" in Table 2.1): cluster i gets coverages[i] copies. An
+ * empty table is a valid zero-cluster run.
  */
 class CustomCoverage : public CoverageModel
 {

@@ -27,6 +27,16 @@ Dataset::coverages() const
     return out;
 }
 
+std::vector<Strand>
+Dataset::references() const
+{
+    std::vector<Strand> out;
+    out.reserve(clusters_.size());
+    for (const auto &c : clusters_)
+        out.push_back(c.reference);
+    return out;
+}
+
 DatasetStats
 Dataset::stats(bool with_error_rate) const
 {

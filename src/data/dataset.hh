@@ -77,6 +77,9 @@ class Dataset
     /** Per-cluster coverages, in order. */
     std::vector<size_t> coverages() const;
 
+    /** Per-cluster reference strands, in order. */
+    std::vector<Strand> references() const;
+
     /**
      * Shape statistics. Computing aggregate_error_rate costs one
      * edit-distance evaluation per copy; pass

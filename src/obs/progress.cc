@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <list>
 #include <mutex>
 #include <sstream>
 
@@ -22,27 +23,13 @@ namespace dnasim
 namespace obs
 {
 
-namespace detail
-{
-
-/** Shared state of one scope; the board holds a weak-ish copy. */
-struct ProgressSlot
-{
-    std::string name;
-    std::atomic<uint64_t> done{0};
-    std::atomic<uint64_t> total{0};
-    uint64_t start_ns = 0;
-};
-
-} // namespace detail
-
 namespace
 {
 
 struct Board
 {
     std::mutex mutex;
-    std::vector<std::shared_ptr<detail::ProgressSlot>> slots;
+    std::list<detail::ProgressSlot> slots; ///< stable addresses
 };
 
 Board &
@@ -76,54 +63,43 @@ fmtCount(uint64_t n)
 
 } // anonymous namespace
 
-ProgressScope::ProgressScope(std::string name, uint64_t total)
-    : slot_(std::make_shared<detail::ProgressSlot>())
+namespace detail
 {
-    slot_->name = std::move(name);
-    slot_->total.store(total, std::memory_order_relaxed);
-    slot_->start_ns = monotonicNowNs();
+
+ProgressSlot *
+openProgress(const char *name, uint64_t total)
+{
+    ProgressSlot *slot;
     {
         Board &b = board();
         std::lock_guard<std::mutex> lock(b.mutex);
-        b.slots.push_back(slot_);
+        slot = &b.slots.emplace_back();
+        slot->name = name;
+        slot->total = total;
+        slot->start_ns = monotonicNowNs();
     }
-    emitEvent("phase_begin", slot_->name,
-              {{"total", std::to_string(total)}});
+    emitEvent("phase_begin", name, {{"total", std::to_string(total)}});
+    return slot;
 }
 
-ProgressScope::~ProgressScope()
+void
+closeProgress(ProgressSlot *slot)
 {
+    const char *name = slot->name;
+    const uint64_t done = slot->done.load(std::memory_order_relaxed);
+    const uint64_t dur = monotonicNowNs() - slot->start_ns;
     {
         Board &b = board();
         std::lock_guard<std::mutex> lock(b.mutex);
-        b.slots.erase(
-            std::remove(b.slots.begin(), b.slots.end(), slot_),
-            b.slots.end());
+        b.slots.remove_if(
+            [&](const ProgressSlot &open) { return &open == slot; });
     }
-    uint64_t done = slot_->done.load(std::memory_order_relaxed);
-    uint64_t dur = monotonicNowNs() - slot_->start_ns;
-    emitEvent("phase_end", slot_->name,
+    emitEvent("phase_end", name,
               {{"done", std::to_string(done)},
                {"duration_ns", std::to_string(dur)}});
 }
 
-void
-ProgressScope::advance(uint64_t n)
-{
-    slot_->done.fetch_add(n, std::memory_order_relaxed);
-}
-
-void
-ProgressScope::setTotal(uint64_t total)
-{
-    slot_->total.store(total, std::memory_order_relaxed);
-}
-
-uint64_t
-ProgressScope::done() const
-{
-    return slot_->done.load(std::memory_order_relaxed);
-}
+} // namespace detail
 
 std::vector<ProgressState>
 progressSnapshot()
@@ -134,10 +110,10 @@ progressSnapshot()
     out.reserve(b.slots.size());
     for (const auto &slot : b.slots) {
         ProgressState s;
-        s.name = slot->name;
-        s.done = slot->done.load(std::memory_order_relaxed);
-        s.total = slot->total.load(std::memory_order_relaxed);
-        s.start_ns = slot->start_ns;
+        s.name = slot.name;
+        s.done = slot.done.load(std::memory_order_relaxed);
+        s.total = slot.total;
+        s.start_ns = slot.start_ns;
         out.push_back(std::move(s));
     }
     return out;

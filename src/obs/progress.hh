@@ -2,15 +2,17 @@
  * @file
  * Progress heartbeats for long-running loops.
  *
- * A ProgressScope brackets one logical phase (simulate, cluster,
- * reconstruct, retrieve): it registers the phase with the global
- * progress board, the loop calls advance() as items complete, and
- * observers — the telemetry sampler and the live stderr status line
- * — read items-done/items-total without ever touching the loop.
+ * A counted obs::Span (obs/trace.hh) is one logical phase under the
+ * span's own name (channel.simulate, cluster.sketch,
+ * pipeline.retrieve, analysis.reconstructAll, ...): it registers the
+ * phase with the global progress board, the loop calls
+ * Span::advance() as items complete, and observers — the telemetry
+ * sampler and the live stderr status line — read
+ * items-done/items-total without ever touching the loop.
  *
  * advance() is one relaxed atomic add, cheap enough for per-cluster
- * or per-read granularity (not per-base). Scopes nest; the board
- * lists active scopes in creation order. Opening and closing a scope
+ * or per-read granularity (not per-base). Phases nest; the board
+ * lists active phases in opening order. Opening and closing a phase
  * emits "phase_begin"/"phase_end" events into the event journal, so
  * phase transitions land in the telemetry stream even between
  * samples.
@@ -27,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,52 +37,46 @@ namespace dnasim
 namespace obs
 {
 
-/** Point-in-time view of one active scope. */
+/** Point-in-time view of one active phase. */
 struct ProgressState
 {
     std::string name;
     uint64_t done = 0;
     uint64_t total = 0;   ///< 0 = unknown / open-ended
-    uint64_t start_ns = 0; ///< monotonicNowNs() at scope open
+    uint64_t start_ns = 0; ///< monotonicNowNs() at phase open
 };
 
 namespace detail
 {
-struct ProgressSlot;
-} // namespace detail
 
-/** RAII progress reporter for one phase. */
-class ProgressScope
+/** Live state of one open phase, owned by the progress board. */
+struct ProgressSlot
 {
-  public:
-    /**
-     * Open a phase named @p name expecting @p total items (0 when
-     * unknown). Registers with the board and journals phase_begin.
-     */
-    ProgressScope(std::string name, uint64_t total);
-    ~ProgressScope();
-
-    ProgressScope(const ProgressScope &) = delete;
-    ProgressScope &operator=(const ProgressScope &) = delete;
-
-    /** Mark @p n more items complete (relaxed atomic add). */
-    void advance(uint64_t n = 1);
-
-    /** Adjust the expected total (discovered mid-phase). */
-    void setTotal(uint64_t total);
-
-    uint64_t done() const;
-
-  private:
-    std::shared_ptr<detail::ProgressSlot> slot_;
+    const char *name = "";
+    std::atomic<uint64_t> done{0};
+    uint64_t total = 0;
+    uint64_t start_ns = 0;
 };
 
-/** Active scopes, oldest first (empty when no phase is running). */
+/**
+ * Register a phase named @p name (which must outlive it) expecting
+ * @p total items and journal phase_begin. Span's counted
+ * constructors call this; the slot stays valid until closeProgress.
+ */
+ProgressSlot *openProgress(const char *name, uint64_t total);
+
+/** Journal phase_end and drop @p slot from the board. */
+void closeProgress(ProgressSlot *slot);
+
+} // namespace detail
+
+/** Active phases, oldest first (empty when no phase is running). */
 std::vector<ProgressState> progressSnapshot();
 
 /**
  * Render @p states as one human status line, e.g.
- * "simulate 1200/5000 (24.0%) 38.1k/s · cluster 10/..". @p now_ns
+ * "channel.simulate 1200/5000 (24.0%) 38.1k/s · cluster.sketch
+ * 10/..". @p now_ns
  * supplies the rate clock (monotonicNowNs()).
  */
 std::string renderProgressLine(const std::vector<ProgressState> &states,

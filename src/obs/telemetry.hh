@@ -15,7 +15,7 @@
  *    "progress":[{"phase":...,"done":...,"total":...}, ...]}
  *
  *   {"schema":"dnasim.telemetry.v1","kind":"event","seq":...,
- *    "ts_ns":...,"event":"phase_begin","name":"simulate",
+ *    "ts_ns":...,"event":"phase_begin","name":"channel.simulate",
  *    "fields":{...}}
  *
  * Event lines are interleaved before the sample that collected them,

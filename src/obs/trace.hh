@@ -2,14 +2,17 @@
  * @file
  * Scoped spans with Chrome trace-event / Perfetto JSON output.
  *
- * Span is the one primitive for timing a scope. Given a stats Timer
- * it feeds the Timer's interval on every run; while tracing is
+ * Span is the one primitive for a pipeline stage. Given a stats
+ * Timer it feeds the Timer's interval on every run; while tracing is
  * enabled it also records a complete ("X") event with category and
  * the thread CPU time consumed inside the span, and the buffer
  * serializes to a file that loads directly in chrome://tracing or
  * https://ui.perfetto.dev. When tracing is disabled (the default)
  * the trace half of a Span costs one relaxed atomic load, so spans
- * can stay compiled into hot-ish paths.
+ * can stay compiled into hot-ish paths. Given an item total, a span
+ * is also a progress phase under its own name (obs/progress.hh):
+ * on the progress board, in the OpenMetrics phase gauges and as
+ * telemetry phase_begin/phase_end events.
  *
  * The recorded spans, together with the RSS samples the telemetry
  * sampler appends while tracing is on, are the raw material of the
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/progress.hh"
 #include "obs/stats.hh"
 
 namespace dnasim
@@ -139,22 +143,29 @@ class Trace
 /**
  * RAII span over the enclosing scope. With a Timer it records the
  * scope's wall interval into the Timer every time; while tracing is
- * enabled it also records a trace span. The name and category must
+ * enabled it also records a trace span. A counted span (constructed
+ * with an item total, 0 when unknown) is also an open progress phase
+ * that the loop advances item by item. The name and category must
  * outlive the scope (string literals, or a string alive across it).
  */
 class Span
 {
   public:
-    Span(const char *name, const char *cat) : name_(name), cat_(cat)
+    /// The item total of a span that is no progress phase.
+    static constexpr uint64_t kNoPhase = UINT64_MAX;
+
+    Span(const char *name, const char *cat, uint64_t total = kNoPhase)
+        : name_(name), cat_(cat)
     {
-        beginTrace();
+        begin(total);
     }
 
-    Span(const char *name, const char *cat, Timer &timer)
+    Span(const char *name, const char *cat, Timer &timer,
+         uint64_t total = kNoPhase)
         : name_(name), cat_(cat), timer_(&timer),
           timer_start_(std::chrono::steady_clock::now())
     {
-        beginTrace();
+        begin(total);
     }
 
     Span(const Span &) = delete;
@@ -162,6 +173,8 @@ class Span
 
     ~Span()
     {
+        if (progress_ != nullptr)
+            detail::closeProgress(progress_);
         if (trace_active_)
             endTrace();
         if (timer_ != nullptr) {
@@ -172,9 +185,19 @@ class Span
         }
     }
 
+    /**
+     * Mark @p n more items of a counted span complete (one relaxed
+     * atomic add; safe from any worker thread).
+     */
+    void
+    advance(uint64_t n = 1)
+    {
+        progress_->done.fetch_add(n, std::memory_order_relaxed);
+    }
+
   private:
     void
-    beginTrace()
+    begin(uint64_t total)
     {
         Trace &trace = Trace::global();
         trace_active_ = trace.enabled();
@@ -182,6 +205,8 @@ class Span
             start_ns_ = trace.nowNs();
             start_cpu_ns_ = threadCpuNs();
         }
+        if (total != kNoPhase)
+            progress_ = detail::openProgress(name_, total);
     }
 
     void
@@ -204,6 +229,7 @@ class Span
     uint64_t start_ns_ = 0;
     uint64_t start_cpu_ns_ = 0;
     bool trace_active_ = false;
+    detail::ProgressSlot *progress_ = nullptr;
 };
 
 } // namespace obs

@@ -1,11 +1,12 @@
 #include "pipeline/archival_pipeline.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "base/logging.hh"
+#include "cluster/recluster.hh"
 #include "codec/reed_solomon.hh"
-#include "obs/progress.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 
@@ -58,21 +59,35 @@ struct PipelineStats
     }
 };
 
+/// A stripe's data slot past the last data frame: zero padding.
+constexpr size_t kPadding = SIZE_MAX;
+
+/**
+ * Frame index of slot j of RS stripe @p stripe — k data slots, then
+ * @p parity parity slots — or kPadding past the last of @p d data
+ * frames.
+ */
+size_t
+stripeFrame(size_t stripe, size_t j, size_t k, size_t parity, size_t d)
+{
+    if (j >= k)
+        return d + stripe * parity + (j - k);
+    const size_t frame = stripe * k + j;
+    return frame < d ? frame : kPadding;
+}
+
 } // anonymous namespace
 
 ArchivalPipeline::ArchivalPipeline(PipelineConfig config)
     : config_(config),
       frame_codec_(config.payload_bytes, config.index_bytes)
 {
-    if (config_.redundancy == RedundancyScheme::ReedSolomon) {
-        DNASIM_ASSERT(config_.rs_stripe_data > 0 &&
-                          config_.rs_parity > 0,
+    if (config_.rs_parity > 0) {
+        DNASIM_ASSERT(config_.rs_stripe_data > 0,
                       "bad RS stripe configuration");
         DNASIM_ASSERT(config_.rs_stripe_data + config_.rs_parity <= 255,
                       "RS stripe exceeds 255 symbols");
     }
-    if (config_.redundancy == RedundancyScheme::XorGroups)
-        DNASIM_ASSERT(config_.xor_group > 0, "bad XOR group size");
 }
 
 const DnaCodec &
@@ -103,55 +118,28 @@ ArchivalPipeline::store(const Bytes &file) const
     const size_t d = frames.size();
     const size_t payload = config_.payload_bytes;
 
-    switch (config_.redundancy) {
-      case RedundancyScheme::None:
-        break;
-
-      case RedundancyScheme::XorGroups: {
-        const size_t g = config_.xor_group;
-        const size_t groups = (d + g - 1) / g;
-        for (size_t grp = 0; grp < groups; ++grp) {
-            Frame parity;
-            parity.index = static_cast<uint32_t>(d + grp);
-            parity.payload.assign(payload, 0);
-            for (size_t i = grp * g; i < std::min(d, (grp + 1) * g);
-                 ++i) {
-                for (size_t b = 0; b < payload; ++b)
-                    parity.payload[b] ^= frames[i].payload[b];
-            }
-            frames.push_back(std::move(parity));
-        }
-        break;
-      }
-
-      case RedundancyScheme::ReedSolomon: {
-        const size_t k = config_.rs_stripe_data;
-        const size_t stripes = (d + k - 1) / k;
-        ReedSolomon rs(config_.rs_parity);
-        for (size_t stripe = 0; stripe < stripes; ++stripe) {
+    const size_t k = config_.rs_stripe_data;
+    const size_t parity = config_.rs_parity;
+    if (parity > 0) {
+        ReedSolomon rs(parity);
+        for (size_t stripe = 0; stripe < (d + k - 1) / k; ++stripe) {
             // Parity frames for this stripe, filled column-wise.
-            std::vector<Frame> parity(config_.rs_parity);
-            for (size_t p = 0; p < parity.size(); ++p) {
-                parity[p].index = static_cast<uint32_t>(
-                    d + stripe * config_.rs_parity + p);
-                parity[p].payload.assign(payload, 0);
-            }
+            const size_t first = frames.size();
+            for (size_t p = 0; p < parity; ++p)
+                frames.push_back(Frame{static_cast<uint32_t>(first + p),
+                                       Bytes(payload, 0)});
             for (size_t b = 0; b < payload; ++b) {
                 std::vector<uint8_t> column(k, 0);
                 for (size_t i = 0; i < k; ++i) {
-                    size_t frame_idx = stripe * k + i;
-                    if (frame_idx < d)
-                        column[i] = frames[frame_idx].payload[b];
+                    const size_t f = stripeFrame(stripe, i, k, parity, d);
+                    if (f != kPadding)
+                        column[i] = frames[f].payload[b];
                 }
-                auto codeword = rs.encode(column);
-                for (size_t p = 0; p < config_.rs_parity; ++p)
-                    parity[p].payload[b] = codeword[k + p];
+                const auto codeword = rs.encode(column);
+                for (size_t p = 0; p < parity; ++p)
+                    frames[first + p].payload[b] = codeword[k + p];
             }
-            for (auto &f : parity)
-                frames.push_back(std::move(f));
         }
-        break;
-      }
     }
 
     object.num_total_frames = frames.size();
@@ -169,7 +157,8 @@ ArchivalPipeline::retrieve(const Dataset &clusters,
                            const StoredObject &object, Rng &rng) const
 {
     PipelineStats &ps = PipelineStats::get();
-    obs::Span span("pipeline.retrieve", "pipeline", ps.retrieve_time);
+    obs::Span span("pipeline.retrieve", "pipeline", ps.retrieve_time,
+                   clusters.size());
 
     RetrievedObject result;
     auto &stats = result.stats;
@@ -183,9 +172,8 @@ ArchivalPipeline::retrieve(const Dataset &clusters,
     // Reconstruct and parse every cluster into frames by index.
     std::map<uint32_t, Frame> received;
     const size_t design_len = strandLength();
-    obs::ProgressScope progress("retrieve", clusters.size());
     for (size_t i = 0; i < clusters.size(); ++i) {
-        progress.advance();
+        span.advance();
         if (clusters[i].isErasure()) {
             ++stats.erasure_clusters;
             ps.erasures.inc();
@@ -211,133 +199,60 @@ ArchivalPipeline::retrieve(const Dataset &clusters,
             received.emplace(frame->index, std::move(*frame));
     }
 
-    auto have = [&](size_t idx) {
-        return received.find(static_cast<uint32_t>(idx)) !=
-               received.end();
-    };
-    auto payload_of = [&](size_t idx) -> const Bytes & {
-        return received.at(static_cast<uint32_t>(idx)).payload;
-    };
-
-    // Logical-redundancy recovery.
-    switch (config_.redundancy) {
-      case RedundancyScheme::None:
-        break;
-
-      case RedundancyScheme::XorGroups: {
-        const size_t g = config_.xor_group;
-        const size_t groups = (d + g - 1) / g;
-        for (size_t grp = 0; grp < groups; ++grp) {
-            size_t lo = grp * g;
-            size_t hi = std::min(d, lo + g);
-            size_t parity_idx = d + grp;
-            std::vector<size_t> missing;
-            for (size_t i = lo; i < hi; ++i)
-                if (!have(i))
-                    missing.push_back(i);
-            if (missing.empty())
+    // Logical-redundancy recovery (none when rs_parity is 0): byte b
+    // of a stripe's frames is one RS codeword.
+    const size_t k = config_.rs_stripe_data;
+    const size_t parity = config_.rs_parity;
+    const size_t stripes = parity > 0 ? (d + k - 1) / k : 0;
+    for (size_t stripe = 0; stripe < stripes; ++stripe) {
+        // Each slot's received payload (null when lost or padding)
+        // and the lost slots in slot order, data first.
+        std::vector<const Bytes *> slots(k + parity, nullptr);
+        std::vector<size_t> erasures;
+        for (size_t j = 0; j < k + parity; ++j) {
+            const size_t f = stripeFrame(stripe, j, k, parity, d);
+            if (f == kPadding)
                 continue;
-            if (missing.size() > 1 || !have(parity_idx)) {
-                ++stats.stripes_failed;
-                ps.stripes_failed.inc();
-                continue;
-            }
-            Frame rebuilt;
-            rebuilt.index = static_cast<uint32_t>(missing[0]);
-            rebuilt.payload = payload_of(parity_idx);
-            for (size_t i = lo; i < hi; ++i) {
-                if (i == missing[0])
-                    continue;
-                for (size_t b = 0; b < payload; ++b)
-                    rebuilt.payload[b] ^= payload_of(i)[b];
-            }
-            received.emplace(rebuilt.index, std::move(rebuilt));
+            auto it = received.find(static_cast<uint32_t>(f));
+            if (it == received.end())
+                erasures.push_back(j);
+            else
+                slots[j] = &it->second.payload;
+        }
+        const size_t lost_data = static_cast<size_t>(
+            std::lower_bound(erasures.begin(), erasures.end(), k) -
+            erasures.begin());
+        if (lost_data == 0)
+            continue;
+        bool stripe_ok = erasures.size() <= parity;
+
+        // Rebuild the missing data frames column by column.
+        const ReedSolomon rs(parity);
+        std::vector<Frame> rebuilt;
+        for (size_t r = 0; r < lost_data; ++r)
+            rebuilt.push_back(Frame{static_cast<uint32_t>(stripeFrame(
+                                        stripe, erasures[r], k, parity, d)),
+                                    Bytes(payload, 0)});
+        for (size_t b = 0; b < payload && stripe_ok; ++b) {
+            std::vector<uint8_t> codeword(k + parity, 0);
+            for (size_t j = 0; j < k + parity; ++j)
+                if (slots[j] != nullptr)
+                    codeword[j] = (*slots[j])[b];
+            const auto decoded = rs.decode(codeword, erasures);
+            stripe_ok = decoded.has_value();
+            for (size_t r = 0; r < lost_data && stripe_ok; ++r)
+                rebuilt[r].payload[b] = (*decoded)[erasures[r]];
+        }
+        if (!stripe_ok) {
+            ++stats.stripes_failed;
+            ps.stripes_failed.inc();
+            continue;
+        }
+        for (auto &f : rebuilt) {
             ++stats.frames_recovered;
             ps.frames_recovered.inc();
+            received.emplace(f.index, std::move(f));
         }
-        break;
-      }
-
-      case RedundancyScheme::ReedSolomon: {
-        const size_t k = config_.rs_stripe_data;
-        const size_t stripes = (d + k - 1) / k;
-        ReedSolomon rs(config_.rs_parity);
-        for (size_t stripe = 0; stripe < stripes; ++stripe) {
-            // Which stripe slots are missing? Virtual zero-padding
-            // frames past d count as present.
-            std::vector<size_t> erasures;
-            bool any_data_missing = false;
-            for (size_t i = 0; i < k; ++i) {
-                size_t frame_idx = stripe * k + i;
-                if (frame_idx < d && !have(frame_idx)) {
-                    erasures.push_back(i);
-                    any_data_missing = true;
-                }
-            }
-            for (size_t p = 0; p < config_.rs_parity; ++p) {
-                size_t frame_idx = d + stripe * config_.rs_parity + p;
-                if (!have(frame_idx))
-                    erasures.push_back(k + p);
-            }
-            if (!any_data_missing)
-                continue;
-            if (erasures.size() > config_.rs_parity) {
-                ++stats.stripes_failed;
-                ps.stripes_failed.inc();
-                continue;
-            }
-
-            // Rebuild the missing data frames column by column.
-            std::vector<Frame> rebuilt;
-            for (size_t i = 0; i < k; ++i) {
-                size_t frame_idx = stripe * k + i;
-                if (frame_idx < d && !have(frame_idx)) {
-                    Frame f;
-                    f.index = static_cast<uint32_t>(frame_idx);
-                    f.payload.assign(payload, 0);
-                    rebuilt.push_back(std::move(f));
-                }
-            }
-            bool stripe_ok = true;
-            for (size_t b = 0; b < payload && stripe_ok; ++b) {
-                std::vector<uint8_t> codeword(k + config_.rs_parity,
-                                              0);
-                for (size_t i = 0; i < k; ++i) {
-                    size_t frame_idx = stripe * k + i;
-                    if (frame_idx < d && have(frame_idx))
-                        codeword[i] = payload_of(frame_idx)[b];
-                }
-                for (size_t p = 0; p < config_.rs_parity; ++p) {
-                    size_t frame_idx =
-                        d + stripe * config_.rs_parity + p;
-                    if (have(frame_idx))
-                        codeword[k + p] = payload_of(frame_idx)[b];
-                }
-                auto decoded = rs.decode(codeword, erasures);
-                if (!decoded) {
-                    stripe_ok = false;
-                    break;
-                }
-                size_t r = 0;
-                for (size_t i = 0; i < k; ++i) {
-                    size_t frame_idx = stripe * k + i;
-                    if (frame_idx < d && !have(frame_idx))
-                        rebuilt[r++].payload[b] = (*decoded)[i];
-                }
-            }
-            if (!stripe_ok) {
-                ++stats.stripes_failed;
-                ps.stripes_failed.inc();
-                continue;
-            }
-            for (auto &f : rebuilt) {
-                ++stats.frames_recovered;
-                ps.frames_recovered.inc();
-                received.emplace(f.index, std::move(f));
-            }
-        }
-        break;
-      }
     }
 
     // Reassemble the data frames.
@@ -383,22 +298,9 @@ ArchivalPipeline::roundTrip(const Bytes &file, const ErrorModel &model,
         // origins — frames carry their own indices — so imperfect
         // clusters only cost decode attempts, not correctness.
         obs::Span cluster_span("pipeline.recluster", "pipeline");
-        std::vector<Strand> pool = clusters.pooledReads();
         Rng shuffle_rng = rng.fork(0x5eed);
-        shuffle_rng.shuffle(pool);
-        std::vector<ReadCluster> regrouped =
-            clusterReads(pool, config_.cluster);
-        std::vector<Cluster> rebuilt;
-        rebuilt.reserve(regrouped.size());
-        for (auto &rc : regrouped) {
-            Cluster c;
-            c.reference = std::move(rc.representative);
-            c.copies.reserve(rc.members.size());
-            for (size_t m : rc.members)
-                c.copies.push_back(pool[m]);
-            rebuilt.push_back(std::move(c));
-        }
-        clusters = Dataset(std::move(rebuilt));
+        clusters = poolAndRecluster(clusters, config_.cluster, shuffle_rng)
+                       .regrouped();
     }
     Rng decode_rng = rng.fork(0xdec0de);
     RetrievedObject result = retrieve(clusters, algo, object, decode_rng);

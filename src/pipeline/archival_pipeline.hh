@@ -7,9 +7,11 @@
  * accounting.
  *
  * Logical redundancy runs *across* strands: frames are grouped into
- * stripes and each stripe gains Reed-Solomon parity frames (or
- * XOR-group parity), so strands lost to erasures or rejected by
- * their CRC can be regenerated (section 1.1.3).
+ * stripes and each stripe gains Reed-Solomon parity frames, so
+ * strands lost to erasures or rejected by their CRC can be
+ * regenerated (section 1.1.3). One parity frame per stripe is
+ * Bornholt et al.'s XOR-group parity: the code's generator is then
+ * x + 1, so the parity byte is the XOR of its column.
  */
 
 #ifndef DNASIM_PIPELINE_ARCHIVAL_PIPELINE_HH
@@ -31,14 +33,6 @@
 namespace dnasim
 {
 
-/** Logical-redundancy scheme selection. */
-enum class RedundancyScheme
-{
-    None,        ///< erasures are unrecoverable
-    XorGroups,   ///< one parity frame per group (Bornholt et al. [4])
-    ReedSolomon, ///< RS parity frames per stripe (Grass et al. [12])
-};
-
 /** Pipeline configuration. */
 struct PipelineConfig
 {
@@ -50,13 +44,13 @@ struct PipelineConfig
     /// 2-bit codec (false).
     bool rotating_codec = true;
 
-    RedundancyScheme redundancy = RedundancyScheme::ReedSolomon;
     /// Data frames per RS stripe.
     size_t rs_stripe_data = 32;
-    /// Parity frames per RS stripe.
+    /// Parity frames per RS stripe: 0 stores no logical redundancy
+    /// (erasures are unrecoverable), 1 is XOR-group parity (Bornholt
+    /// et al. [4]), and more correct more losses per stripe (Grass
+    /// et al. [12]).
     size_t rs_parity = 8;
-    /// Data frames per XOR group.
-    size_t xor_group = 7;
 
     /// Keep only the first max_reads simulated reads, in cluster
     /// order (0 = all). Clusters past the cap become erasures — a
@@ -64,8 +58,9 @@ struct PipelineConfig
     size_t max_reads = 0;
 
     /// Discard the simulator's pseudo-clustering (section 3.1): pool
-    /// the reads, shuffle them, and re-cluster with clusterReads()
-    /// before reconstruction — the full wetlab-shaped pipeline.
+    /// the reads, shuffle them, and re-cluster with
+    /// poolAndRecluster() before reconstruction — the full
+    /// wetlab-shaped pipeline.
     bool recluster = false;
     /// Clusterer settings used when recluster is on.
     ClusterOptions cluster;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -16,6 +17,8 @@
 #include "cli/commands.hh"
 #include "data/io.hh"
 #include "obs/json.hh"
+#include "par/thread_pool.hh"
+#include "pipeline/checkpoint.hh"
 
 namespace dnasim
 {
@@ -92,13 +95,51 @@ TEST(Args, BareDoubleDashIsFatal)
     EXPECT_THROW(makeArgs({"--"}), FatalError);
 }
 
+/** Restore the default thread count when a test scope exits. */
+struct ThreadGuard
+{
+    explicit ThreadGuard(size_t n) { par::setThreads(n); }
+    ~ThreadGuard() { par::setThreads(0); }
+};
+
+/** Redirect std::cout into a string for the guard's lifetime. */
+class StdoutCapture
+{
+  public:
+    StdoutCapture() : saved_(std::cout.rdbuf(out_.rdbuf())) {}
+    ~StdoutCapture() { std::cout.rdbuf(saved_); }
+
+    std::string str() const { return out_.str(); }
+
+  private:
+    std::ostringstream out_;
+    std::streambuf *saved_;
+};
+
+std::string
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
 class CliCommands : public ::testing::Test
 {
   protected:
+    /**
+     * A scratch path private to the running test, so tests that
+     * ctest runs in parallel processes never share files.
+     */
     std::string
     tmpPath(const std::string &name)
     {
-        return ::testing::TempDir() + "/dnasim_cli_" + name;
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        return ::testing::TempDir() + "/dnasim_cli_" +
+               info->test_suite_name() + "_" + info->name() + "_" +
+               name;
     }
 
     void
@@ -202,6 +243,85 @@ TEST_F(CliCommands, SimulateReusesCalibratedErrorProfile)
     Args legacy = makeArgs({"simulate", dataset, "--profile", profile,
                             "--out", simulated});
     EXPECT_EQ(cmdSimulate(legacy), 0);
+}
+
+TEST_F(CliCommands, ZeroClusterDatasetSimulatesOnBothPaths)
+{
+    std::string dataset = tmpPath("zero_src.evyat");
+    std::string profile = tmpPath("zero_profile.txt");
+    std::string empty = tmpPath("zero.evyat");
+    std::string simulated = tmpPath("zero_out.evyat");
+    std::string checkpoint = tmpPath("zero_ck");
+    cleanup_.insert(cleanup_.end(),
+                    {dataset, profile, empty, simulated});
+
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "10",
+                                    "--out", dataset, "--seed", "5"})),
+              0);
+    ASSERT_EQ(cmdCalibrate(
+                  makeArgs({"calibrate", dataset, "--out", profile})),
+              0);
+    writeEvyatFile(Dataset(), empty);
+
+    // In memory: an empty dataset in, an empty dataset out.
+    EXPECT_EQ(cmdSimulate(makeArgs({"simulate", empty, "--profile",
+                                    profile, "--out", simulated})),
+              0);
+    EXPECT_EQ(readEvyatFile(simulated).size(), 0u);
+
+    // The checkpoint path commits an empty simulate stage.
+    std::filesystem::remove_all(checkpoint);
+    EXPECT_EQ(cmdSimulate(makeArgs({"simulate", empty, "--profile",
+                                    profile, "--checkpoint-dir",
+                                    checkpoint})),
+              0);
+    CheckpointDir ckpt(checkpoint);
+    CheckpointManifest manifest;
+    std::string error;
+    ASSERT_TRUE(ckpt.readManifest(manifest, &error)) << error;
+    EXPECT_EQ(manifest.stage, "simulate");
+    EXPECT_EQ(manifest.num_refs, 0u);
+    EXPECT_EQ(manifest.num_reads, 0u);
+    std::filesystem::remove_all(checkpoint);
+}
+
+TEST_F(CliCommands, SimulateAndReconstructAreIdenticalAcrossThreadCounts)
+{
+    std::string dataset = tmpPath("det.evyat");
+    std::string simulated = tmpPath("det_sim.evyat");
+    cleanup_.insert(cleanup_.end(), {dataset, simulated});
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "60",
+                                    "--out", dataset, "--seed", "11"})),
+              0);
+
+    std::string first_evyat;
+    std::string first_stdout;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        ThreadGuard guard(threads);
+        std::string stdout_text;
+        {
+            StdoutCapture capture;
+            EXPECT_EQ(cmdSimulate(makeArgs(
+                          {"simulate", dataset, "--model",
+                           "second-order", "--seed", "13", "--out",
+                           simulated})),
+                      0);
+            EXPECT_EQ(cmdReconstruct(makeArgs({"reconstruct", simulated,
+                                               "--algo", "bma",
+                                               "--seed", "17"})),
+                      0);
+            stdout_text = capture.str();
+        }
+        const std::string evyat = readFileBytes(simulated);
+        ASSERT_FALSE(evyat.empty());
+        if (threads == 1) {
+            first_evyat = evyat;
+            first_stdout = stdout_text;
+            continue;
+        }
+        EXPECT_EQ(evyat, first_evyat) << threads << " threads";
+        EXPECT_EQ(stdout_text, first_stdout) << threads << " threads";
+    }
 }
 
 TEST_F(CliCommands, ReconstructUnknownAlgoIsFatal)

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the read-clustering substrate: greedy edit-distance
- * clustering of an unordered read pool and purity scoring.
+ * clustering of an unordered read pool, purity scoring, and the
+ * pool-and-recluster path over a pseudo-clustered dataset.
  */
 
 #include <gtest/gtest.h>
 
 #include "cluster/greedy_cluster.hh"
+#include "cluster/recluster.hh"
+#include "cluster/shard_cluster.hh"
 #include "core/ids_model.hh"
 #include "data/strand_factory.hh"
 
@@ -276,6 +279,104 @@ TEST(EpochSeen, StampsAreScopedToTheEpoch)
     EXPECT_FALSE(seen.test(7));
     seen.set(7);
     EXPECT_TRUE(seen.test(7));
+}
+
+/** A pseudo-clustered dataset: noisy copies grouped by reference. */
+Dataset
+pseudoClustered(size_t num_refs, size_t copies_per_ref, uint64_t seed)
+{
+    StrandFactory factory;
+    Rng rng(seed);
+    ErrorProfile profile = ErrorProfile::uniform(0.03, 110);
+    IdsChannelModel model = IdsChannelModel::naive(profile);
+    Dataset data;
+    for (size_t i = 0; i < num_refs; ++i) {
+        Cluster c;
+        c.reference = factory.make(110, rng);
+        for (size_t k = 0; k < copies_per_ref; ++k)
+            c.copies.push_back(model.transmit(c.reference, rng));
+        data.add(std::move(c));
+    }
+    return data;
+}
+
+TEST(Recluster, PoolOrderMatchesShufflingTheReadsDirectly)
+{
+    const Dataset data = pseudoClustered(30, 5, 41);
+    Rng a(9), b(9);
+    const ReclusteredPool rc =
+        poolAndRecluster(data, {}, a, /*with_identity=*/true);
+
+    std::vector<Strand> shuffled = data.pooledReads();
+    b.shuffle(shuffled);
+    EXPECT_EQ(rc.pool, shuffled);
+    EXPECT_EQ(a.index(1u << 30), b.index(1u << 30));
+    EXPECT_EQ(rc.clusters.size(), clusterReads(shuffled).size());
+
+    // Identities name the copy each pooled read came from.
+    ASSERT_EQ(rc.identity.size(), rc.pool.size());
+    for (size_t r = 0; r < rc.pool.size(); ++r) {
+        const ReadIdentity &id = rc.identity[r];
+        EXPECT_EQ(rc.pool[r],
+                  data[id.origin_cluster].copies[id.origin_copy]);
+    }
+
+    // Without identities: the same pool and clustering, no identity.
+    Rng c(9);
+    const ReclusteredPool plain = poolAndRecluster(data, {}, c);
+    EXPECT_EQ(plain.pool, rc.pool);
+    EXPECT_TRUE(plain.identity.empty());
+    ASSERT_EQ(plain.clusters.size(), rc.clusters.size());
+    for (size_t i = 0; i < rc.clusters.size(); ++i)
+        EXPECT_EQ(plain.clusters[i].members, rc.clusters[i].members);
+}
+
+TEST(Recluster, RegroupedDatasetFollowsTheClusters)
+{
+    const Dataset data = pseudoClustered(20, 4, 42);
+    Rng rng(10);
+    const ReclusteredPool rc = poolAndRecluster(data, {}, rng);
+    const Dataset regrouped = rc.regrouped();
+    ASSERT_EQ(regrouped.size(), rc.clusters.size());
+    size_t copies = 0;
+    for (size_t i = 0; i < regrouped.size(); ++i) {
+        EXPECT_EQ(regrouped[i].reference,
+                  rc.clusters[i].representative);
+        ASSERT_EQ(regrouped[i].copies.size(),
+                  rc.clusters[i].members.size());
+        for (size_t k = 0; k < regrouped[i].copies.size(); ++k)
+            EXPECT_EQ(regrouped[i].copies[k],
+                      rc.pool[rc.clusters[i].members[k]]);
+        copies += regrouped[i].copies.size();
+    }
+    EXPECT_EQ(copies, data.totalCopies());
+}
+
+TEST(Recluster, MaxReadsAndShardsClusterTheShuffledPrefix)
+{
+    const Dataset data = pseudoClustered(25, 4, 43);
+    ClusterOptions options;
+    Rng a(11), b(11);
+    std::vector<ReadAssignment> assignments;
+    const ReclusteredPool rc = poolAndRecluster(
+        data, options, a, /*with_identity=*/true, &assignments,
+        /*max_reads=*/60, /*shards=*/3);
+
+    std::vector<Strand> shuffled = data.pooledReads();
+    b.shuffle(shuffled);
+    shuffled.resize(60);
+    EXPECT_EQ(rc.pool, shuffled);
+    EXPECT_EQ(rc.identity.size(), 60u);
+    EXPECT_EQ(assignments.size(), 60u);
+
+    const auto expected =
+        clusterReadsSharded(StrandPoolView(shuffled), options, 3);
+    ASSERT_EQ(rc.clusters.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(rc.clusters[i].members, expected[i].members);
+        EXPECT_EQ(rc.clusters[i].representative,
+                  expected[i].representative);
+    }
 }
 
 TEST(ScoreClustering, PerfectClusteringIsPure)

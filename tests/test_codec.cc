@@ -2,7 +2,8 @@
  * @file
  * Unit and property tests for the codec library: GF(256)
  * arithmetic, Reed-Solomon coding, the DNA codecs, framing with
- * CRC-8, and XOR-group redundancy.
+ * CRC-8, and XOR-group redundancy as one-parity Reed-Solomon
+ * (test_pipeline.cc covers it across strands).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include "codec/framing.hh"
 #include "codec/gf256.hh"
 #include "codec/reed_solomon.hh"
-#include "codec/xor_redundancy.hh"
 
 namespace dnasim
 {
@@ -385,64 +385,66 @@ TEST(FrameCodecTest, SplitEmptyMakesOneFrame)
     EXPECT_EQ(frames[0].payload, Bytes(8, 0));
 }
 
+// XOR-group parity (Bornholt et al.) is Reed-Solomon with one parity
+// symbol: the generator is x + 1, so the parity symbol is the XOR of
+// the data symbols and any one erasure is rebuilt. The pipeline runs
+// it across the strands of a group, one codeword per byte column.
+
 TEST(XorRedundancyTest, EncodeAddsParityPerGroup)
 {
-    XorRedundancy xr(2);
-    std::vector<Bytes> blocks = {{1, 1}, {2, 2}, {3, 3}};
-    auto encoded = xr.encode(blocks);
-    // groups: [b0, b1, p01], [b2, p2]
-    ASSERT_EQ(encoded.size(), 5u);
-    EXPECT_EQ(encoded[2], (Bytes{3, 3})); // 1^2, 1^2
-    EXPECT_EQ(encoded[4], (Bytes{3, 3}));
-    EXPECT_EQ(xr.encodedCount(3), 5u);
+    ReedSolomon rs(1);
+    // groups of single-byte blocks {1, 2, 3}: [b0, b1, p01], [b2, p2]
+    EXPECT_EQ(rs.encode({1, 2}), (Bytes{1, 2, 3}));
+    EXPECT_EQ(rs.encode({3}), (Bytes{3, 3}));
+    Rng rng(140);
+    for (size_t group = 1; group <= 8; ++group) {
+        Bytes data = randomBytes(group, rng);
+        uint8_t parity = 0;
+        for (uint8_t b : data)
+            parity ^= b;
+        Bytes codeword = rs.encode(data);
+        ASSERT_EQ(codeword.size(), group + 1);
+        EXPECT_TRUE(std::equal(data.begin(), data.end(), codeword.begin()));
+        EXPECT_EQ(codeword.back(), parity) << "group " << group;
+    }
 }
 
 TEST(XorRedundancyTest, RecoversSingleLossPerGroup)
 {
-    XorRedundancy xr(3);
+    ReedSolomon rs(1);
     Rng rng(141);
-    std::vector<Bytes> blocks;
-    for (int i = 0; i < 7; ++i)
-        blocks.push_back(randomBytes(10, rng));
-    auto encoded = xr.encode(blocks);
-
-    // Drop one block in each group.
-    std::vector<std::optional<Bytes>> received;
-    for (const auto &b : encoded)
-        received.emplace_back(b);
-    received[1].reset(); // group 1 data block
-    received[5].reset(); // group 2 data block
-
-    auto decoded = xr.decode(received);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, blocks);
+    // Every data position of groups of 1..7 blocks.
+    for (size_t group = 1; group <= 7; ++group) {
+        Bytes data = randomBytes(group, rng);
+        const Bytes codeword = rs.encode(data);
+        for (size_t lost = 0; lost < group; ++lost) {
+            Bytes received = codeword;
+            received[lost] ^= 0xff;
+            auto decoded = rs.decode(received, {lost});
+            ASSERT_TRUE(decoded.has_value())
+                << "group " << group << " lost " << lost;
+            EXPECT_EQ(*decoded, data);
+        }
+    }
 }
 
 TEST(XorRedundancyTest, FailsOnDoubleLoss)
 {
-    XorRedundancy xr(3);
-    std::vector<Bytes> blocks = {{1}, {2}, {3}};
-    auto encoded = xr.encode(blocks);
-    std::vector<std::optional<Bytes>> received;
-    for (const auto &b : encoded)
-        received.emplace_back(b);
-    received[0].reset();
-    received[1].reset();
-    EXPECT_FALSE(xr.decode(received).has_value());
+    ReedSolomon rs(1);
+    Bytes codeword = rs.encode({1, 2, 3});
+    codeword[0] = 0;
+    codeword[1] = 0;
+    EXPECT_FALSE(rs.decode(codeword, {0, 1}).has_value());
 }
 
 TEST(XorRedundancyTest, LostParityIsHarmless)
 {
-    XorRedundancy xr(2);
-    std::vector<Bytes> blocks = {{1}, {2}};
-    auto encoded = xr.encode(blocks);
-    std::vector<std::optional<Bytes>> received;
-    for (const auto &b : encoded)
-        received.emplace_back(b);
-    received[2].reset(); // the parity block
-    auto decoded = xr.decode(received);
+    ReedSolomon rs(1);
+    Bytes codeword = rs.encode({1, 2});
+    codeword[2] = 0; // the parity symbol
+    auto decoded = rs.decode(codeword, {2});
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, blocks);
+    EXPECT_EQ(*decoded, (Bytes{1, 2}));
 }
 
 } // namespace

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <sstream>
 
 #include "align/edit_distance.hh"
+#include "base/strand_pool.hh"
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
 #include "core/dnasimulator_model.hh"
@@ -20,6 +24,7 @@
 #include "core/stages.hh"
 #include "core/wetlab.hh"
 #include "data/strand_factory.hh"
+#include "par/thread_pool.hh"
 
 namespace dnasim
 {
@@ -549,6 +554,172 @@ TEST(ChannelSimulator, SimulateLikeCopiesShape)
     EXPECT_EQ(sim_data[1].coverage(), 2u);
     EXPECT_EQ(sim_data[2].coverage(), 5u);
     EXPECT_EQ(sim_data[2].reference, shape[2].reference);
+}
+
+/** Restore the default thread count when a test scope exits. */
+struct ThreadGuard
+{
+    explicit ThreadGuard(size_t n) { par::setThreads(n); }
+    ~ThreadGuard() { par::setThreads(0); }
+};
+
+/** simulateToPool()'s outputs, read back from the pool file. */
+struct PoolRun
+{
+    PoolSimulateResult result;
+    std::vector<Strand> reads;
+    std::vector<uint32_t> origins;
+};
+
+PoolRun
+simulateToPoolFile(const ChannelSimulator &sim,
+                   const std::vector<Strand> &refs,
+                   const CoverageModel &coverage, Rng &rng,
+                   const std::string &name, size_t max_reads)
+{
+    const std::string path =
+        ::testing::TempDir() + "/dnasim_core_" + name + ".dnapool";
+    PackedStrandPoolBuilder builder;
+    std::string error;
+    EXPECT_TRUE(builder.open(path, &error)) << error;
+    std::ostringstream origins;
+    PoolRun run;
+    run.result = sim.simulateToPool(StrandPoolView(refs), coverage, rng,
+                                    builder, &origins, max_reads);
+    EXPECT_TRUE(builder.finish(&error)) << error;
+
+    PackedStrandPool pool;
+    EXPECT_TRUE(pool.open(path, &error)) << error;
+    for (size_t i = 0; i < pool.size(); ++i)
+        run.reads.push_back(pool.strand(i));
+    const std::string bytes = origins.str();
+    run.origins.resize(bytes.size() / sizeof(uint32_t));
+    std::memcpy(run.origins.data(), bytes.data(),
+                run.origins.size() * sizeof(uint32_t));
+    std::remove(path.c_str());
+    return run;
+}
+
+/** More clusters than one pool chunk, of short strands. */
+struct PoolFixture
+{
+    ErrorProfile profile = ErrorProfile::uniform(0.06, 16);
+    IdsChannelModel model = IdsChannelModel::naive(profile);
+    ChannelSimulator sim{model};
+    // Mean 3 with 5% erasures: empty clusters sit among full ones.
+    NegativeBinomialCoverage coverage{3.0, 2.0, 12, 0.05};
+    std::vector<Strand> refs;
+    Dataset expected;
+
+    PoolFixture()
+    {
+        StrandFactory factory;
+        Rng setup(71);
+        refs = factory.makeMany(5000, 16, setup);
+        Rng rng(0x9001);
+        expected = sim.simulate(refs, coverage, rng);
+    }
+};
+
+TEST(ChannelSimulator, PoolSimulationEqualsFlattenedSimulate)
+{
+    PoolFixture fx;
+    std::vector<Strand> reads;
+    std::vector<uint32_t> origins;
+    for (size_t i = 0; i < fx.expected.size(); ++i) {
+        for (const Strand &copy : fx.expected[i].copies) {
+            reads.push_back(copy);
+            origins.push_back(static_cast<uint32_t>(i));
+        }
+    }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+        ThreadGuard guard(threads);
+        Rng rng(0x9001);
+        PoolRun run = simulateToPoolFile(
+            fx.sim, fx.refs, fx.coverage, rng,
+            "pool_full_t" + std::to_string(threads), 0);
+        EXPECT_EQ(run.reads, reads) << threads << " threads";
+        EXPECT_EQ(run.origins, origins) << threads << " threads";
+        EXPECT_EQ(run.result.clusters, fx.refs.size());
+        EXPECT_EQ(run.result.reads, reads.size());
+        EXPECT_FALSE(run.result.truncated);
+    }
+}
+
+TEST(ChannelSimulator, PoolSimulationMaxReadsCutsMidCluster)
+{
+    PoolFixture fx;
+    // Cut one read into the first multi-copy cluster of the second
+    // chunk.
+    size_t cut_cluster = 4100;
+    while (fx.expected[cut_cluster].copies.size() < 2)
+        ++cut_cluster;
+    std::vector<Strand> reads;
+    std::vector<uint32_t> origins;
+    for (size_t i = 0; i < cut_cluster; ++i) {
+        for (const Strand &copy : fx.expected[i].copies) {
+            reads.push_back(copy);
+            origins.push_back(static_cast<uint32_t>(i));
+        }
+    }
+    reads.push_back(fx.expected[cut_cluster].copies[0]);
+    origins.push_back(static_cast<uint32_t>(cut_cluster));
+
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+        ThreadGuard guard(threads);
+        Rng rng(0x9001);
+        PoolRun run = simulateToPoolFile(
+            fx.sim, fx.refs, fx.coverage, rng,
+            "pool_cut_t" + std::to_string(threads), reads.size());
+        EXPECT_EQ(run.reads, reads) << threads << " threads";
+        EXPECT_EQ(run.origins, origins) << threads << " threads";
+        EXPECT_TRUE(run.result.truncated);
+        EXPECT_EQ(run.result.clusters, cut_cluster + 1);
+        EXPECT_EQ(run.result.reads, reads.size());
+    }
+}
+
+TEST(ChannelSimulator, SimulateLikeEqualsCustomCoverageSimulate)
+{
+    ErrorProfile p = ErrorProfile::uniform(0.08, 50);
+    IdsChannelModel model = IdsChannelModel::naive(p);
+    ChannelSimulator sim(model);
+    StrandFactory factory;
+    Rng setup(64);
+    Dataset shape;
+    std::vector<Strand> refs;
+    for (size_t n : {size_t(4), size_t(0), size_t(7), size_t(1)}) {
+        Cluster c;
+        c.reference = factory.make(50, setup);
+        c.copies.assign(n, c.reference);
+        refs.push_back(c.reference);
+        shape.add(std::move(c));
+    }
+
+    Rng a(808), b(808);
+    LineageLog like_log, direct_log;
+    const Dataset like = sim.simulateLike(shape, a, &like_log);
+    const Dataset direct = sim.simulate(
+        refs, CustomCoverage(shape.coverages()), b, &direct_log);
+
+    ASSERT_EQ(like.size(), direct.size());
+    ASSERT_EQ(like_log.numClusters(), direct_log.numClusters());
+    for (size_t i = 0; i < like.size(); ++i) {
+        EXPECT_EQ(like[i].reference, direct[i].reference);
+        EXPECT_EQ(like[i].copies, direct[i].copies);
+        const ClusterLineage &x = like_log.cluster(i);
+        const ClusterLineage &y = direct_log.cluster(i);
+        EXPECT_EQ(x.read_event_end, y.read_event_end);
+        ASSERT_EQ(x.events.size(), y.events.size());
+        for (size_t e = 0; e < x.events.size(); ++e) {
+            EXPECT_EQ(x.events[e].ref_pos, y.events[e].ref_pos);
+            EXPECT_EQ(x.events[e].run_length, y.events[e].run_length);
+            EXPECT_EQ(x.events[e].type, y.events[e].type);
+            EXPECT_EQ(x.events[e].ref_base, y.events[e].ref_base);
+            EXPECT_EQ(x.events[e].obs_base, y.events[e].obs_base);
+        }
+    }
+    EXPECT_GT(like_log.totalEvents(), 0u);
 }
 
 TEST(Profiler, RecoversAggregateRates)

@@ -3,8 +3,9 @@
  * Tests of the deterministic parallel execution layer: coverage and
  * ordering guarantees of parallelFor/parallelTransform, exception
  * propagation, nested-region safety, and the end-to-end determinism
- * contract — simulate, reconstruct and clusterReads must produce
- * byte-identical output at every thread count.
+ * contract — simulate, reconstruct, clusterReads and the re-clustered
+ * archival roundtrip must produce byte-identical output at every
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,9 @@
 #include "data/strand_factory.hh"
 #include "obs/stats.hh"
 #include "par/thread_pool.hh"
+#include "pipeline/archival_pipeline.hh"
 #include "reconstruct/bma.hh"
+#include "reconstruct/iterative.hh"
 
 namespace dnasim
 {
@@ -306,6 +309,49 @@ TEST(Determinism, ClusterReadsIsIdenticalAcrossThreadCounts)
                 << clusterIndexName(kind) << " at " << threads
                 << " threads";
         }
+    }
+}
+
+TEST(Determinism, ReclusteredRoundTripIsIdenticalAcrossThreadCounts)
+{
+    PipelineConfig config;
+    config.recluster = true;
+    config.cluster.parallel_probe_min = 8; // exercise parallel probing
+    ArchivalPipeline pipeline(config);
+    Bytes file(1500);
+    Rng make(0xf11e);
+    for (auto &byte : file)
+        byte = static_cast<uint8_t>(make.index(256));
+    ErrorProfile profile =
+        ErrorProfile::uniform(0.03, pipeline.strandLength());
+    IdsChannelModel model = IdsChannelModel::naive(profile);
+    FixedCoverage coverage(6);
+    Iterative algo;
+    auto run = [&] {
+        Rng rng(0x7e57);
+        return pipeline.roundTrip(file, model, coverage, algo, rng);
+    };
+
+    RetrievedObject serial;
+    {
+        ThreadGuard guard(1);
+        serial = run();
+    }
+    EXPECT_GT(serial.stats.clusters, 0u);
+    for (size_t threads : {size_t{2}, size_t{8}}) {
+        ThreadGuard guard(threads);
+        const RetrievedObject r = run();
+        EXPECT_EQ(r.data, serial.data) << threads << " threads";
+        EXPECT_EQ(r.success, serial.success);
+        EXPECT_EQ(r.stats.clusters, serial.stats.clusters);
+        EXPECT_EQ(r.stats.erasure_clusters,
+                  serial.stats.erasure_clusters);
+        EXPECT_EQ(r.stats.undecodable_strands,
+                  serial.stats.undecodable_strands);
+        EXPECT_EQ(r.stats.crc_failures, serial.stats.crc_failures);
+        EXPECT_EQ(r.stats.frames_recovered,
+                  serial.stats.frames_recovered);
+        EXPECT_EQ(r.stats.stripes_failed, serial.stats.stripes_failed);
     }
 }
 

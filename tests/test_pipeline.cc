@@ -1,12 +1,18 @@
 /**
  * @file
  * Integration tests for the archival pipeline: encode -> channel ->
- * reconstruct -> decode, with each redundancy scheme, under clean
- * and noisy channels, with erasures.
+ * reconstruct -> decode, at no, one (XOR-group) and several parity
+ * frames per stripe, under clean and noisy channels, with erasures.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "cluster/recluster.hh"
+#include "codec/dna_codec.hh"
+#include "codec/framing.hh"
+#include "core/channel_simulator.hh"
 #include "core/coverage.hh"
 #include "core/ids_model.hh"
 #include "obs/stats.hh"
@@ -35,7 +41,6 @@ TEST(Pipeline, StoreShapesLibrary)
 {
     PipelineConfig config;
     config.payload_bytes = 16;
-    config.redundancy = RedundancyScheme::ReedSolomon;
     config.rs_stripe_data = 8;
     config.rs_parity = 4;
     ArchivalPipeline pipeline(config);
@@ -159,25 +164,44 @@ TEST(Pipeline, ReedSolomonFailsBeyondBudget)
     EXPECT_EQ(result.stats.stripes_failed, 1u);
 }
 
-TEST(Pipeline, XorSchemeRecoversSingleLossPerGroup)
+/**
+ * A clustered read-out of @p object with two clean copies of every
+ * strand except the indices in @p lost, which are erased.
+ */
+Dataset
+cleanReadout(const StoredObject &object, std::vector<size_t> lost)
 {
-    PipelineConfig config;
-    config.payload_bytes = 10;
-    config.redundancy = RedundancyScheme::XorGroups;
-    config.xor_group = 4;
-    ArchivalPipeline pipeline(config);
-    Bytes file = loremBytes(120); // 12 data frames, 3 groups
-
-    StoredObject object = pipeline.store(file);
-    EXPECT_EQ(object.num_total_frames, 12u + 3u);
     Dataset clusters;
     for (size_t i = 0; i < object.strands.size(); ++i) {
         Cluster c;
         c.reference = object.strands[i];
-        if (i != 1 && i != 6 && i != 9) // one loss in each group
+        if (std::find(lost.begin(), lost.end(), i) == lost.end())
             c.copies.assign(2, object.strands[i]);
         clusters.add(std::move(c));
     }
+    return clusters;
+}
+
+/** One parity frame per stripe: Bornholt et al.'s XOR groups. */
+PipelineConfig
+xorGroupConfig(size_t group)
+{
+    PipelineConfig config;
+    config.payload_bytes = 10;
+    config.rs_stripe_data = group;
+    config.rs_parity = 1;
+    return config;
+}
+
+TEST(Pipeline, XorSchemeRecoversSingleLossPerGroup)
+{
+    ArchivalPipeline pipeline(xorGroupConfig(4));
+    Bytes file = loremBytes(120); // 12 data frames, 3 groups
+
+    StoredObject object = pipeline.store(file);
+    EXPECT_EQ(object.num_total_frames, 12u + 3u);
+    // One loss in each group.
+    Dataset clusters = cleanReadout(object, {1, 6, 9});
     MajorityVote algo;
     Rng rng(164);
     RetrievedObject result =
@@ -187,28 +211,136 @@ TEST(Pipeline, XorSchemeRecoversSingleLossPerGroup)
     EXPECT_EQ(result.stats.frames_recovered, 3u);
 }
 
+TEST(Pipeline, XorSchemeFailsOnDoubleLossInAGroup)
+{
+    ArchivalPipeline pipeline(xorGroupConfig(3));
+    Bytes file = loremBytes(90); // 9 data frames, 3 groups
+
+    StoredObject object = pipeline.store(file);
+    // Two losses in group 0 are beyond one parity frame; the single
+    // loss in group 2 is still rebuilt.
+    Dataset clusters = cleanReadout(object, {0, 1, 7});
+    MajorityVote algo;
+    Rng rng(169);
+    RetrievedObject result =
+        pipeline.retrieve(clusters, algo, object, rng);
+    EXPECT_FALSE(result.success);
+    EXPECT_EQ(result.stats.stripes_failed, 1u);
+    EXPECT_EQ(result.stats.frames_recovered, 1u);
+}
+
+TEST(Pipeline, XorSchemeLostParityIsHarmless)
+{
+    ArchivalPipeline pipeline(xorGroupConfig(2));
+    Bytes file = loremBytes(40); // 4 data frames, 2 groups
+
+    StoredObject object = pipeline.store(file);
+    ASSERT_EQ(object.num_total_frames, 4u + 2u);
+    // Both parity frames (indices 4 and 5) lost, every data frame
+    // present.
+    Dataset clusters = cleanReadout(object, {4, 5});
+    MajorityVote algo;
+    Rng rng(170);
+    RetrievedObject result =
+        pipeline.retrieve(clusters, algo, object, rng);
+    EXPECT_TRUE(result.success);
+    EXPECT_EQ(result.data, file);
+    EXPECT_EQ(result.stats.frames_recovered, 0u);
+    EXPECT_EQ(result.stats.stripes_failed, 0u);
+}
+
+TEST(Pipeline, XorSchemeParityFrameIsByteXorOfItsGroup)
+{
+    const PipelineConfig config = xorGroupConfig(3);
+    ArchivalPipeline pipeline(config);
+    Bytes file = loremBytes(73); // 8 data frames: groups of 3, 3, 2
+
+    StoredObject object = pipeline.store(file);
+    FrameCodec frames(config.payload_bytes, config.index_bytes);
+    const std::vector<Frame> data = frames.split(file);
+    ASSERT_EQ(data.size(), 8u);
+    ASSERT_EQ(object.num_total_frames, 8u + 3u);
+    RotatingCodec codec;
+    for (size_t group = 0; group < 3; ++group) {
+        auto raw = codec.decode(object.strands[8 + group],
+                                frames.frameBytes());
+        ASSERT_TRUE(raw.has_value());
+        auto parity = frames.unpack(*raw);
+        ASSERT_TRUE(parity.has_value());
+        EXPECT_EQ(parity->index, 8u + group);
+        // The short last group is zero-padded, which XOR ignores.
+        Bytes expected(config.payload_bytes, 0);
+        for (size_t i = 3 * group; i < std::min<size_t>(8, 3 * group + 3);
+             ++i)
+            for (size_t b = 0; b < expected.size(); ++b)
+                expected[b] ^= data[i].payload[b];
+        EXPECT_EQ(parity->payload, expected) << "group " << group;
+    }
+}
+
 TEST(Pipeline, NoRedundancyCannotRecover)
 {
     PipelineConfig config;
-    config.redundancy = RedundancyScheme::None;
+    config.rs_parity = 0;
     ArchivalPipeline pipeline(config);
     Bytes file = loremBytes(100);
 
     StoredObject object = pipeline.store(file);
     EXPECT_EQ(object.num_total_frames, object.num_data_frames);
-    Dataset clusters;
-    for (size_t i = 0; i < object.strands.size(); ++i) {
-        Cluster c;
-        c.reference = object.strands[i];
-        if (i != 0)
-            c.copies.assign(2, object.strands[i]);
-        clusters.add(std::move(c));
-    }
+    Dataset clusters = cleanReadout(object, {0});
     MajorityVote algo;
     Rng rng(165);
     RetrievedObject result =
         pipeline.retrieve(clusters, algo, object, rng);
     EXPECT_FALSE(result.success);
+    EXPECT_EQ(result.stats.stripes_failed, 0u);
+}
+
+TEST(Pipeline, StagedReclusteredRunEqualsRoundTrip)
+{
+    // roundTrip() is store -> simulate on fork(0xc4a) -> the
+    // pool-and-recluster path on fork(0x5eed) -> retrieve on
+    // fork(0xdec0de); a caller timing the stages one by one gets the
+    // very same retrieval.
+    PipelineConfig config;
+    config.recluster = true;
+    ArchivalPipeline pipeline(config);
+    Bytes file = loremBytes(900);
+    ErrorProfile profile =
+        ErrorProfile::uniform(0.02, pipeline.strandLength());
+    IdsChannelModel model = IdsChannelModel::naive(profile);
+    FixedCoverage coverage(6);
+    Iterative algo;
+
+    Rng rng(0xbe11);
+    const RetrievedObject whole =
+        pipeline.roundTrip(file, model, coverage, algo, rng);
+
+    Rng staged_rng(0xbe11);
+    const StoredObject object = pipeline.store(file);
+    Rng channel_rng = staged_rng.fork(0xc4a);
+    const Dataset simulated = ChannelSimulator(model).simulate(
+        object.strands, coverage, channel_rng);
+    Rng shuffle_rng = staged_rng.fork(0x5eed);
+    const Dataset clusters =
+        poolAndRecluster(simulated, config.cluster, shuffle_rng)
+            .regrouped();
+    Rng decode_rng = staged_rng.fork(0xdec0de);
+    const RetrievedObject staged =
+        pipeline.retrieve(clusters, algo, object, decode_rng);
+
+    EXPECT_TRUE(whole.success);
+    EXPECT_EQ(staged.data, whole.data);
+    EXPECT_EQ(staged.success, whole.success);
+    EXPECT_EQ(staged.stats.clusters, whole.stats.clusters);
+    EXPECT_EQ(staged.stats.erasure_clusters,
+              whole.stats.erasure_clusters);
+    EXPECT_EQ(staged.stats.undecodable_strands,
+              whole.stats.undecodable_strands);
+    EXPECT_EQ(staged.stats.crc_failures, whole.stats.crc_failures);
+    EXPECT_EQ(staged.stats.frames_recovered,
+              whole.stats.frames_recovered);
+    EXPECT_EQ(staged.stats.stripes_failed, whole.stats.stripes_failed);
 }
 
 TEST(Pipeline, TrivialCodecVariant)
@@ -244,9 +376,17 @@ TEST(Pipeline, EmptyFileRoundTrip)
     EXPECT_TRUE(result.data.empty());
 }
 
+/** Parity frames per stripe in a sweep case. */
+enum class Parity
+{
+    None,   ///< rs_parity 0
+    Xor,    ///< one parity frame per group of 5
+    Stripe, ///< six parity frames per stripe of 16
+};
+
 struct PipelineCase
 {
-    RedundancyScheme scheme;
+    Parity parity;
     size_t coverage;
     double error_rate;
     bool expect_success;
@@ -257,13 +397,13 @@ class PipelineSweep : public ::testing::TestWithParam<PipelineCase>
 
 TEST_P(PipelineSweep, RoundTripMatrix)
 {
-    auto [scheme, coverage_n, error_rate, expect_success] =
+    auto [parity, coverage_n, error_rate, expect_success] =
         GetParam();
     PipelineConfig config;
-    config.redundancy = scheme;
-    config.rs_stripe_data = 16;
-    config.rs_parity = 6;
-    config.xor_group = 5;
+    config.rs_stripe_data = parity == Parity::Xor ? 5 : 16;
+    config.rs_parity = parity == Parity::None  ? 0
+                       : parity == Parity::Xor ? 1
+                                               : 6;
     ArchivalPipeline pipeline(config);
     Bytes file = loremBytes(350);
 
@@ -276,27 +416,31 @@ TEST_P(PipelineSweep, RoundTripMatrix)
     RetrievedObject result =
         pipeline.roundTrip(file, model, coverage, algo, rng);
     EXPECT_EQ(result.success, expect_success)
-        << "scheme=" << static_cast<int>(scheme)
+        << "parity=" << static_cast<int>(parity)
         << " coverage=" << coverage_n << " rate=" << error_rate;
     if (expect_success) {
         EXPECT_EQ(result.data, file);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, PipelineSweep,
-    ::testing::Values(
-        // Clean channel: every scheme succeeds at minimal coverage.
-        PipelineCase{RedundancyScheme::None, 1, 0.0, true},
-        PipelineCase{RedundancyScheme::XorGroups, 1, 0.0, true},
-        PipelineCase{RedundancyScheme::ReedSolomon, 1, 0.0, true},
-        // Moderate noise, decent coverage: RS and XOR succeed.
-        PipelineCase{RedundancyScheme::ReedSolomon, 8, 0.03, true},
-        PipelineCase{RedundancyScheme::XorGroups, 8, 0.02, true},
-        // Heavy noise at coverage 1: reconstruction of nearly every
-        // strand is wrong and no scheme can absorb that.
-        PipelineCase{RedundancyScheme::ReedSolomon, 1, 0.08,
-                     false}));
+// gtest names these cases by their parameter's bytes. A static table
+// is zero-initialized, padding included, so the names are the same
+// in every build.
+const PipelineCase kPipelineCases[] = {
+    // Clean channel: every parity budget succeeds at minimal coverage.
+    {Parity::None, 1, 0.0, true},
+    {Parity::Xor, 1, 0.0, true},
+    {Parity::Stripe, 1, 0.0, true},
+    // Moderate noise, decent coverage: RS and XOR succeed.
+    {Parity::Stripe, 8, 0.03, true},
+    {Parity::Xor, 8, 0.02, true},
+    // Heavy noise at coverage 1: reconstruction of nearly every
+    // strand is wrong and no parity budget can absorb that.
+    {Parity::Stripe, 1, 0.08, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Matrix, PipelineSweep,
+                         ::testing::ValuesIn(kPipelineCases));
 
 TEST(Pipeline, CorruptedStrandCountsAsCrcFailure)
 {

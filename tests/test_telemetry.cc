@@ -278,7 +278,12 @@ TEST(Progress, ScopeRegistersAdvancesAndJournals)
     obs::EventJournal::global().clear();
     EXPECT_TRUE(obs::progressSnapshot().empty());
     {
-        obs::ProgressScope scope("simulate", 100);
+        // A span without an item total is no progress phase.
+        obs::Span plain("plain", "test");
+        EXPECT_TRUE(obs::progressSnapshot().empty());
+    }
+    {
+        obs::Span scope("simulate", "test", 100);
         scope.advance(30);
         scope.advance();
         auto states = obs::progressSnapshot();
@@ -300,6 +305,7 @@ TEST(Progress, ScopeRegistersAdvancesAndJournals)
     EXPECT_EQ(events[0].kind, "phase_begin");
     EXPECT_EQ(events[0].name, "simulate");
     EXPECT_EQ(events[1].kind, "phase_end");
+    EXPECT_EQ(events[1].name, "simulate");
     // Sequence numbers are strictly increasing and drain-once.
     EXPECT_LT(events[0].seq, events[1].seq);
     EXPECT_TRUE(obs::EventJournal::global()
