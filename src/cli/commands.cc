@@ -152,6 +152,23 @@ printProfileTable(const Histogram &profile, size_t positions,
 }
 
 /**
+ * Checkpoint files are untrusted: fatal unless every id read from
+ * @p path is below @p bound, the count of the @p what it indexes.
+ */
+void
+checkIdsBelow(const std::vector<uint32_t> &ids, size_t bound,
+              const std::string &path, const char *what)
+{
+    for (size_t i = 0; i < ids.size(); ++i) {
+        if (ids[i] >= bound) {
+            DNASIM_FATAL("checkpoint: ", path, ": entry ", i, " is ",
+                         ids[i], ", out of range for ", bound, " ",
+                         what);
+        }
+    }
+}
+
+/**
  * The out-of-core simulate stage: pack the references into
  * <dir>/refs.dnapool, stream simulated reads straight into
  * <dir>/reads.dnapool (origins to <dir>/origins.u32) in bounded
@@ -352,6 +369,8 @@ clusterPool(const Args &args, const ClusterOptions &options,
         PackedStrandPool reps;
         if (!reps.open(ckpt.representativesPath(), &error))
             DNASIM_FATAL("checkpoint: ", error);
+        checkIdsBelow(assignments, reps.size(), ckpt.assignmentsPath(),
+                      "representatives");
         // Members grouped by assignment in read order is exactly the
         // order the clusterer appends them, so the rebuilt clustering
         // matches the committed run byte for byte.
@@ -571,10 +590,25 @@ cmdReconstruct(const Args &args)
             DNASIM_FATAL("checkpoint: ", error);
         if (!readU32File(ckpt.originsPath(), origins, &error))
             DNASIM_FATAL("checkpoint: ", error);
+        if (assignments.size() > reads.size()) {
+            DNASIM_FATAL("checkpoint: ", ckpt.assignmentsPath(), " has ",
+                         assignments.size(), " entries for ",
+                         reads.size(), " reads");
+        }
+        if (origins.size() < assignments.size()) {
+            DNASIM_FATAL("checkpoint: ", ckpt.originsPath(), " has ",
+                         origins.size(), " origins for ",
+                         assignments.size(), " assigned reads");
+        }
         // --max-reads at the cluster stage shrinks the clustered
         // prefix; score against the same prefix of the origins.
-        if (origins.size() > assignments.size())
-            origins.resize(assignments.size());
+        origins.resize(assignments.size());
+        // No more clusters than assigned reads, so ids bound the
+        // per-cluster tables by the file's size.
+        checkIdsBelow(assignments, assignments.size(),
+                      ckpt.assignmentsPath(), "assigned reads");
+        checkIdsBelow(origins, refs.size(), ckpt.originsPath(),
+                      "references");
         StrandPoolView reads_view(reads);
         reads_view.truncate(assignments.size());
         reads.advise(MapAccess::Random);

@@ -1,14 +1,16 @@
 #include "pipeline/archival_pipeline.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
-#include <map>
+#include <optional>
 
 #include "base/logging.hh"
 #include "cluster/recluster.hh"
 #include "codec/reed_solomon.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
+#include "par/thread_pool.hh"
 
 namespace dnasim
 {
@@ -28,6 +30,7 @@ struct PipelineStats
     obs::Counter &stripes_failed;
     obs::Timer &store_time;
     obs::Timer &retrieve_time;
+    obs::Distribution &reconstruct_us;
 
     static PipelineStats &
     get()
@@ -54,13 +57,38 @@ struct PipelineStats
                       "wall time in ArchivalPipeline::store"),
             reg.timer("pipeline.retrieve_time",
                       "wall time in ArchivalPipeline::retrieve"),
+            reg.distribution("pipeline.reconstruct_us",
+                             "per-cluster reconstruct latency in "
+                             "retrieve(), microseconds"),
         };
         return ps;
     }
 };
 
+/// What retrieve() made of one cluster.
+struct ClusterYield
+{
+    enum Outcome
+    {
+        Erasure,     ///< no copies to reconstruct from
+        Undecodable, ///< the codec rejected the estimate
+        CrcFailure,  ///< decoded, but the frame failed its checks
+        Decoded,     ///< frame holds a CRC-valid frame
+    };
+    Outcome outcome = Erasure;
+    Frame frame;
+};
+
 /// A stripe's data slot past the last data frame: zero padding.
 constexpr size_t kPadding = SIZE_MAX;
+
+/// RS stripes over @p d data frames, @p k per stripe (none without
+/// parity).
+size_t
+numStripes(size_t d, size_t k, size_t parity)
+{
+    return parity > 0 ? (d + k - 1) / k : 0;
+}
 
 /**
  * Frame index of slot j of RS stripe @p stripe — k data slots, then
@@ -74,6 +102,67 @@ stripeFrame(size_t stripe, size_t j, size_t k, size_t parity, size_t d)
         return d + stripe * parity + (j - k);
     const size_t frame = stripe * k + j;
     return frame < d ? frame : kPadding;
+}
+
+/// Frames by index; an empty slot was lost.
+using FrameTable = std::vector<std::optional<Frame>>;
+
+/**
+ * Logical-redundancy recovery: rebuild the lost data frames of each
+ * RS stripe over @p d data frames in @p received, where byte b of a
+ * stripe's frames is one RS codeword. Counts rebuilt frames and
+ * stripes beyond the parity budget into @p stats.
+ */
+void
+recoverStripes(FrameTable &received, size_t d, size_t k, size_t parity,
+               size_t payload, RetrievalStats &stats)
+{
+    obs::Span span("pipeline.recover", "pipeline");
+    for (size_t stripe = 0; stripe < numStripes(d, k, parity); ++stripe) {
+        // Each slot's received payload (null when lost or padding)
+        // and the lost slots in slot order, data first.
+        std::vector<const Bytes *> slots(k + parity, nullptr);
+        std::vector<size_t> erasures;
+        for (size_t j = 0; j < k + parity; ++j) {
+            const size_t f = stripeFrame(stripe, j, k, parity, d);
+            if (f == kPadding)
+                continue;
+            if (received[f])
+                slots[j] = &received[f]->payload;
+            else
+                erasures.push_back(j);
+        }
+        const size_t lost_data = static_cast<size_t>(
+            std::lower_bound(erasures.begin(), erasures.end(), k) -
+            erasures.begin());
+        if (lost_data == 0)
+            continue;
+        bool stripe_ok = erasures.size() <= parity;
+
+        // Rebuild the missing data frames column by column.
+        const ReedSolomon rs(parity);
+        std::vector<Frame> rebuilt;
+        for (size_t r = 0; r < lost_data; ++r)
+            rebuilt.push_back(Frame{static_cast<uint32_t>(stripeFrame(
+                                        stripe, erasures[r], k, parity, d)),
+                                    Bytes(payload, 0)});
+        std::vector<uint8_t> codeword(k + parity);
+        for (size_t b = 0; b < payload && stripe_ok; ++b) {
+            for (size_t j = 0; j < k + parity; ++j)
+                codeword[j] = slots[j] != nullptr ? (*slots[j])[b] : 0;
+            const auto decoded = rs.decode(codeword, erasures);
+            stripe_ok = decoded.has_value();
+            for (size_t r = 0; r < lost_data && stripe_ok; ++r)
+                rebuilt[r].payload[b] = (*decoded)[erasures[r]];
+        }
+        if (!stripe_ok) {
+            ++stats.stripes_failed;
+            continue;
+        }
+        stats.frames_recovered += rebuilt.size();
+        for (Frame &f : rebuilt)
+            received[f.index] = std::move(f);
+    }
 }
 
 } // anonymous namespace
@@ -118,34 +207,33 @@ ArchivalPipeline::store(const Bytes &file) const
     const size_t d = frames.size();
     const size_t payload = config_.payload_bytes;
 
+    // Every parity frame sits at its final index up front, so each
+    // stripe fills only its own, column-wise, in parallel.
     const size_t k = config_.rs_stripe_data;
     const size_t parity = config_.rs_parity;
-    if (parity > 0) {
-        ReedSolomon rs(parity);
-        for (size_t stripe = 0; stripe < (d + k - 1) / k; ++stripe) {
-            // Parity frames for this stripe, filled column-wise.
-            const size_t first = frames.size();
-            for (size_t p = 0; p < parity; ++p)
-                frames.push_back(Frame{static_cast<uint32_t>(first + p),
-                                       Bytes(payload, 0)});
-            for (size_t b = 0; b < payload; ++b) {
-                std::vector<uint8_t> column(k, 0);
-                for (size_t i = 0; i < k; ++i) {
-                    const size_t f = stripeFrame(stripe, i, k, parity, d);
-                    if (f != kPadding)
-                        column[i] = frames[f].payload[b];
-                }
-                const auto codeword = rs.encode(column);
-                for (size_t p = 0; p < parity; ++p)
-                    frames[first + p].payload[b] = codeword[k + p];
+    const size_t stripes = numStripes(d, k, parity);
+    for (size_t f = d; f < d + stripes * parity; ++f)
+        frames.push_back(
+            Frame{static_cast<uint32_t>(f), Bytes(payload, 0)});
+    par::parallelFor(0, stripes, [&](size_t stripe) {
+        const ReedSolomon rs(parity);
+        std::vector<uint8_t> column(k);
+        for (size_t b = 0; b < payload; ++b) {
+            for (size_t i = 0; i < k; ++i) {
+                const size_t f = stripeFrame(stripe, i, k, parity, d);
+                column[i] = f == kPadding ? 0 : frames[f].payload[b];
             }
+            const auto codeword = rs.encode(column);
+            for (size_t p = 0; p < parity; ++p)
+                frames[d + stripe * parity + p].payload[b] =
+                    codeword[k + p];
         }
-    }
+    });
 
     object.num_total_frames = frames.size();
-    object.strands.reserve(frames.size());
-    for (const auto &f : frames)
-        object.strands.push_back(codec().encode(frame_codec_.pack(f)));
+    object.strands = par::parallelTransform(frames.size(), [&](size_t i) {
+        return codec().encode(frame_codec_.pack(frames[i]));
+    });
     ps.frames_encoded.add(frames.size());
     ps.strands_encoded.add(object.strands.size());
     return object;
@@ -168,110 +256,87 @@ ArchivalPipeline::retrieve(const Dataset &clusters,
     const size_t d = object.num_data_frames;
     const size_t total = object.num_total_frames;
     const size_t payload = config_.payload_bytes;
-
-    // Reconstruct and parse every cluster into frames by index.
-    std::map<uint32_t, Frame> received;
-    const size_t design_len = strandLength();
-    for (size_t i = 0; i < clusters.size(); ++i) {
-        span.advance();
-        if (clusters[i].isErasure()) {
-            ++stats.erasure_clusters;
-            ps.erasures.inc();
-            continue;
-        }
-        Rng cluster_rng = rng.fork(i);
-        Strand estimate = algo.reconstruct(clusters[i].copies,
-                                           design_len, cluster_rng);
-        auto raw = codec().decode(estimate,
-                                  frame_codec_.frameBytes());
-        if (!raw) {
-            ++stats.undecodable_strands;
-            ps.undecodable.inc();
-            continue;
-        }
-        auto frame = frame_codec_.unpack(*raw);
-        if (!frame) {
-            ++stats.crc_failures;
-            ps.crc_failures.inc();
-            continue;
-        }
-        if (frame->index < total)
-            received.emplace(frame->index, std::move(*frame));
-    }
-
-    // Logical-redundancy recovery (none when rs_parity is 0): byte b
-    // of a stripe's frames is one RS codeword.
     const size_t k = config_.rs_stripe_data;
     const size_t parity = config_.rs_parity;
-    const size_t stripes = parity > 0 ? (d + k - 1) / k : 0;
-    for (size_t stripe = 0; stripe < stripes; ++stripe) {
-        // Each slot's received payload (null when lost or padding)
-        // and the lost slots in slot order, data first.
-        std::vector<const Bytes *> slots(k + parity, nullptr);
-        std::vector<size_t> erasures;
-        for (size_t j = 0; j < k + parity; ++j) {
-            const size_t f = stripeFrame(stripe, j, k, parity, d);
-            if (f == kPadding)
-                continue;
-            auto it = received.find(static_cast<uint32_t>(f));
-            if (it == received.end())
-                erasures.push_back(j);
-            else
-                slots[j] = &it->second.payload;
-        }
-        const size_t lost_data = static_cast<size_t>(
-            std::lower_bound(erasures.begin(), erasures.end(), k) -
-            erasures.begin());
-        if (lost_data == 0)
-            continue;
-        bool stripe_ok = erasures.size() <= parity;
+    const size_t stripes = numStripes(d, k, parity);
+    DNASIM_ASSERT(total == d + stripes * parity,
+                  "stored object does not match the pipeline's "
+                  "stripe layout");
 
-        // Rebuild the missing data frames column by column.
-        const ReedSolomon rs(parity);
-        std::vector<Frame> rebuilt;
-        for (size_t r = 0; r < lost_data; ++r)
-            rebuilt.push_back(Frame{static_cast<uint32_t>(stripeFrame(
-                                        stripe, erasures[r], k, parity, d)),
-                                    Bytes(payload, 0)});
-        for (size_t b = 0; b < payload && stripe_ok; ++b) {
-            std::vector<uint8_t> codeword(k + parity, 0);
-            for (size_t j = 0; j < k + parity; ++j)
-                if (slots[j] != nullptr)
-                    codeword[j] = (*slots[j])[b];
-            const auto decoded = rs.decode(codeword, erasures);
-            stripe_ok = decoded.has_value();
-            for (size_t r = 0; r < lost_data && stripe_ok; ++r)
-                rebuilt[r].payload[b] = (*decoded)[erasures[r]];
-        }
-        if (!stripe_ok) {
-            ++stats.stripes_failed;
-            ps.stripes_failed.inc();
-            continue;
-        }
-        for (auto &f : rebuilt) {
-            ++stats.frames_recovered;
-            ps.frames_recovered.inc();
-            received.emplace(f.index, std::move(f));
+    // Reconstruct, decode and parse every cluster in parallel. Each
+    // cluster's Rng is forked by its index, so the yields are the
+    // serial run's at any thread count.
+    std::vector<ClusterYield> yields;
+    {
+        obs::Span reconstruct_span("pipeline.reconstruct", "pipeline");
+        const size_t design_len = strandLength();
+        yields = par::parallelTransform(clusters.size(), [&](size_t i) {
+            span.advance();
+            ClusterYield yield;
+            if (clusters[i].isErasure())
+                return yield;
+            Rng cluster_rng = rng.fork(i);
+            const auto start = std::chrono::steady_clock::now();
+            Strand estimate = algo.reconstruct(clusters[i].copies,
+                                               design_len, cluster_rng);
+            ps.reconstruct_us.record(static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count()));
+            auto raw = codec().decode(estimate,
+                                      frame_codec_.frameBytes());
+            yield.outcome = ClusterYield::Undecodable;
+            if (!raw)
+                return yield;
+            auto frame = frame_codec_.unpack(*raw);
+            yield.outcome = ClusterYield::CrcFailure;
+            if (!frame)
+                return yield;
+            yield.outcome = ClusterYield::Decoded;
+            yield.frame = std::move(*frame);
+            return yield;
+        });
+    }
+
+    // Fold the yields in cluster order into a table of frames by
+    // index: the first cluster to yield an index keeps it.
+    FrameTable received(total);
+    for (ClusterYield &yield : yields) {
+        switch (yield.outcome) {
+          case ClusterYield::Erasure:
+            ++stats.erasure_clusters;
+            break;
+          case ClusterYield::Undecodable:
+            ++stats.undecodable_strands;
+            break;
+          case ClusterYield::CrcFailure:
+            ++stats.crc_failures;
+            break;
+          case ClusterYield::Decoded:
+            if (yield.frame.index < total && !received[yield.frame.index])
+                received[yield.frame.index] = std::move(yield.frame);
+            break;
         }
     }
+    ps.erasures.add(stats.erasure_clusters);
+    ps.undecodable.add(stats.undecodable_strands);
+    ps.crc_failures.add(stats.crc_failures);
+
+    recoverStripes(received, d, k, parity, payload, stats);
+    ps.frames_recovered.add(stats.frames_recovered);
+    ps.stripes_failed.add(stats.stripes_failed);
 
     // Reassemble the data frames.
     std::vector<Frame> data_frames;
     data_frames.reserve(d);
-    bool all_present = true;
-    for (size_t i = 0; i < d; ++i) {
-        auto it = received.find(static_cast<uint32_t>(i));
-        if (it == received.end()) {
-            all_present = false;
-            continue;
-        }
-        data_frames.push_back(it->second);
-    }
+    for (size_t i = 0; i < d; ++i)
+        if (received[i])
+            data_frames.push_back(std::move(*received[i]));
     std::vector<uint32_t> missing;
     Bytes stream = frame_codec_.reassemble(data_frames, d, &missing);
     stream.resize(object.file_size);
     result.data = std::move(stream);
-    result.success = all_present && missing.empty();
+    result.success = missing.empty();
     return result;
 }
 

@@ -12,7 +12,9 @@
 #include <iostream>
 #include <sstream>
 
+#include "align/simd_dispatch.hh"
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "cli/args.hh"
 #include "cli/commands.hh"
 #include "data/io.hh"
@@ -322,6 +324,164 @@ TEST_F(CliCommands, SimulateAndReconstructAreIdenticalAcrossThreadCounts)
         EXPECT_EQ(evyat, first_evyat) << threads << " threads";
         EXPECT_EQ(stdout_text, first_stdout) << threads << " threads";
     }
+}
+
+/** Force a SIMD tier for the guard's lifetime, then restore auto. */
+struct SimdGuard
+{
+    explicit SimdGuard(const char *tier)
+    {
+        EXPECT_TRUE(applySimdOverride(tier)) << tier;
+    }
+    ~SimdGuard() { applySimdOverride("auto"); }
+};
+
+TEST_F(CliCommands, ClusterReconstructRoundtripIdenticalAcrossSimdTiers)
+{
+    std::string dataset = tmpPath("simd.evyat");
+    std::string simulated = tmpPath("simd_sim.evyat");
+    std::string clusters = tmpPath("simd_clusters.txt");
+    std::string payload = tmpPath("simd_payload.bin");
+    cleanup_.insert(cleanup_.end(),
+                    {dataset, simulated, clusters, payload});
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "60",
+                                    "--out", dataset, "--seed", "31"})),
+              0);
+    {
+        std::ofstream out(payload, std::ios::binary);
+        Rng rng(0x9a1);
+        for (size_t i = 0; i < 2000; ++i)
+            out.put(static_cast<char>(rng.index(256)));
+    }
+
+    {
+        StdoutCapture quiet;
+        ASSERT_EQ(cmdSimulate(makeArgs({"simulate", dataset, "--model",
+                                        "second-order", "--seed", "33",
+                                        "--out", simulated})),
+                  0);
+    }
+
+    std::string first_clusters;
+    std::string first_stdout;
+    for (const char *tier : {"scalar", "avx2", "auto"}) {
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+            SimdGuard simd(tier);
+            ThreadGuard guard(threads);
+            {
+                // cluster stdout carries a wall-clock reads/s
+                // column; its --out dump is the comparable artifact.
+                StdoutCapture quiet;
+                ASSERT_EQ(cmdCluster(makeArgs({"cluster", simulated,
+                                               "--seed", "37", "--out",
+                                               clusters})),
+                          0);
+            }
+            std::string stdout_text;
+            {
+                StdoutCapture capture;
+                EXPECT_EQ(cmdReconstruct(makeArgs(
+                              {"reconstruct", simulated, "--algo",
+                               "bma", "--seed", "39"})),
+                          0);
+                // The roundtrip exit codes join the compared text.
+                std::cout << cmdRoundtrip(
+                                 makeArgs({"roundtrip", payload}))
+                          << cmdRoundtrip(makeArgs(
+                                 {"roundtrip", payload, "--recluster",
+                                  "--algo", "bma"}))
+                          << "\n";
+                stdout_text = capture.str();
+            }
+            const std::string clustering = readFileBytes(clusters);
+            ASSERT_FALSE(clustering.empty());
+            if (first_clusters.empty()) {
+                first_clusters = clustering;
+                first_stdout = stdout_text;
+                continue;
+            }
+            EXPECT_EQ(clustering, first_clusters)
+                << tier << " at " << threads << " threads";
+            EXPECT_EQ(stdout_text, first_stdout)
+                << tier << " at " << threads << " threads";
+        }
+    }
+}
+
+TEST_F(CliCommands, HostileCheckpointFilesAreFatal)
+{
+    std::string dataset = tmpPath("hostile.evyat");
+    std::string base = tmpPath("hostile_ck");
+    std::string bad = tmpPath("hostile_bad");
+    cleanup_.push_back(dataset);
+    std::filesystem::remove_all(base);
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "50",
+                                    "--out", dataset, "--seed", "3"})),
+              0);
+    ASSERT_EQ(cmdSimulate(makeArgs({"simulate", dataset,
+                                    "--checkpoint-dir", base})),
+              0);
+    ASSERT_EQ(cmdCluster(makeArgs({"cluster", "--checkpoint-dir", base})),
+              0);
+    CheckpointDir ckpt(base);
+    CheckpointManifest manifest;
+    ASSERT_TRUE(ckpt.readManifest(manifest));
+    std::vector<uint32_t> assignments;
+    std::vector<uint32_t> origins;
+    ASSERT_TRUE(readU32File(ckpt.assignmentsPath(), assignments));
+    ASSERT_TRUE(readU32File(ckpt.originsPath(), origins));
+    ASSERT_EQ(assignments.size(), origins.size());
+
+    /** Each file to corrupt, what to write there, and the command. */
+    struct Corruption
+    {
+        const char *what;
+        std::string file;
+        std::vector<uint32_t> values;
+        int (*command)(const Args &);
+    };
+    auto with = [](std::vector<uint32_t> values, size_t i,
+                   uint32_t value) {
+        values[i] = value;
+        return values;
+    };
+    std::vector<uint32_t> longer = assignments;
+    longer.resize(longer.size() + 10, 0);
+    std::vector<uint32_t> shorter(origins.begin(), origins.end() - 5);
+    const std::vector<uint32_t> foreign(
+        origins.size(), static_cast<uint32_t>(manifest.num_refs));
+    const std::vector<Corruption> corruptions = {
+        {"wrapping cluster id", "assignments.u32",
+         with(assignments, 0, 0xFFFFFFFFu), cmdReconstruct},
+        {"huge cluster id", "assignments.u32",
+         with(assignments, 0, 0x7FFFFFFFu), cmdReconstruct},
+        {"origins shorter than assignments", "origins.u32", shorter,
+         cmdReconstruct},
+        {"assignments longer than the pool", "assignments.u32", longer,
+         cmdReconstruct},
+        {"origin past the references", "origins.u32", foreign,
+         cmdReconstruct},
+        {"representative id out of range", "assignments.u32",
+         with(assignments, 0, 0xFFFFFFu), cmdCluster},
+    };
+    for (const Corruption &c : corruptions) {
+        std::filesystem::remove_all(bad);
+        std::filesystem::copy(base, bad);
+        ASSERT_TRUE(writeU32File(bad + "/" + c.file, c.values));
+        EXPECT_THROW(c.command(makeArgs({"--checkpoint-dir", bad})),
+                     FatalError)
+            << c.what;
+    }
+
+    // The intact checkpoint still resumes and reconstructs.
+    EXPECT_EQ(cmdCluster(makeArgs({"cluster", "--checkpoint-dir", base})),
+              0);
+    EXPECT_EQ(cmdReconstruct(
+                  makeArgs({"reconstruct", "--checkpoint-dir", base})),
+              0);
+    std::filesystem::remove_all(base);
+    std::filesystem::remove_all(bad);
 }
 
 TEST_F(CliCommands, ReconstructUnknownAlgoIsFatal)

@@ -3,15 +3,16 @@
  * Tests of the deterministic parallel execution layer: coverage and
  * ordering guarantees of parallelFor/parallelTransform, exception
  * propagation, nested-region safety, and the end-to-end determinism
- * contract — simulate, reconstruct, clusterReads and the re-clustered
- * archival roundtrip must produce byte-identical output at every
- * thread count.
+ * contract — simulate, reconstruct, clusterReads, archival store and
+ * retrieve, and the re-clustered archival roundtrip must produce
+ * byte-identical output at every thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/accuracy.hh"
@@ -352,6 +353,83 @@ TEST(Determinism, ReclusteredRoundTripIsIdenticalAcrossThreadCounts)
         EXPECT_EQ(r.stats.frames_recovered,
                   serial.stats.frames_recovered);
         EXPECT_EQ(r.stats.stripes_failed, serial.stats.stripes_failed);
+    }
+}
+
+/** Every field of a retrieval, for exact comparison. */
+std::string
+retrievalDigest(const RetrievedObject &r)
+{
+    const RetrievalStats &s = r.stats;
+    std::string out(r.data.begin(), r.data.end());
+    for (size_t v : {size_t{r.success}, s.clusters, s.erasure_clusters,
+                     s.undecodable_strands, s.crc_failures,
+                     s.frames_recovered, s.stripes_failed}) {
+        out += '|';
+        out += std::to_string(v);
+    }
+    return out;
+}
+
+TEST(Determinism, PipelineStoreAndRetrieveAreIdenticalAcrossThreadCounts)
+{
+    // 3000 bytes are 167 frames of 18: stripes of 32 leave a partial
+    // last stripe of 7.
+    Bytes file(3000);
+    Rng make(0x5702e);
+    for (auto &byte : file)
+        byte = static_cast<uint8_t>(make.index(256));
+
+    for (size_t parity : {size_t{0}, size_t{1}, size_t{8}}) {
+        PipelineConfig config;
+        config.rs_parity = parity;
+        ArchivalPipeline pipeline(config);
+        std::vector<Strand> serial;
+        {
+            ThreadGuard guard(1);
+            serial = pipeline.store(file).strands;
+        }
+        ASSERT_EQ(serial.size(), 167 + 6 * parity);
+        for (size_t threads : {size_t{2}, size_t{8}}) {
+            ThreadGuard guard(threads);
+            EXPECT_EQ(pipeline.store(file).strands, serial)
+                << "rs_parity " << parity << " at " << threads
+                << " threads";
+        }
+    }
+
+    // Pseudo-clustered retrieval through every outcome: erased
+    // clusters, codec and CRC rejects, frames RS rebuilds and
+    // stripes beyond its budget.
+    ArchivalPipeline pipeline;
+    IdsChannelModel model = IdsChannelModel::naive(
+        ErrorProfile::uniform(0.02, pipeline.strandLength()));
+    NegativeBinomialCoverage coverage(8.0, 2.0, 0, 0.05);
+    BmaLookahead bma;
+    Iterative iterative;
+    for (const Reconstructor *algo :
+         {static_cast<const Reconstructor *>(&bma),
+          static_cast<const Reconstructor *>(&iterative)}) {
+        auto run = [&] {
+            Rng rng(0xe7a5);
+            return pipeline.roundTrip(file, model, coverage, *algo, rng);
+        };
+        RetrievedObject serial;
+        {
+            ThreadGuard guard(1);
+            serial = run();
+        }
+        const RetrievalStats &s = serial.stats;
+        EXPECT_GT(s.erasure_clusters, 0u) << algo->name();
+        EXPECT_GT(s.undecodable_strands, 0u) << algo->name();
+        EXPECT_GT(s.crc_failures, 0u) << algo->name();
+        EXPECT_GT(s.frames_recovered, 0u) << algo->name();
+        EXPECT_GT(s.stripes_failed, 0u) << algo->name();
+        for (size_t threads : {size_t{2}, size_t{8}}) {
+            ThreadGuard guard(threads);
+            EXPECT_EQ(retrievalDigest(run()), retrievalDigest(serial))
+                << algo->name() << " at " << threads << " threads";
+        }
     }
 }
 

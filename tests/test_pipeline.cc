@@ -16,6 +16,7 @@
 #include "core/coverage.hh"
 #include "core/ids_model.hh"
 #include "obs/stats.hh"
+#include "par/thread_pool.hh"
 #include "pipeline/archival_pipeline.hh"
 #include "reconstruct/iterative.hh"
 #include "reconstruct/majority.hh"
@@ -294,6 +295,50 @@ TEST(Pipeline, NoRedundancyCannotRecover)
         pipeline.retrieve(clusters, algo, object, rng);
     EXPECT_FALSE(result.success);
     EXPECT_EQ(result.stats.stripes_failed, 0u);
+}
+
+TEST(Pipeline, DuplicateFrameIndexFirstClusterWins)
+{
+    // A CRC-valid strand for frame 0 with another payload: retrieve()
+    // keeps whichever of the two clusters comes first, at any thread
+    // count.
+    PipelineConfig config;
+    config.rs_parity = 0;
+    ArchivalPipeline pipeline(config);
+    const Bytes file = loremBytes(100); // 6 frames
+    const StoredObject object = pipeline.store(file);
+    const Dataset genuine = cleanReadout(object, {});
+
+    FrameCodec frames(config.payload_bytes, config.index_bytes);
+    Frame forged_frame{0, Bytes(config.payload_bytes, 'X')};
+    Cluster forged;
+    forged.reference =
+        RotatingCodec().encode(frames.pack(forged_frame));
+    forged.copies.assign(2, forged.reference);
+    Bytes forged_file = file;
+    std::fill_n(forged_file.begin(), config.payload_bytes, 'X');
+
+    Dataset forged_first;
+    forged_first.add(forged);
+    for (const Cluster &c : genuine)
+        forged_first.add(c);
+    Dataset forged_last = genuine;
+    forged_last.add(forged);
+
+    MajorityVote algo;
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+        par::setThreads(threads);
+        Rng rng(171);
+        const RetrievedObject first =
+            pipeline.retrieve(forged_first, algo, object, rng);
+        EXPECT_TRUE(first.success) << threads << " threads";
+        EXPECT_EQ(first.data, forged_file) << threads << " threads";
+        const RetrievedObject last =
+            pipeline.retrieve(forged_last, algo, object, rng);
+        EXPECT_TRUE(last.success) << threads << " threads";
+        EXPECT_EQ(last.data, file) << threads << " threads";
+    }
+    par::setThreads(0);
 }
 
 TEST(Pipeline, StagedReclusteredRunEqualsRoundTrip)
