@@ -1,7 +1,8 @@
 /**
  * @file
- * Microbenchmarks of the channel: transmission throughput per model
- * variant, wetlab generation, and profile calibration.
+ * Microbenchmarks of the channel: the Rng draws it makes per base and
+ * per cluster, transmission throughput per model variant, wetlab
+ * generation, and profile calibration.
  */
 
 #include <benchmark/benchmark.h>
@@ -40,17 +41,41 @@ profile()
 }
 
 void
-transmitLoop(benchmark::State &state, const ErrorModel &model)
+transmitLoop(benchmark::State &state, const ErrorModel &model,
+             size_t len = 110)
 {
     Rng rng = benchRng(0x77);
     StrandFactory factory;
-    Strand ref = factory.make(110, rng);
+    Strand ref = factory.make(len, rng);
     size_t bases = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(model.transmit(ref, rng));
         bases += ref.size();
     }
     state.SetItemsProcessed(static_cast<int64_t>(bases));
+}
+
+/** One uniform() draw: the channel makes one or two per base. */
+void
+BM_RngUniform(benchmark::State &state)
+{
+    Rng rng = benchRng(0x7b);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.uniform());
+    state.SetItemsProcessed(state.iterations());
+}
+
+/** A per-cluster stream: fork (a full engine seeding) + first draw. */
+void
+BM_RngFork(benchmark::State &state)
+{
+    const Rng rng = benchRng(0x7c);
+    uint64_t salt = 0;
+    for (auto _ : state) {
+        Rng child = rng.fork(salt++);
+        benchmark::DoNotOptimize(child.uniform());
+    }
+    state.SetItemsProcessed(state.iterations());
 }
 
 void
@@ -72,6 +97,18 @@ BM_TransmitSecondOrder(benchmark::State &state)
 {
     IdsChannelModel model = IdsChannelModel::secondOrder(profile());
     transmitLoop(state, model);
+}
+
+/**
+ * The archival roundtrip's channel: every feature, homopolymer
+ * context included, on design-length strands.
+ */
+void
+BM_TransmitFull(benchmark::State &state)
+{
+    IdsChannelModel model = IdsChannelModel::full(
+        NanoporeDatasetGenerator::groundTruthProfile(130, 0.04));
+    transmitLoop(state, model, 130);
 }
 
 void
@@ -138,9 +175,12 @@ BM_Calibrate(benchmark::State &state)
 
 } // anonymous namespace
 
+BENCHMARK(BM_RngUniform);
+BENCHMARK(BM_RngFork);
 BENCHMARK(BM_TransmitNaive);
 BENCHMARK(BM_TransmitConditional);
 BENCHMARK(BM_TransmitSecondOrder);
+BENCHMARK(BM_TransmitFull);
 BENCHMARK(BM_TransmitDnaSimulator);
 BENCHMARK(BM_SimulateCluster)->Arg(5)->Arg(27);
 BENCHMARK(BM_SimulateDataset)->Arg(500)->Arg(2000)

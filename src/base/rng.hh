@@ -13,6 +13,7 @@
 #define DNASIM_BASE_RNG_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <random>
@@ -25,8 +26,77 @@ namespace dnasim
 {
 
 /**
- * A seeded pseudo-random source wrapping std::mt19937_64 with the
- * sampling helpers the simulator needs.
+ * The 64-bit Mersenne Twister: word for word the sequence of
+ * std::mt19937_64 for every seed, with the same seeding recurrence,
+ * twist and tempering. The twist selects its matrix term with a mask
+ * where libstdc++ branches on each state word's low bit, a branch
+ * that mispredicts about half the time. A UniformRandomBitGenerator
+ * with the standard engine's range, so the std distributions read
+ * the same words from it and return the same values.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = uint64_t;
+
+    explicit Mt19937_64(uint64_t seed)
+    {
+        x_[0] = seed;
+        for (size_t i = 1; i < kN; ++i) {
+            const uint64_t prev = x_[i - 1];
+            x_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+        }
+    }
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~uint64_t{0}; }
+
+    result_type
+    operator()()
+    {
+        if (p_ >= kN)
+            twist();
+        uint64_t z = x_[p_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+    /** Same state and position, as std::mt19937_64's operator==. */
+    bool operator==(const Mt19937_64 &) const = default;
+
+  private:
+    static constexpr size_t kN = 312;
+    static constexpr size_t kM = 156;
+
+    /** Twist one state word from its successor and its m-distant word. */
+    static uint64_t
+    twisted(uint64_t word, uint64_t next, uint64_t far)
+    {
+        constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+        const uint64_t y = (word & kUpper) | (next & ~kUpper);
+        return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xb5026f5aa96619e9ULL);
+    }
+
+    void
+    twist()
+    {
+        for (size_t k = 0; k < kN - kM; ++k)
+            x_[k] = twisted(x_[k], x_[k + 1], x_[k + kM]);
+        for (size_t k = kN - kM; k < kN - 1; ++k)
+            x_[k] = twisted(x_[k], x_[k + 1], x_[k + kM - kN]);
+        x_[kN - 1] = twisted(x_[kN - 1], x_[0], x_[kM - 1]);
+        p_ = 0;
+    }
+
+    std::array<uint64_t, kN> x_{};
+    size_t p_ = kN; ///< next word to temper; kN = twist first
+};
+
+/**
+ * A seeded pseudo-random source over Mt19937_64 with the sampling
+ * helpers the simulator needs.
  */
 class Rng
 {
@@ -56,19 +126,42 @@ class Rng
         return Rng(mix(seed_, salt));
     }
 
-    /** Uniform real in [0, 1). */
-    double
-    uniform()
+    /**
+     * The real in [0, 1) that std::generate_canonical<double, 53>
+     * makes of the 64-bit engine word @p word: double(word) / 2^64,
+     * clamped below 1. GCC converts a uint64_t to double with a
+     * branch on its sign bit; here the two 32-bit halves convert
+     * exactly, so their sum is the one correctly rounded operation,
+     * and the scaling by a power of two is exact. Fusing the
+     * multiply-add changes nothing either: the product is exact.
+     */
+    static double
+    unitFromWord(uint64_t word)
     {
-        return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+        const double v =
+            (static_cast<double>(static_cast<uint32_t>(word >> 32)) *
+                 0x1p32 +
+             static_cast<double>(static_cast<uint32_t>(word))) *
+            0x1p-64;
+        // The largest double below 1; every v < 1 is at most this.
+        return std::min(v, 0x1.fffffffffffffp-1);
     }
 
-    /** Uniform real in [lo, hi). */
+    /**
+     * Uniform real in [0, 1): exactly
+     * std::uniform_real_distribution<double>(0, 1) on engine().
+     */
+    double uniform() { return unitFromWord(engine_()); }
+
+    /**
+     * Uniform real in [lo, hi): libstdc++'s
+     * uniform_real_distribution formula.
+     */
     double
     uniform(double lo, double hi)
     {
         DNASIM_ASSERT(lo <= hi, "bad uniform bounds");
-        return std::uniform_real_distribution<double>(lo, hi)(engine_);
+        return uniform() * (hi - lo) + lo;
     }
 
     /** Uniform integer in [lo, hi] inclusive. */
@@ -186,7 +279,7 @@ class Rng
     }
 
     /** Access the raw engine for std distributions not wrapped here. */
-    std::mt19937_64 &engine() { return engine_; }
+    Mt19937_64 &engine() { return engine_; }
 
   private:
     /** splitmix64-based seed mixing. */
@@ -199,7 +292,7 @@ class Rng
         return z ^ (z >> 31);
     }
 
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
     uint64_t seed_;
 };
 

@@ -75,6 +75,11 @@ struct ErrorProfile
     /// calibrated on (the spatial profiles' natural length).
     size_t design_length = 0;
 
+    /// Largest design_length a profile file may declare. The channel
+    /// keeps one rate row per design position, so this bounds that
+    /// table at 8 MiB per model.
+    static constexpr size_t kMaxDesignLength = 65536;
+
     /// @{ Aggregate per-reference-base rates. p_del counts every
     /// deleted base, including those inside long-deletion runs.
     double p_sub = 0.0;

@@ -131,6 +131,18 @@ IdsChannelModel::IdsChannelModel(ErrorProfile profile,
         residual_ins_[b] =
             std::max(0.0, profile_.p_ins_given[b] - so_ins_mass);
     }
+
+    // Design-length strands read their rates from this table instead
+    // of re-deriving every spatial and second-order multiplier per
+    // base per copy. ratesAt fills it, so the two cannot disagree.
+    const size_t len = profile_.design_length;
+    if (len <= ErrorProfile::kMaxDesignLength) {
+        rate_table_.resize(len);
+        for (size_t i = 0; i < len; ++i) {
+            for (size_t b = 0; b < kNumBases; ++b)
+                rate_table_[i][b] = ratesAt(kBaseChars[b], i, len);
+        }
+    }
 }
 
 IdsChannelModel
@@ -386,10 +398,12 @@ IdsChannelModel::transmitScaled(const Strand &ref, double rate_scale,
         ctx_out = 1.0 / norm;
     }
 
+    const bool tabled = len == rate_table_.size();
     size_t i = 0;
     while (i < len) {
         const char base = ref[i];
-        Rates r = ratesAt(base, i, len);
+        Rates r = tabled ? rate_table_[i][baseIndex(base)]
+                         : ratesAt(base, i, len);
         if (use_ctx) {
             double ctx = in_run[i] ? ctx_in : ctx_out;
             r.sub *= ctx;

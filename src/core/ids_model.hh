@@ -151,6 +151,12 @@ class IdsChannelModel : public ErrorModel
     std::array<double, kNumBases> residual_sub_{};
     std::array<double, kNumBases> residual_del_{};
     std::array<double, kNumBases> residual_ins_{};
+
+    // ratesAt(base, i, design_length) for every design position i,
+    // indexed [i][baseIndex(base)]; empty when design_length is 0 or
+    // above ErrorProfile::kMaxDesignLength. Strands of any other
+    // length call ratesAt per base.
+    std::vector<std::array<Rates, kNumBases>> rate_table_;
 };
 
 } // namespace dnasim

@@ -1,8 +1,11 @@
 #include "core/profile_io.hh"
 
+#include <cctype>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 
 #include "base/logging.hh"
 
@@ -32,18 +35,57 @@ writeSpatial(std::ostream &os, const char *key,
     os << '\n';
 }
 
+/** Whitespace-separated tokens not yet read from @p line. */
+size_t
+tokensLeft(std::istringstream &line)
+{
+    const std::streamsize unread = line.rdbuf()->in_avail();
+    if (unread <= 0)
+        return 0;
+    const std::string_view text = line.view();
+    size_t tokens = 0;
+    bool in_token = false;
+    for (size_t i = text.size() - static_cast<size_t>(unread);
+         i < text.size(); ++i) {
+        const bool space =
+            std::isspace(static_cast<unsigned char>(text[i])) != 0;
+        if (!space && !in_token)
+            ++tokens;
+        in_token = !space;
+    }
+    return tokens;
+}
+
 std::vector<double>
 readVector(std::istringstream &line, const char *what)
 {
     size_t n = 0;
     if (!(line >> n))
         DNASIM_FATAL("profile: missing length for ", what);
+    // The length is untrusted: it may not size an allocation beyond
+    // what the line itself holds.
+    const size_t present = tokensLeft(line);
+    if (n > present) {
+        DNASIM_FATAL("profile: ", what, " declares ", n,
+                     " values but its line holds ", present);
+    }
     std::vector<double> xs(n);
     for (size_t i = 0; i < n; ++i) {
         if (!(line >> xs[i]))
             DNASIM_FATAL("profile: truncated vector for ", what);
+        if (!(xs[i] >= 0.0 && std::isfinite(xs[i])))
+            DNASIM_FATAL("profile: bad ", what, " value ", xs[i]);
     }
     return xs;
+}
+
+/** Reject a probability outside [0, 1], NaN included. */
+void
+checkProbability(const char *key, double p)
+{
+    if (!(p >= 0.0 && p <= 1.0))
+        DNASIM_FATAL("profile: ", key, " probability ", p,
+                     " is outside [0, 1]");
 }
 
 PositionProfile
@@ -160,25 +202,41 @@ readProfile(std::istream &is)
         }
         if (key == "design_length") {
             in >> p.design_length;
+            if (p.design_length == 0 ||
+                p.design_length > ErrorProfile::kMaxDesignLength) {
+                DNASIM_FATAL("profile: design_length ", p.design_length,
+                             " is outside [1, ",
+                             ErrorProfile::kMaxDesignLength, "]");
+            }
         } else if (key == "aggregate") {
             in >> p.p_sub >> p.p_ins >> p.p_del;
+            for (double x : {p.p_sub, p.p_ins, p.p_del})
+                checkProbability("aggregate", x);
         } else if (key == "conditional") {
             for (size_t b = 0; b < kNumBases; ++b) {
                 in >> p.p_sub_given[b] >> p.p_ins_given[b] >>
                     p.p_del_given[b];
+                for (double x : {p.p_sub_given[b], p.p_ins_given[b],
+                                 p.p_del_given[b]})
+                    checkProbability("conditional", x);
             }
         } else if (key == "confusion") {
             char base = 0;
             in >> base;
             if (!isBaseChar(base))
                 DNASIM_FATAL("profile: bad confusion base");
-            for (size_t r = 0; r < kNumBases; ++r)
-                in >> p.confusion[baseIndex(base)][r];
+            for (double &x : p.confusion[baseIndex(base)]) {
+                in >> x;
+                checkProbability("confusion", x);
+            }
         } else if (key == "insert_base") {
-            for (size_t b = 0; b < kNumBases; ++b)
-                in >> p.insert_base[b];
+            for (double &x : p.insert_base) {
+                in >> x;
+                checkProbability("insert_base", x);
+            }
         } else if (key == "long_del") {
             in >> p.p_long_del;
+            checkProbability("long_del", p.p_long_del);
             p.long_del_len_weights = readVector(in, "long_del");
         } else if (key == "homopolymer_mult") {
             in >> p.homopolymer_mult;
@@ -190,6 +248,7 @@ readProfile(std::istream &is)
             char base = 0, repl = 0;
             SecondOrderSpec spec;
             in >> tag >> base >> repl >> spec.rate >> spec.count;
+            checkProbability("second_order", spec.rate);
             spec.key.type = opTypeFromTag(tag);
             if (!isBaseChar(base))
                 DNASIM_FATAL("profile: bad second-order base");

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
 #include <set>
 
 #include "base/dna.hh"
@@ -265,6 +267,124 @@ TEST(Rng, ShuffleIsPermutation)
     rng.shuffle(v);
     std::sort(v.begin(), v.end());
     EXPECT_EQ(v, sorted);
+}
+
+/**
+ * 64 seeds for the engine checks: the edge seeds, the default seed,
+ * and splitmix-mixed fork seeds.
+ */
+std::vector<uint64_t>
+engineSeeds()
+{
+    std::vector<uint64_t> seeds = {0, 1, ~uint64_t{0},
+                                   0x5eed'da7a'5eed'da7aULL};
+    const Rng parent(0xc0ffee);
+    for (uint64_t salt = 0; seeds.size() < 64; ++salt)
+        seeds.push_back(parent.fork(salt).seed());
+    return seeds;
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    // std::mt19937_64 is the reference the in-house engine must
+    // reproduce word for word: over three twists, from each seed and
+    // from a fork child of each.
+    constexpr size_t kWords = 3 * 312 + 17;
+    for (uint64_t seed : engineSeeds()) {
+        Mt19937_64 engine(seed);
+        std::mt19937_64 reference(seed);
+        for (size_t i = 0; i < kWords; ++i)
+            ASSERT_EQ(engine(), reference())
+                << "seed " << seed << ", word " << i;
+
+        Rng child = Rng(seed).fork(seed ^ 0x5a17);
+        std::mt19937_64 child_reference(child.seed());
+        for (size_t i = 0; i < kWords; ++i)
+            ASSERT_EQ(child.engine()(), child_reference())
+                << "fork of seed " << seed << ", word " << i;
+    }
+}
+
+TEST(Rng, UniformMatchesStdUniformRealDistribution)
+{
+    Rng rng(0x0123);
+    std::mt19937_64 reference(0x0123);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_real_distribution<double> wide(-3.5, 7.25);
+    size_t mismatches = 0;
+    for (size_t i = 0; i < 1'000'000; ++i) {
+        mismatches += std::bit_cast<uint64_t>(rng.uniform()) !=
+                      std::bit_cast<uint64_t>(unit(reference));
+    }
+    for (size_t i = 0; i < 100'000; ++i) {
+        mismatches += std::bit_cast<uint64_t>(rng.uniform(-3.5, 7.25)) !=
+                      std::bit_cast<uint64_t>(wide(reference));
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+/** A UniformRandomBitGenerator that returns one fixed word. */
+struct FixedWord
+{
+    using result_type = uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~uint64_t{0}; }
+    result_type operator()() { return word; }
+    uint64_t word = 0;
+};
+
+/** True when unitFromWord(w) is bit-identical to libstdc++'s. */
+bool
+unitMatchesCanonical(uint64_t word)
+{
+    FixedWord engine{word};
+    const double reference =
+        std::generate_canonical<double, 53>(engine);
+    return std::bit_cast<uint64_t>(Rng::unitFromWord(word)) ==
+           std::bit_cast<uint64_t>(reference);
+}
+
+TEST(Rng, UnitFromWordMatchesGenerateCanonical)
+{
+    // Rounding boundaries: the words that round up to 1 (clamped),
+    // the last ones that stay below it, ties at the top of the
+    // range, 2^63 (the sign bit GCC's conversion branches on), and
+    // the edges of exactly representable 2^53.
+    constexpr uint64_t kAll = ~uint64_t{0};
+    for (uint64_t word :
+         {kAll, kAll - 1023, kAll - 1024, kAll - 2047, kAll - 2048,
+          uint64_t{1} << 63, (uint64_t{1} << 53) - 1,
+          (uint64_t{1} << 53) + 1, uint64_t{0}, uint64_t{1}}) {
+        EXPECT_TRUE(unitMatchesCanonical(word)) << word;
+    }
+    EXPECT_EQ(Rng::unitFromWord(kAll), 0x1.fffffffffffffp-1);
+
+    // Random words at every magnitude.
+    std::mt19937_64 words(0xca11);
+    size_t mismatches = 0;
+    for (unsigned shift = 0; shift < 64; ++shift) {
+        for (size_t i = 0; i < 100'000; ++i)
+            mismatches += !unitMatchesCanonical(words() >> shift);
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Rng, EngineEqualityTracksDrawCounts)
+{
+    Rng a(9), b(9);
+    EXPECT_TRUE(a.engine() == b.engine());
+    a.uniform();
+    EXPECT_FALSE(a.engine() == b.engine());
+    b.uniform();
+    EXPECT_TRUE(a.engine() == b.engine());
+    // Across a twist: equal after equal counts, unequal otherwise.
+    for (int i = 0; i < 400; ++i)
+        a.uniform();
+    EXPECT_FALSE(a.engine() == b.engine());
+    for (int i = 0; i < 400; ++i)
+        b.uniform();
+    EXPECT_TRUE(a.engine() == b.engine());
+    EXPECT_FALSE(a.engine() == Rng(10).engine());
 }
 
 TEST(Logging, FatalThrows)

@@ -247,6 +247,75 @@ TEST_F(CliCommands, SimulateReusesCalibratedErrorProfile)
     EXPECT_EQ(cmdSimulate(legacy), 0);
 }
 
+TEST_F(CliCommands, SimulateRejectsHugeDesignLengthProfile)
+{
+    // The channel sizes a rate table by the profile's design_length,
+    // so a hostile value must fail the read, not the allocation.
+    std::string dataset = tmpPath("huge_in.evyat");
+    std::string profile = tmpPath("huge_profile.txt");
+    std::string simulated = tmpPath("huge_out.evyat");
+    cleanup_.insert(cleanup_.end(), {dataset, profile, simulated});
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "5",
+                                    "--out", dataset, "--seed", "6"})),
+              0);
+    {
+        std::ofstream out(profile);
+        out << "dnasim-profile 1\ndesign_length 4000000000000\n"
+               "aggregate 0.01 0.01 0.01\nend\n";
+    }
+    EXPECT_THROW(cmdSimulate(makeArgs({"simulate", dataset,
+                                       "--error-profile", profile,
+                                       "--out", simulated})),
+                 FatalError);
+}
+
+TEST_F(CliCommands, LineageKeepsDataOutputsByteIdentical)
+{
+    // Recording ground-truth lineage must not change a data byte:
+    // simulate through the second-order channel and cluster, each
+    // with and without --lineage-out.
+    std::string dataset = tmpPath("lin.evyat");
+    std::string sim_plain = tmpPath("lin_sim.evyat");
+    std::string sim_logged = tmpPath("lin_sim_logged.evyat");
+    std::string sim_lineage = tmpPath("lin_simulate.jsonl");
+    std::string cl_plain = tmpPath("lin_cl.txt");
+    std::string cl_logged = tmpPath("lin_cl_logged.txt");
+    std::string cl_lineage = tmpPath("lin_cluster.jsonl");
+    cleanup_.insert(cleanup_.end(),
+                    {dataset, sim_plain, sim_logged, sim_lineage,
+                     cl_plain, cl_logged, cl_lineage});
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "150",
+                                    "--out", dataset, "--seed", "31"})),
+              0);
+
+    ASSERT_EQ(cmdSimulate(makeArgs({"simulate", dataset, "--model",
+                                    "second-order", "--seed", "33",
+                                    "--out", sim_plain})),
+              0);
+    ASSERT_EQ(cmdSimulate(makeArgs({"simulate", dataset, "--model",
+                                    "second-order", "--seed", "33",
+                                    "--out", sim_logged,
+                                    "--lineage-out", sim_lineage})),
+              0);
+    EXPECT_FALSE(readFileBytes(sim_plain).empty());
+    EXPECT_EQ(readFileBytes(sim_plain), readFileBytes(sim_logged));
+    EXPECT_FALSE(readFileBytes(sim_lineage).empty());
+
+    ASSERT_EQ(cmdCluster(makeArgs({"cluster", dataset,
+                                   "--distance-threshold", "22",
+                                   "--out", cl_plain})),
+              0);
+    ASSERT_EQ(cmdCluster(makeArgs({"cluster", dataset,
+                                   "--distance-threshold", "22",
+                                   "--out", cl_logged, "--lineage-out",
+                                   cl_lineage})),
+              0);
+    EXPECT_FALSE(readFileBytes(cl_plain).empty());
+    EXPECT_EQ(readFileBytes(cl_plain), readFileBytes(cl_logged));
+    EXPECT_FALSE(readFileBytes(cl_lineage).empty());
+}
+
 TEST_F(CliCommands, ZeroClusterDatasetSimulatesOnBothPaths)
 {
     std::string dataset = tmpPath("zero_src.evyat");

@@ -160,6 +160,89 @@ TEST(ProfileIo, RejectsUnknownKey)
     EXPECT_THROW(readProfile(in), FatalError);
 }
 
+/**
+ * A valid serialized profile with the line keyed @p key replaced by
+ * @p line (inserted before "end" when the profile has none).
+ */
+std::string
+profileWithLine(const std::string &key, const std::string &line)
+{
+    std::ostringstream out;
+    writeProfile(ErrorProfile::uniform(0.05, 80), out);
+    std::string text = out.str();
+    size_t at = text.find("\n" + key + " ");
+    if (at == std::string::npos) {
+        text.insert(text.rfind("end\n"), line + "\n");
+        return text;
+    }
+    ++at;
+    text.replace(at, text.find('\n', at) - at, line);
+    return text;
+}
+
+void
+expectRejected(const std::string &key, const std::string &line)
+{
+    std::istringstream in(profileWithLine(key, line));
+    EXPECT_THROW(readProfile(in), FatalError) << line;
+}
+
+TEST(ProfileIo, RejectsOutOfRangeDesignLength)
+{
+    // The channel sizes a per-position rate table by design_length.
+    expectRejected("design_length", "design_length 0");
+    expectRejected("design_length",
+                   "design_length " +
+                       std::to_string(ErrorProfile::kMaxDesignLength + 1));
+    expectRejected("design_length", "design_length 18446744073709551615");
+
+    std::istringstream largest(profileWithLine(
+        "design_length",
+        "design_length " +
+            std::to_string(ErrorProfile::kMaxDesignLength)));
+    EXPECT_EQ(readProfile(largest).design_length,
+              ErrorProfile::kMaxDesignLength);
+}
+
+TEST(ProfileIo, RejectsVectorLengthBeyondItsLine)
+{
+    // Used to allocate 4e12 doubles and throw std::bad_alloc.
+    expectRejected("long_del", "long_del 0.1 4000000000000");
+    expectRejected("long_del", "long_del 0.1 3 84 13");
+    expectRejected("spatial", "spatial 1000000000000000000 1");
+
+    std::istringstream exact(
+        profileWithLine("long_del", "long_del 0.001 3 84 13 3"));
+    EXPECT_EQ(readProfile(exact).long_del_len_weights.size(), 3u);
+}
+
+TEST(ProfileIo, RejectsProbabilitiesOutsideUnitInterval)
+{
+    // "aggregate 0.5 -3 7" used to be accepted and reported as an
+    // aggregate error of 0.00%.
+    expectRejected("aggregate", "aggregate 0.5 -3 7");
+    expectRejected("aggregate", "aggregate 0.01 0.01 1.5");
+    expectRejected("conditional",
+                   "conditional 0.01 0.01 0.01 0.01 0.01 0.01 0.01 -0.01 "
+                   "0.01 0.01 0.01 0.01");
+    expectRejected("conditional",
+                   "conditional 0.01 0.01 0.01 0.01 2 0.01 0.01 0.01 "
+                   "0.01 0.01 0.01 0.01");
+    expectRejected("long_del", "long_del -0.1 0");
+    expectRejected("long_del", "long_del 1.5 0");
+    expectRejected("second_order", "second_order sub A C 2.5 10 0");
+    expectRejected("second_order", "second_order del G - -0.2 10 0");
+    expectRejected("confusion", "confusion A 0 -0.2 0.6 0.6");
+    expectRejected("insert_base", "insert_base 0.25 0.25 0.25 7");
+}
+
+TEST(ProfileIo, RejectsNegativeVectorValues)
+{
+    expectRejected("spatial", "spatial 3 -1 0 0");
+    expectRejected("long_del", "long_del 0.001 2 84 -13");
+    expectRejected("second_order", "second_order ins T - 0.01 4 2 1 -1");
+}
+
 TEST(ProfileIo, IgnoresCommentsAndBlanks)
 {
     ErrorProfile original = ErrorProfile::uniform(0.05, 80);
