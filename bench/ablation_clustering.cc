@@ -30,28 +30,18 @@ main(int argc, char **argv)
     AccuracyResult perfect =
         evaluateAccuracy(env.wetlab, iterative, r1);
 
-    // Imperfect clustering: pool, shuffle, re-cluster, reconstruct —
-    // once per candidate-generation backend.
+    // Imperfect clustering: pool, shuffle, re-cluster, reconstruct.
     ClusterOptions options;
     options.distance_threshold = 20;
-    options.index = ClusterIndexKind::Greedy;
     Rng r2 = env.rng(0xe2);
-    ClusteredAccuracy greedy = evaluateWithClustering(
-        env.wetlab, options, iterative, r2);
-
-    options.index = ClusterIndexKind::Sketch;
-    Rng r3 = env.rng(0xe2);
     ClusteredAccuracy sketch = evaluateWithClustering(
-        env.wetlab, options, iterative, r3);
+        env.wetlab, options, iterative, r2);
 
     TextTable table("Iterative per-strand accuracy, full coverage");
     table.setHeader({"clustering", "clusters", "per-strand %"});
     table.addRow({"perfect (pseudo)",
                   std::to_string(perfect.num_clusters),
                   fmtPercent(perfect.perStrand())});
-    table.addRow({"greedy re-clustering",
-                  std::to_string(greedy.num_clusters),
-                  fmtPercent(greedy.perStrand())});
     table.addRow({"sketch re-clustering",
                   std::to_string(sketch.num_clusters),
                   fmtPercent(sketch.perStrand())});

@@ -38,11 +38,9 @@ makeBenchEnv(int argc, char **argv, size_t default_clusters)
     if (const char *from_env = std::getenv("DNASIM_BENCH_CLUSTERS"))
         default_clusters =
             static_cast<size_t>(std::strtoull(from_env, nullptr, 10));
-    env.clusters = static_cast<size_t>(
-        args.getInt("clusters",
-                    static_cast<int64_t>(default_clusters)));
+    env.clusters = args.getCount("clusters", default_clusters, 1);
     env.seed = args.getSeed("seed", 0xbe9c);
-    par::setThreads(static_cast<size_t>(args.getInt("threads", 0)));
+    par::setThreads(args.getCount("threads", 0, 0, par::kMaxThreads));
     const std::string simd = args.get("simd", "auto");
     if (!applySimdOverride(simd.empty() ? "auto" : simd)) {
         DNASIM_FATAL("--simd must be auto, scalar, avx2 or avx512, "

@@ -32,7 +32,8 @@ struct BenchRow
     /// RSS high-water mark attributed to this row (bytes; 0 when
     /// unavailable). perf_main resets the kernel's VmHWM counter
     /// between rows, so each value bounds that row's own footprint —
-    /// the statistic tools/benchdiff gates memory regressions on.
+    /// the statistic `dnasim bench diff` reports memory regressions
+    /// on (advisory).
     uint64_t rss_high_water_bytes = 0;
 };
 

@@ -2,11 +2,11 @@
  * @file
  * Microbenchmarks of read clustering: shuffled read pools at
  * realistic sizes, exercising the anchor-bucket probing (transparent
- * string_view lookup) and the parallel candidate-distance probes,
- * plus large-N scaling rows pitting the greedy recency scan against
- * the MinHash sketch index (10k/50k/200k reads, purity recorded).
- * Results funnel into BENCH_perf_cluster.json; compare rows across
- * --threads values for the scaling curve.
+ * string_view lookup) and the batched candidate-distance probes,
+ * plus large-N scaling rows of the MinHash sketch index (10k/50k/200k
+ * reads, purity recorded). Results funnel into
+ * BENCH_perf_cluster.json; compare rows across --threads values for
+ * the scaling curve.
  */
 
 #include <cstdlib>
@@ -94,8 +94,8 @@ BM_ClusterReads(benchmark::State &state)
 void
 BM_ClusterReadsWideProbe(benchmark::State &state)
 {
-    // Stress the candidate-probe loop: longer probe lists cross the
-    // parallel-for threshold so the distance computations fan out.
+    // Stress the candidate-probe loop: a 64-candidate budget and a
+    // long anchor make deep probe lists, verified in batched chunks.
     const auto clusters = static_cast<size_t>(state.range(0));
     std::vector<Strand> pool = makePool(clusters, 8, 0xc2);
     ClusterOptions options;
@@ -110,28 +110,24 @@ BM_ClusterReadsWideProbe(benchmark::State &state)
 }
 
 /**
- * Large-N scaling of the two candidate-generation backends on the
- * same pools and the same options. The pools use a 3% error rate so
- * the default distance gate actually accepts same-origin reads, and
- * the probe budget is sized for large-N recall (max_probes=256: at
- * 25k clusters the default window of 24 covers 0.1% of the pool and
- * the recency tier finds essentially nothing). That budget is where
- * the asymmetry lives: greedy *spends* it — anchor-missing reads burn
- * the whole window on blind probes, so cost grows as reads x probes —
- * while the sketch tier proposes a handful of targeted band
- * collisions per read and never comes near the cap. The purity of
- * each clustering is recorded as a metric so the speedup rows double
- * as the quality-parity evidence (EXPERIMENTS.md scaling table).
+ * Large-N scaling of the sketch index. The pools use a 3% error rate
+ * so the default distance gate actually accepts same-origin reads,
+ * and the probe budget is sized for large-N recall (max_probes=256);
+ * the sketch tier proposes a handful of targeted band collisions per
+ * read and never comes near the cap. The purity of each clustering
+ * is recorded as a metric so the speed rows double as quality
+ * evidence (EXPERIMENTS.md scaling table). The rows keep the
+ * "sketch" name and metric tags they had when a greedy recency-scan
+ * row ran beside them, so they still pair with bench/baselines.
  */
 void
-BM_ClusterScaling(benchmark::State &state, ClusterIndexKind kind)
+BM_ClusterScaling(benchmark::State &state)
 {
     const auto clusters = static_cast<size_t>(state.range(0));
     std::vector<size_t> origins;
     std::vector<Strand> pool =
         makePool(clusters, 8, 0xc3, &origins, 0.03);
     ClusterOptions options;
-    options.index = kind;
     options.max_probes = 256;
     size_t reads = 0;
     double purity = 0.0;
@@ -148,9 +144,7 @@ BM_ClusterScaling(benchmark::State &state, ClusterIndexKind kind)
     state.SetItemsProcessed(static_cast<int64_t>(reads));
     state.counters["purity"] = purity;
     state.counters["clusters"] = found;
-    const std::string tag = std::string("_") +
-                            clusterIndexName(kind) + "_" +
-                            std::to_string(pool.size());
+    const std::string tag = "_sketch_" + std::to_string(pool.size());
     BenchReport::global().addMetric("purity" + tag, purity);
     BenchReport::global().addMetric("clusters" + tag, found);
 }
@@ -225,7 +219,6 @@ BM_ClusterScalingPool(benchmark::State &state)
     StrandPoolView view(pool);
 
     ClusterOptions options;
-    options.index = ClusterIndexKind::Sketch;
     options.max_probes = 256;
     size_t reads = 0;
     double purity = 0.0;
@@ -286,11 +279,6 @@ BENCHMARK(BM_ClusterReads)->Arg(100)->Arg(400)
 BENCHMARK(BM_ClusterReadsWideProbe)->Arg(200)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 // 1250/6250/25000 references at coverage 8 = 10k/50k/200k reads.
-BENCHMARK_CAPTURE(BM_ClusterScaling, greedy,
-                  ClusterIndexKind::Greedy)
-    ->Arg(1250)->Arg(6250)->Arg(25000)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(BM_ClusterScaling, sketch,
-                  ClusterIndexKind::Sketch)
+BENCHMARK(BM_ClusterScaling)->Name("BM_ClusterScaling/sketch")
     ->Arg(1250)->Arg(6250)->Arg(25000)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -135,8 +135,8 @@ struct LineageReport
 
     /// Clustering forensics (recluster mode only).
     std::vector<MisclusteredRead> misclustered;
-    std::array<uint64_t, 4> misclustered_by_tier{}; ///< by
-                                                    ///< AssignmentTier
+    /// Indexed by AssignmentTier.
+    std::array<uint64_t, kNumAssignmentTiers> misclustered_by_tier{};
     double purity = 1.0;
 
     uint64_t

@@ -74,6 +74,38 @@ Args::getDouble(const std::string &name, double fallback) const
     return value;
 }
 
+double
+Args::getDouble(const std::string &name, double fallback, double min,
+                double max, bool min_exclusive) const
+{
+    if (!has(name))
+        return fallback;
+    const double value = getDouble(name, fallback);
+    const bool above = min_exclusive ? value > min : value >= min;
+    if (!above || !(value < max)) {
+        DNASIM_FATAL("--", name, " must be in ", min_exclusive ? "(" : "[",
+                     min, ", ", max, "), got ", get(name));
+    }
+    return value;
+}
+
+size_t
+Args::getCount(const std::string &name, size_t fallback, size_t min,
+               size_t max) const
+{
+    if (!has(name))
+        return fallback;
+    const int64_t value = getInt(name, 0);
+    if (value < 0 || static_cast<uint64_t>(value) < min) {
+        DNASIM_FATAL("--", name, " must be an integer >= ", min,
+                     ", got ", get(name));
+    }
+    if (static_cast<uint64_t>(value) > max)
+        DNASIM_FATAL("--", name, " must be at most ", max, ", got ",
+                     get(name));
+    return static_cast<size_t>(value);
+}
+
 uint64_t
 Args::getSeed(const std::string &name, uint64_t fallback) const
 {

@@ -8,7 +8,9 @@
 #ifndef DNASIM_CLI_ARGS_HH
 #define DNASIM_CLI_ARGS_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,8 +45,30 @@ class Args
     /** Double value of --name, or @p fallback. */
     double getDouble(const std::string &name, double fallback) const;
 
+    /**
+     * Double value of --name, or @p fallback; fatal unless it lies in
+     * [@p min, @p max), or in (@p min, @p max) when @p min_exclusive.
+     */
+    double getDouble(const std::string &name, double fallback,
+                     double min, double max,
+                     bool min_exclusive = false) const;
+
+    /**
+     * Count value of --name, or @p fallback; fatal when the value is
+     * negative or outside [@p min, @p max].
+     */
+    size_t getCount(const std::string &name, size_t fallback,
+                    size_t min = 0,
+                    size_t max = std::numeric_limits<size_t>::max()) const;
+
     /** Unsigned 64-bit value (for seeds). */
     uint64_t getSeed(const std::string &name, uint64_t fallback) const;
+
+    /** Every --name given, with its value ("" when bare). */
+    const std::map<std::string, std::string> &options() const
+    {
+        return options_;
+    }
 
   private:
     std::vector<std::string> positional_;

@@ -6,13 +6,11 @@
  *   bench ingest <input>... [--ledger FILE]
  *       fold BENCH_*.json reports (files or directories) into the
  *       append-only JSONL ledger, deduplicating repeats
- *   bench diff <baseline> <candidate> [--threshold p] [--sigma k]
- *              [--mem-threshold p] [--mem-gate] [--json] [--out FILE]
+ *   bench diff <baseline> <candidate> [--out FILE]
  *       compare two run sets with the noise-aware verdict; exits 2
  *       when a benchmark regressed (the CI perf gate), 1 on a usage
- *       or I/O error. RSS high-water deltas are advisory unless
- *       --mem-gate. --out also writes the dnasim.benchdiff.v1 JSON
- *       report to FILE.
+ *       or I/O error. RSS high-water deltas are advisory. --out also
+ *       writes the dnasim.benchdiff.v1 JSON report to FILE.
  *   bench list [--ledger FILE]
  *       print the per-key trajectory summary of a ledger
  *
@@ -82,17 +80,9 @@ benchDiff(const Args &args)
     const auto &pos = args.positional();
     if (pos.size() != 4) {
         std::cerr << "usage: dnasim bench diff <baseline> "
-                     "<candidate> [--threshold p] [--sigma k] "
-                     "[--mem-threshold p] [--mem-gate] [--json] "
-                     "[--out FILE]\n";
+                     "<candidate> [--out FILE]\n";
         return 1;
     }
-    obs::DiffOptions options;
-    options.threshold = args.getDouble("threshold", options.threshold);
-    options.sigma = args.getDouble("sigma", options.sigma);
-    options.mem_threshold =
-        args.getDouble("mem-threshold", options.mem_threshold);
-    options.mem_gate = args.has("mem-gate");
 
     std::vector<std::string> errors;
     auto baseline = obs::loadBenchInput(pos[2], &errors);
@@ -107,16 +97,12 @@ benchDiff(const Args &args)
         return 1;
     }
 
-    obs::DiffReport report =
-        obs::diffBenchRuns(baseline, candidate, options);
-    if (args.has("json"))
-        std::cout << obs::diffToJson(report, options);
-    else
-        std::cout << obs::diffToText(report, options);
+    obs::DiffReport report = obs::diffBenchRuns(baseline, candidate);
+    std::cout << obs::diffToText(report);
     const std::string out_path = args.get("out");
     if (!out_path.empty()) {
         std::ofstream os(out_path);
-        os << obs::diffToJson(report, options);
+        os << obs::diffToJson(report);
         os.close();
         if (!os) {
             warn("bench: cannot write ", out_path);
@@ -161,8 +147,6 @@ cmdBench(const Args &args)
                  "into the ledger\n"
                  "  diff <baseline> <candidate>         noise-aware "
                  "perf comparison\n"
-                 "       [--threshold p] [--sigma k] "
-                 "[--mem-threshold p] [--mem-gate] [--json]\n"
                  "       [--out FILE]\n"
                  "  list [--ledger FILE]                trajectory "
                  "summary per run key\n";

@@ -41,6 +41,8 @@ cmdExplain(const Args &args)
             "[--coverage N] [--recluster] [--json] [--buckets B] "
             "[--lineage-out lineage.jsonl]");
     }
+    const size_t coverage = args.getCount("coverage", 0);
+    const size_t buckets = args.getCount("buckets", 11, 1);
     Dataset real = readEvyatFile(args.positional()[1]);
     ErrorProfile profile = errorProfileFromArgs(args, real);
     auto model = makeModel(args.get("model", "second-order"),
@@ -53,8 +55,6 @@ cmdExplain(const Args &args)
     ChannelSimulator sim(*model);
     LineageLog lineage;
     Dataset simulated;
-    const auto coverage =
-        static_cast<size_t>(args.getInt("coverage", 0));
     if (coverage > 0) {
         simulated = sim.simulate(real.references(),
                                  FixedCoverage(coverage), rng, &lineage);
@@ -69,8 +69,7 @@ cmdExplain(const Args &args)
     LineageInputs inputs;
     inputs.truth = &simulated;
     inputs.lineage = &lineage;
-    inputs.heatmap_buckets =
-        static_cast<size_t>(args.getInt("buckets", 11));
+    inputs.heatmap_buckets = buckets;
 
     // Recluster-mode storage must outlive the attribution call.
     ReclusteredPool reclustered;

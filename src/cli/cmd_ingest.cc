@@ -54,8 +54,7 @@ cmdIngest(const Args &args)
     options.format = parseIngestFormat(args.get("format", "auto"));
     if (options.format == IngestFormat::Auto)
         options.format = sniffIngestFormat(input);
-    options.max_reads =
-        static_cast<size_t>(args.getInt("max-reads", 0));
+    options.max_reads = args.getCount("max-reads", 0);
 
     // A checkpoint directory stands in for a completed simulate
     // stage: the packed reads (and, for clustered input, the

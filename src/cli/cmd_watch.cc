@@ -184,8 +184,7 @@ cmdWatch(const Args &args)
     }
     const std::string &path = args.positional()[1];
     const bool follow = args.has("follow");
-    const auto interval_ms =
-        static_cast<uint64_t>(args.getInt("interval", 500));
+    const uint64_t interval_ms = args.getCount("interval", 500, 1);
 
     std::ifstream in(path, std::ios::binary);
     if (!in)

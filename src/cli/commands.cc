@@ -5,13 +5,17 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
+#include <sstream>
 
 #include "analysis/accuracy.hh"
 #include "analysis/error_positions.hh"
 #include "analysis/lineage.hh"
 #include "analysis/second_order.hh"
 #include "base/logging.hh"
+#include "base/packed.hh"
 #include "base/strand_pool.hh"
 #include "base/table.hh"
 #include "cluster/greedy_cluster.hh"
@@ -83,37 +87,26 @@ makeModel(const std::string &name, const ErrorProfile &profile)
 }
 
 /**
- * Clusterer settings shared by the cluster and roundtrip commands:
- * --cluster-index {greedy,sketch}, the probe bounds, and the sketch
+ * Clusterer settings shared by the cluster, roundtrip and explain
+ * commands: the distance gate, the probe bounds, and the sketch
  * tier's MinHash/LSH shape.
  */
 ClusterOptions
 clusterOptionsFromArgs(const Args &args)
 {
     ClusterOptions options;
-    std::string index_name = args.get("cluster-index", "sketch");
-    auto kind = parseClusterIndex(index_name);
-    if (!kind) {
-        DNASIM_FATAL("unknown cluster index '", index_name,
-                     "'; expected greedy or sketch");
-    }
-    options.index = *kind;
-    options.distance_threshold = static_cast<size_t>(args.getInt(
-        "distance-threshold",
-        static_cast<int64_t>(options.distance_threshold)));
-    options.anchor_length = static_cast<size_t>(args.getInt(
-        "anchor-length", static_cast<int64_t>(options.anchor_length)));
-    options.max_probes = static_cast<size_t>(args.getInt(
-        "max-probes", static_cast<int64_t>(options.max_probes)));
-    options.sketch.kmer_length = static_cast<size_t>(args.getInt(
-        "sketch-kmer",
-        static_cast<int64_t>(options.sketch.kmer_length)));
-    options.sketch.num_bands = static_cast<size_t>(args.getInt(
-        "sketch-bands",
-        static_cast<int64_t>(options.sketch.num_bands)));
-    options.sketch.rows_per_band = static_cast<size_t>(args.getInt(
-        "sketch-rows",
-        static_cast<int64_t>(options.sketch.rows_per_band)));
+    options.distance_threshold =
+        args.getCount("distance-threshold", options.distance_threshold);
+    options.anchor_length =
+        args.getCount("anchor-length", options.anchor_length, 1);
+    options.max_probes = args.getCount("max-probes", options.max_probes);
+    options.sketch.kmer_length = args.getCount(
+        "sketch-kmer", options.sketch.kmer_length, 1,
+        PackedStrand::kBasesPerWord);
+    options.sketch.num_bands =
+        args.getCount("sketch-bands", options.sketch.num_bands, 1);
+    options.sketch.rows_per_band =
+        args.getCount("sketch-rows", options.sketch.rows_per_band, 1);
     return options;
 }
 
@@ -121,12 +114,8 @@ ErrorProfile
 errorProfileFromArgs(const Args &args, const Dataset &dataset)
 {
     // Use a previously saved profile when given; otherwise calibrate
-    // from the dataset itself. The canonical spelling is
-    // --error-profile FILE; a valued --profile FILE still works for
-    // compatibility (bare --profile is the global phase profiler).
-    std::string profile_path = args.get("error-profile");
-    if (profile_path.empty())
-        profile_path = args.get("profile");
+    // from the dataset itself.
+    const std::string profile_path = args.get("error-profile");
     if (!profile_path.empty())
         return readProfileFile(profile_path);
     ErrorProfiler profiler;
@@ -135,6 +124,55 @@ errorProfileFromArgs(const Args &args, const Dataset &dataset)
 
 namespace
 {
+
+/** Flags of clusterOptionsFromArgs(), read by three commands. */
+const std::string kClusterFlags =
+    " distance-threshold anchor-length max-probes sketch-kmer"
+    " sketch-bands sketch-rows";
+
+/**
+ * Every flag each command reads, space separated. checkFlags()
+ * rejects any other flag, so printUsage() must list only these
+ * (a test keeps the two in step).
+ */
+const std::map<std::string, std::string> kCommandFlags = {
+    {"generate", "clusters length error-rate coverage seed out"},
+    {"calibrate", "top-k out"},
+    {"simulate", "model out error-profile max-reads checkpoint-dir "
+                 "lineage-out seed"},
+    {"reconstruct", "algo coverage checkpoint-dir seed"},
+    {"analyze", "buckets top-k"},
+    {"ingest", "format out checkpoint-dir origins max-reads"},
+    {"cluster", "shards max-reads origins checkpoint-dir out "
+                "lineage-out seed" + kClusterFlags},
+    {"explain", "error-profile model algo coverage recluster json "
+                "buckets lineage-out seed" + kClusterFlags},
+    {"roundtrip", "coverage error-rate algo recluster max-reads "
+                  "lineage-out seed" + kClusterFlags},
+    {"bench", "ledger out"},
+    {"watch", "follow interval"},
+    {"help", ""},
+};
+
+/** Flags every command accepts; main() reads them. */
+const std::string kGlobalFlags =
+    "stats-out stats trace-out profile metrics-out telemetry-out "
+    "telemetry-interval progress threads simd";
+
+/** Flags that take no value. */
+const std::string kBooleanFlags = "recluster json follow stats profile";
+
+/** True when @p name is a word of the space-separated @p list. */
+bool
+listed(const std::string &list, const std::string &name)
+{
+    std::istringstream words(list);
+    std::string word;
+    while (words >> word)
+        if (word == name)
+            return true;
+    return false;
+}
 
 void
 printProfileTable(const Histogram &profile, size_t positions,
@@ -291,16 +329,13 @@ writeClustersOut(const std::string &path,
 }
 
 void
-printClusterTable(const ClusterOptions &options, size_t num_reads,
-                  size_t num_clusters, const ClusterPurity *purity,
-                  double secs)
+printClusterTable(size_t num_reads, size_t num_clusters,
+                  const ClusterPurity *purity, double secs)
 {
     TextTable table("clustering");
-    table.setHeader(
-        {"index", "reads", "clusters", "purity%", "reads/s"});
+    table.setHeader({"reads", "clusters", "purity%", "reads/s"});
     table.addRow(
-        {clusterIndexName(options.index), std::to_string(num_reads),
-         std::to_string(num_clusters),
+        {std::to_string(num_reads), std::to_string(num_clusters),
          purity != nullptr ? fmtPercent(purity->purity())
                            : std::string("-"),
          std::to_string(static_cast<uint64_t>(
@@ -416,7 +451,6 @@ clusterPool(const Args &args, const ClusterOptions &options,
             manifest.num_reads = view.size();
             manifest.num_clusters = clusters.size();
             manifest.config = {
-                {"index", clusterIndexName(options.index)},
                 {"shards", std::to_string(shards)},
                 {"distance_threshold",
                  std::to_string(options.distance_threshold)},
@@ -447,8 +481,7 @@ clusterPool(const Args &args, const ClusterOptions &options,
     if (args.has("out"))
         writeClustersOut(args.get("out"), clusters);
 
-    printClusterTable(options, num_reads, clusters.size(), purity_ptr,
-                      secs);
+    printClusterTable(num_reads, clusters.size(), purity_ptr, secs);
     return 0;
 }
 
@@ -458,12 +491,14 @@ int
 cmdGenerate(const Args &args)
 {
     WetlabConfig config;
-    config.num_clusters =
-        static_cast<size_t>(args.getInt("clusters", 1000));
-    config.strand_length =
-        static_cast<size_t>(args.getInt("length", 110));
-    config.total_error_rate = args.getDouble("error-rate", 0.059);
-    config.mean_coverage = args.getDouble("coverage", 26.97);
+    config.num_clusters = args.getCount("clusters", 1000, 1);
+    config.strand_length = args.getCount("length", 110, 5);
+    config.total_error_rate =
+        args.getDouble("error-rate", 0.059, 0.0, 0.5);
+    config.mean_coverage =
+        args.getDouble("coverage", 26.97, 0.0,
+                       std::numeric_limits<double>::infinity(),
+                       /*min_exclusive=*/true);
     std::string out = args.get("out", "wetlab.evyat");
     Rng rng(args.getSeed("seed", 0xd7a5707a));
 
@@ -490,7 +525,7 @@ cmdCalibrate(const Args &args)
     Dataset dataset = readEvyatFile(args.positional()[1]);
     ProfilerOptions options;
     options.top_second_order =
-        static_cast<size_t>(args.getInt("top-k", 10));
+        args.getCount("top-k", options.top_second_order);
     ErrorProfiler profiler(options);
     ErrorProfile profile = profiler.calibrate(dataset);
     std::cout << profile.str() << "\n";
@@ -513,8 +548,7 @@ cmdSimulate(const Args &args)
     Dataset real = readEvyatFile(args.positional()[1]);
     std::string model_name = args.get("model", "second-order");
     std::string out = args.get("out", "simulated.evyat");
-    const auto max_reads =
-        static_cast<size_t>(args.getInt("max-reads", 0));
+    const size_t max_reads = args.getCount("max-reads", 0);
     Rng rng(args.getSeed("seed", 0x51a70));
 
     ErrorProfile profile = errorProfileFromArgs(args, real);
@@ -617,11 +651,10 @@ cmdReconstruct(const Args &args)
                                       *algo, rng);
     } else {
         Dataset dataset = readEvyatFile(args.positional()[1]);
-        int64_t coverage = args.getInt("coverage", 0);
+        const size_t coverage = args.getCount("coverage", 0);
         if (coverage > 0) {
             dataset.shuffleWithinClusters(rng);
-            dataset =
-                dataset.fixedCoverage(static_cast<size_t>(coverage));
+            dataset = dataset.fixedCoverage(coverage);
         }
         result = evaluateAccuracy(dataset, *algo, rng);
     }
@@ -641,9 +674,9 @@ cmdAnalyze(const Args &args)
 {
     if (args.positional().size() < 2)
         DNASIM_FATAL("usage: dnasim analyze <dataset.evyat>");
+    const size_t buckets = args.getCount("buckets", 11, 1);
+    const size_t top_k = args.getCount("top-k", 10);
     Dataset dataset = readEvyatFile(args.positional()[1]);
-    size_t buckets = static_cast<size_t>(args.getInt("buckets", 11));
-    size_t top_k = static_cast<size_t>(args.getInt("top-k", 10));
 
     size_t positions = 0;
     for (const auto &c : dataset)
@@ -682,7 +715,6 @@ cmdCluster(const Args &args)
     if (args.positional().size() < 2 && !from_checkpoint) {
         DNASIM_FATAL("usage: dnasim cluster "
                      "<dataset.evyat|pool.dnapool> "
-                     "[--cluster-index sketch|greedy] "
                      "[--distance-threshold D] [--anchor-length A] "
                      "[--max-probes P] [--sketch-kmer K] "
                      "[--sketch-bands B] [--sketch-rows R] "
@@ -691,10 +723,8 @@ cmdCluster(const Args &args)
                      "[--checkpoint-dir DIR] [--out clusters.txt]");
     }
     ClusterOptions options = clusterOptionsFromArgs(args);
-    const auto shards =
-        static_cast<size_t>(args.getInt("shards", 1));
-    const auto max_reads =
-        static_cast<size_t>(args.getInt("max-reads", 0));
+    const size_t shards = args.getCount("shards", 1);
+    const size_t max_reads = args.getCount("max-reads", 0);
 
     // Packed pools (and checkpoint directories) take the out-of-core
     // path: mmap'd reads, sharded clustering, bounded RSS.
@@ -747,8 +777,8 @@ cmdCluster(const Args &args)
     if (args.has("out"))
         writeClustersOut(args.get("out"), clusters);
 
-    printClusterTable(options, purity.num_reads, purity.num_clusters,
-                      &purity, secs);
+    printClusterTable(purity.num_reads, purity.num_clusters, &purity,
+                      secs);
     return 0;
 }
 
@@ -760,25 +790,24 @@ cmdRoundtrip(const Args &args)
                      "[--coverage N] [--error-rate p] "
                      "[--algo iterative] [--max-reads N]");
     }
+    const size_t coverage_n = args.getCount("coverage", 6, 1);
+    const double error_rate =
+        args.getDouble("error-rate", 0.04, 0.0, 0.5);
+    std::string algo_name = args.get("algo", "iterative");
+    Rng rng(args.getSeed("seed", 0x3071));
+
+    PipelineConfig pipeline_config;
+    pipeline_config.max_reads = args.getCount("max-reads", 0);
+    pipeline_config.recluster = args.has("recluster");
+    pipeline_config.cluster = clusterOptionsFromArgs(args);
+    ArchivalPipeline pipeline(pipeline_config);
+
     const std::string &path = args.positional()[1];
     std::ifstream in(path, std::ios::binary);
     if (!in)
         DNASIM_FATAL("cannot open '", path, "'");
     Bytes file((std::istreambuf_iterator<char>(in)),
                std::istreambuf_iterator<char>());
-
-    auto coverage_n =
-        static_cast<size_t>(args.getInt("coverage", 6));
-    double error_rate = args.getDouble("error-rate", 0.04);
-    std::string algo_name = args.get("algo", "iterative");
-    Rng rng(args.getSeed("seed", 0x3071));
-
-    PipelineConfig pipeline_config;
-    pipeline_config.max_reads =
-        static_cast<size_t>(args.getInt("max-reads", 0));
-    pipeline_config.recluster = args.has("recluster");
-    pipeline_config.cluster = clusterOptionsFromArgs(args);
-    ArchivalPipeline pipeline(pipeline_config);
 
     ErrorProfile channel_profile =
         NanoporeDatasetGenerator::groundTruthProfile(
@@ -814,6 +843,25 @@ cmdRoundtrip(const Args &args)
 }
 
 void
+checkFlags(const Args &args)
+{
+    if (args.positional().empty())
+        return;
+    const std::string &command = args.positional()[0];
+    const auto it = kCommandFlags.find(command);
+    if (it == kCommandFlags.end())
+        return; // dispatch reports the unknown command
+    for (const auto &[name, value] : args.options()) {
+        if (!listed(it->second, name) && !listed(kGlobalFlags, name))
+            DNASIM_FATAL("unknown flag --", name, " for 'dnasim ",
+                         command, "'");
+        if (!value.empty() && listed(kBooleanFlags, name))
+            DNASIM_FATAL("--", name, " takes no value, got '", value,
+                         "'");
+    }
+}
+
+void
 printUsage()
 {
     std::cout <<
@@ -826,7 +874,7 @@ printUsage()
         "               [--clusters N] [--length L] [--error-rate p]\n"
         "               [--coverage c] [--seed s] [--out file]\n"
         "  calibrate    fit an error profile from a dataset\n"
-        "               <dataset.evyat> [--top-k K]\n"
+        "               <dataset.evyat> [--top-k K] [--out file]\n"
         "  simulate     calibrate from a dataset and re-simulate it\n"
         "               <dataset.evyat> [--model naive|conditional|\n"
         "               skew|second-order|dnasimulator] [--out file]\n"
@@ -854,7 +902,6 @@ printUsage()
         "               census <dataset.evyat> [--buckets B]\n"
         "  cluster      re-cluster a read pool and score purity\n"
         "               <dataset.evyat|pool.dnapool>\n"
-        "               [--cluster-index sketch|greedy]\n"
         "               [--distance-threshold D] [--anchor-length A]\n"
         "               [--max-probes P] [--sketch-kmer K]\n"
         "               [--sketch-bands B] [--sketch-rows R]\n"
@@ -866,12 +913,11 @@ printUsage()
         "               back <file> [--coverage N] [--error-rate p]\n"
         "               [--algo iterative] [--recluster]\n"
         "               [--max-reads N]\n"
-        "               [--cluster-index sketch|greedy]\n"
         "               [--lineage-out lineage.jsonl]\n"
         "  bench        bench trajectory ledger and perf diffing\n"
         "               ingest <input>... [--ledger FILE]\n"
-        "               diff <baseline> <candidate> [--threshold p]\n"
-        "               [--sigma k] [--json] (exit 2 on regression)\n"
+        "               diff <baseline> <candidate> [--out FILE]\n"
+        "               (exit 2 on regression)\n"
         "               list [--ledger FILE]\n"
         "  watch        tail a telemetry JSONL stream and render\n"
         "               rates <telemetry.jsonl> [--follow]\n"
@@ -892,10 +938,10 @@ printUsage()
         "  --progress {auto,always,never}  live stderr status line\n"
         "                    (default auto: only when stderr is a\n"
         "                    TTY and telemetry/progress is active)\n"
-        "  --threads N       worker threads for parallel loops\n"
-        "                    (default: DNASIM_THREADS env var or\n"
-        "                    hardware concurrency; output is\n"
-        "                    identical for every N)\n"
+        "  --threads N       worker threads for parallel loops,\n"
+        "                    at most 1024 (default: DNASIM_THREADS\n"
+        "                    env var or hardware concurrency; output\n"
+        "                    is identical for every N)\n"
         "  --simd {auto,scalar,avx2,avx512}  batch alignment\n"
         "                    kernel tier (default: DNASIM_SIMD env\n"
         "                    var or the widest tier the CPU\n"

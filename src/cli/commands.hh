@@ -27,15 +27,23 @@ makeReconstructor(const std::string &name);
 std::unique_ptr<ErrorModel> makeModel(const std::string &name,
                                       const ErrorProfile &profile);
 
-/** Shared --cluster-index/--distance-threshold/--sketch-* parsing. */
+/** Shared --distance-threshold/--max-probes/--sketch-* parsing. */
 ClusterOptions clusterOptionsFromArgs(const Args &args);
 
 /**
- * The saved profile named by --error-profile (or valued --profile),
- * or a fresh calibration from @p dataset when neither is given.
+ * The saved profile named by --error-profile, or a fresh
+ * calibration from @p dataset when none is given.
  */
 ErrorProfile errorProfileFromArgs(const Args &args,
                                   const Dataset &dataset);
+
+/**
+ * Fatal unless every flag in @p args is a global flag or one the
+ * command (positional 0) reads, and no bare boolean flag (--recluster,
+ * --json, --follow, --stats, --profile) carries a value. Unknown
+ * commands pass; dispatch reports them.
+ */
+void checkFlags(const Args &args);
 
 /** generate: synthesize a wetlab-like dataset into an evyat file. */
 int cmdGenerate(const Args &args);

@@ -16,12 +16,14 @@
  *                     FILE on every sampler tick (atomic rewrite)
  *   --telemetry-out=FILE  append dnasim.telemetry.v1 JSONL samples
  *                     and events to FILE (tail with `dnasim watch`)
- *   --telemetry-interval=MS  sampler period, default 500
+ *   --telemetry-interval=MS  sampler period, default 500, at
+ *                     least 1
  *   --progress={auto,always,never}  live stderr status line; auto
  *                     paints only on a TTY
- *   --threads=N       worker threads for parallel loops (default:
- *                     DNASIM_THREADS or hardware concurrency);
- *                     results are identical for every N
+ *   --threads=N       worker threads for parallel loops, at most
+ *                     par::kMaxThreads (default: DNASIM_THREADS or
+ *                     hardware concurrency); results are identical
+ *                     for every N
  *   --simd={auto,scalar,avx2,avx512}  batch alignment kernel tier
  *                     (default: DNASIM_SIMD or the widest tier the
  *                     CPU supports); results are identical for
@@ -29,6 +31,9 @@
  *
  * Telemetry only ever writes to its own files and stderr; stdout and
  * all data outputs stay byte-identical whether or not it is enabled.
+ *
+ * A flag the command does not read, or a value given to a bare
+ * boolean flag, is fatal before anything runs (checkFlags).
  */
 
 #include <cstring>
@@ -109,35 +114,37 @@ main(int argc, char **argv)
     const std::string trace_out = args.get("trace-out");
     const std::string metrics_out = args.get("metrics-out");
     const std::string telemetry_out = args.get("telemetry-out");
-    const auto telemetry_interval = static_cast<uint64_t>(
-        args.getInt("telemetry-interval", 500));
     // Bare --progress is shorthand for --progress=auto.
     std::string progress_mode = args.get("progress", "auto");
     if (progress_mode.empty())
         progress_mode = "auto";
     const bool stats_text = args.has("stats");
-    // Bare --profile is the phase profiler; simulate's valued
-    // --profile FILE (calibrated error profile) must not enable it.
-    const bool profile =
-        args.has("profile") && args.get("profile").empty();
+    const bool profile = args.has("profile");
 
-    par::setThreads(
-        static_cast<size_t>(args.getInt("threads", 0)));
+    uint64_t telemetry_interval = 0;
+    try {
+        checkFlags(args);
+        telemetry_interval = args.getCount("telemetry-interval", 500, 1);
+        par::setThreads(args.getCount("threads", 0, 0, par::kMaxThreads));
 
-    // Resolve the SIMD tier up front: an invalid --simd fails fast,
-    // and the resolution logs the one-time startup line and
-    // publishes the align.simd.tier gauge before any work runs.
-    const std::string simd = args.get("simd", "auto");
-    if (!applySimdOverride(simd.empty() ? "auto" : simd)) {
-        DNASIM_FATAL("--simd must be auto, scalar, avx2 or avx512, "
-                     "got '", simd, "'");
-    }
-    activeSimdTier();
+        // Resolve the SIMD tier up front: an invalid --simd fails
+        // fast, and the resolution logs the one-time startup line
+        // and publishes the align.simd.tier gauge before any work
+        // runs.
+        const std::string simd = args.get("simd", "auto");
+        if (!applySimdOverride(simd.empty() ? "auto" : simd)) {
+            DNASIM_FATAL("--simd must be auto, scalar, avx2 or avx512, "
+                         "got '", simd, "'");
+        }
+        activeSimdTier();
 
-    if (progress_mode != "auto" && progress_mode != "always" &&
-        progress_mode != "never") {
-        DNASIM_FATAL("--progress must be auto, always or never, "
-                     "got '", progress_mode, "'");
+        if (progress_mode != "auto" && progress_mode != "always" &&
+            progress_mode != "never") {
+            DNASIM_FATAL("--progress must be auto, always or never, "
+                         "got '", progress_mode, "'");
+        }
+    } catch (const FatalError &) {
+        return 1; // message already printed by fatal()
     }
     const bool heartbeat =
         progress_mode == "always" ||

@@ -10,7 +10,6 @@
 #include "base/logging.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
-#include "par/thread_pool.hh"
 
 namespace dnasim
 {
@@ -35,15 +34,13 @@ struct AnchorHash
 };
 
 /**
- * Candidate-verification batch sizes. The first serial chunk is one
- * AVX2 lane group, so the common accept-at-the-front probe stays
- * nearly as cheap as the old one-at-a-time early exit; deeper scans
- * switch to full 16-candidate chunks that keep 4- and 8-wide
- * kernels saturated. The parallel path splits the candidate list
- * into the same 16-candidate chunks, one work item each. Both
- * schedules are fixed — independent of thread count and SIMD tier —
- * so probe order, and therefore the clustering, never varies with
- * either.
+ * Candidate-verification batch sizes. The first chunk is one AVX2
+ * lane group, so the common accept-at-the-front probe stays nearly
+ * as cheap as a one-at-a-time early exit; deeper scans switch to
+ * full 16-candidate chunks that keep 4- and 8-wide kernels
+ * saturated. The schedule is fixed — independent of thread count
+ * and SIMD tier — so probe order, and therefore the clustering,
+ * never varies with either.
  */
 constexpr size_t kFirstProbeChunk = 4;
 constexpr size_t kProbeChunk = 16;
@@ -57,7 +54,6 @@ assignmentTierName(AssignmentTier tier)
       case AssignmentTier::Fresh: return "fresh";
       case AssignmentTier::Anchor: return "anchor";
       case AssignmentTier::Sketch: return "sketch";
-      case AssignmentTier::Greedy: return "greedy";
     }
     return "?";
 }
@@ -111,9 +107,7 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
     static obs::Counter &stat_sk_empty = reg.counter(
         "cluster.sketch.empty_signatures",
         "reads with no sketchable k-mer (short or non-ACGT)");
-    const bool use_sketch = options.index == ClusterIndexKind::Sketch;
-    obs::Span span(use_sketch ? "cluster.sketch" : "cluster.greedy",
-                   "cluster", stat_time, count);
+    obs::Span span("cluster.sketch", "cluster", stat_time, count);
     uint64_t comparisons = 0;
     uint64_t sketch_probes = 0;
     uint64_t sketch_verified = 0;
@@ -137,9 +131,7 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
         buckets;
     // Signatures for the whole range up front (parallel, order
     // preserving); the band index itself fills in as clusters open.
-    std::optional<SketchIndex> sketch;
-    if (use_sketch)
-        sketch.emplace(view, offset, count, options.sketch);
+    SketchIndex sketch(view, offset, count, options.sketch);
 
     auto anchor_of = [&](std::string_view s) -> std::string_view {
         return s.substr(0, std::min(options.anchor_length, s.size()));
@@ -149,24 +141,20 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
     std::vector<size_t> sketch_candidates;
     std::vector<size_t> distances;
     std::vector<std::string_view> rep_texts;
-    // Epoch-stamped dedup across the probe tiers. The fallback tier
-    // used to run std::find over the candidate list per scanned
-    // cluster — O(candidates) each, quadratic across a probe window.
+    // Epoch-stamped dedup across the probe tiers: the sketch tier
+    // skips clusters the anchor tier already proposed.
     EpochSeen seen;
 
     // Probe a candidate list in order; the first representative
     // within the threshold wins. Candidates are verified by the
     // batch Myers kernel — the read's pattern against one
-    // representative per SIMD lane. The serial semantics — attach
-    // to the first candidate in probe order — survive both chunking
-    // and parallelization because the winner is selected by
-    // candidate order, not by completion order. Probes use the
+    // representative per SIMD lane — in fixed-size chunks, and the
+    // winner is selected by candidate order. Probes use the
     // thresholded kernel: a probe's exact distance above the
     // threshold is irrelevant, so each lane abandons its text as
-    // soon as the bound is certified, exactly like the scalar
-    // probes this replaces. Placement decisions — and therefore the
-    // clustering — are byte-identical to the scalar code at any
-    // thread count and on every SIMD tier. probed reports how many
+    // soon as the bound is certified. Placement decisions — and
+    // therefore the clustering — are byte-identical at any thread
+    // count and on every SIMD tier. probed reports how many
     // candidates were dispatched for verification (whole chunks).
     auto probe_list = [&](const std::vector<size_t> &cand,
                           size_t &probed) -> size_t {
@@ -178,31 +166,6 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
         for (size_t k = 0; k < count; ++k)
             rep_texts[k] = clusters[cand[k]].representative;
         std::span<const std::string_view> texts{rep_texts};
-
-        if (par::numThreads() > 1 &&
-            count >= options.parallel_probe_min) {
-            distances.assign(count, 0);
-            std::span<size_t> dists{distances};
-            const size_t chunks =
-                (count + kProbeChunk - 1) / kProbeChunk;
-            par::parallelFor(
-                0, chunks,
-                [&](size_t ch) {
-                    const size_t lo = ch * kProbeChunk;
-                    const size_t len =
-                        std::min(kProbeChunk, count - lo);
-                    myersBatchDistanceBounded(
-                        read_pattern, texts.subspan(lo, len),
-                        options.distance_threshold,
-                        dists.subspan(lo, len));
-                },
-                /*grain=*/1);
-            comparisons += count;
-            for (size_t k = 0; k < count; ++k)
-                if (distances[k] <= options.distance_threshold)
-                    return k;
-            return count;
-        }
 
         distances.resize(count);
         std::span<size_t> dists{distances};
@@ -250,23 +213,6 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
             for (size_t c : candidates)
                 seen.set(c);
         }
-        // Provenance: candidates below this index came from the
-        // anchor bucket, at or above it from the greedy fallback.
-        const size_t anchor_count = candidates.size();
-        if (!use_sketch) {
-            // Greedy tier 2: the bounded newest-first scan over
-            // existing clusters, dedup'd against the anchor tier by
-            // the epoch marks (same probe order as the original
-            // std::find implementation).
-            size_t extra = 0;
-            for (size_t c = clusters.size();
-                 c-- > 0 && extra < options.max_probes;) {
-                if (!seen.testAndSet(c)) {
-                    candidates.push_back(c);
-                    ++extra;
-                }
-            }
-        }
         if (candidates.size() > options.max_probes)
             candidates.resize(options.max_probes);
 
@@ -279,18 +225,17 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
         AssignmentTier tier = AssignmentTier::Fresh;
         size_t verified_distance = 0;
         if (pos < candidates.size()) {
-            tier = pos < anchor_count ? AssignmentTier::Anchor
-                                      : AssignmentTier::Greedy;
+            tier = AssignmentTier::Anchor;
             verified_distance = distances[pos];
         }
 
-        // Sketch tier 2, only when the anchor tier rejected (the
-        // common accept path never pays a band probe): MinHash band
+        // Tier 2, only when the anchor tier rejected (the common
+        // accept path never pays a band probe): MinHash band
         // collisions ranked by collision count then cluster id.
-        if (use_sketch && placed_in == clusters.size()) {
+        if (placed_in == clusters.size()) {
             sketch_candidates.clear();
-            sketch->appendCandidates(i, seen, options.max_probes,
-                                     sketch_candidates);
+            sketch.appendCandidates(i, seen, options.max_probes,
+                                    sketch_candidates);
             size_t sprobed = 0;
             size_t spos = probe_list(sketch_candidates, sprobed);
             sketch_probes += sprobed;
@@ -327,8 +272,7 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
                              .first;
             }
             bucket->second.push_back(clusters.size() - 1);
-            if (use_sketch)
-                sketch->addCluster(i, clusters.size() - 1);
+            sketch.addCluster(i, clusters.size() - 1);
             stat_created.inc();
         } else {
             clusters[placed_in].members.push_back(offset + i);
@@ -337,15 +281,13 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
     }
     stat_reads.add(count);
     stat_comparisons.add(comparisons);
-    if (use_sketch) {
-        const SketchCounters &sc = sketch->counters();
-        stat_sk_bands.add(sc.bands_probed);
-        stat_sk_collisions.add(sc.collisions);
-        stat_sk_candidates.add(sc.candidates);
-        stat_sk_probes.add(sketch_probes);
-        stat_sk_verified.add(sketch_verified);
-        stat_sk_empty.add(sc.empty_signatures);
-    }
+    const SketchCounters &sc = sketch.counters();
+    stat_sk_bands.add(sc.bands_probed);
+    stat_sk_collisions.add(sc.collisions);
+    stat_sk_candidates.add(sc.candidates);
+    stat_sk_probes.add(sketch_probes);
+    stat_sk_verified.add(sketch_verified);
+    stat_sk_empty.add(sc.empty_signatures);
     return clusters;
 }
 

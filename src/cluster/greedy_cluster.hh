@@ -7,11 +7,10 @@
  * shuffled into an unordered pool and re-clustered by edit-distance
  * similarity. The implementation is a greedy index-based clusterer
  * in the spirit of Rashtchian et al. [18]: candidate clusters come
- * from a two-tier index — a prefix-anchor bucket, then either
- * MinHash band collisions (ClusterIndexKind::Sketch, the default;
- * see sketch_index.hh) or a bounded recency scan
- * (ClusterIndexKind::Greedy) — and a read attaches to the first
- * candidate whose representative is within a distance threshold.
+ * from a two-tier index — a prefix-anchor bucket, then MinHash band
+ * collisions (see sketch_index.hh) — and a read attaches to the
+ * first candidate whose representative is within a distance
+ * threshold.
  */
 
 #ifndef DNASIM_CLUSTER_GREEDY_CLUSTER_HH
@@ -35,24 +34,9 @@ struct ClusterOptions
     size_t distance_threshold = 10;
     /// Length of the prefix anchor used for candidate bucketing.
     size_t anchor_length = 12;
-    /// Maximum clusters probed per read before opening a new one.
+    /// Maximum clusters probed per read and tier before opening a
+    /// new one.
     size_t max_probes = 24;
-    /// Candidate lists at least this long fan their distance probes
-    /// out through the par layer. Per-read fork/join costs far more
-    /// than a thresholded probe against a ~110-base representative
-    /// (the kernel early-abandons in well under a microsecond), so
-    /// the default keeps realistic configs on the serial fast path;
-    /// lower it when probes are genuinely expensive (long reads,
-    /// wide thresholds). Placements are byte-identical either way —
-    /// the winner is picked by candidate order, not completion
-    /// order.
-    size_t parallel_probe_min = 1024;
-    /// Second-tier candidate generator behind the anchor bucket:
-    /// Sketch ranks MinHash band collisions (near-constant targeted
-    /// probes per read); Greedy scans recently opened clusters (the
-    /// original reads x probes fallback). Surfaced on the CLI and
-    /// bench binaries as --cluster-index={greedy,sketch}.
-    ClusterIndexKind index = ClusterIndexKind::Sketch;
     /// MinHash/LSH parameters of the sketch tier.
     SketchOptions sketch;
 };
@@ -70,10 +54,12 @@ enum class AssignmentTier : uint8_t
     Fresh,  ///< no candidate accepted; the read opened a new cluster
     Anchor, ///< admitted by a prefix-anchor bucket candidate
     Sketch, ///< admitted by a MinHash band-collision candidate
-    Greedy, ///< admitted by the bounded recency-scan fallback
 };
 
-/** Short stable name ("fresh", "anchor", "sketch", "greedy"). */
+/** Number of AssignmentTier values. */
+inline constexpr size_t kNumAssignmentTiers = 3;
+
+/** Short stable name ("fresh", "anchor", "sketch"). */
 const char *assignmentTierName(AssignmentTier tier);
 
 /**

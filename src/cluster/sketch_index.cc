@@ -37,22 +37,6 @@ constexpr uint32_t kNoNode = 0xffffffffu;
 
 } // anonymous namespace
 
-std::optional<ClusterIndexKind>
-parseClusterIndex(std::string_view name)
-{
-    if (name == "greedy")
-        return ClusterIndexKind::Greedy;
-    if (name == "sketch")
-        return ClusterIndexKind::Sketch;
-    return std::nullopt;
-}
-
-const char *
-clusterIndexName(ClusterIndexKind kind)
-{
-    return kind == ClusterIndexKind::Greedy ? "greedy" : "sketch";
-}
-
 SketchIndex::SketchIndex(const std::vector<Strand> &reads,
                          const SketchOptions &options)
     : opts_(options)

@@ -4,13 +4,13 @@
  *
  * The greedy clusterer's first probe tier — the anchor-prefix bucket
  * — only finds a read's cluster while the prefix survived the
- * channel. Its original fallback, a linear scan over the most
- * recently opened clusters, costs O(max_probes) edit-distance
- * kernels per read and stops finding anything once the true cluster
- * is older than the scan window, so clustering cost grows as reads x
+ * channel. A linear scan over the most recently opened clusters as
+ * the fallback would cost O(max_probes) edit-distance kernels per
+ * read and stop finding anything once the true cluster is older
+ * than the scan window, so clustering cost would grow as reads x
  * probes while recall decays with pool size.
  *
- * The sketch index replaces that fallback with
+ * The sketch index is the fallback instead:
  * clustering-by-signature (Rashtchian et al. [18] style): every read
  * gets a MinHash signature over its k-mers, the signature is cut
  * into bands (classic banded LSH), and each band key maps to the
@@ -47,7 +47,6 @@
 #define DNASIM_CLUSTER_SKETCH_INDEX_HH
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -57,21 +56,6 @@
 
 namespace dnasim
 {
-
-/** Candidate-generation backend of the greedy clusterer. */
-enum class ClusterIndexKind
-{
-    /// Anchor bucket + bounded recency scan (the original clusterer).
-    Greedy,
-    /// Anchor bucket + MinHash band collisions (sub-quadratic).
-    Sketch,
-};
-
-/** "greedy"/"sketch" -> kind; nullopt for anything else. */
-std::optional<ClusterIndexKind> parseClusterIndex(std::string_view name);
-
-/** Canonical spelling of @p kind ("greedy" / "sketch"). */
-const char *clusterIndexName(ClusterIndexKind kind);
 
 /** MinHash / LSH parameters of the sketch index. */
 struct SketchOptions

@@ -7,43 +7,6 @@
 namespace dnasim
 {
 
-Strand
-TrivialCodec::encode(const Bytes &data) const
-{
-    Strand out;
-    out.reserve(data.size() * 4);
-    for (uint8_t byte : data) {
-        for (int shift = 6; shift >= 0; shift -= 2)
-            out.push_back(kBaseChars[(byte >> shift) & 0x3]);
-    }
-    return out;
-}
-
-std::optional<Bytes>
-TrivialCodec::decode(const Strand &strand, size_t expected_len) const
-{
-    if (strand.size() < expected_len * 4)
-        return std::nullopt;
-    Bytes out;
-    out.reserve(expected_len);
-    for (size_t i = 0; i < expected_len; ++i) {
-        uint8_t byte = 0;
-        for (size_t j = 0; j < 4; ++j) {
-            byte = static_cast<uint8_t>(
-                (byte << 2) |
-                static_cast<uint8_t>(baseIndex(strand[i * 4 + j])));
-        }
-        out.push_back(byte);
-    }
-    return out;
-}
-
-size_t
-TrivialCodec::encodedLength(size_t num_bytes) const
-{
-    return num_bytes * 4;
-}
-
 namespace
 {
 

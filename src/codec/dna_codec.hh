@@ -1,16 +1,10 @@
 /**
  * @file
- * Binary <-> DNA codecs (section 1.1's encode/decode step).
- *
- * Two codecs are provided:
- *
- *  - TrivialCodec: 2 bits per base (A=00, C=01, G=10, T=11), the
- *    theoretical-maximum density of [13]; makes no effort to avoid
- *    homopolymers.
- *  - RotatingCodec: a Goldman-style rotating code [11] that encodes
- *    base-3 digits, always choosing among the three bases different
- *    from the previous one — the output contains no homopolymer runs
- *    at all, at a density of log2(3) ~ 1.58 bits per base.
+ * Binary <-> DNA codec (section 1.1's encode/decode step): a
+ * Goldman-style rotating code [11] that encodes base-3 digits,
+ * always choosing among the three bases different from the previous
+ * one — the output contains no homopolymer runs at all, at a density
+ * of log2(3) ~ 1.58 bits per base.
  */
 
 #ifndef DNASIM_CODEC_DNA_CODEC_HH
@@ -18,7 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "base/dna.hh"
@@ -28,14 +21,17 @@ namespace dnasim
 
 using Bytes = std::vector<uint8_t>;
 
-/** Binary <-> DNA transformation. */
-class DnaCodec
+/**
+ * Homopolymer-free rotating code. Bytes are processed in blocks of
+ * 5 (40 bits), each block becoming 26 base-3 digits (3^26 > 2^40);
+ * each digit selects one of the three bases differing from the
+ * previous output base.
+ */
+class RotatingCodec
 {
   public:
-    virtual ~DnaCodec() = default;
-
     /** Encode bytes into a strand. */
-    virtual Strand encode(const Bytes &data) const = 0;
+    Strand encode(const Bytes &data) const;
 
     /**
      * Decode a strand back into bytes.
@@ -43,42 +39,13 @@ class DnaCodec
      * @param strand       the (possibly corrupted) strand
      * @param expected_len the original payload size in bytes
      * @return the payload, or std::nullopt if the strand cannot
-     *         possibly decode (e.g. too short)
+     *         possibly decode (too short, or a repeated base)
      */
-    virtual std::optional<Bytes> decode(const Strand &strand,
-                                        size_t expected_len) const = 0;
+    std::optional<Bytes> decode(const Strand &strand,
+                                size_t expected_len) const;
 
     /** Strand length produced for a payload of @p num_bytes. */
-    virtual size_t encodedLength(size_t num_bytes) const = 0;
-
-    virtual std::string name() const = 0;
-};
-
-/** 2 bits per base. */
-class TrivialCodec : public DnaCodec
-{
-  public:
-    Strand encode(const Bytes &data) const override;
-    std::optional<Bytes> decode(const Strand &strand,
-                                size_t expected_len) const override;
-    size_t encodedLength(size_t num_bytes) const override;
-    std::string name() const override { return "trivial"; }
-};
-
-/**
- * Homopolymer-free rotating code. Bytes are processed in blocks of
- * 5 (40 bits), each block becoming 26 base-3 digits (3^26 > 2^40);
- * each digit selects one of the three bases differing from the
- * previous output base.
- */
-class RotatingCodec : public DnaCodec
-{
-  public:
-    Strand encode(const Bytes &data) const override;
-    std::optional<Bytes> decode(const Strand &strand,
-                                size_t expected_len) const override;
-    size_t encodedLength(size_t num_bytes) const override;
-    std::string name() const override { return "rotating"; }
+    size_t encodedLength(size_t num_bytes) const;
 
     /// Bytes per block and trits per block (3^26 > 2^40).
     static constexpr size_t kBlockBytes = 5;

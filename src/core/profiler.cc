@@ -18,6 +18,16 @@ namespace dnasim
 namespace
 {
 
+/// Smoothing floor for the aggregate spatial profile, relative to
+/// the mean positional mass.
+constexpr double kSpatialFloor = 0.05;
+/// Smoothing floor for per-second-order-error spatial profiles
+/// (sparser data, stronger floor).
+constexpr double kSecondOrderFloor = 0.10;
+/// Copies with more edit errors than this fraction of the reference
+/// length are clustering artifacts, not channel observations.
+constexpr double kMaxCopyErrorFrac = 0.30;
+
 /** Ordering for use as a map key. */
 struct KeyLess
 {
@@ -80,21 +90,17 @@ struct CalibrationAccum
     uint64_t long_del_starts = 0;
     Histogram long_del_lengths;
     Histogram spatial;
-    Histogram spatial_gestalt;
     uint64_t positions_in_runs = 0, positions_outside_runs = 0;
     uint64_t errors_in_runs = 0, errors_outside_runs = 0;
     std::map<SecondOrderKey, SecondOrderCount, KeyLess> census;
     size_t design_length = 0;
 
-    void absorbCluster(const Cluster &cluster,
-                       const ProfilerOptions &options, Rng &rng);
+    void absorbCluster(const Cluster &cluster, Rng &rng);
     void merge(CalibrationAccum &&other);
 };
 
 void
-CalibrationAccum::absorbCluster(const Cluster &cluster,
-                                const ProfilerOptions &options,
-                                Rng &rng)
+CalibrationAccum::absorbCluster(const Cluster &cluster, Rng &rng)
 {
     ProfilerStats &ps = ProfilerStats::get();
 
@@ -110,24 +116,16 @@ CalibrationAccum::absorbCluster(const Cluster &cluster,
     for (bool b : run_mask)
         run_positions += b ? 1 : 0;
 
-    size_t n_copies = cluster.copies.size();
-    if (options.max_copies_per_cluster > 0)
-        n_copies = std::min(n_copies, options.max_copies_per_cluster);
-
     // One Peq table build for the cluster reference: the edit-script
     // engine seeds its Tier-B band from pattern.distance(copy), so
     // the tables are hit once per copy.
     thread_local MyersPattern pattern;
     thread_local std::vector<EditOp> ops;
     pattern.assign(ref);
-    for (size_t c = 0; c < n_copies; ++c) {
-        const Strand &copy = cluster.copies[c];
-
+    for (const Strand &copy : cluster.copies) {
         editOpsInto(pattern, ref, copy, &rng, ops);
-        if (options.max_copy_error_frac > 0.0 &&
-            static_cast<double>(numErrors(ops)) >
-                options.max_copy_error_frac *
-                    static_cast<double>(ref.size())) {
+        if (static_cast<double>(numErrors(ops)) >
+            kMaxCopyErrorFrac * static_cast<double>(ref.size())) {
             // Alien or truncated read — a clustering artifact,
             // not a channel observation.
             ps.pairs_skipped.inc();
@@ -149,10 +147,8 @@ CalibrationAccum::absorbCluster(const Cluster &cluster,
                 ++errors_outside_runs;
         }
 
-        if (options.spatial_from_gestalt) {
-            for (size_t pos : gestaltErrorPositions(ref, copy))
-                spatial_gestalt.add(pos);
-        }
+        for (size_t pos : gestaltErrorPositions(ref, copy))
+            spatial.add(pos);
 
         auto clamp_pos = [&](size_t p) {
             return std::min(p, ref.size() - 1);
@@ -170,7 +166,6 @@ CalibrationAccum::absorbCluster(const Cluster &cluster,
                 ++sub_counts[b];
                 ++confusion[b][r];
                 ++total_subs;
-                spatial.add(op.ref_pos);
                 SecondOrderKey key{EditOpType::Substitute,
                                    op.ref_base, op.copy_base};
                 auto &entry = census[key];
@@ -184,7 +179,6 @@ CalibrationAccum::absorbCluster(const Cluster &cluster,
                 ++ins_counts[b];
                 ++insert_base_counts[baseIndex(op.copy_base)];
                 ++total_ins;
-                spatial.add(pos);
                 SecondOrderKey key{EditOpType::Insert, op.copy_base,
                                    '\0'};
                 auto &entry = census[key];
@@ -197,8 +191,6 @@ CalibrationAccum::absorbCluster(const Cluster &cluster,
 
         for (const auto &run : deletionRuns(ops)) {
             total_deleted_bases += run.length;
-            for (size_t k = 0; k < run.length; ++k)
-                spatial.add(run.ref_pos + k);
             if (run.length == 1) {
                 size_t b = baseIndex(ref[run.ref_pos]);
                 ++single_del_counts[b];
@@ -234,7 +226,6 @@ CalibrationAccum::merge(CalibrationAccum &&other)
     long_del_starts += other.long_del_starts;
     long_del_lengths.merge(other.long_del_lengths);
     spatial.merge(other.spatial);
-    spatial_gestalt.merge(other.spatial_gestalt);
     positions_in_runs += other.positions_in_runs;
     positions_outside_runs += other.positions_outside_runs;
     errors_in_runs += other.errors_in_runs;
@@ -251,11 +242,7 @@ CalibrationAccum::merge(CalibrationAccum &&other)
 
 ErrorProfiler::ErrorProfiler(ProfilerOptions options)
     : options_(options)
-{
-    DNASIM_ASSERT(options_.spatial_floor >= 0.0 &&
-                      options_.second_order_floor >= 0.0,
-                  "negative smoothing floor");
-}
+{}
 
 ErrorProfile
 ErrorProfiler::calibrate(const Dataset &data) const
@@ -266,7 +253,7 @@ ErrorProfiler::calibrate(const Dataset &data) const
     // One tie-breaking stream per cluster, forked by cluster index,
     // so pair alignment parallelizes without the backtrace draws
     // depending on the processing order.
-    const Rng root(options_.seed);
+    const Rng root(kProfilerSeed);
 
     // Per-cluster accumulation with an index-ordered tree merge:
     // identical totals for any thread count or chunking.
@@ -276,7 +263,7 @@ ErrorProfiler::calibrate(const Dataset &data) const
             [&](size_t i) {
                 Rng cluster_rng = root.fork(i);
                 CalibrationAccum local;
-                local.absorbCluster(data[i], options_, cluster_rng);
+                local.absorbCluster(data[i], cluster_rng);
                 return local;
             },
             /*grain=*/4);
@@ -331,9 +318,7 @@ ErrorProfiler::calibrate(const Dataset &data) const
     }
 
     p.spatial = PositionProfile::fromHistogram(
-        options_.spatial_from_gestalt ? acc.spatial_gestalt
-                                      : acc.spatial,
-        acc.design_length, options_.spatial_floor);
+        acc.spatial, acc.design_length, kSpatialFloor);
 
     if (acc.positions_in_runs > 0 && acc.positions_outside_runs > 0 &&
         acc.errors_outside_runs > 0) {
@@ -370,8 +355,7 @@ ErrorProfiler::calibrate(const Dataset &data) const
                      acc.base_occurrences[baseIndex(key.base)]);
         }
         spec.spatial = PositionProfile::fromHistogram(
-            entry->positions, acc.design_length,
-            options_.second_order_floor);
+            entry->positions, acc.design_length, kSecondOrderFloor);
         p.second_order.push_back(std::move(spec));
     }
 

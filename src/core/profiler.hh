@@ -10,7 +10,8 @@
  *  - the substitution confusion matrix and inserted-base counts;
  *  - long-deletion (run length >= 2) start rate and length histogram
  *    (section 3.3.1);
- *  - the aggregate positional error histogram (section 3.3.2);
+ *  - the aggregate positional error histogram over gestalt-aligned
+ *    error positions (section 3.3.2);
  *  - a census of second-order errors with per-error positional
  *    histograms, of which the top K become model parameters
  *    (section 3.3.3).
@@ -18,6 +19,15 @@
  * This replaces DNASimulator's hand-maintained dictionaries with the
  * paper's "data-driven approach that does not require manual
  * intervention".
+ *
+ * The spatial profile comes from gestalt-aligned error positions:
+ * the paper bases its spatial-skew parameter on the gestalt-aligned
+ * comparison (Fig. 3.2b), and gestalt attribution concentrates
+ * terminal misalignment on the terminal positions, which is the
+ * source of the skew model's over-correction of the Iterative
+ * algorithm (section 3.3.2). Copies whose edit distance to their
+ * reference exceeds 30% of its length are clustering artifacts
+ * (alien or truncated reads) and are excluded.
  */
 
 #ifndef DNASIM_CORE_PROFILER_HH
@@ -31,34 +41,17 @@
 namespace dnasim
 {
 
+/**
+ * Tie-breaking seed of the edit-distance backtrace: cluster i draws
+ * its ties from Rng(kProfilerSeed).fork(i).
+ */
+inline constexpr uint64_t kProfilerSeed = 0xca11b8a7e;
+
 /** Calibration options. */
 struct ProfilerOptions
 {
     /// How many second-order errors to keep (paper: top 10).
     size_t top_second_order = 10;
-    /// Smoothing floor for the aggregate spatial profile, relative
-    /// to the mean positional mass.
-    double spatial_floor = 0.05;
-    /// Smoothing floor for per-second-order-error spatial profiles
-    /// (sparser data, stronger floor).
-    double second_order_floor = 0.10;
-    /// Tie-breaking seed for the edit-distance backtrace.
-    uint64_t seed = 0xca11b8a7e;
-    /// If non-zero, use at most this many copies per cluster.
-    size_t max_copies_per_cluster = 0;
-    /// Copies whose edit distance to their reference exceeds this
-    /// fraction of the reference length are treated as clustering
-    /// artifacts (alien or truncated reads) and excluded from
-    /// calibration. 0 disables the filter.
-    double max_copy_error_frac = 0.30;
-    /// Derive the aggregate spatial profile from gestalt-aligned
-    /// error positions (the paper bases its spatial-skew parameter
-    /// on the gestalt-aligned comparison, Fig. 3.2b) instead of the
-    /// edit-operation positions. Gestalt attribution concentrates
-    /// terminal misalignment on the terminal positions, which is
-    /// the source of the skew model's over-correction of the
-    /// Iterative algorithm (section 3.3.2).
-    bool spatial_from_gestalt = true;
 };
 
 /** Calibrates ErrorProfiles from clustered datasets. */

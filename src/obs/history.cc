@@ -433,8 +433,7 @@ DiffReport::memRegressions() const
 
 DiffReport
 diffBenchRuns(const std::vector<BenchRun> &baseline,
-              const std::vector<BenchRun> &candidate,
-              const DiffOptions &options)
+              const std::vector<BenchRun> &candidate)
 {
     // Group repeats: (bench, row) -> real-time samples, dropping
     // non-finite and non-positive values (NaN guards). RSS samples
@@ -500,8 +499,7 @@ diffBenchRuns(const std::vector<BenchRun> &baseline,
                 static_cast<double>(na + nb - 2));
         }
         delta.noise_rel = std::max(
-            options.threshold,
-            options.sigma * pooled / delta.a.mean_ns);
+            kDiffThreshold, kDiffSigma * pooled / delta.a.mean_ns);
 
         if (delta.rel_delta > delta.noise_rel)
             delta.verdict = Verdict::kSlower;
@@ -510,8 +508,7 @@ diffBenchRuns(const std::vector<BenchRun> &baseline,
 
         // Memory is compared only when both sides measured it. The
         // verdict above stays a time verdict; mem_regressed is a
-        // parallel advisory flag that ok() consults when mem_gate is
-        // set.
+        // parallel advisory flag that ok() does not consult.
         delta.mem_a_bytes = meanOf(a_samples[key].rss);
         delta.mem_b_bytes = meanOf(b_samples[key].rss);
         delta.mem_measured =
@@ -521,16 +518,15 @@ diffBenchRuns(const std::vector<BenchRun> &baseline,
                 (delta.mem_b_bytes - delta.mem_a_bytes) /
                 delta.mem_a_bytes;
             delta.mem_regressed =
-                delta.mem_rel_delta > options.mem_threshold;
+                delta.mem_rel_delta > kDiffMemThreshold;
         }
         report.rows.push_back(std::move(delta));
     }
-    report.mem_gate = options.mem_gate;
     return report;
 }
 
 std::string
-diffToText(const DiffReport &report, const DiffOptions &options)
+diffToText(const DiffReport &report)
 {
     std::ostringstream os;
     os << std::left << std::setw(52) << "benchmark/row"
@@ -583,27 +579,26 @@ diffToText(const DiffReport &report, const DiffOptions &options)
        << report.regressions() << " regressions, "
        << report.improvements() << " improvements, " << unmatched
        << " unmatched, " << report.memRegressions()
-       << " mem regressions"
-       << (report.mem_gate ? " (gated)" : " (advisory)")
-       << " (threshold " << std::fixed
-       << std::setprecision(1) << options.threshold * 100.0
-       << "%, sigma " << std::setprecision(1) << options.sigma
+       << " mem regressions (advisory) (threshold " << std::fixed
+       << std::setprecision(1) << kDiffThreshold * 100.0
+       << "%, sigma " << std::setprecision(1) << kDiffSigma
        << ", mem threshold " << std::setprecision(1)
-       << options.mem_threshold * 100.0 << "%)\n";
+       << kDiffMemThreshold * 100.0 << "%)\n";
     return os.str();
 }
 
 std::string
-diffToJson(const DiffReport &report, const DiffOptions &options)
+diffToJson(const DiffReport &report)
 {
     std::ostringstream os;
     JsonWriter w(os, 2);
     w.beginObject();
     w.value("schema", "dnasim.benchdiff.v1");
-    w.value("threshold", options.threshold);
-    w.value("sigma", options.sigma);
-    w.value("mem_threshold", options.mem_threshold);
-    w.value("mem_gate", options.mem_gate);
+    w.value("threshold", kDiffThreshold);
+    w.value("sigma", kDiffSigma);
+    w.value("mem_threshold", kDiffMemThreshold);
+    // Memory verdicts never gate; the field keeps the schema stable.
+    w.value("mem_gate", false);
     w.value("regressions", static_cast<uint64_t>(
                                report.regressions()));
     w.value("improvements", static_cast<uint64_t>(

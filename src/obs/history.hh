@@ -8,13 +8,12 @@
  * so repeats of the same configuration group into samples, and the
  * diff computes per-benchmark-row mean/stddev over repeats with a
  * relative delta. The verdict is noise-aware: a row regresses only
- * when its slowdown exceeds max(threshold, sigma x pooled relative
- * stddev), so single noisy repeats don't flag and genuinely quiet
- * benchmarks still trip on small real regressions.
+ * when its slowdown exceeds max(kDiffThreshold, kDiffSigma x pooled
+ * relative stddev), so single noisy repeats don't flag and genuinely
+ * quiet benchmarks still trip on small real regressions.
  *
- * Consumed by `dnasim bench {ingest,diff,list}`, the standalone
- * tools/benchdiff binary, and the CI perf gate (which diffs
- * quick-mode perf_* runs against bench/baselines/).
+ * Consumed by `dnasim bench {ingest,diff,list}` and the CI perf gate
+ * (which diffs quick-mode perf_* runs against bench/baselines/).
  */
 
 #ifndef DNASIM_OBS_HISTORY_HH
@@ -106,26 +105,17 @@ std::vector<BenchRun> readLedger(
     const std::string &path,
     std::vector<std::string> *errors = nullptr);
 
-/** Comparator tuning. */
-struct DiffOptions
-{
-    /** Minimum relative slowdown to flag regardless of noise. */
-    double threshold = 0.05;
-    /** Noise multiplier: flag only beyond sigma x pooled stddev. */
-    double sigma = 3.0;
-    /**
-     * Minimum relative RSS high-water growth to flag. Memory is far
-     * less noisy than time, so there is no sigma term; rows missing
-     * the statistic on either side are never flagged.
-     */
-    double mem_threshold = 0.25;
-    /**
-     * When true, memory regressions fail the diff (exit 2) like time
-     * regressions; when false (default) they are advisory — printed
-     * and counted, but ok() ignores them.
-     */
-    bool mem_gate = false;
-};
+/** Minimum relative slowdown to flag regardless of noise. */
+inline constexpr double kDiffThreshold = 0.05;
+/** Noise multiplier: flag only beyond sigma x pooled stddev. */
+inline constexpr double kDiffSigma = 3.0;
+/**
+ * Minimum relative RSS high-water growth to flag. Memory is far less
+ * noisy than time, so there is no sigma term; rows missing the
+ * statistic on either side are never flagged. Memory regressions are
+ * advisory: printed and counted, but ok() ignores them.
+ */
+inline constexpr double kDiffMemThreshold = 0.25;
 
 /** Mean/stddev of one row's repeats. */
 struct RowStats
@@ -152,7 +142,7 @@ struct RowDelta
     std::string row;   ///< benchmark row name
     RowStats a, b;
     double rel_delta = 0.0; ///< (b.mean - a.mean) / a.mean
-    double noise_rel = 0.0; ///< max(threshold, sigma*pooled/mean_a)
+    double noise_rel = 0.0; ///< max(kDiffThreshold, kDiffSigma*pooled/mean_a)
     Verdict verdict = Verdict::kOk;
     /// Mean RSS high-water over repeats, bytes; 0 = not measured.
     double mem_a_bytes = 0.0;
@@ -161,7 +151,7 @@ struct RowDelta
     /// non-zero (mem_measured).
     double mem_rel_delta = 0.0;
     bool mem_measured = false;
-    /// mem_rel_delta exceeded DiffOptions::mem_threshold.
+    /// mem_rel_delta exceeded kDiffMemThreshold.
     bool mem_regressed = false;
 };
 
@@ -169,22 +159,16 @@ struct RowDelta
 struct DiffReport
 {
     std::vector<RowDelta> rows;
-    /// Echo of DiffOptions::mem_gate at diff time.
-    bool mem_gate = false;
 
     size_t regressions() const;
     size_t improvements() const;
     /** Rows whose RSS high water grew beyond the mem threshold. */
     size_t memRegressions() const;
     /**
-     * True when no row regressed on time — nor, with mem_gate, on
-     * memory (missing rows are advisory either way).
+     * True when no row regressed on time (memory and missing rows
+     * are advisory).
      */
-    bool ok() const
-    {
-        return regressions() == 0 &&
-               (!mem_gate || memRegressions() == 0);
-    }
+    bool ok() const { return regressions() == 0; }
 };
 
 /**
@@ -193,16 +177,13 @@ struct DiffReport
  * statistic. Non-finite or non-positive samples are dropped.
  */
 DiffReport diffBenchRuns(const std::vector<BenchRun> &baseline,
-                         const std::vector<BenchRun> &candidate,
-                         const DiffOptions &options = {});
+                         const std::vector<BenchRun> &candidate);
 
 /** Human-readable diff table (one line per row + summary). */
-std::string diffToText(const DiffReport &report,
-                       const DiffOptions &options);
+std::string diffToText(const DiffReport &report);
 
 /** Machine-readable diff (schema dnasim.benchdiff.v1). */
-std::string diffToJson(const DiffReport &report,
-                       const DiffOptions &options);
+std::string diffToJson(const DiffReport &report);
 
 /**
  * Trajectory summary of a ledger: one line per run key with repeat

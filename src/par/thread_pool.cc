@@ -135,10 +135,12 @@ defaultThreads()
 {
     if (const char *env = std::getenv("DNASIM_THREADS")) {
         char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && v > 0)
+        const long long v = std::strtoll(env, &end, 10);
+        if (end != env && *end == '\0' && v > 0 &&
+            static_cast<unsigned long long>(v) <= kMaxThreads)
             return static_cast<size_t>(v);
-        warn("ignoring invalid DNASIM_THREADS='", env, "'");
+        warn("ignoring invalid DNASIM_THREADS='", env, "' (expected 1..",
+             kMaxThreads, ")");
     }
     size_t hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
@@ -149,6 +151,8 @@ setThreads(size_t n)
 {
     if (n == 0)
         n = defaultThreads();
+    DNASIM_ASSERT(n <= kMaxThreads, "thread count ", n, " above ",
+                  kMaxThreads);
     configured_threads.store(n, std::memory_order_relaxed);
     ParStats::get().threads.set(static_cast<int64_t>(n));
     obs::setProvenanceThreads(n);

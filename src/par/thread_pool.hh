@@ -50,13 +50,23 @@ namespace dnasim
 namespace par
 {
 
-/** DNASIM_THREADS env var, else hardware_concurrency(), at least 1. */
+/**
+ * Largest accepted thread count. The CLI rejects a larger --threads
+ * and defaultThreads() ignores a larger DNASIM_THREADS, so a typo
+ * cannot ask the pool for hundreds of thousands of workers.
+ */
+inline constexpr size_t kMaxThreads = 1024;
+
+/**
+ * DNASIM_THREADS env var (1..kMaxThreads), else
+ * hardware_concurrency(), at least 1.
+ */
 size_t defaultThreads();
 
 /**
- * Set the process-wide thread count (0 restores the default). Takes
- * effect on the next parallel region; call at quiescence, not from
- * inside one.
+ * Set the process-wide thread count, at most kMaxThreads (0 restores
+ * the default). Takes effect on the next parallel region; call at
+ * quiescence, not from inside one.
  */
 void setThreads(size_t n);
 

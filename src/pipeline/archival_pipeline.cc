@@ -179,18 +179,10 @@ ArchivalPipeline::ArchivalPipeline(PipelineConfig config)
     }
 }
 
-const DnaCodec &
-ArchivalPipeline::codec() const
-{
-    if (config_.rotating_codec)
-        return rotating_;
-    return trivial_;
-}
-
 size_t
 ArchivalPipeline::strandLength() const
 {
-    return codec().encodedLength(frame_codec_.frameBytes());
+    return codec_.encodedLength(frame_codec_.frameBytes());
 }
 
 StoredObject
@@ -232,7 +224,7 @@ ArchivalPipeline::store(const Bytes &file) const
 
     object.num_total_frames = frames.size();
     object.strands = par::parallelTransform(frames.size(), [&](size_t i) {
-        return codec().encode(frame_codec_.pack(frames[i]));
+        return codec_.encode(frame_codec_.pack(frames[i]));
     });
     ps.frames_encoded.add(frames.size());
     ps.strands_encoded.add(object.strands.size());
@@ -283,8 +275,8 @@ ArchivalPipeline::retrieve(const Dataset &clusters,
                 std::chrono::duration_cast<std::chrono::microseconds>(
                     std::chrono::steady_clock::now() - start)
                     .count()));
-            auto raw = codec().decode(estimate,
-                                      frame_codec_.frameBytes());
+            auto raw = codec_.decode(estimate,
+                                     frame_codec_.frameBytes());
             yield.outcome = ClusterYield::Undecodable;
             if (!raw)
                 return yield;

@@ -40,9 +40,6 @@ struct PipelineConfig
     size_t payload_bytes = 18;
     /// Width of the frame index field.
     size_t index_bytes = 2;
-    /// Homopolymer-free rotating codec (true) or the dense trivial
-    /// 2-bit codec (false).
-    bool rotating_codec = true;
 
     /// Data frames per RS stripe.
     size_t rs_stripe_data = 32;
@@ -141,12 +138,9 @@ class ArchivalPipeline
                               StoredObject *stored = nullptr) const;
 
   private:
-    const DnaCodec &codec() const;
-
     PipelineConfig config_;
     FrameCodec frame_codec_;
-    TrivialCodec trivial_;
-    RotatingCodec rotating_;
+    RotatingCodec codec_;
 };
 
 } // namespace dnasim

@@ -1,6 +1,7 @@
 #include "reconstruct/bma.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "base/logging.hh"
 #include "obs/stats.hh"
@@ -46,9 +47,8 @@ BmaLookahead::name() const
 
 Strand
 BmaLookahead::forwardPass(const std::vector<Strand> &copies,
-                          size_t design_len, Rng &rng, size_t window)
+                          size_t design_len, Rng &rng)
 {
-    DNASIM_ASSERT(window >= 1, "BMA window must be at least 1");
     const size_t k = copies.size();
     std::vector<size_t> cursor(k, 0);
     uint64_t lookaheads = 0;
@@ -56,17 +56,17 @@ BmaLookahead::forwardPass(const std::vector<Strand> &copies,
     Strand estimate;
     estimate.reserve(design_len);
 
-    // Votes at the cursor and up to `window` characters ahead; the
+    // Votes at the cursor and up to kWindow characters ahead; the
     // look-ahead majorities approximate the upcoming reference
     // characters for the error-classification hypotheses.
-    std::vector<BaseVote> votes(window + 1);
-    std::vector<char> m(window + 1, '\0');
+    std::array<BaseVote, kWindow + 1> votes;
+    std::array<char, kWindow + 1> m{};
     for (size_t pos = 0; pos < design_len; ++pos) {
         for (auto &v : votes)
             v.clear();
         for (size_t c = 0; c < k; ++c) {
             const Strand &copy = copies[c];
-            for (size_t off = 0; off <= window; ++off)
+            for (size_t off = 0; off <= kWindow; ++off)
                 if (cursor[c] + off < copy.size())
                     votes[off].add(copy[cursor[c] + off]);
         }
@@ -79,9 +79,9 @@ BmaLookahead::forwardPass(const std::vector<Strand> &copies,
         const char maj = votes[0].winner(rng);
         estimate.push_back(maj);
 
-        // Look-ahead majorities m[0] = maj, m[1..window].
+        // Look-ahead majorities m[0] = maj, m[1..kWindow].
         m[0] = maj;
-        for (size_t off = 1; off <= window; ++off)
+        for (size_t off = 1; off <= kWindow; ++off)
             m[off] = votes[off].empty() ? '\0'
                                         : votes[off].winner(rng);
 
@@ -106,7 +106,7 @@ BmaLookahead::forwardPass(const std::vector<Strand> &copies,
             };
             ++lookaheads;
             int sub_score = 0, ins_score = 0, del_score = 0;
-            for (size_t off = 1; off <= window; ++off) {
+            for (size_t off = 1; off <= kWindow; ++off) {
                 // Substitution: the copy consumed one wrong
                 // character; what follows matches the upcoming
                 // majorities in lockstep.
@@ -145,17 +145,17 @@ BmaLookahead::reconstruct(const std::vector<Strand> &copies,
     BmaStats::get().clusters.inc();
 
     if (!options_.two_way)
-        return forwardPass(copies, design_len, rng, options_.window);
+        return forwardPass(copies, design_len, rng);
 
     // Two-way execution: forward pass for the first half, a pass
     // over the reversed copies for the second half.
-    Strand forward = forwardPass(copies, design_len, rng, options_.window);
+    Strand forward = forwardPass(copies, design_len, rng);
 
     std::vector<Strand> reversed;
     reversed.reserve(copies.size());
     for (const auto &c : copies)
         reversed.push_back(reverseStrand(c));
-    Strand backward = forwardPass(reversed, design_len, rng, options_.window);
+    Strand backward = forwardPass(reversed, design_len, rng);
 
     const size_t front_len = (design_len + 1) / 2;
     const size_t back_len = design_len - front_len;

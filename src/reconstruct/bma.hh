@@ -23,6 +23,10 @@
  * the middle of the strand, producing the A-shaped residual error
  * profile of Fig. 3.4c. One-way execution is available for
  * sensitivity studies.
+ *
+ * Each error hypothesis is scored over a look-ahead window of
+ * kWindow characters; a window wider than the classic
+ * next-character check disambiguates indels near repeats better.
  */
 
 #ifndef DNASIM_RECONSTRUCT_BMA_HH
@@ -39,10 +43,6 @@ struct BmaOptions
     /// Two-way execution (forward + backward halves); the paper's
     /// default BMA behaviour.
     bool two_way = true;
-    /// Look-ahead window (characters compared per error
-    /// hypothesis). 1 reproduces the classic next-character check;
-    /// larger windows disambiguate indels near repeats better.
-    size_t window = 3;
 };
 
 /** BMA Look-Ahead reconstructor. */
@@ -57,14 +57,15 @@ class BmaLookahead : public Reconstructor
 
     const BmaOptions &options() const { return options_; }
 
+    /// Look-ahead window: characters compared per error hypothesis.
+    static constexpr size_t kWindow = 3;
+
     /**
      * A single forward pass over @p copies producing @p design_len
      * characters (exposed for the sensitivity analysis and tests).
-     * @p window is the look-ahead depth.
      */
     static Strand forwardPass(const std::vector<Strand> &copies,
-                              size_t design_len, Rng &rng,
-                              size_t window = 3);
+                              size_t design_len, Rng &rng);
 
   private:
     BmaOptions options_;

@@ -1,6 +1,5 @@
 #include "reconstruct/iterative.hh"
 
-#include "base/logging.hh"
 #include "obs/stats.hh"
 #include "reconstruct/bma.hh"
 #include "reconstruct/consensus.hh"
@@ -38,9 +37,7 @@ struct IterativeStats
 
 Iterative::Iterative(IterativeOptions options)
     : options_(options)
-{
-    DNASIM_ASSERT(options_.max_rounds > 0, "zero iterative rounds");
-}
+{}
 
 Strand
 Iterative::reconstruct(const std::vector<Strand> &copies,
@@ -57,7 +54,7 @@ Iterative::reconstruct(const std::vector<Strand> &copies,
     IterativeStats &is = IterativeStats::get();
     is.clusters.inc();
     uint64_t rounds_run = 0;
-    for (size_t round = 0; round < options_.max_rounds; ++round) {
+    for (size_t round = 0; round < kMaxRounds; ++round) {
         Strand next = alignedConsensus(estimate, copies, rng);
         ++rounds_run;
         if (next == estimate)

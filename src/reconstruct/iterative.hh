@@ -31,8 +31,6 @@ namespace dnasim
 /** Options for Iterative. */
 struct IterativeOptions
 {
-    /// Maximum refinement rounds before giving up on convergence.
-    size_t max_rounds = 10;
     /// Enforce the design length with maximum-likelihood
     /// single-indel moves. Disabling this reproduces the original
     /// algorithm's behaviour of emitting variable-length estimates,
@@ -59,6 +57,9 @@ class Iterative : public Reconstructor
     }
 
     const IterativeOptions &options() const { return options_; }
+
+    /// Refinement rounds before giving up on convergence.
+    static constexpr size_t kMaxRounds = 10;
 
   private:
     IterativeOptions options_;

@@ -3,20 +3,11 @@
 #include <cmath>
 
 #include "align/gestalt.hh"
-#include "base/logging.hh"
 #include "reconstruct/bma.hh"
 #include "reconstruct/consensus.hh"
 
 namespace dnasim
 {
-
-WeightedIterative::WeightedIterative(WeightedIterativeOptions options)
-    : options_(options)
-{
-    DNASIM_ASSERT(options_.max_rounds > 0, "zero rounds");
-    DNASIM_ASSERT(options_.weight_power >= 0.0,
-                  "negative weight power");
-}
 
 Strand
 WeightedIterative::reconstruct(const std::vector<Strand> &copies,
@@ -29,13 +20,13 @@ WeightedIterative::reconstruct(const std::vector<Strand> &copies,
         BmaLookahead::forwardPass(copies, design_len, rng);
     std::vector<double> weights(copies.size(), 1.0);
 
-    for (size_t round = 0; round < options_.max_rounds; ++round) {
+    for (size_t round = 0; round < Iterative::kMaxRounds; ++round) {
         // Copies that align well with the current estimate get more
         // say; badly corrupted copies (bursts, heavy drift) lose
         // influence instead of dragging the consensus off register.
         for (size_t k = 0; k < copies.size(); ++k) {
             double score = gestaltScore(estimate, copies[k]);
-            weights[k] = std::pow(score, options_.weight_power);
+            weights[k] = std::pow(score, kWeightPower);
         }
         Strand next = alignedConsensus(estimate, copies, rng, weights);
         if (next == estimate)

@@ -20,28 +20,18 @@
 namespace dnasim
 {
 
-/** Options for WeightedIterative. */
-struct WeightedIterativeOptions
-{
-    size_t max_rounds = 10;
-    /// Gestalt scores are raised to this power when used as vote
-    /// weights; larger sharpens the preference for well-aligned
-    /// copies.
-    double weight_power = 4.0;
-};
-
 /** Iterative reconstruction with similarity-weighted voting. */
 class WeightedIterative : public Reconstructor
 {
   public:
-    explicit WeightedIterative(WeightedIterativeOptions options = {});
-
     Strand reconstruct(const std::vector<Strand> &copies,
                        size_t design_len, Rng &rng) const override;
     std::string name() const override { return "Iterative-weighted"; }
 
-  private:
-    WeightedIterativeOptions options_;
+    /// Gestalt scores are raised to this power when used as vote
+    /// weights; larger sharpens the preference for well-aligned
+    /// copies.
+    static constexpr double kWeightPower = 4.0;
 };
 
 } // namespace dnasim

@@ -10,6 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 
 #include "align/simd_dispatch.hh"
@@ -19,6 +22,10 @@
 #include "cli/commands.hh"
 #include "data/io.hh"
 #include "obs/json.hh"
+#include "obs/openmetrics.hh"
+#include "obs/progress.hh"
+#include "obs/snapshot.hh"
+#include "obs/telemetry.hh"
 #include "par/thread_pool.hh"
 #include "pipeline/checkpoint.hh"
 
@@ -97,6 +104,38 @@ TEST(Args, BareDoubleDashIsFatal)
     EXPECT_THROW(makeArgs({"--"}), FatalError);
 }
 
+TEST(Args, CountsRejectNegativesAndOutOfRangeValues)
+{
+    Args args = makeArgs({"--coverage", "-3", "--clusters", "0",
+                          "--threads", "200000", "--shards", "4"});
+    EXPECT_THROW(args.getCount("coverage", 6), FatalError);
+    EXPECT_THROW(args.getCount("clusters", 1000, 1), FatalError);
+    EXPECT_THROW(args.getCount("threads", 0, 0, par::kMaxThreads),
+                 FatalError);
+    EXPECT_EQ(args.getCount("shards", 1), 4u);
+    EXPECT_EQ(args.getCount("absent", 7, 1), 7u);
+    EXPECT_THROW(makeArgs({"--threads", "-1"})
+                     .getCount("threads", 0, 0, par::kMaxThreads),
+                 FatalError);
+    EXPECT_THROW(makeArgs({"--telemetry-interval", "0"})
+                     .getCount("telemetry-interval", 500, 1),
+                 FatalError);
+}
+
+TEST(Args, RealRangesAreHalfOpen)
+{
+    Args args = makeArgs({"--low", "0", "--high", "0.5", "--neg",
+                          "-0.5", "--nan", "nan"});
+    EXPECT_DOUBLE_EQ(args.getDouble("low", 1.0, 0.0, 0.5), 0.0);
+    EXPECT_THROW(args.getDouble("high", 0.0, 0.0, 0.5), FatalError);
+    EXPECT_THROW(args.getDouble("neg", 0.0, 0.0, 0.5), FatalError);
+    EXPECT_THROW(args.getDouble("nan", 0.0, 0.0, 0.5), FatalError);
+    EXPECT_THROW(args.getDouble("low", 1.0, 0.0, 1.0,
+                                /*min_exclusive=*/true),
+                 FatalError);
+    EXPECT_DOUBLE_EQ(args.getDouble("absent", 2.5, 0.0, 1.0), 2.5);
+}
+
 /** Restore the default thread count when a test scope exits. */
 struct ThreadGuard
 {
@@ -117,6 +156,106 @@ class StdoutCapture
     std::ostringstream out_;
     std::streambuf *saved_;
 };
+
+TEST(CliFlags, UnknownFlagIsFatal)
+{
+    EXPECT_THROW(checkFlags(makeArgs({"roundtrip", "f", "--covrage",
+                                      "3"})),
+                 FatalError);
+    EXPECT_NO_THROW(checkFlags(makeArgs({"roundtrip", "f", "--coverage",
+                                         "3", "--threads", "2"})));
+    // Unknown commands are left to dispatch.
+    EXPECT_NO_THROW(checkFlags(makeArgs({"frobnicate", "--x", "1"})));
+}
+
+TEST(CliFlags, ValueGivenToBooleanIsFatal)
+{
+    // --recluster FILE would swallow the positional; --profile FILE
+    // used to be read as the error-profile path.
+    EXPECT_THROW(checkFlags(makeArgs({"roundtrip", "--recluster",
+                                      "payload.bin"})),
+                 FatalError);
+    EXPECT_THROW(checkFlags(makeArgs({"simulate", "d.evyat",
+                                      "--profile", "p.txt"})),
+                 FatalError);
+    EXPECT_THROW(checkFlags(makeArgs({"explain", "--json=yes"})),
+                 FatalError);
+    EXPECT_NO_THROW(checkFlags(makeArgs({"roundtrip", "payload.bin",
+                                         "--recluster", "--profile",
+                                         "--stats"})));
+}
+
+TEST(CliFlags, RemovedFlagsAreFatal)
+{
+    // The seventh removed spelling, a valued --profile FILE, is a
+    // case of ValueGivenToBooleanIsFatal.
+    for (const char *command : {"cluster", "roundtrip", "explain"}) {
+        EXPECT_THROW(checkFlags(makeArgs({command, "in",
+                                          "--cluster-index", "sketch"})),
+                     FatalError)
+            << command;
+    }
+    for (const char *flag : {"--threshold", "--sigma", "--mem-threshold"})
+        EXPECT_THROW(checkFlags(makeArgs({"bench", "diff", "a", "b",
+                                          flag, "0.1"})),
+                     FatalError)
+            << flag;
+    for (const char *flag : {"--mem-gate", "--json"})
+        EXPECT_THROW(
+            checkFlags(makeArgs({"bench", "diff", "a", "b", flag})),
+            FatalError)
+            << flag;
+}
+
+TEST(CliFlags, EveryUsageFlagIsAccepted)
+{
+    // The usage text and the flag table cannot drift: every flag
+    // printUsage() lists under a command passes checkFlags for it,
+    // and every global flag passes for every command.
+    std::string usage;
+    {
+        StdoutCapture capture;
+        printUsage();
+        usage = capture.str();
+    }
+    const std::regex command_re("^  ([a-z]+)  +");
+    const std::regex flag_re("--([a-z][a-z-]*)");
+    std::map<std::string, std::set<std::string>> per_command;
+    std::set<std::string> global;
+    std::string command;
+    bool in_global = false;
+    std::istringstream lines(usage);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("global flags", 0) == 0) {
+            in_global = true;
+            continue;
+        }
+        std::smatch m;
+        if (!in_global && std::regex_search(line, m, command_re)) {
+            command = m[1];
+            per_command[command];
+        }
+        for (std::sregex_iterator it(line.begin(), line.end(), flag_re),
+             end;
+             it != end; ++it) {
+            if (in_global)
+                global.insert((*it)[1]);
+            else if (!command.empty())
+                per_command[command].insert((*it)[1]);
+        }
+    }
+    ASSERT_EQ(per_command.size(), 11u);
+    ASSERT_GE(global.size(), 10u);
+    for (const auto &[cmd, flags] : per_command) {
+        for (const std::string &flag : flags)
+            EXPECT_NO_THROW(checkFlags(makeArgs({cmd, "--" + flag})))
+                << cmd << " --" << flag;
+        for (const std::string &flag : global)
+            EXPECT_NO_THROW(checkFlags(makeArgs({cmd, "--" + flag})))
+                << cmd << " --" << flag;
+    }
+}
 
 std::string
 readFileBytes(const std::string &path)
@@ -241,10 +380,11 @@ TEST_F(CliCommands, SimulateReusesCalibratedErrorProfile)
     EXPECT_EQ(cmdSimulate(sim), 0);
     EXPECT_EQ(readEvyatFile(simulated).size(), 15u);
 
-    // Legacy valued spelling keeps working.
-    Args legacy = makeArgs({"simulate", dataset, "--profile", profile,
-                            "--out", simulated});
-    EXPECT_EQ(cmdSimulate(legacy), 0);
+    // --error-profile is the one spelling: a valued --profile is
+    // rejected before the command runs.
+    EXPECT_THROW(checkFlags(makeArgs({"simulate", dataset, "--profile",
+                                      profile, "--out", simulated})),
+                 FatalError);
 }
 
 TEST_F(CliCommands, SimulateRejectsHugeDesignLengthProfile)
@@ -335,16 +475,17 @@ TEST_F(CliCommands, ZeroClusterDatasetSimulatesOnBothPaths)
     writeEvyatFile(Dataset(), empty);
 
     // In memory: an empty dataset in, an empty dataset out.
-    EXPECT_EQ(cmdSimulate(makeArgs({"simulate", empty, "--profile",
-                                    profile, "--out", simulated})),
+    EXPECT_EQ(cmdSimulate(makeArgs({"simulate", empty,
+                                    "--error-profile", profile, "--out",
+                                    simulated})),
               0);
     EXPECT_EQ(readEvyatFile(simulated).size(), 0u);
 
     // The checkpoint path commits an empty simulate stage.
     std::filesystem::remove_all(checkpoint);
-    EXPECT_EQ(cmdSimulate(makeArgs({"simulate", empty, "--profile",
-                                    profile, "--checkpoint-dir",
-                                    checkpoint})),
+    EXPECT_EQ(cmdSimulate(makeArgs({"simulate", empty,
+                                    "--error-profile", profile,
+                                    "--checkpoint-dir", checkpoint})),
               0);
     CheckpointDir ckpt(checkpoint);
     CheckpointManifest manifest;
@@ -592,6 +733,211 @@ TEST_F(CliCommands, RoundtripMissingFileIsFatal)
 {
     Args rt = makeArgs({"roundtrip", "/nonexistent/file.bin"});
     EXPECT_THROW(cmdRoundtrip(rt), FatalError);
+}
+
+TEST_F(CliCommands, OutOfRangeCountsAreFatal)
+{
+    // Each used to abort on a std::length_error or a library assert.
+    const std::string out = tmpPath("range.evyat");
+    const std::string payload = tmpPath("range_payload.bin");
+    cleanup_.insert(cleanup_.end(), {out, payload});
+    std::ofstream(payload) << "payload";
+    for (std::vector<std::string> bad :
+         {std::vector<std::string>{"--clusters", "-1"},
+          {"--clusters", "0"},
+          {"--length", "0"},
+          {"--length", "4"}}) {
+        std::vector<std::string> tokens = {"generate", "--out", out};
+        tokens.insert(tokens.end(), bad.begin(), bad.end());
+        EXPECT_THROW(cmdGenerate(makeArgs(tokens)), FatalError)
+            << bad[0] << " " << bad[1];
+    }
+    EXPECT_THROW(cmdRoundtrip(makeArgs({"roundtrip", payload,
+                                        "--coverage", "-3"})),
+                 FatalError);
+    EXPECT_THROW(cmdRoundtrip(makeArgs({"roundtrip", payload,
+                                        "--coverage", "0"})),
+                 FatalError);
+}
+
+TEST_F(CliCommands, OutOfRangeRatesAreFatal)
+{
+    // generate asserted; roundtrip accepted a negative rate silently.
+    const std::string out = tmpPath("rate.evyat");
+    const std::string payload = tmpPath("rate_payload.bin");
+    cleanup_.insert(cleanup_.end(), {out, payload});
+    std::ofstream(payload) << "payload";
+    for (std::vector<std::string> bad :
+         {std::vector<std::string>{"--error-rate", "3"},
+          {"--error-rate", "0.5"},
+          {"--error-rate", "-0.1"},
+          {"--coverage", "-5"},
+          {"--coverage", "0"}}) {
+        std::vector<std::string> tokens = {"generate", "--out", out};
+        tokens.insert(tokens.end(), bad.begin(), bad.end());
+        EXPECT_THROW(cmdGenerate(makeArgs(tokens)), FatalError)
+            << bad[0] << " " << bad[1];
+    }
+    EXPECT_THROW(cmdRoundtrip(makeArgs({"roundtrip", payload,
+                                        "--error-rate", "-0.5"})),
+                 FatalError);
+}
+
+TEST_F(CliCommands, ZeroBucketsAndIntervalsAreFatal)
+{
+    std::string dataset = tmpPath("buckets.evyat");
+    cleanup_.push_back(dataset);
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "5",
+                                    "--out", dataset})),
+              0);
+    EXPECT_THROW(cmdAnalyze(makeArgs({"analyze", dataset, "--buckets",
+                                      "0"})),
+                 FatalError);
+    EXPECT_THROW(cmdExplain(makeArgs({"explain", dataset, "--buckets",
+                                      "0"})),
+                 FatalError);
+    EXPECT_THROW(cmdWatch(makeArgs({"watch", dataset, "--interval",
+                                    "0"})),
+                 FatalError);
+}
+
+TEST_F(CliCommands, TelemetryKeepsOutputsByteIdentical)
+{
+    // Sampling every 5 ms into both sinks with the stderr heartbeat
+    // on must not change a data byte: simulate's evyat and
+    // roundtrip's stdout match a run without the sampler.
+    const std::string dataset = tmpPath("tele.evyat");
+    const std::string sampled = tmpPath("tele_sampled.evyat");
+    const std::string plain = tmpPath("tele_plain.evyat");
+    const std::string metrics = tmpPath("tele_metrics.prom");
+    const std::string jsonl = tmpPath("tele_telemetry.jsonl");
+    const std::string payload = tmpPath("tele_payload.bin");
+    cleanup_.insert(cleanup_.end(),
+                    {dataset, sampled, plain, metrics, jsonl, payload});
+    std::remove(jsonl.c_str());
+    {
+        std::ofstream out(payload, std::ios::binary);
+        Rng rng(0x7e1e);
+        for (size_t i = 0; i < 2000; ++i)
+            out.put(static_cast<char>(rng.index(256)));
+    }
+    {
+        StdoutCapture quiet;
+        ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "100",
+                                        "--out", dataset, "--seed",
+                                        "21"})),
+                  0);
+    }
+    auto run = [&](const std::string &sim_out) {
+        {
+            StdoutCapture quiet;
+            EXPECT_EQ(cmdSimulate(makeArgs({"simulate", dataset,
+                                            "--model", "second-order",
+                                            "--seed", "23", "--out",
+                                            sim_out})),
+                      0);
+        }
+        StdoutCapture capture;
+        EXPECT_EQ(cmdRoundtrip(makeArgs({"roundtrip", payload,
+                                         "--coverage", "6"})),
+                  0);
+        return capture.str();
+    };
+
+    obs::TelemetrySampler &sampler = obs::TelemetrySampler::global();
+    ASSERT_FALSE(sampler.running());
+    const bool heartbeat = obs::progressHeartbeatEnabled();
+    auto metrics_sink = std::make_shared<obs::OpenMetricsSink>(metrics);
+    auto jsonl_sink = std::make_shared<obs::JsonlTelemetrySink>(jsonl);
+    sampler.addSink(metrics_sink);
+    sampler.addSink(jsonl_sink);
+    obs::setProgressHeartbeat(true);
+    sampler.start(/*period_ms=*/5);
+    const std::string sampled_stdout = run(sampled);
+    sampler.stop();
+    sampler.clearSinks();
+    obs::setProgressHeartbeat(heartbeat);
+    EXPECT_TRUE(metrics_sink->ok());
+    EXPECT_TRUE(jsonl_sink->ok());
+
+    const std::string plain_stdout = run(plain);
+    EXPECT_FALSE(readFileBytes(plain).empty());
+    EXPECT_EQ(readFileBytes(sampled), readFileBytes(plain));
+    EXPECT_NE(plain_stdout.find("payload-intact=yes"), std::string::npos);
+    EXPECT_EQ(sampled_stdout, plain_stdout);
+
+    // The stream really sampled the runs: several ticks plus the
+    // phase events of the spans they opened.
+    std::ifstream in(jsonl);
+    std::string line;
+    size_t samples = 0, phase_events = 0;
+    while (std::getline(in, line)) {
+        obs::JsonValue doc;
+        ASSERT_TRUE(obs::parseJson(line, doc)) << line;
+        const obs::JsonValue *kind = doc.find("kind");
+        if (kind == nullptr)
+            continue;
+        if (kind->asString() == "sample")
+            ++samples;
+        else if (kind->asString() == "event" &&
+                 doc.find("event")->asString() == "phase_begin")
+            ++phase_events;
+    }
+    EXPECT_GE(samples, 2u);
+    EXPECT_GE(phase_events, 1u);
+}
+
+TEST_F(CliCommands, ExplainIsIdenticalAcrossThreadCounts)
+{
+    // The text report and the lineage stream after its meta line
+    // (whose "threads" field is honest provenance) are byte-identical
+    // at any thread count, pseudo-clustered and re-clustered.
+    const std::string dataset = tmpPath("explain.evyat");
+    const std::string lineage = tmpPath("explain.jsonl");
+    cleanup_.insert(cleanup_.end(), {dataset, lineage});
+    {
+        StdoutCapture quiet;
+        ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "100",
+                                        "--out", dataset, "--seed",
+                                        "31"})),
+                  0);
+    }
+    for (bool recluster : {false, true}) {
+        std::string first_report;
+        std::string first_body;
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+            ThreadGuard guard(threads);
+            std::vector<std::string> tokens = {
+                "explain", dataset, "--coverage", "6", "--seed", "35",
+                "--lineage-out", lineage};
+            if (recluster) {
+                tokens.insert(tokens.end(), {"--recluster",
+                                             "--distance-threshold",
+                                             "22"});
+            }
+            std::string report;
+            {
+                StdoutCapture capture;
+                ASSERT_EQ(cmdExplain(makeArgs(tokens)), 0);
+                report = capture.str();
+            }
+            const std::string stream = readFileBytes(lineage);
+            const size_t meta_end = stream.find('\n');
+            ASSERT_NE(meta_end, std::string::npos);
+            const std::string body = stream.substr(meta_end + 1);
+            ASSERT_FALSE(body.empty());
+            if (threads == 1) {
+                first_report = report;
+                first_body = body;
+                continue;
+            }
+            EXPECT_EQ(report, first_report)
+                << threads << " threads, recluster " << recluster;
+            EXPECT_EQ(body, first_body)
+                << threads << " threads, recluster " << recluster;
+        }
+    }
 }
 
 /**

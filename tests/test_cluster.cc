@@ -150,13 +150,9 @@ flatten(const std::vector<ReadCluster> &clusters)
 
 TEST(SketchCluster, EmptyPoolBothBackends)
 {
-    for (ClusterIndexKind kind :
-         {ClusterIndexKind::Greedy, ClusterIndexKind::Sketch}) {
-        ClusterOptions options;
-        options.index = kind;
-        EXPECT_TRUE(clusterReads({}, options).empty())
-            << clusterIndexName(kind);
-    }
+    // Named when a greedy recency-scan backend ran beside the
+    // sketch tier; the sketch tier is now the only one.
+    EXPECT_TRUE(clusterReads({}, ClusterOptions{}).empty());
 }
 
 TEST(SketchCluster, ReadsShorterThanAnchorAndKmer)
@@ -166,49 +162,41 @@ TEST(SketchCluster, ReadsShorterThanAnchorAndKmer)
     // must still cluster by the exact distance gate.
     std::vector<Strand> reads = {"ACGT", "ACGT", "TTTT", "ACGT",
                                  "TTTT"};
-    for (ClusterIndexKind kind :
-         {ClusterIndexKind::Greedy, ClusterIndexKind::Sketch}) {
-        ClusterOptions options;
-        options.index = kind;
-        options.distance_threshold = 0;
-        auto clusters = clusterReads(reads, options);
-        ASSERT_EQ(clusters.size(), 2u) << clusterIndexName(kind);
-        EXPECT_EQ(clusters[0].members.size(), 3u);
-        EXPECT_EQ(clusters[1].members.size(), 2u);
-    }
+    ClusterOptions options;
+    options.distance_threshold = 0;
+    auto clusters = clusterReads(reads, options);
+    ASSERT_EQ(clusters.size(), 2u);
+    EXPECT_EQ(clusters[0].members.size(), 3u);
+    EXPECT_EQ(clusters[1].members.size(), 2u);
 }
 
 TEST(SketchCluster, MaxProbesZeroOpensOneClusterPerRead)
 {
     Pool pool = makePool(6, 4, 0.03, 155);
-    for (ClusterIndexKind kind :
-         {ClusterIndexKind::Greedy, ClusterIndexKind::Sketch}) {
-        ClusterOptions options;
-        options.index = kind;
-        options.max_probes = 0;
-        // Long anchor so the anchor tier also proposes nothing.
-        options.anchor_length = 1000;
-        auto clusters = clusterReads(pool.reads, options);
-        EXPECT_EQ(clusters.size(), pool.reads.size())
-            << clusterIndexName(kind);
-    }
+    ClusterOptions options;
+    options.max_probes = 0;
+    // Long anchor so the anchor tier also proposes nothing.
+    options.anchor_length = 1000;
+    auto clusters = clusterReads(pool.reads, options);
+    EXPECT_EQ(clusters.size(), pool.reads.size());
 }
 
 TEST(SketchCluster, FindsClustersOutsideRecencyWindow)
 {
     // A pool wide enough that a read's true cluster is always older
     // than a 2-probe recency window, with anchors disabled by
-    // corrupting prefix survival odds via a long anchor: the greedy
-    // fallback splits, the sketch tier still finds the old cluster.
+    // corrupting prefix survival odds via a long anchor: a recency
+    // scan splits, the sketch tier still finds the old cluster.
+    // kGreedyClusters is what the retired greedy recency-scan tier
+    // produced on this pool (measured before its removal, against 40
+    // true clusters).
+    constexpr size_t kGreedyClusters = 199;
     Pool pool = makePool(40, 6, 0.03, 156);
     ClusterOptions options;
     options.max_probes = 2;
     options.anchor_length = 40;
-    options.index = ClusterIndexKind::Greedy;
-    auto greedy = clusterReads(pool.reads, options);
-    options.index = ClusterIndexKind::Sketch;
     auto sketch = clusterReads(pool.reads, options);
-    EXPECT_LT(sketch.size(), greedy.size());
+    EXPECT_LT(sketch.size(), kGreedyClusters);
     // Recall must not cost purity: candidates stay distance-gated.
     EXPECT_GT(scoreClustering(sketch, pool.origins).purity(), 0.95);
 }
@@ -217,19 +205,14 @@ TEST(SketchCluster, PurityWithinHalfPercentOfGreedy)
 {
     // The acceptance bar of the sketch index: quality parity (purity
     // within 0.5%) with the greedy scan on a seed-config pool.
+    // kGreedyPurity is what the retired greedy recency-scan tier
+    // scored on this pool (measured before its removal).
+    constexpr double kGreedyPurity = 1.0;
     Pool pool = makePool(50, 8, 0.06, 157);
-    ClusterOptions options;
-    options.index = ClusterIndexKind::Greedy;
-    double greedy =
-        scoreClustering(clusterReads(pool.reads, options),
-                        pool.origins)
-            .purity();
-    options.index = ClusterIndexKind::Sketch;
     double sketch =
-        scoreClustering(clusterReads(pool.reads, options),
-                        pool.origins)
+        scoreClustering(clusterReads(pool.reads), pool.origins)
             .purity();
-    EXPECT_NEAR(sketch, greedy, 0.005);
+    EXPECT_NEAR(sketch, kGreedyPurity, 0.005);
 }
 
 TEST(SketchCluster, SketchOptionsChangeTheTradeoff)
@@ -238,7 +221,6 @@ TEST(SketchCluster, SketchOptionsChangeTheTradeoff)
     // clusters (recall can only drop); still deterministic.
     Pool pool = makePool(30, 6, 0.04, 158);
     ClusterOptions wide;
-    wide.index = ClusterIndexKind::Sketch;
     wide.anchor_length = 40;
     wide.max_probes = 4;
     ClusterOptions narrow = wide;
@@ -248,18 +230,6 @@ TEST(SketchCluster, SketchOptionsChangeTheTradeoff)
     EXPECT_GE(with_narrow.size(), with_wide.size());
     EXPECT_EQ(flatten(clusterReads(pool.reads, narrow)),
               flatten(with_narrow));
-}
-
-TEST(ParseClusterIndex, RoundTripsAndRejects)
-{
-    EXPECT_EQ(parseClusterIndex("greedy"), ClusterIndexKind::Greedy);
-    EXPECT_EQ(parseClusterIndex("sketch"), ClusterIndexKind::Sketch);
-    EXPECT_FALSE(parseClusterIndex("minhash").has_value());
-    EXPECT_FALSE(parseClusterIndex("").has_value());
-    EXPECT_STREQ(clusterIndexName(ClusterIndexKind::Greedy),
-                 "greedy");
-    EXPECT_STREQ(clusterIndexName(ClusterIndexKind::Sketch),
-                 "sketch");
 }
 
 TEST(EpochSeen, StampsAreScopedToTheEpoch)

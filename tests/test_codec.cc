@@ -252,32 +252,6 @@ TEST_P(ReedSolomonParity, FullErasureBudget)
 INSTANTIATE_TEST_SUITE_P(ParitySweep, ReedSolomonParity,
                          ::testing::Values(2, 4, 8, 16, 32));
 
-TEST(TrivialCodec, RoundTrip)
-{
-    TrivialCodec codec;
-    Rng rng(137);
-    for (size_t n : {size_t(0), size_t(1), size_t(5), size_t(21)}) {
-        Bytes data = randomBytes(n, rng);
-        Strand strand = codec.encode(data);
-        EXPECT_EQ(strand.size(), codec.encodedLength(n));
-        auto decoded = codec.decode(strand, n);
-        ASSERT_TRUE(decoded.has_value());
-        EXPECT_EQ(*decoded, data);
-    }
-}
-
-TEST(TrivialCodec, DensityIsFourBasesPerByte)
-{
-    TrivialCodec codec;
-    EXPECT_EQ(codec.encodedLength(10), 40u);
-}
-
-TEST(TrivialCodec, TooShortStrandFails)
-{
-    TrivialCodec codec;
-    EXPECT_FALSE(codec.decode("ACG", 1).has_value());
-}
-
 TEST(RotatingCodecTest, RoundTrip)
 {
     RotatingCodec codec;

@@ -798,9 +798,7 @@ TEST(Profiler, RecoversSpatialShape)
     FixedCoverage cov(20);
     Dataset data = sim.simulate(refs, cov, rng);
 
-    ProfilerOptions options;
-    options.spatial_from_gestalt = false;
-    ErrorProfiler profiler(options);
+    ErrorProfiler profiler;
     ErrorProfile fitted = profiler.calibrate(data);
     double edge = fitted.spatial.multiplier(2, 110);
     double mid = fitted.spatial.multiplier(55, 110);
@@ -848,12 +846,6 @@ TEST(Profiler, OutlierCopiesExcluded)
     ErrorProfiler profiler;
     ErrorProfile fitted = profiler.calibrate(data);
     EXPECT_LT(fitted.totalRate(), 0.01);
-
-    ProfilerOptions keep_all;
-    keep_all.max_copy_error_frac = 0.0;
-    ErrorProfiler unfiltered(keep_all);
-    ErrorProfile raw = unfiltered.calibrate(data);
-    EXPECT_GT(raw.totalRate(), 0.02);
 }
 
 TEST(Profiler, FatalOnEmptyDataset)

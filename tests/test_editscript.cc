@@ -386,7 +386,7 @@ TEST(EditScript, CalibrationPairsMatchReference)
     // Every (reference, copy) pair with the per-cluster stream
     // calibrate() forks, consumed copy after copy as it does.
     const PaperLoopWorkload &w = PaperLoopWorkload::get();
-    const Rng root(ProfilerOptions().seed);
+    const Rng root(kProfilerSeed);
     size_t pairs = 0;
     MyersPattern pattern;
     for (size_t i = 0; i < w.simulated.size(); ++i) {

@@ -257,13 +257,13 @@ TEST(HistoryDiff, FlagsRegressionBeyondThreshold)
     for (double ns : {120.0, 121.0, 119.0})
         b.push_back(mainRowRun("perf_channel", ns));
 
-    obs::DiffReport report = obs::diffBenchRuns(a, b, {});
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
     ASSERT_EQ(report.rows.size(), 1u);
     EXPECT_EQ(report.rows[0].verdict, obs::Verdict::kSlower);
     EXPECT_NEAR(report.rows[0].rel_delta, 0.20, 0.01);
     EXPECT_EQ(report.regressions(), 1u);
     EXPECT_FALSE(report.ok());
-    EXPECT_NE(obs::diffToText(report, {}).find("REGRESSED"),
+    EXPECT_NE(obs::diffToText(report).find("REGRESSED"),
               std::string::npos);
 }
 
@@ -274,7 +274,7 @@ TEST(HistoryDiff, WithinNoiseStaysOk)
                                     mainRowRun("perf_channel", 102.0)};
     std::vector<obs::BenchRun> b = {mainRowRun("perf_channel", 103.0),
                                     mainRowRun("perf_channel", 101.0)};
-    obs::DiffReport report = obs::diffBenchRuns(a, b, {});
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
     ASSERT_EQ(report.rows.size(), 1u);
     EXPECT_EQ(report.rows[0].verdict, obs::Verdict::kOk);
     EXPECT_TRUE(report.ok());
@@ -289,7 +289,7 @@ TEST(HistoryDiff, NoisyBaselineRaisesTheBar)
         a.push_back(mainRowRun("perf_channel", ns));
     for (double ns : {90.0, 110.0, 130.0})
         b.push_back(mainRowRun("perf_channel", ns));
-    obs::DiffReport report = obs::diffBenchRuns(a, b, {});
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
     ASSERT_EQ(report.rows.size(), 1u);
     EXPECT_GT(report.rows[0].noise_rel, 0.10);
     EXPECT_EQ(report.rows[0].verdict, obs::Verdict::kOk);
@@ -309,9 +309,9 @@ TEST(HistoryDiff, ZeroVarianceBaselineUsesThresholdFloor)
         mainRowRun("perf_channel", 104.0),
         mainRowRun("perf_channel", 104.0)};
 
-    EXPECT_EQ(obs::diffBenchRuns(a, slow, {}).rows[0].verdict,
+    EXPECT_EQ(obs::diffBenchRuns(a, slow).rows[0].verdict,
               obs::Verdict::kSlower);
-    EXPECT_EQ(obs::diffBenchRuns(a, near, {}).rows[0].verdict,
+    EXPECT_EQ(obs::diffBenchRuns(a, near).rows[0].verdict,
               obs::Verdict::kOk);
 }
 
@@ -320,7 +320,7 @@ TEST(HistoryDiff, SingleRepeatRunsCompare)
     // n=1 on both sides: no variance evidence, threshold-only.
     std::vector<obs::BenchRun> a = {mainRowRun("perf_channel", 100.0)};
     std::vector<obs::BenchRun> b = {mainRowRun("perf_channel", 111.0)};
-    obs::DiffReport report = obs::diffBenchRuns(a, b, {});
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
     ASSERT_EQ(report.rows.size(), 1u);
     EXPECT_EQ(report.rows[0].a.n, 1u);
     EXPECT_DOUBLE_EQ(report.rows[0].a.stddev_ns, 0.0);
@@ -331,7 +331,7 @@ TEST(HistoryDiff, ImprovementIsNotARegression)
 {
     std::vector<obs::BenchRun> a = {mainRowRun("perf_channel", 100.0)};
     std::vector<obs::BenchRun> b = {mainRowRun("perf_channel", 80.0)};
-    obs::DiffReport report = obs::diffBenchRuns(a, b, {});
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
     EXPECT_EQ(report.rows[0].verdict, obs::Verdict::kFaster);
     EXPECT_EQ(report.improvements(), 1u);
     EXPECT_TRUE(report.ok());
@@ -341,7 +341,7 @@ TEST(HistoryDiff, MissingBenchmarkPairsAreAdvisory)
 {
     std::vector<obs::BenchRun> a = {mainRowRun("perf_old", 100.0)};
     std::vector<obs::BenchRun> b = {mainRowRun("perf_new", 100.0)};
-    obs::DiffReport report = obs::diffBenchRuns(a, b, {});
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
     ASSERT_EQ(report.rows.size(), 2u);
     EXPECT_EQ(report.rows[1].verdict, obs::Verdict::kOnlyInA);
     EXPECT_EQ(report.rows[0].verdict, obs::Verdict::kOnlyInB);
@@ -355,7 +355,7 @@ TEST(HistoryDiff, NonFiniteSamplesAreDropped)
     // enter the statistics; all-dropped rows become unmatched.
     std::vector<obs::BenchRun> a = {mainRowRun("perf_channel", 0.0)};
     std::vector<obs::BenchRun> b = {mainRowRun("perf_channel", 100.0)};
-    obs::DiffReport report = obs::diffBenchRuns(a, b, {});
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
     ASSERT_EQ(report.rows.size(), 1u);
     EXPECT_EQ(report.rows[0].verdict, obs::Verdict::kOnlyInB);
 }
@@ -364,12 +364,11 @@ TEST(HistoryDiff, JsonReportParses)
 {
     std::vector<obs::BenchRun> a = {mainRowRun("perf_channel", 100.0)};
     std::vector<obs::BenchRun> b = {mainRowRun("perf_channel", 120.0)};
-    obs::DiffOptions options;
-    obs::DiffReport report = obs::diffBenchRuns(a, b, options);
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
 
     obs::JsonValue doc;
     std::string error;
-    ASSERT_TRUE(obs::parseJson(obs::diffToJson(report, options), doc,
+    ASSERT_TRUE(obs::parseJson(obs::diffToJson(report), doc,
                                &error))
         << error;
     EXPECT_EQ(doc.find("schema")->asString(), "dnasim.benchdiff.v1");
@@ -378,6 +377,63 @@ TEST(HistoryDiff, JsonReportParses)
     ASSERT_EQ(doc.find("rows")->array().size(), 1u);
     EXPECT_EQ(doc.find("rows")->array()[0].find("verdict")->asString(),
               "REGRESSED");
+}
+
+/** mainRowRun() whose row also reports an RSS high water. */
+obs::BenchRun
+rssRowRun(double ns, uint64_t rss_bytes)
+{
+    obs::BenchRun run = mainRowRun("perf_cluster", ns);
+    run.rows[0].rss_high_water_bytes = rss_bytes;
+    return run;
+}
+
+TEST(HistoryDiff, MemoryGrowthBeyondThresholdIsAdvisory)
+{
+    // 30% RSS growth is past kDiffMemThreshold (25%): flagged and
+    // counted, but memory never fails the diff.
+    std::vector<obs::BenchRun> a = {rssRowRun(100.0, 100 << 20)};
+    std::vector<obs::BenchRun> b = {rssRowRun(100.0, 130 << 20)};
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
+    ASSERT_EQ(report.rows.size(), 1u);
+    const obs::RowDelta &row = report.rows[0];
+    EXPECT_TRUE(row.mem_measured);
+    EXPECT_NEAR(row.mem_rel_delta, 0.30, 1e-9);
+    EXPECT_TRUE(row.mem_regressed);
+    EXPECT_EQ(row.verdict, obs::Verdict::kOk);
+    EXPECT_EQ(report.memRegressions(), 1u);
+    EXPECT_TRUE(report.ok());
+    EXPECT_NE(obs::diffToText(report).find("MEM-REGRESSED"),
+              std::string::npos);
+}
+
+TEST(HistoryDiff, MemoryGrowthWithinThresholdIsNotFlagged)
+{
+    std::vector<obs::BenchRun> a = {rssRowRun(100.0, 100 << 20)};
+    std::vector<obs::BenchRun> b = {rssRowRun(100.0, 120 << 20)};
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
+    ASSERT_EQ(report.rows.size(), 1u);
+    EXPECT_TRUE(report.rows[0].mem_measured);
+    EXPECT_NEAR(report.rows[0].mem_rel_delta, 0.20, 1e-9);
+    EXPECT_FALSE(report.rows[0].mem_regressed);
+    EXPECT_EQ(report.memRegressions(), 0u);
+}
+
+TEST(HistoryDiff, MemoryOnOneSideOnlyIsNotMeasured)
+{
+    // A baseline that predates the RSS field against a candidate
+    // that reports it: no delta, no flag, no JSON memory fields.
+    std::vector<obs::BenchRun> a = {mainRowRun("perf_cluster", 100.0)};
+    std::vector<obs::BenchRun> b = {rssRowRun(100.0, 500 << 20)};
+    obs::DiffReport report = obs::diffBenchRuns(a, b);
+    ASSERT_EQ(report.rows.size(), 1u);
+    EXPECT_FALSE(report.rows[0].mem_measured);
+    EXPECT_FALSE(report.rows[0].mem_regressed);
+    EXPECT_EQ(report.memRegressions(), 0u);
+    obs::JsonValue doc;
+    ASSERT_TRUE(obs::parseJson(obs::diffToJson(report), doc));
+    EXPECT_EQ(doc.find("rows")->array()[0].find("mem_a_bytes"),
+              nullptr);
 }
 
 TEST(HistoryDiff, LoadBenchInputFromDirectory)

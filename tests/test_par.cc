@@ -278,38 +278,31 @@ TEST(Determinism, ClusterReadsIsIdenticalAcrossThreadCounts)
         ThreadGuard guard(1);
         pool = fx.simulate().pooledReads();
     }
-    // Both candidate-generation backends must be byte-identical at
-    // every thread count: same clusters, same member order.
-    for (ClusterIndexKind kind :
-         {ClusterIndexKind::Greedy, ClusterIndexKind::Sketch}) {
-        ClusterOptions options;
-        options.index = kind;
-        options.max_probes = 32;
-        options.parallel_probe_min = 8; // exercise parallel probing
-        auto run = [&] {
-            std::string s;
-            for (const auto &c : clusterReads(pool, options)) {
-                s += c.representative;
-                s += ':';
-                for (size_t m : c.members) {
-                    s += std::to_string(m);
-                    s += ',';
-                }
-                s += '\n';
+    // Byte-identical at every thread count: same clusters, same
+    // member order.
+    ClusterOptions options;
+    options.max_probes = 32;
+    auto run = [&] {
+        std::string s;
+        for (const auto &c : clusterReads(pool, options)) {
+            s += c.representative;
+            s += ':';
+            for (size_t m : c.members) {
+                s += std::to_string(m);
+                s += ',';
             }
-            return s;
-        };
-        std::string serial;
-        {
-            ThreadGuard guard(1);
-            serial = run();
+            s += '\n';
         }
-        for (size_t threads : {size_t{2}, size_t{8}}) {
-            ThreadGuard guard(threads);
-            EXPECT_EQ(run(), serial)
-                << clusterIndexName(kind) << " at " << threads
-                << " threads";
-        }
+        return s;
+    };
+    std::string serial;
+    {
+        ThreadGuard guard(1);
+        serial = run();
+    }
+    for (size_t threads : {size_t{2}, size_t{8}}) {
+        ThreadGuard guard(threads);
+        EXPECT_EQ(run(), serial) << threads << " threads";
     }
 }
 
@@ -317,7 +310,6 @@ TEST(Determinism, ReclusteredRoundTripIsIdenticalAcrossThreadCounts)
 {
     PipelineConfig config;
     config.recluster = true;
-    config.cluster.parallel_probe_min = 8; // exercise parallel probing
     ArchivalPipeline pipeline(config);
     Bytes file(1500);
     Rng make(0xf11e);

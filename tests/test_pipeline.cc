@@ -388,24 +388,6 @@ TEST(Pipeline, StagedReclusteredRunEqualsRoundTrip)
     EXPECT_EQ(staged.stats.stripes_failed, whole.stats.stripes_failed);
 }
 
-TEST(Pipeline, TrivialCodecVariant)
-{
-    PipelineConfig config;
-    config.rotating_codec = false;
-    ArchivalPipeline pipeline(config);
-    Bytes file = loremBytes(150);
-
-    ErrorProfile noiseless = ErrorProfile::uniform(0.0, 110);
-    IdsChannelModel model = IdsChannelModel::naive(noiseless);
-    FixedCoverage coverage(1);
-    MajorityVote algo;
-    Rng rng(166);
-    RetrievedObject result =
-        pipeline.roundTrip(file, model, coverage, algo, rng);
-    EXPECT_TRUE(result.success);
-    EXPECT_EQ(result.data, file);
-}
-
 TEST(Pipeline, EmptyFileRoundTrip)
 {
     ArchivalPipeline pipeline;

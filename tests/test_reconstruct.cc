@@ -265,35 +265,6 @@ TEST(Bma, TwoWayBeatsOneWayOnUniformNoise)
     EXPECT_GE(two_correct, one_correct);
 }
 
-TEST(Bma, WindowOptionIsRespected)
-{
-    // A wider look-ahead window disambiguates indels better on
-    // indel-heavy clusters; window 1 is the classic check.
-    StrandFactory factory;
-    Rng rng(130);
-    ErrorProfile profile =
-        ErrorProfile::uniform(0.08, 110, 0.2, 0.4, 0.4);
-    IdsChannelModel model = IdsChannelModel::naive(profile);
-
-    BmaLookahead narrow{BmaOptions{true, 1}};
-    BmaLookahead wide{BmaOptions{true, 3}};
-    size_t narrow_chars = 0, wide_chars = 0;
-    for (int trial = 0; trial < 50; ++trial) {
-        Strand ref = factory.make(110, rng);
-        std::vector<Strand> copies;
-        for (int i = 0; i < 6; ++i)
-            copies.push_back(model.transmit(ref, rng));
-        Rng r1(trial), r2(trial);
-        Strand a = narrow.reconstruct(copies, 110, r1);
-        Strand b = wide.reconstruct(copies, 110, r2);
-        for (size_t i = 0; i < 110; ++i) {
-            narrow_chars += a[i] == ref[i] ? 1 : 0;
-            wide_chars += b[i] == ref[i] ? 1 : 0;
-        }
-    }
-    EXPECT_GE(wide_chars, narrow_chars);
-}
-
 TEST(Bma, NameReflectsMode)
 {
     EXPECT_EQ(BmaLookahead().name(), "BMA");

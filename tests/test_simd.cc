@@ -319,7 +319,6 @@ TEST(SimdDeterminism, ClusterAndReconstructAcrossTiersAndThreads)
     auto cluster_run = [&] {
         ClusterOptions options;
         options.max_probes = 32;
-        options.parallel_probe_min = 8;
         std::string s;
         for (const auto &c : clusterReads(pool, options)) {
             s += c.representative;
