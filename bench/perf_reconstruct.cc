@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the trace-reconstruction algorithms at
- * realistic cluster sizes.
+ * realistic cluster sizes, plus the two kernels under BMA and
+ * Iterative: the BMA forward pass and one aligned-consensus round.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,8 +12,10 @@
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
 #include "core/ids_model.hh"
+#include "core/wetlab.hh"
 #include "data/strand_factory.hh"
 #include "reconstruct/bma.hh"
+#include "reconstruct/consensus.hh"
 #include "reconstruct/divider_bma.hh"
 #include "reconstruct/iterative.hh"
 #include "reconstruct/majority.hh"
@@ -85,6 +88,57 @@ BM_TwoWayIterative(benchmark::State &state)
 }
 
 /**
+ * A cluster from the roundtrip's own channel, full(groundTruthProfile
+ * (130, 0.04)), for the layer rows below.
+ */
+std::vector<Strand>
+makeRoundtripCluster(size_t coverage, Rng &rng)
+{
+    StrandFactory factory;
+    Strand ref = factory.make(130, rng);
+    IdsChannelModel model = IdsChannelModel::full(
+        NanoporeDatasetGenerator::groundTruthProfile(130, 0.04));
+    std::vector<Strand> copies;
+    copies.reserve(coverage);
+    for (size_t i = 0; i < coverage; ++i)
+        copies.push_back(model.transmit(ref, rng));
+    return copies;
+}
+
+/** One BMA forward pass: the BMA and Iterative-seed kernel. */
+void
+BM_BmaForwardPass(benchmark::State &state)
+{
+    Rng rng = benchRng(0x4ef);
+    auto copies =
+        makeRoundtripCluster(static_cast<size_t>(state.range(0)), rng);
+    for (auto _ : state) {
+        Rng r = benchRng(43);
+        benchmark::DoNotOptimize(
+            BmaLookahead::forwardPass(copies, 130, r));
+    }
+}
+
+/**
+ * One Iterative refinement round against the forward-pass seed: an
+ * edit-script walk per copy voted into the consensus arrays.
+ */
+void
+BM_AlignedConsensus(benchmark::State &state)
+{
+    Rng rng = benchRng(0x4f0);
+    auto copies =
+        makeRoundtripCluster(static_cast<size_t>(state.range(0)), rng);
+    Rng seed_rng = benchRng(44);
+    const Strand estimate =
+        BmaLookahead::forwardPass(copies, 130, seed_rng);
+    for (auto _ : state) {
+        Rng r = benchRng(45);
+        benchmark::DoNotOptimize(alignedConsensus(estimate, copies, r));
+    }
+}
+
+/**
  * Dataset-scale reconstruction: reconstructAll() over many clusters,
  * parallelized by --threads — the thread-scaling probe for
  * BENCH_perf_reconstruct.json.
@@ -122,6 +176,10 @@ BENCHMARK(BM_DividerBma)->Arg(5)->Arg(27);
 BENCHMARK(BM_Iterative)->Arg(5)->Arg(27)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TwoWayIterative)->Arg(5)->Arg(27)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BmaForwardPass)->Arg(8)->Arg(27)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AlignedConsensus)->Arg(8)->Arg(27)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ReconstructAll)->Arg(200)->Arg(1000)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

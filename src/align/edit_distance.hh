@@ -17,11 +17,13 @@
 #ifndef DNASIM_ALIGN_EDIT_DISTANCE_HH
 #define DNASIM_ALIGN_EDIT_DISTANCE_HH
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "base/dna.hh"
+#include "base/logging.hh"
 #include "base/packed.hh"
 #include "base/rng.hh"
 
@@ -203,6 +205,139 @@ void editOpsInto(std::string_view ref, std::string_view copy, Rng *rng,
 void editOpsInto(const MyersPattern &pattern, std::string_view ref,
                  std::string_view copy, Rng *rng,
                  std::vector<EditOp> &out);
+
+namespace align_detail
+{
+
+/**
+ * One deterministic (Tier-A) alignment, ready to walk: the delta
+ * words of the bit-vector forward pass, or, for a non-ACGT
+ * reference, the reference DP's script.
+ */
+struct DeterministicTrace
+{
+    /// Per copy position j in [0, m], 4 * blocks words at
+    /// deltas[j * 4 * blocks]: HP, HN, VP, VN (see
+    /// align/edit_script.hh); column 0 is the left border. Null when
+    /// @c script is set.
+    const uint64_t *deltas = nullptr;
+    size_t blocks = 0;
+    /// The fallback script, in reference order.
+    const std::vector<EditOp> *script = nullptr;
+};
+
+/**
+ * Tier selection and forward pass behind editOpsWalk() for two
+ * non-empty strands; counts one align.editops.bitvec or .fallback
+ * script. The trace lives in thread-local scratch until the next
+ * call on this thread.
+ */
+DeterministicTrace deterministicTrace(const MyersPattern &pattern,
+                                      std::string_view ref,
+                                      std::string_view copy);
+
+/** Release the delta scratch if the last trace grew it too large. */
+void releaseOversizedTrace();
+
+} // namespace align_detail
+
+/**
+ * Walk the deterministic minimum-cost script of editOpsInto() with a
+ * null Rng, without materializing it: @p visit(type, ref_pos,
+ * copy_pos) is called once per op, from the end of the strings to
+ * the start. ref_pos is the EditOp's; copy_pos is the copy index the
+ * op consumes (Equal, Substitute, Insert) or, for a Delete, the
+ * number of copy characters before it.
+ *
+ * Dispatch is editOpsInto()'s: an empty side gives the trivial
+ * script, a non-ACGT reference the reference DP, anything else the
+ * bit-vector backtrace, which reads each move off the stored deltas
+ * in the fixed diagonal > delete > insert preference.
+ * @p pattern must be built over @p ref.
+ */
+template <typename Visit>
+void
+editOpsWalk(const MyersPattern &pattern, std::string_view ref,
+            std::string_view copy, Visit &&visit)
+{
+    size_t i = ref.size(), j = copy.size();
+    if (i == 0 || j == 0) {
+        // Forced: all insertions or all deletions.
+        for (; j > 0; --j)
+            visit(EditOpType::Insert, size_t{0}, j - 1);
+        for (; i > 0; --i)
+            visit(EditOpType::Delete, i - 1, size_t{0});
+        return;
+    }
+    const align_detail::DeterministicTrace trace =
+        align_detail::deterministicTrace(pattern, ref, copy);
+    if (trace.script != nullptr) {
+        for (auto op = trace.script->rbegin();
+             op != trace.script->rend(); ++op) {
+            if (op->type != EditOpType::Delete)
+                --j;
+            visit(op->type, op->ref_pos, j);
+        }
+        return;
+    }
+
+    // All index arithmetic is over 1-based row i / column j; bits
+    // above row n in the last block are junk the walk never reads.
+    const size_t blocks = trace.blocks;
+    const size_t stride = 4 * blocks;
+    auto bit = [](const uint64_t *vec, size_t row) {
+        return (vec[(row - 1) >> 6] >> ((row - 1) & 63)) & 1u;
+    };
+    // D[i][j] - D[i-1][j], stored for every column.
+    auto vdelta = [&](size_t col, size_t row) -> int {
+        const uint64_t *sp = trace.deltas + col * stride;
+        if (bit(sp + 2 * blocks, row))
+            return 1;
+        return bit(sp + 3 * blocks, row) ? -1 : 0;
+    };
+    // D[i][j] - D[i][j-1] for j >= 1; the i = 0 border is always +1.
+    auto hdelta = [&](size_t col, size_t row) -> int {
+        if (row == 0)
+            return 1;
+        const uint64_t *sp = trace.deltas + col * stride;
+        if (bit(sp, row))
+            return 1;
+        return bit(sp + blocks, row) ? -1 : 0;
+    };
+
+    while (i > 0 || j > 0) {
+        // The reference backtrace's candidate order is diagonal >
+        // delete > insert and the deterministic rule takes the first
+        // valid one, so testing in that order is equivalent. A move
+        // is minimum-cost exactly when the stored deltas say the
+        // predecessor's value plus the step cost equals this cell's:
+        //   diag: D[i][j] - D[i-1][j-1] = V(j,i) + H(j,i-1) == cost
+        //   del:  D[i][j] - D[i-1][j]   = V(j,i)            == +1
+        //   ins:  D[i][j] - D[i][j-1]   = H(j,i)            == +1
+        if (i > 0 && j > 0) {
+            const int cost = ref[i - 1] == copy[j - 1] ? 0 : 1;
+            if (vdelta(j, i) + hdelta(j, i - 1) == cost) {
+                --i;
+                --j;
+                visit(cost == 0 ? EditOpType::Equal
+                                : EditOpType::Substitute,
+                      i, j);
+                continue;
+            }
+        }
+        if (i > 0 && vdelta(j, i) == 1) {
+            --i;
+            visit(EditOpType::Delete, i, j);
+            continue;
+        }
+        DNASIM_ASSERT(j > 0 && hdelta(j, i) == 1,
+                      "bit-vector backtrace stuck at (", i, ",", j,
+                      ")");
+        --j;
+        visit(EditOpType::Insert, i, j);
+    }
+    align_detail::releaseOversizedTrace();
+}
 
 /** Number of non-Equal operations in a script. */
 size_t numErrors(const std::vector<EditOp> &ops);

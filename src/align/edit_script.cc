@@ -67,27 +67,6 @@ shrinkOversized(std::vector<T> &buf, size_t used_elems)
 constexpr uint32_t kCellInvalid =
     std::numeric_limits<uint32_t>::max() / 4;
 
-/**
- * Scripts with an empty side are forced: all insertions or all
- * deletions, exactly what the reference backtrace emits (no Rng
- * draw ever happens — every cell has one candidate).
- */
-void
-trivialScript(std::string_view ref, std::string_view copy,
-              std::vector<EditOp> &out)
-{
-    out.clear();
-    if (ref.empty()) {
-        out.reserve(copy.size());
-        for (size_t j = 0; j < copy.size(); ++j)
-            out.push_back({EditOpType::Insert, 0, '\0', copy[j]});
-        return;
-    }
-    out.reserve(ref.size());
-    for (size_t i = 0; i < ref.size(); ++i)
-        out.push_back({EditOpType::Delete, i, ref[i], '\0'});
-}
-
 } // anonymous namespace
 
 void
@@ -169,51 +148,69 @@ editOpsReference(std::string_view ref, std::string_view copy,
     shrinkOversized(dist, cells);
 }
 
-void
-editOpsBitVector(const MyersPattern &pattern, std::string_view ref,
-                 std::string_view copy, std::vector<EditOp> &out)
+namespace
+{
+
+/// Tier A's stored delta words, one trace at a time per thread.
+thread_local std::vector<uint64_t> t_deltas;
+
+} // anonymous namespace
+
+DeterministicTrace
+deterministicTrace(const MyersPattern &pattern, std::string_view ref,
+                   std::string_view copy)
 {
     const size_t n = ref.size(), m = copy.size();
-    DNASIM_ASSERT(pattern.packed() && pattern.size() == n,
-                  "bit-vector tier needs a packed pattern over ref");
+    DNASIM_ASSERT(pattern.size() == n, "pattern/ref length mismatch");
     DNASIM_ASSERT(n > 0 && m > 0, "empty strands are trivial scripts");
+    auto &st = EditOpsStats::get();
+    if (!pattern.packed()) {
+        // Non-ACGT references cannot feed the 4-row Peq tables; those
+        // pairs keep the flat DP.
+        st.fallback.inc();
+        thread_local std::vector<EditOp> script;
+        editOpsReference(ref, copy, nullptr, script);
+        return {nullptr, 0, &script};
+    }
+    st.bitvec.inc();
 
     const size_t blocks = PatternAccess::blocks(pattern);
     const auto peq = PatternAccess::peq(pattern);
 
     // Stored delta words, one group of four bit-vectors per copy
-    // position j (1-based): HP/HN are the horizontal deltas
-    // D[i][j] - D[i][j-1] of rows 1..n (pre-shift, Hyyro's backtrace
-    // form), VP/VN the vertical deltas D[i][j] - D[i-1][j] after the
-    // column update. Column j = 0 is implicit: every vertical delta
-    // on the left border is +1.
+    // position j: HP/HN are the horizontal deltas D[i][j] - D[i][j-1]
+    // of rows 1..n (pre-shift, Hyyro's backtrace form), VP/VN the
+    // vertical deltas D[i][j] - D[i-1][j] after the column update.
+    // Column j = 0 is the left border, where every vertical delta is
+    // +1; it seeds column 1, so each column steps from the stored
+    // vertical words of the one before.
     const size_t stride = 4 * blocks;
-    const size_t words = stride * m;
-    thread_local std::vector<uint64_t> store;
-    store.resize(words);
-    EditOpsStats::get().cells.add(blocks * m);
-
-    thread_local std::vector<uint64_t> pv, mv;
-    pv.assign(blocks, ~uint64_t{0});
-    mv.assign(blocks, 0);
+    t_deltas.resize(stride * (m + 1));
+    st.cells.add(blocks * m);
+    std::fill_n(t_deltas.begin(), 2 * blocks, 0);
+    std::fill_n(t_deltas.begin() + 2 * blocks, blocks, ~uint64_t{0});
+    std::fill_n(t_deltas.begin() + 3 * blocks, blocks, 0);
 
     for (size_t j = 1; j <= m; ++j) {
         const uint8_t code =
             kCharToCode[static_cast<unsigned char>(copy[j - 1])];
         const uint64_t *eq_row =
             code != kInvalidCode ? &peq[code * blocks] : nullptr;
-        uint64_t *hp = &store[(j - 1) * stride];
+        const uint64_t *pv = &t_deltas[(j - 1) * stride + 2 * blocks];
+        const uint64_t *mv = pv + blocks;
+        uint64_t *hp = &t_deltas[j * stride];
         uint64_t *hn = hp + blocks;
-        uint64_t *vp_out = hp + 2 * blocks;
-        uint64_t *vn_out = hp + 3 * blocks;
-        int hin = 1; // top border: D[0][j] - D[0][j-1] = +1
+        uint64_t *vp = hp + 2 * blocks;
+        uint64_t *vn = hp + 3 * blocks;
+        // Horizontal carry into the block, as +1 / -1 bits; the top
+        // border is D[0][j] - D[0][j-1] = +1. A delta is never both.
+        uint64_t hin_pos = 1, hin_neg = 0;
         for (size_t b = 0; b < blocks; ++b) {
             // One Myers block step (cf. myersAdvanceBlock in
             // edit_distance.cc), keeping the pre-shift horizontal
             // words instead of only the carry bit.
-            uint64_t pvb = pv[b], mvb = mv[b];
+            const uint64_t pvb = pv[b], mvb = mv[b];
             uint64_t eq = eq_row != nullptr ? eq_row[b] : 0;
-            const uint64_t hin_neg = hin < 0 ? 1u : 0u;
             const uint64_t xv = eq | mvb;
             eq |= hin_neg;
             const uint64_t xh = (((eq & pvb) + pvb) ^ pvb) | eq;
@@ -221,84 +218,22 @@ editOpsBitVector(const MyersPattern &pattern, std::string_view ref,
             uint64_t mh = pvb & xh;
             hp[b] = ph;
             hn[b] = mh;
-            const int hout =
-                (ph >> 63) ? 1 : ((mh >> 63) ? -1 : 0);
-            ph = (ph << 1) | (hin > 0 ? 1u : 0u);
+            const uint64_t hout_pos = ph >> 63, hout_neg = mh >> 63;
+            ph = (ph << 1) | hin_pos;
             mh = (mh << 1) | hin_neg;
-            pv[b] = mh | ~(xv | ph);
-            mv[b] = ph & xv;
-            vp_out[b] = pv[b];
-            vn_out[b] = mv[b];
-            hin = hout;
+            vp[b] = mh | ~(xv | ph);
+            vn[b] = ph & xv;
+            hin_pos = hout_pos;
+            hin_neg = hout_neg;
         }
     }
+    return {t_deltas.data(), blocks, nullptr};
+}
 
-    // Backtrace straight off the stored delta words. All index
-    // arithmetic is over 1-based row i / column j; bits above row n
-    // in the last block are junk the loop never reads.
-    auto bit = [](const uint64_t *vec, size_t i) {
-        return (vec[(i - 1) >> 6] >> ((i - 1) & 63)) & 1u;
-    };
-    // D[i][j] - D[i-1][j]; the j = 0 border is always +1.
-    auto vdelta = [&](size_t j, size_t i) -> int {
-        if (j == 0)
-            return 1;
-        const uint64_t *sp = &store[(j - 1) * stride];
-        if (bit(sp + 2 * blocks, i))
-            return 1;
-        if (bit(sp + 3 * blocks, i))
-            return -1;
-        return 0;
-    };
-    // D[i][j] - D[i][j-1]; the i = 0 border is always +1.
-    auto hdelta = [&](size_t j, size_t i) -> int {
-        if (i == 0)
-            return 1;
-        const uint64_t *sp = &store[(j - 1) * stride];
-        if (bit(sp, i))
-            return 1;
-        if (bit(sp + blocks, i))
-            return -1;
-        return 0;
-    };
-
-    out.clear();
-    out.reserve(n + m);
-    size_t i = n, j = m;
-    while (i > 0 || j > 0) {
-        // The reference backtrace's candidate order is diagonal >
-        // delete > insert and the deterministic rule takes the first
-        // valid one, so testing in that order is equivalent. A move
-        // is minimum-cost exactly when the stored deltas say the
-        // predecessor's value plus the step cost equals this cell's:
-        //   diag: D[i][j] - D[i-1][j-1] = V(j,i) + H(j,i-1) == cost
-        //   del:  D[i][j] - D[i-1][j]   = V(j,i)            == +1
-        //   ins:  D[i][j] - D[i][j-1]   = H(j,i)            == +1
-        if (i > 0 && j > 0) {
-            const int cost = ref[i - 1] == copy[j - 1] ? 0 : 1;
-            if (vdelta(j, i) + hdelta(j, i - 1) == cost) {
-                --i;
-                --j;
-                out.push_back({cost == 0 ? EditOpType::Equal
-                                         : EditOpType::Substitute,
-                               i, ref[i], copy[j]});
-                continue;
-            }
-        }
-        if (i > 0 && vdelta(j, i) == 1) {
-            --i;
-            out.push_back({EditOpType::Delete, i, ref[i], '\0'});
-            continue;
-        }
-        DNASIM_ASSERT(j > 0 && hdelta(j, i) == 1,
-                      "bit-vector backtrace stuck at (", i, ",", j,
-                      ")");
-        --j;
-        out.push_back({EditOpType::Insert, i, '\0', copy[j]});
-    }
-    std::reverse(out.begin(), out.end());
-
-    shrinkOversized(store, words);
+void
+releaseOversizedTrace()
+{
+    shrinkOversized(t_deltas, t_deltas.size());
 }
 
 bool
@@ -437,26 +372,25 @@ editOpsDispatch(const MyersPattern *pattern, std::string_view ref,
 {
     auto &st = EditOpsStats::get();
     const size_t n = ref.size(), m = copy.size();
-    if (n == 0 || m == 0) {
-        align_detail::trivialScript(ref, copy, out);
-        return;
-    }
-
-    if (rng == nullptr) {
-        // Tier A. Non-ACGT references cannot feed the 4-row Peq
-        // tables; those pairs keep the flat DP.
+    if (rng == nullptr || n == 0 || m == 0) {
+        // Tier A. A script with an empty side is forced (every cell
+        // has one candidate), so no Rng draw ever happens there.
         if (pattern == nullptr) {
             thread_local MyersPattern local;
             local.assign(ref);
             pattern = &local;
         }
-        if (!pattern->packed()) {
-            st.fallback.inc();
-            align_detail::editOpsReference(ref, copy, nullptr, out);
-            return;
-        }
-        st.bitvec.inc();
-        align_detail::editOpsBitVector(*pattern, ref, copy, out);
+        out.clear();
+        out.reserve(n + m);
+        editOpsWalk(*pattern, ref, copy,
+                    [&](EditOpType type, size_t i, size_t j) {
+                        out.push_back(
+                            {type, i,
+                             type == EditOpType::Insert ? '\0' : ref[i],
+                             type == EditOpType::Delete ? '\0'
+                                                        : copy[j]});
+                    });
+        std::reverse(out.begin(), out.end());
         return;
     }
 

@@ -16,7 +16,11 @@
  *   the forward pass stores per text position: O(n * ceil(m_ref/64))
  *   words instead of O(n*m) uint32 cells, Hyyro-style. The pattern's
  *   Peq tables come from a MyersPattern, so one estimate's tables
- *   amortize across every copy in a cluster.
+ *   amortize across every copy in a cluster. The backtrace is one
+ *   walk, editOpsWalk() (align/edit_distance.hh), which hands each
+ *   op to a visitor from the end of the strings: consensus voting
+ *   folds the ops straight into its vote arrays, and editOpsInto()
+ *   pushes them into its vector and reverses it.
  *
  * - **Tier B (banded, random tie-break).** With an Rng, Appendix B
  *   draws uniformly among the minimum-cost predecessors at each
@@ -75,16 +79,6 @@ struct EditOpsStats
  */
 void editOpsReference(std::string_view ref, std::string_view copy,
                       Rng *rng, std::vector<EditOp> &out);
-
-/**
- * Tier A: deterministic bit-vector edit script. @p pattern must be
- * built from @p ref and be packed() (pure ACGT); both strands must
- * be non-empty. Produces exactly the script editOpsReference()
- * yields with a null Rng.
- */
-void editOpsBitVector(const MyersPattern &pattern,
-                      std::string_view ref, std::string_view copy,
-                      std::vector<EditOp> &out);
 
 /**
  * Tier B: banded edit script with random tie-breaking at the given

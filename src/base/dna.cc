@@ -7,23 +7,10 @@
 namespace dnasim
 {
 
-Base
-charToBase(char c)
+void
+detail::invalidBaseChar(char c)
 {
-    switch (c) {
-      case 'A': return Base::A;
-      case 'C': return Base::C;
-      case 'G': return Base::G;
-      case 'T': return Base::T;
-      default:
-        DNASIM_PANIC("invalid base character '", c, "' (", int(c), ")");
-    }
-}
-
-size_t
-baseIndex(char c)
-{
-    return static_cast<size_t>(charToBase(c));
+    DNASIM_PANIC("invalid base character '", c, "' (", int(c), ")");
 }
 
 char

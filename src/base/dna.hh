@@ -57,15 +57,58 @@ isBaseChar(char c)
 }
 
 /**
+ * Per-character 2-bit codes: kCharToCode[c] is the Base index of c,
+ * or kInvalidCode for characters outside {A, C, G, T}. The one base
+ * table: charToBase(), baseIndex(), the packer and the kernels that
+ * walk char strands word-wise all read it.
+ */
+inline constexpr uint8_t kInvalidCode = 0xff;
+
+namespace detail
+{
+constexpr std::array<uint8_t, 256>
+makeCharToCode()
+{
+    std::array<uint8_t, 256> t{};
+    for (auto &e : t)
+        e = kInvalidCode;
+    t['A'] = 0;
+    t['C'] = 1;
+    t['G'] = 2;
+    t['T'] = 3;
+    return t;
+}
+
+/** Panics on a non-ACGT character handed to charToBase(). */
+[[noreturn]] void invalidBaseChar(char c);
+} // namespace detail
+
+inline constexpr std::array<uint8_t, 256> kCharToCode =
+    detail::makeCharToCode();
+
+/**
  * Convert a character to its Base.
  *
- * The character must satisfy isBaseChar(); this is checked with an
- * assertion (invalid strand content is a bug upstream of this call).
+ * The character must satisfy isBaseChar(); anything else panics
+ * (invalid strand content is a bug upstream of this call). A table
+ * read with a never-taken branch: this runs per vote, per channel
+ * base and per profiler op.
  */
-Base charToBase(char c);
+inline Base
+charToBase(char c)
+{
+    const uint8_t code = kCharToCode[static_cast<unsigned char>(c)];
+    if (code == kInvalidCode) [[unlikely]]
+        detail::invalidBaseChar(c);
+    return static_cast<Base>(code);
+}
 
-/** Dense 0..3 index of a base character. Asserts isBaseChar(). */
-size_t baseIndex(char c);
+/** Dense 0..3 index of a base character. Panics like charToBase(). */
+inline size_t
+baseIndex(char c)
+{
+    return static_cast<size_t>(charToBase(c));
+}
 
 /** Watson-Crick complement of a single base. */
 constexpr Base

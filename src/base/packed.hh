@@ -31,32 +31,6 @@
 namespace dnasim
 {
 
-/**
- * Per-character 2-bit codes: kCharToCode[c] is the Base index of c,
- * or kInvalidCode for characters outside {A, C, G, T}. Shared by the
- * packer and by kernels that walk char strands word-wise.
- */
-inline constexpr uint8_t kInvalidCode = 0xff;
-
-namespace detail
-{
-constexpr std::array<uint8_t, 256>
-makeCharToCode()
-{
-    std::array<uint8_t, 256> t{};
-    for (auto &e : t)
-        e = kInvalidCode;
-    t['A'] = 0;
-    t['C'] = 1;
-    t['G'] = 2;
-    t['T'] = 3;
-    return t;
-}
-} // namespace detail
-
-inline constexpr std::array<uint8_t, 256> kCharToCode =
-    detail::makeCharToCode();
-
 /** A DNA strand packed at 2 bits per base. */
 class PackedStrand
 {

@@ -43,6 +43,9 @@ cmdExplain(const Args &args)
     }
     const size_t coverage = args.getCount("coverage", 0);
     const size_t buckets = args.getCount("buckets", 11, 1);
+    // Read with every other flag, so a bad sketch shape is fatal
+    // whether or not --recluster uses it.
+    const ClusterOptions cluster_options = clusterOptionsFromArgs(args);
     Dataset real = readEvyatFile(args.positional()[1]);
     ErrorProfile profile = errorProfileFromArgs(args, real);
     auto model = makeModel(args.get("model", "second-order"),
@@ -80,8 +83,8 @@ cmdExplain(const Args &args)
         // Identities ride through the shuffle, so ground truth
         // follows every read into whatever cluster it lands in.
         reclustered =
-            poolAndRecluster(simulated, clusterOptionsFromArgs(args),
-                             rng, /*with_identity=*/true, &assignments);
+            poolAndRecluster(simulated, cluster_options, rng,
+                             /*with_identity=*/true, &assignments);
         estimates = reconstructAll(reclustered.regrouped(), *algo, rng,
                                    design_len);
         inputs.clusters = &reclustered.clusters;

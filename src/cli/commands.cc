@@ -107,6 +107,14 @@ clusterOptionsFromArgs(const Args &args)
         args.getCount("sketch-bands", options.sketch.num_bands, 1);
     options.sketch.rows_per_band =
         args.getCount("sketch-rows", options.sketch.rows_per_band, 1);
+    // bands x rows slots must fit the signature; compare against the
+    // quotient, since the product of two counts can wrap.
+    if (options.sketch.num_bands >
+        SketchOptions::kMaxHashes / options.sketch.rows_per_band)
+        DNASIM_FATAL("--sketch-bands ", options.sketch.num_bands,
+                     " x --sketch-rows ", options.sketch.rows_per_band,
+                     " exceeds the sketch signature's ",
+                     SketchOptions::kMaxHashes, " slots");
     return options;
 }
 

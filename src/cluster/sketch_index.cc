@@ -26,11 +26,7 @@ mix64(uint64_t x)
     return x;
 }
 
-/**
- * Signature-width cap: num_bands * rows_per_band one-permutation
- * slots are tracked in a stack array of this size.
- */
-constexpr size_t kMaxHashes = 64;
+constexpr size_t kMaxHashes = SketchOptions::kMaxHashes;
 
 /** Chain terminator in the cluster-id node pool. */
 constexpr uint32_t kNoNode = 0xffffffffu;
@@ -60,7 +56,8 @@ SketchIndex::build(const StrandPoolView &view, size_t offset,
                   "sketch k-mer length out of [1, 32]");
     DNASIM_ASSERT(opts_.num_bands >= 1 && opts_.rows_per_band >= 1,
                   "sketch needs at least one band and one row");
-    DNASIM_ASSERT(opts_.num_bands * opts_.rows_per_band <= kMaxHashes,
+    // The product can wrap; the quotient cannot.
+    DNASIM_ASSERT(opts_.num_bands <= kMaxHashes / opts_.rows_per_band,
                   "sketch signature wider than ", kMaxHashes);
     DNASIM_ASSERT(offset + count <= view.size(),
                   "sketch range out of pool bounds");

@@ -60,6 +60,10 @@ namespace dnasim
 /** MinHash / LSH parameters of the sketch index. */
 struct SketchOptions
 {
+    /// Signature-width cap: num_bands * rows_per_band one-permutation
+    /// slots are tracked in a stack array of this size.
+    static constexpr size_t kMaxHashes = 64;
+
     /// K-mer length in bases (1..32; codes are 2k-bit packed words).
     size_t kmer_length = 10;
     /// Number of LSH bands; each band is one bucket lookup per read.

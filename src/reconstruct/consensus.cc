@@ -13,26 +13,6 @@ namespace dnasim
 {
 
 char
-BaseVote::winner(Rng &rng) const
-{
-    double best = -1.0;
-    size_t num_best = 0;
-    std::array<size_t, kNumBases> tied{};
-    for (size_t b = 0; b < kNumBases; ++b) {
-        if (counts_[b] > best) {
-            best = counts_[b];
-            tied[0] = b;
-            num_best = 1;
-        } else if (counts_[b] == best) {
-            tied[num_best++] = b;
-        }
-    }
-    DNASIM_ASSERT(num_best > 0, "vote with no candidates");
-    size_t pick = num_best == 1 ? tied[0] : tied[rng.index(num_best)];
-    return kBaseChars[pick];
-}
-
-char
 pluralityChar(std::span<const char> votes, Rng &rng)
 {
     if (votes.empty())
@@ -49,11 +29,10 @@ namespace
 /**
  * Unweighted column voting over packed words: each copy is packed
  * once (into a reused arena) and its 2-bit codes are streamed into
- * per-column integer counters, 32 columns per word load. The
- * per-column winner logic mirrors BaseVote::winner exactly —
- * including the order of tie candidates and when the Rng is
- * consumed — so the result is bit-identical to the character path
- * (unit weights are exact in both integer and double arithmetic).
+ * per-column integer counters, 32 columns per word load. Columns are
+ * decided by BaseVote::winner's pluralityIndex(), so the result is
+ * bit-identical to the character path (unit weights are exact in
+ * both integer and double arithmetic).
  *
  * Returns false (leaving @p out untouched and the Rng unconsumed)
  * when a copy contains a non-ACGT character; the caller then runs
@@ -89,21 +68,7 @@ packedPlurality(std::span<const Strand> copies, size_t design_len,
             out.push_back('A'); // no copy reaches this column
             continue;
         }
-        uint32_t best = 0;
-        size_t num_best = 0;
-        std::array<size_t, kNumBases> tied{};
-        for (size_t b = 0; b < kNumBases; ++b) {
-            if (b == 0 || c[b] > best) {
-                best = c[b];
-                tied[0] = b;
-                num_best = 1;
-            } else if (c[b] == best) {
-                tied[num_best++] = b;
-            }
-        }
-        size_t pick =
-            num_best == 1 ? tied[0] : tied[rng.index(num_best)];
-        out.push_back(kBaseChars[pick]);
+        out.push_back(kBaseChars[pluralityIndex(c, rng)]);
     }
     return true;
 }
@@ -156,7 +121,6 @@ alignedConsensus(const Strand &estimate,
     thread_local std::vector<BaseVote> base_votes;
     thread_local std::vector<double> del_votes;
     thread_local std::vector<std::array<double, kNumBases>> ins_votes;
-    thread_local std::vector<EditOp> ops;
     base_votes.assign(len, BaseVote{});
     del_votes.assign(len, 0.0);
     // Insertion votes for the gap before position i (i == len is an
@@ -176,22 +140,26 @@ alignedConsensus(const Strand &estimate,
         total_weight += w;
         // Deterministic (leftmost) alignments keep equally-minimal
         // edit scripts attributed to the same positions across
-        // copies, so their votes reinforce instead of spreading.
-        editOpsInto(pattern, estimate, copies[c], nullptr, ops);
-        for (const auto &op : ops) {
-            switch (op.type) {
-              case EditOpType::Equal:
-              case EditOpType::Substitute:
-                base_votes[op.ref_pos].add(op.copy_base, w);
-                break;
-              case EditOpType::Delete:
-                del_votes[op.ref_pos] += w;
-                break;
-              case EditOpType::Insert:
-                ins_votes[op.ref_pos][baseIndex(op.copy_base)] += w;
-                break;
-            }
-        }
+        // copies, so their votes reinforce instead of spreading. The
+        // walk visits ops back to front; every add one copy makes to
+        // a vote cell has the same weight w, so the sums are the
+        // ones a front-to-back fold gives.
+        const Strand &copy = copies[c];
+        editOpsWalk(pattern, estimate, copy,
+                    [&](EditOpType type, size_t i, size_t j) {
+                        switch (type) {
+                          case EditOpType::Equal:
+                          case EditOpType::Substitute:
+                            base_votes[i].add(copy[j], w);
+                            break;
+                          case EditOpType::Delete:
+                            del_votes[i] += w;
+                            break;
+                          case EditOpType::Insert:
+                            ins_votes[i][baseIndex(copy[j])] += w;
+                            break;
+                        }
+                    });
     }
 
     Strand out;
@@ -247,7 +215,6 @@ enforceDesignLength(Strand estimate, std::span<const Strand> copies,
     // cluster, up to eight rounds each.
     thread_local std::vector<double> del_votes;
     thread_local std::vector<std::array<double, kNumBases>> ins_votes;
-    thread_local std::vector<EditOp> ops;
     thread_local std::vector<Strand> candidates;
     thread_local std::vector<size_t> order;
     thread_local MyersPattern pattern;
@@ -260,14 +227,13 @@ enforceDesignLength(Strand estimate, std::span<const Strand> copies,
         ins_votes.assign(len + 1, std::array<double, kNumBases>{});
         pattern.assign(estimate);
         for (const auto &copy : copies) {
-            editOpsInto(pattern, estimate, copy, nullptr, ops);
-            for (const auto &op : ops) {
-                if (op.type == EditOpType::Delete)
-                    del_votes[op.ref_pos] += 1.0;
-                else if (op.type == EditOpType::Insert)
-                    ins_votes[op.ref_pos][baseIndex(op.copy_base)] +=
-                        1.0;
-            }
+            editOpsWalk(pattern, estimate, copy,
+                        [&](EditOpType type, size_t i, size_t j) {
+                            if (type == EditOpType::Delete)
+                                del_votes[i] += 1.0;
+                            else if (type == EditOpType::Insert)
+                                ins_votes[i][baseIndex(copy[j])] += 1.0;
+                        });
         }
 
         candidates.clear();
@@ -380,33 +346,32 @@ consensusVoteProfile(const Strand &estimate,
         per_copy->assign(copies.size(),
                          std::string(estimate.size(), '\0'));
 
-    thread_local std::vector<EditOp> ops;
     thread_local MyersPattern pattern;
     pattern.assign(estimate);
     for (size_t k = 0; k < copies.size(); ++k) {
-        // Null Rng: deterministic leftmost scripts, the same
-        // alignment alignedConsensus() collects votes from.
-        editOpsInto(pattern, estimate, copies[k], nullptr, ops);
-        for (const EditOp &op : ops) {
-            if (op.ref_pos >= estimate.size())
-                continue;
-            switch (op.type) {
-              case EditOpType::Equal:
-              case EditOpType::Substitute:
-                ++votes[op.ref_pos]
-                      .base_votes[baseIndex(op.copy_base)];
-                if (per_copy != nullptr)
-                    (*per_copy)[k][op.ref_pos] = op.copy_base;
-                break;
-              case EditOpType::Delete:
-                ++votes[op.ref_pos].deletion_votes;
-                if (per_copy != nullptr)
-                    (*per_copy)[k][op.ref_pos] = '-';
-                break;
-              case EditOpType::Insert:
-                break; // between-position votes: not positional
-            }
-        }
+        // The deterministic leftmost scripts alignedConsensus()
+        // collects votes from.
+        const Strand &copy = copies[k];
+        std::string *copy_votes =
+            per_copy != nullptr ? &(*per_copy)[k] : nullptr;
+        editOpsWalk(pattern, estimate, copy,
+                    [&](EditOpType type, size_t i, size_t j) {
+                        switch (type) {
+                          case EditOpType::Equal:
+                          case EditOpType::Substitute:
+                            ++votes[i].base_votes[baseIndex(copy[j])];
+                            if (copy_votes != nullptr)
+                                (*copy_votes)[i] = copy[j];
+                            break;
+                          case EditOpType::Delete:
+                            ++votes[i].deletion_votes;
+                            if (copy_votes != nullptr)
+                                (*copy_votes)[i] = '-';
+                            break;
+                          case EditOpType::Insert:
+                            break; // between positions: not positional
+                        }
+                    });
     }
     return votes;
 }

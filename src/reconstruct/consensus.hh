@@ -113,7 +113,7 @@ struct PositionVote
 /**
  * Per-position vote profile of @p copies aligned against
  * @p estimate — the same deterministic leftmost edit scripts
- * alignedConsensus() votes with (editOpsInto with a null Rng), so
+ * alignedConsensus() votes with (editOpsWalk), so
  * the attribution engine can reconstruct each consensus decision
  * after the fact. Element i summarizes the votes at estimate
  * position i.
@@ -127,6 +127,31 @@ std::vector<PositionVote>
 consensusVoteProfile(const Strand &estimate,
                      std::span<const Strand> copies,
                      std::vector<std::string> *per_copy = nullptr);
+
+/**
+ * The plurality rule every vote uses: the index of the first strict
+ * maximum of @p counts[0..kNumBases) in base order, or, on a tie, a
+ * uniform draw among the tied indices — the only Rng draw a vote
+ * takes. Counts must be non-negative.
+ */
+template <typename Count>
+inline size_t
+pluralityIndex(const Count *counts, Rng &rng)
+{
+    Count best = counts[0];
+    size_t num_best = 1;
+    std::array<size_t, kNumBases> tied{};
+    for (size_t b = 1; b < kNumBases; ++b) {
+        if (counts[b] > best) {
+            best = counts[b];
+            tied[0] = b;
+            num_best = 1;
+        } else if (counts[b] == best) {
+            tied[num_best++] = b;
+        }
+    }
+    return num_best == 1 ? tied[0] : tied[rng.index(num_best)];
+}
 
 /** Accumulates weighted votes over the four bases. */
 class BaseVote
@@ -148,7 +173,11 @@ class BaseVote
     }
 
     /** Winning base; ties break uniformly at random. */
-    char winner(Rng &rng) const;
+    char
+    winner(Rng &rng) const
+    {
+        return kBaseChars[pluralityIndex(counts_.data(), rng)];
+    }
 
     void
     clear()

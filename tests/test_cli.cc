@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <regex>
@@ -781,6 +782,58 @@ TEST_F(CliCommands, OutOfRangeRatesAreFatal)
     EXPECT_THROW(cmdRoundtrip(makeArgs({"roundtrip", payload,
                                         "--error-rate", "-0.5"})),
                  FatalError);
+}
+
+TEST_F(CliCommands, OversizedSketchShapeIsFatal)
+{
+    // bands x rows over the 64-slot signature used to abort on a
+    // library assert; 2^32 x 2^32 wrapped past it into bad_alloc.
+    const std::string dataset = tmpPath("sketch.evyat");
+    const std::string payload = tmpPath("sketch_payload.bin");
+    cleanup_.insert(cleanup_.end(), {dataset, payload});
+    std::ofstream(payload) << "payload";
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "5",
+                                    "--out", dataset})),
+              0);
+    const std::vector<std::pair<std::string, std::string>> shapes = {
+        {"40", "2"}, {"4294967296", "4294967296"}};
+    for (const auto &[bands, rows] : shapes) {
+        const std::vector<std::string> shape = {
+            "--sketch-bands", bands, "--sketch-rows", rows};
+        auto with_shape = [&](std::vector<std::string> tokens) {
+            tokens.insert(tokens.end(), shape.begin(), shape.end());
+            return makeArgs(tokens);
+        };
+        const std::pair<const char *, std::function<int()>> runs[] = {
+            {"cluster",
+             [&] { return cmdCluster(with_shape({"cluster", dataset})); }},
+            {"roundtrip",
+             [&] {
+                 return cmdRoundtrip(
+                     with_shape({"roundtrip", payload, "--recluster"}));
+             }},
+            {"explain",
+             [&] { return cmdExplain(with_shape({"explain", dataset})); }},
+        };
+        for (const auto &[command, run] : runs) {
+            try {
+                run();
+                ADD_FAILURE() << command << " accepted " << bands
+                              << " x " << rows;
+            } catch (const FatalError &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("--sketch-bands"), std::string::npos)
+                    << command << ": " << what;
+                EXPECT_NE(what.find("--sketch-rows"), std::string::npos)
+                    << command << ": " << what;
+            }
+        }
+    }
+    // The widest shape that fits still clusters.
+    EXPECT_EQ(cmdCluster(makeArgs({"cluster", dataset, "--sketch-bands",
+                                   "32", "--sketch-rows", "2"})),
+              0);
 }
 
 TEST_F(CliCommands, ZeroBucketsAndIntervalsAreFatal)

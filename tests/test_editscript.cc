@@ -7,11 +7,14 @@
  * tie-break mode — on synthetic pairs, on every pair a calibrate →
  * simulate → reconstruct workload feeds them, and on the edge cases
  * the tiers special-case (empty strands, word-boundary lengths, band
- * escapes, non-ACGT fallbacks, tier selection).
+ * escapes, non-ACGT fallbacks, tier selection). The Tier-A walk
+ * (editOpsWalk) is pinned the same way: its visits, reversed, are the
+ * reference script.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,7 +36,6 @@ namespace
 {
 
 using align_detail::editOpsBandedWithBand;
-using align_detail::editOpsBitVector;
 using align_detail::editOpsReference;
 using align_detail::EditOpsStats;
 
@@ -52,6 +54,36 @@ engineScript(std::string_view ref, std::string_view copy, Rng *rng)
 {
     std::vector<EditOp> out;
     editOpsInto(ref, copy, rng, out);
+    return out;
+}
+
+/**
+ * editOpsWalk()'s visits, reversed into a reference-order script.
+ * Also checks the copy positions: each Equal, Substitute and Insert
+ * consumes the copy index just before the previous one, and a Delete
+ * reports the copy characters before it.
+ */
+std::vector<EditOp>
+walkScript(const MyersPattern &pattern, std::string_view ref,
+           std::string_view copy)
+{
+    std::vector<EditOp> out;
+    size_t next_j = copy.size();
+    editOpsWalk(pattern, ref, copy,
+                [&](EditOpType type, size_t i, size_t j) {
+                    if (type == EditOpType::Delete) {
+                        EXPECT_EQ(j, next_j);
+                    } else {
+                        EXPECT_EQ(j + 1, next_j);
+                        next_j = j;
+                    }
+                    out.push_back(
+                        {type, i,
+                         type == EditOpType::Insert ? '\0' : ref[i],
+                         type == EditOpType::Delete ? '\0' : copy[j]});
+                });
+    EXPECT_EQ(next_j, 0u);
+    std::reverse(out.begin(), out.end());
     return out;
 }
 
@@ -199,20 +231,79 @@ TEST(EditScript, RoundTripsThroughApply)
 
 TEST(EditScript, BitVectorTierDirect)
 {
-    // Drive Tier A below the dispatch to pin the pattern-reuse
-    // entry point: one pattern, many copies.
+    // Drive Tier A below the vector-building dispatch, through the
+    // walk consensus voting uses: one pattern, many copies.
     StrandFactory factory;
     Rng rng(55);
     ErrorProfile profile = ErrorProfile::uniform(0.05, 150);
     IdsChannelModel channel = IdsChannelModel::naive(profile);
     Strand ref = factory.make(150, rng);
     MyersPattern pattern(ref);
-    std::vector<EditOp> out;
     for (int trial = 0; trial < 20; ++trial) {
         Strand copy = channel.transmit(ref, rng);
-        editOpsBitVector(pattern, ref, copy, out);
-        EXPECT_EQ(out, refScript(ref, copy, nullptr));
+        EXPECT_EQ(walkScript(pattern, ref, copy),
+                  refScript(ref, copy, nullptr));
     }
+}
+
+/**
+ * The walk against the reference DP at pattern lengths around the
+ * 64-row block boundaries, with empty sides and non-ACGT characters,
+ * counting one script per call: a bit-vector script for ACGT
+ * references, a fallback for non-ACGT ones, none for an empty side.
+ */
+TEST(EditScript, WalkVisitsReversedAreTheReferenceScript)
+{
+    auto &st = EditOpsStats::get();
+    auto expectWalk = [&](const std::string &ref,
+                          const std::string &copy) {
+        const uint64_t bitvec_before = st.bitvec.value();
+        const uint64_t fallback_before = st.fallback.value();
+        const MyersPattern pattern(ref);
+        EXPECT_EQ(walkScript(pattern, ref, copy),
+                  refScript(ref, copy, nullptr))
+            << ref << " vs " << copy;
+        const bool trivial = ref.empty() || copy.empty();
+        EXPECT_EQ(st.bitvec.value() - bitvec_before,
+                  !trivial && pattern.packed() ? 1u : 0u)
+            << ref << " vs " << copy;
+        EXPECT_EQ(st.fallback.value() - fallback_before,
+                  !trivial && !pattern.packed() ? 1u : 0u)
+            << ref << " vs " << copy;
+    };
+
+    // Unconstrained strands: the factory's GC and homopolymer
+    // constraints admit no strand of length 1.
+    Rng rng(404);
+    auto random = [&](size_t len) {
+        Strand s(len, 'A');
+        for (char &c : s)
+            c = kBaseChars[rng.index(kNumBases)];
+        return s;
+    };
+    for (size_t len : {1, 63, 64, 65, 128, 129}) {
+        ErrorProfile profile = ErrorProfile::uniform(0.08, len);
+        IdsChannelModel channel = IdsChannelModel::naive(profile);
+        for (int trial = 0; trial < 12; ++trial) {
+            const Strand ref = random(len);
+            expectWalk(ref, channel.transmit(ref, rng));
+            // Copy lengths across the same boundaries.
+            expectWalk(ref, random(len + trial % 3));
+        }
+        const Strand ref = random(len);
+        expectWalk(ref, "");
+        expectWalk("", ref);
+        // Non-ACGT copy characters stay in the bit-vector tier.
+        Strand n_copy = channel.transmit(ref, rng) + "N";
+        n_copy[0] = 'N';
+        expectWalk(ref, n_copy);
+        // A non-ACGT reference falls back to the reference DP.
+        Strand n_ref = ref;
+        n_ref[len / 2] = 'N';
+        expectWalk(n_ref, ref);
+        expectWalk(n_ref, n_copy);
+    }
+    expectWalk("", "");
 }
 
 TEST(EditScript, BandEscapeLeavesRngUntouchedAndRetrySucceeds)

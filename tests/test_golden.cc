@@ -1,7 +1,7 @@
 /**
  * @file
- * Committed golden digests of the channel's outputs and of the Rng's
- * sample streams.
+ * Committed golden digests of the channel's outputs, of every
+ * reconstructor's estimates and of the Rng's sample streams.
  *
  * The other determinism tests compare runs only with each other, so a
  * change that shifts every output the same way at every thread count
@@ -18,10 +18,13 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "align/edit_script.hh"
+#include "analysis/accuracy.hh"
 #include "base/rng.hh"
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
@@ -32,7 +35,15 @@
 #include "core/tech_profiles.hh"
 #include "core/wetlab.hh"
 #include "data/strand_factory.hh"
+#include "obs/stats.hh"
 #include "par/thread_pool.hh"
+#include "reconstruct/bma.hh"
+#include "reconstruct/consensus.hh"
+#include "reconstruct/divider_bma.hh"
+#include "reconstruct/iterative.hh"
+#include "reconstruct/majority.hh"
+#include "reconstruct/twoway_iterative.hh"
+#include "reconstruct/weighted_iterative.hh"
 
 namespace dnasim
 {
@@ -307,6 +318,168 @@ TEST(Golden, StagedChannelAndWetlab)
                                        .generate(wet_rng)),
                      0x666f7c0e5f229877);
     }
+}
+
+/**
+ * The reconstructor inputs: the roundtrip channel at coverage 1, 3, 8
+ * and 27, a small wetlab set (bursts, alien and truncated reads) and
+ * hand-made edge clusters, in one dataset. Each cluster's design
+ * length is its reference's length.
+ */
+const Dataset &
+reconstructionInputs()
+{
+    static const Dataset data = [] {
+        Dataset out;
+        IdsChannelModel model = IdsChannelModel::full(
+            NanoporeDatasetGenerator::groundTruthProfile(130, 0.04));
+        ChannelSimulator sim(model);
+        const size_t coverages[] = {1, 3, 8, 27};
+        for (size_t k = 0; k < std::size(coverages); ++k) {
+            FixedCoverage coverage(coverages[k]);
+            Rng rng(0x7ec0 + k);
+            Dataset part = sim.simulate(references(10, 130, 0x7e50 + k),
+                                        coverage, rng);
+            for (Cluster &c : part.clusters())
+                out.add(std::move(c));
+        }
+
+        WetlabConfig config;
+        config.num_clusters = 16;
+        Rng wet_rng(0x7e7);
+        Dataset wetlab = NanoporeDatasetGenerator(config).generate(wet_rng);
+        for (Cluster &c : wetlab.clusters())
+            out.add(std::move(c));
+
+        const Strand ref = references(1, 40, 0x7ee).front();
+        Strand sub = ref;
+        sub[17] = sub[17] == 'A' ? 'C' : 'A';
+        // An empty copy among full-length ones.
+        out.add({ref, {"", ref, sub}});
+        // Every copy shorter than the look-ahead window.
+        out.add({ref.substr(0, 12), {"AC", "G", "ACG", "T"}});
+        // Every cursor runs off its copy before the design length.
+        out.add({ref, {ref.substr(0, 20), sub.substr(0, 26),
+                       ref.substr(3, 22)}});
+        // An insertion at the last base, and one after it.
+        Strand before_last = ref;
+        before_last.insert(before_last.size() - 1, "G");
+        out.add({ref, {ref + "T", before_last, ref + "C", ref}});
+        // Only empty copies; a single copy; two copies that tie.
+        out.add({ref, {"", ""}});
+        out.add({ref, {sub}});
+        Strand other = ref;
+        other.erase(9, 1);
+        other.insert(30, "T");
+        out.add({ref, {sub, other}});
+        return out;
+    }();
+    return data;
+}
+
+struct NamedReconstructor
+{
+    const char *name;
+    const Reconstructor &algo;
+    uint64_t golden; ///< per-cluster estimates and Rng words
+};
+
+/**
+ * Per-cluster estimates of every reconstructor, each cluster on the
+ * fork(i) stream reconstructAll() gives it, plus one engine word
+ * drawn after the call: the word pins how many draws the call took.
+ */
+TEST(Golden, Reconstructors)
+{
+    static const MajorityVote majority;
+    static const BmaLookahead bma;
+    static const BmaLookahead bma_oneway{BmaOptions{false}};
+    static const DividerBma divider;
+    static const Iterative iterative;
+    static const Iterative iterative_raw{IterativeOptions{false}};
+    static const TwoWayIterative twoway;
+    static const WeightedIterative weighted;
+    const NamedReconstructor algos[] = {
+        {"bma", bma, 0x441e0921495ca6b7},
+        {"bma-oneway", bma_oneway, 0xaf6a9e4bfc695a60},
+        {"divbma", divider, 0x73c239b9e89422a0},
+        {"iterative", iterative, 0xfd11b45014eac9e4},
+        {"iterative-raw", iterative_raw, 0x6bd33c6566d8b47a},
+        {"iterative-2way", twoway, 0x5ed40745a5bacd08},
+        {"iterative-weighted", weighted, 0x067af1fd9e19655c},
+        {"majority", majority, 0x509d9e0adc774df8},
+    };
+
+    const Dataset &data = reconstructionInputs();
+    auto &reg = obs::Registry::global();
+    obs::Counter *const counters[] = {
+        &reg.counter("reconstruct.bma.lookaheads"),
+        &reg.counter("reconstruct.iterative.rounds"),
+        &align_detail::EditOpsStats::get().bitvec,
+        &align_detail::EditOpsStats::get().fallback,
+    };
+    uint64_t before[std::size(counters)] = {};
+    for (size_t k = 0; k < std::size(counters); ++k)
+        before[k] = counters[k]->value();
+
+    const Rng root(0x90a1);
+    for (const NamedReconstructor &named : algos) {
+        Fnv64 h;
+        for (size_t i = 0; i < data.size(); ++i) {
+            Rng rng = root.fork(i);
+            h.str(named.algo.reconstruct(data[i].copies,
+                                         data[i].reference.size(), rng));
+            h.pod(rng.engine()());
+        }
+        expectDigest(named.name, h.value(), named.golden);
+    }
+
+    const uint64_t golden_deltas[] = {68643, 368, 8973, 0};
+    for (size_t k = 0; k < std::size(counters); ++k)
+        EXPECT_EQ(counters[k]->value() - before[k], golden_deltas[k])
+            << counters[k]->name();
+
+    // reconstructAll() over the whole dataset at threads 1 and 8,
+    // every algorithm.
+    for (size_t threads : kThreadCounts) {
+        ThreadGuard guard(threads);
+        Fnv64 h;
+        for (const NamedReconstructor &named : algos) {
+            Rng rng(0x90a2);
+            for (const Strand &estimate :
+                 reconstructAll(data, named.algo, rng))
+                h.str(estimate);
+        }
+        expectDigest("reconstructAll @" + std::to_string(threads),
+                     h.value(), 0xca3e56983b0010c0);
+    }
+}
+
+/**
+ * The attribution engine's per-position vote profile, per-copy votes
+ * included, over Iterative's estimates.
+ */
+TEST(Golden, ConsensusVoteProfile)
+{
+    const Dataset &data = reconstructionInputs();
+    Rng rng(0x90a3);
+    const std::vector<Strand> estimates =
+        reconstructAll(data, Iterative(), rng);
+    Fnv64 h;
+    std::vector<std::string> per_copy;
+    for (size_t i = 0; i < data.size(); ++i) {
+        for (const PositionVote &v :
+             consensusVoteProfile(estimates[i], data[i].copies,
+                                  &per_copy)) {
+            for (uint32_t b : v.base_votes)
+                h.pod(b);
+            h.pod(v.deletion_votes);
+        }
+        for (const std::string &votes : per_copy)
+            h.str(votes);
+    }
+    expectDigest("consensusVoteProfile", h.value(),
+                 0x740874b0e02d417b);
 }
 
 /**

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "align/edit_distance.hh"
 #include "analysis/accuracy.hh"
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
 #include "core/ids_model.hh"
+#include "core/wetlab.hh"
 #include "data/strand_factory.hh"
+#include "obs/stats.hh"
 #include "reconstruct/bma.hh"
 #include "reconstruct/consensus.hh"
 #include "reconstruct/divider_bma.hh"
@@ -244,6 +248,159 @@ TEST(Bma, ForwardPassAnchorsAtStart)
     }
     Strand estimate = BmaLookahead::forwardPass(copies, 100, rng);
     EXPECT_EQ(estimate.substr(0, 60), ref.substr(0, 60));
+}
+
+/**
+ * The character-path BMA forward pass the code-path kernel replaced:
+ * four BaseVotes rebuilt per position, look-ahead reads bounds
+ * checked against each copy. Kept as the reference the kernel must
+ * match estimate for estimate and draw for draw. Returns the number
+ * of look-ahead disagreements in @p lookaheads.
+ */
+Strand
+referenceForwardPass(const std::vector<Strand> &copies,
+                     size_t design_len, Rng &rng, uint64_t &lookaheads)
+{
+    constexpr size_t kWindow = BmaLookahead::kWindow;
+    const size_t k = copies.size();
+    std::vector<size_t> cursor(k, 0);
+    lookaheads = 0;
+    Strand estimate;
+    std::array<BaseVote, kWindow + 1> votes;
+    std::array<char, kWindow + 1> m{};
+    for (size_t pos = 0; pos < design_len; ++pos) {
+        for (auto &v : votes)
+            v.clear();
+        for (size_t c = 0; c < k; ++c)
+            for (size_t off = 0; off <= kWindow; ++off)
+                if (cursor[c] + off < copies[c].size())
+                    votes[off].add(copies[c][cursor[c] + off]);
+        if (votes[0].empty()) {
+            estimate.push_back('A');
+            continue;
+        }
+        const char maj = votes[0].winner(rng);
+        estimate.push_back(maj);
+        m[0] = maj;
+        for (size_t off = 1; off <= kWindow; ++off)
+            m[off] = votes[off].empty() ? '\0'
+                                        : votes[off].winner(rng);
+        for (size_t c = 0; c < k; ++c) {
+            const Strand &copy = copies[c];
+            if (cursor[c] >= copy.size())
+                continue;
+            if (copy[cursor[c]] == maj) {
+                ++cursor[c];
+                continue;
+            }
+            auto at = [&](size_t off) -> char {
+                return cursor[c] + off < copy.size()
+                           ? copy[cursor[c] + off]
+                           : '\0';
+            };
+            auto match = [](char a, char b) {
+                return a != '\0' && a == b ? 1 : 0;
+            };
+            ++lookaheads;
+            int sub_score = 0, ins_score = 0, del_score = 0;
+            for (size_t off = 1; off <= kWindow; ++off) {
+                sub_score += match(at(off), m[off]);
+                ins_score += match(at(off), m[off - 1]);
+                del_score += match(at(off - 1), m[off]);
+            }
+            if (ins_score > sub_score && ins_score >= del_score)
+                cursor[c] += 2;
+            else if (!(del_score > sub_score && del_score > ins_score))
+                ++cursor[c];
+        }
+    }
+    return estimate;
+}
+
+/** forwardPass() against referenceForwardPass() on one cluster. */
+void
+expectForwardPassMatchesReference(const std::vector<Strand> &copies,
+                                  size_t design_len, uint64_t seed)
+{
+    auto &lookaheads =
+        obs::Registry::global().counter("reconstruct.bma.lookaheads");
+    Rng kernel_rng(seed), reference_rng(seed);
+    const uint64_t before = lookaheads.value();
+    const Strand estimate =
+        BmaLookahead::forwardPass(copies, design_len, kernel_rng);
+    uint64_t expected_lookaheads = 0;
+    EXPECT_EQ(estimate,
+              referenceForwardPass(copies, design_len, reference_rng,
+                                   expected_lookaheads))
+        << "seed " << seed << ", " << copies.size() << " copies";
+    EXPECT_TRUE(kernel_rng.engine() == reference_rng.engine())
+        << "Rng consumption diverged, seed " << seed;
+    EXPECT_EQ(lookaheads.value() - before, expected_lookaheads)
+        << "seed " << seed;
+}
+
+TEST(Bma, ForwardPassMatchesCharPathReference)
+{
+    // Randomized clusters, coverage 1-40, over the roundtrip channel
+    // and uniform IDS noise up to 20 %, at design lengths around the
+    // reference's.
+    Rng rng(0xb3a);
+    IdsChannelModel full = IdsChannelModel::full(
+        NanoporeDatasetGenerator::groundTruthProfile(130, 0.04));
+    for (uint64_t trial = 0; trial < 160; ++trial) {
+        const size_t len = trial % 2 == 0 ? 130 : 20 + rng.index(120);
+        Strand ref(len, 'A');
+        for (char &c : ref)
+            c = kBaseChars[rng.index(kNumBases)];
+        const size_t coverage = 1 + rng.index(40);
+        std::vector<Strand> copies;
+        if (len == 130) {
+            for (size_t i = 0; i < coverage; ++i)
+                copies.push_back(full.transmit(ref, rng));
+        } else {
+            copies = noisyCluster(ref, coverage,
+                                  0.01 + 0.19 * rng.uniform(), rng);
+        }
+        const size_t design_len = len + rng.index(7) - 3;
+        expectForwardPassMatchesReference(copies, design_len, trial);
+    }
+}
+
+TEST(Bma, ForwardPassEdgeShapesMatchCharPathReference)
+{
+    StrandFactory factory;
+    Rng rng(0xb3b);
+    const Strand ref = factory.make(40, rng);
+    Strand sub = ref;
+    sub[17] = sub[17] == 'A' ? 'C' : 'A';
+    Strand before_last = ref;
+    before_last.insert(before_last.size() - 1, "G");
+    const std::vector<std::vector<Strand>> clusters = {
+        {},                                       // no copies
+        {""},                                     // one empty copy
+        {"", ""},                                 // only empty copies
+        {"", ref, sub},                           // an empty copy
+        {"AC", "G", "ACG", "T"},                  // shorter than the window
+        {"A", "C"},                               // a tie at every column
+        {ref.substr(0, 20), sub.substr(0, 26),    // every cursor runs
+         ref.substr(3, 22)},                      // off before the end
+        {ref + "T", before_last, ref + "C", ref}, // last-base insertions
+        {sub},                                    // a single copy
+    };
+    for (size_t i = 0; i < clusters.size(); ++i)
+        for (size_t design_len : {size_t{0}, size_t{1}, size_t{12},
+                                  size_t{40}, size_t{47}})
+            expectForwardPassMatchesReference(clusters[i], design_len,
+                                              100 * i + design_len);
+}
+
+TEST(Bma, ForwardPassPanicsOnNonAcgt)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Rng rng(0xb3c);
+    const std::vector<Strand> copies = {"ACGTACGT", "ACGNACGT"};
+    EXPECT_DEATH(BmaLookahead::forwardPass(copies, 8, rng),
+                 "invalid base character 'N'");
 }
 
 TEST(Bma, TwoWayBeatsOneWayOnUniformNoise)
