@@ -143,8 +143,8 @@ BenchReport::write()
     w.value("schema", "dnasim.bench.v1");
     w.value("name", name_);
     w.value("git_rev", gitRevision());
-    // Shared provenance header (git_rev above stays for the
-    // ledger's existing ingestion key).
+    // Shared provenance header (the top-level git_rev above predates
+    // it and stays, so the schema keeps every field it had).
     obs::writeProvenance(w);
     w.value("seed", seed_);
     w.value("wall_time_s", wall_s);

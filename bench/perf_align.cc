@@ -95,7 +95,7 @@ BM_LevenshteinScalarBanded(benchmark::State &state)
  * profiler's random tie-break shape (Tier B banded). Each row also
  * records its per-script cell-equivalent count (from
  * align.editops.cells) as an `editops.cells/...` report metric, so
- * ledger diffs see work-done changes even when time is noisy.
+ * the report shows work-done changes even when time is noisy.
  */
 void
 BM_EditOps(benchmark::State &state)

@@ -12,7 +12,8 @@
  *   --quick         CI perf-gate mode: short repetitions
  *                   (--benchmark_min_time=0.05s) so a full perf_*
  *                   binary finishes in seconds; noise is handled by
- *                   the ledger diff over repeats, not by long runs
+ *                   `dnasim bench diff` over repeats, not by long
+ *                   runs
  *   --profile       enable tracing + RSS sampling; the phase profile
  *                   is printed to stderr and embedded in the report
  *   --trace-out F   write a Chrome trace JSON (flushed at exit)
@@ -164,10 +165,12 @@ main(int argc, char **argv)
         if (!trace_out.empty())
             dnasim::obs::Trace::global().setExitFlushPath(trace_out);
     }
-    // The profiler's RSS series comes from the telemetry sampler,
+    // The profiler's RSS series comes from the sampler thread,
     // which appends one reading per tick while tracing is on.
-    if (profile)
-        dnasim::obs::TelemetrySampler::global().start(25);
+    if (profile) {
+        dnasim::obs::TelemetrySampler::global().start(
+            dnasim::obs::kProfilePeriodMs);
+    }
 
     benchmark::Initialize(&kept_argc, keep.data());
     if (benchmark::ReportUnrecognizedArguments(kept_argc, keep.data()))

@@ -1,12 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the observability layer itself: the cost of a
- * counter increment and a histogram/timer record on the hot path,
- * and the per-tick cost of a full telemetry snapshot cycle (registry
- * merge + rates + OpenMetrics/JSONL rendering). These rows back the
- * "sampler overhead" budget in EXPERIMENTS.md: a snapshot cycle in
- * the tens of microseconds at a 500 ms period is noise next to any
- * real workload.
+ * counter increment and a histogram/timer/distribution record on the
+ * hot path, and the cost of lineage recording in the channel.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,10 +12,7 @@
 #include "core/lineage_log.hh"
 #include "data/strand_factory.hh"
 #include "obs/hdr_histogram.hh"
-#include "obs/openmetrics.hh"
-#include "obs/snapshot.hh"
 #include "obs/stats.hh"
-#include "obs/telemetry.hh"
 
 using namespace dnasim;
 
@@ -82,71 +75,6 @@ BM_DistributionRecord(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 
-/** A registry shaped like a real run: counters, timers, dists. */
-void
-populate(obs::Registry &reg, size_t counters)
-{
-    for (size_t i = 0; i < counters; ++i) {
-        obs::Counter &c = reg.counter(
-            "bench.counter." + std::to_string(i));
-        c.add(i * 1000 + 1);
-    }
-    for (size_t i = 0; i < 4; ++i) {
-        obs::Timer &t =
-            reg.timer("bench.timer." + std::to_string(i));
-        for (uint64_t ns = 1000; ns < 50'000'000; ns *= 3)
-            t.record(ns);
-    }
-    obs::Distribution &d = reg.distribution("bench.sizes");
-    for (uint64_t v = 1; v <= 200; ++v)
-        d.record(v);
-}
-
-void
-BM_SnapshotCycle(benchmark::State &state)
-{
-    // One full sampler tick minus the sinks: merge the registry,
-    // diff against the previous snapshot into rates.
-    obs::Registry reg;
-    populate(reg, static_cast<size_t>(state.range(0)));
-    obs::Snapshot prev = reg.snapshot();
-    for (auto _ : state) {
-        obs::Snapshot cur = reg.snapshot();
-        auto rates = obs::computeRates(prev, cur, 500'000'000);
-        benchmark::DoNotOptimize(rates.data());
-        prev = std::move(cur);
-    }
-}
-
-void
-BM_OpenMetricsRender(benchmark::State &state)
-{
-    obs::Registry reg;
-    populate(reg, static_cast<size_t>(state.range(0)));
-    obs::Snapshot snap = reg.snapshot();
-    for (auto _ : state) {
-        std::string doc = obs::snapshotToOpenMetrics(snap);
-        benchmark::DoNotOptimize(doc.data());
-    }
-}
-
-void
-BM_TelemetryLineRender(benchmark::State &state)
-{
-    obs::Registry reg;
-    populate(reg, static_cast<size_t>(state.range(0)));
-    obs::IntervalSample sample;
-    sample.seq = 1;
-    sample.interval_ns = 500'000'000;
-    sample.snap = reg.snapshot();
-    sample.rates = obs::computeRates(obs::Snapshot(), sample.snap,
-                                     sample.interval_ns);
-    for (auto _ : state) {
-        std::string line = obs::telemetrySampleLine(sample);
-        benchmark::DoNotOptimize(line.data());
-    }
-}
-
 /**
  * Channel transmit with lineage recording off (arg 0) and on
  * (arg 1). The delta between the two rows is the whole cost of the
@@ -183,7 +111,4 @@ BENCHMARK(BM_CounterInc);
 BENCHMARK(BM_HistogramRecord);
 BENCHMARK(BM_TimerRecord);
 BENCHMARK(BM_DistributionRecord);
-BENCHMARK(BM_SnapshotCycle)->Arg(16)->Arg(64);
-BENCHMARK(BM_OpenMetricsRender)->Arg(64);
-BENCHMARK(BM_TelemetryLineRender)->Arg(64);
 BENCHMARK(BM_LineageRecord)->Arg(0)->Arg(1);

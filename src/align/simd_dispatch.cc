@@ -125,8 +125,8 @@ activeSimdTier()
                         ? clampToDetected(static_cast<SimdTier>(requested))
                         : detectedSimdTier();
 
-    // One startup log line + the stats gauge, so bench reports and
-    // telemetry always record which code path ran. The log fires
+    // One startup log line + the stats gauge, so stats snapshots and
+    // bench reports always record which code path ran. The log fires
     // once per process; the gauge tracks the current selection (it
     // moves when tests flip the override).
     static std::atomic<bool> logged{false};

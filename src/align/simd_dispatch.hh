@@ -18,7 +18,7 @@
  * supported one. The resolved tier is logged once through the
  * standard log sink and exported as the align.simd.tier gauge
  * (0 = scalar, 1 = avx2, 2 = avx512) in dnasim.stats.v1, so every
- * bench report and telemetry stream records which code path ran.
+ * stats snapshot and bench report records which code path ran.
  *
  * Every tier is required to return bit-identical results (see the
  * lane-determinism argument in DESIGN.md), so the dispatch choice

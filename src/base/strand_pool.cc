@@ -86,6 +86,16 @@ appendFile(std::ofstream &out, const std::string &src,
     return true;
 }
 
+/**
+ * Words a strand of @p len bases occupies, without the overflow of
+ * numWords() near 2^64 (a hostile length must not wrap to 0).
+ */
+uint64_t
+wordsFor(uint64_t len)
+{
+    return len / 32 + (len % 32 != 0 ? 1 : 0);
+}
+
 void
 removeQuiet(const std::string &path)
 {
@@ -153,13 +163,15 @@ PackedStrandPool::open(const std::string &path, std::string *error)
 
     // O(1) bounds validation: the declared index and arena must fit
     // inside the mapping, so a truncated or corrupt file fails here
-    // instead of faulting on first access.
+    // instead of faulting on first access. Each product below is
+    // read only after its factor is bounded, so a hostile count or
+    // arena_words cannot wrap past the checks.
     const uint64_t index_bytes = count * kIndexEntryBytes;
     const uint64_t arena_bytes = arena_words * sizeof(uint64_t);
     if (count > bytes.size() / kIndexEntryBytes ||
         index_offset != kHeaderBytes ||
         arena_offset != kHeaderBytes + index_bytes ||
-        arena_bytes > bytes.size() ||
+        arena_words > bytes.size() / sizeof(uint64_t) ||
         arena_offset > bytes.size() - arena_bytes) {
         setPathError(error, path,
                      "truncated or corrupt dnapool file");
@@ -167,7 +179,25 @@ PackedStrandPool::open(const std::string &path, std::string *error)
         return false;
     }
 
-    index_ = reinterpret_cast<const uint64_t *>(base + index_offset);
+    // O(n) index validation: every strand's words must lie inside
+    // the arena, so words() can never read outside the mapping.
+    const auto *index =
+        reinterpret_cast<const uint64_t *>(base + index_offset);
+    for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t word_offset = index[2 * i];
+        const uint64_t len = index[2 * i + 1];
+        if (word_offset > arena_words ||
+            wordsFor(len) > arena_words - word_offset) {
+            setPathError(error, path,
+                         "truncated or corrupt dnapool file (index "
+                         "entry " + std::to_string(i) +
+                             " overruns the arena)");
+            close();
+            return false;
+        }
+    }
+
+    index_ = index;
     arena_ = reinterpret_cast<const uint64_t *>(base + arena_offset);
     count_ = count;
     arena_words_ = arena_words;
@@ -200,12 +230,11 @@ PackedStrandPool::words(size_t i) const
     DNASIM_ASSERT(i < count_, "pool strand ", i, " out of range ",
                   count_);
     const uint64_t word_offset = index_[2 * i];
-    const size_t len = static_cast<size_t>(index_[2 * i + 1]);
-    const size_t num_words = PackedStrand::numWords(len);
+    const uint64_t num_words = wordsFor(index_[2 * i + 1]);
     DNASIM_ASSERT(word_offset <= arena_words_ &&
                       num_words <= arena_words_ - word_offset,
                   "pool strand ", i, " overruns the arena");
-    return {arena_ + word_offset, num_words};
+    return {arena_ + word_offset, static_cast<size_t>(num_words)};
 }
 
 void

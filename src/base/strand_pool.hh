@@ -5,7 +5,8 @@
  * A pool file ("dnapool v1") stores millions of strands as an
  * append-only 2-bit packed arena plus an offset/length index, laid
  * out so a read-only mmap *is* the runtime data structure — no parse
- * step, no per-strand heap allocation, O(1) open:
+ * step, no per-strand heap allocation; open makes one bounds pass
+ * over the index:
  *
  * @verbatim
  * offset 0    64-byte header
@@ -63,9 +64,10 @@ class PackedStrandPool
     /**
      * Map the pool file at @p path. Returns false (setting @p error
      * when non-null) on I/O failure or when the file is not a valid
-     * pool — wrong magic or version, or a size that cannot hold the
-     * declared index and arena (a truncated file fails here, before
-     * any strand is touched).
+     * pool — wrong magic or version, a size that cannot hold the
+     * declared index and arena, or an index entry whose strand
+     * overruns the arena (a truncated or corrupt file fails here,
+     * in one pass over the index, before any strand is touched).
      */
     bool open(const std::string &path, std::string *error = nullptr);
 

@@ -157,18 +157,16 @@ const std::map<std::string, std::string> kCommandFlags = {
                 "buckets lineage-out seed" + kClusterFlags},
     {"roundtrip", "coverage error-rate algo recluster max-reads "
                   "lineage-out seed" + kClusterFlags},
-    {"bench", "ledger out"},
-    {"watch", "follow interval"},
+    {"bench", "out"},
     {"help", ""},
 };
 
 /** Flags every command accepts; main() reads them. */
 const std::string kGlobalFlags =
-    "stats-out stats trace-out profile metrics-out telemetry-out "
-    "telemetry-interval progress threads simd";
+    "stats-out stats trace-out profile progress threads simd";
 
 /** Flags that take no value. */
-const std::string kBooleanFlags = "recluster json follow stats profile";
+const std::string kBooleanFlags = "recluster json stats profile";
 
 /** True when @p name is a word of the space-separated @p list. */
 bool
@@ -922,14 +920,9 @@ printUsage()
         "               [--algo iterative] [--recluster]\n"
         "               [--max-reads N]\n"
         "               [--lineage-out lineage.jsonl]\n"
-        "  bench        bench trajectory ledger and perf diffing\n"
-        "               ingest <input>... [--ledger FILE]\n"
+        "  bench        noise-aware perf diff of bench reports\n"
         "               diff <baseline> <candidate> [--out FILE]\n"
         "               (exit 2 on regression)\n"
-        "               list [--ledger FILE]\n"
-        "  watch        tail a telemetry JSONL stream and render\n"
-        "               rates <telemetry.jsonl> [--follow]\n"
-        "               [--interval MS]\n"
         "\n"
         "global flags (any command):\n"
         "  --stats-out FILE  write a JSON stats snapshot on exit\n"
@@ -937,15 +930,8 @@ printUsage()
         "  --trace-out FILE  record a Chrome/Perfetto trace JSON\n"
         "  --profile         print the hierarchical phase profile\n"
         "                    (inclusive/exclusive tree + RSS peaks)\n"
-        "  --metrics-out FILE    stream an OpenMetrics snapshot to\n"
-        "                    FILE (atomically rewritten each tick;\n"
-        "                    node_exporter textfile compatible)\n"
-        "  --telemetry-out FILE  append dnasim.telemetry.v1 JSONL\n"
-        "                    samples and events to FILE (see watch)\n"
-        "  --telemetry-interval MS  sampler period (default 500)\n"
         "  --progress {auto,always,never}  live stderr status line\n"
-        "                    (default auto: only when stderr is a\n"
-        "                    TTY and telemetry/progress is active)\n"
+        "                    (default auto: only on a TTY)\n"
         "  --threads N       worker threads for parallel loops,\n"
         "                    at most 1024 (default: DNASIM_THREADS\n"
         "                    env var or hardware concurrency; output\n"

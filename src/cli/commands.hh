@@ -40,7 +40,7 @@ ErrorProfile errorProfileFromArgs(const Args &args,
 /**
  * Fatal unless every flag in @p args is a global flag or one the
  * command (positional 0) reads, and no bare boolean flag (--recluster,
- * --json, --follow, --stats, --profile) carries a value. Unknown
+ * --json, --stats, --profile) carries a value. Unknown
  * commands pass; dispatch reports them.
  */
 void checkFlags(const Args &args);
@@ -72,11 +72,8 @@ int cmdExplain(const Args &args);
 /** roundtrip: store a file in simulated DNA and read it back. */
 int cmdRoundtrip(const Args &args);
 
-/** bench: ingest/diff/list over the bench trajectory ledger. */
+/** bench: noise-aware diff of two sets of bench reports. */
 int cmdBench(const Args &args);
-
-/** watch: tail a dnasim.telemetry.v1 JSONL stream and render it. */
-int cmdWatch(const Args &args);
 
 /** Print top-level usage. */
 void printUsage();

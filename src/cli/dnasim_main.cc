@@ -12,12 +12,6 @@
  *                     hierarchical phase profile to stderr on exit;
  *                     combined with --stats-out the JSON snapshot
  *                     gains a "profile" section
- *   --metrics-out=FILE    stream an OpenMetrics text snapshot to
- *                     FILE on every sampler tick (atomic rewrite)
- *   --telemetry-out=FILE  append dnasim.telemetry.v1 JSONL samples
- *                     and events to FILE (tail with `dnasim watch`)
- *   --telemetry-interval=MS  sampler period, default 500, at
- *                     least 1
  *   --progress={auto,always,never}  live stderr status line; auto
  *                     paints only on a TTY
  *   --threads=N       worker threads for parallel loops, at most
@@ -29,8 +23,9 @@
  *                     CPU supports); results are identical for
  *                     every tier
  *
- * Telemetry only ever writes to its own files and stderr; stdout and
- * all data outputs stay byte-identical whether or not it is enabled.
+ * Observability only ever writes to its own files and stderr; stdout
+ * and all data outputs stay byte-identical whether or not it is
+ * enabled.
  *
  * A flag the command does not read, or a value given to a bare
  * boolean flag, is fatal before anything runs (checkFlags).
@@ -38,19 +33,16 @@
 
 #include <cstring>
 #include <iostream>
-#include <memory>
 
 #include "align/simd_dispatch.hh"
 #include "base/logging.hh"
 #include "cli/args.hh"
 #include "cli/commands.hh"
-#include "obs/openmetrics.hh"
 #include "obs/profile.hh"
 #include "obs/progress.hh"
 #include "obs/report.hh"
 #include "obs/snapshot.hh"
 #include "obs/stats.hh"
-#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "par/thread_pool.hh"
 
@@ -82,8 +74,6 @@ dispatch(const std::string &command, const dnasim::Args &args)
         return cmdRoundtrip(args);
     if (command == "bench")
         return cmdBench(args);
-    if (command == "watch")
-        return cmdWatch(args);
     if (command == "help" || command.empty()) {
         printUsage();
         return command.empty() ? 1 : 0;
@@ -112,8 +102,6 @@ main(int argc, char **argv)
 
     const std::string stats_out = args.get("stats-out");
     const std::string trace_out = args.get("trace-out");
-    const std::string metrics_out = args.get("metrics-out");
-    const std::string telemetry_out = args.get("telemetry-out");
     // Bare --progress is shorthand for --progress=auto.
     std::string progress_mode = args.get("progress", "auto");
     if (progress_mode.empty())
@@ -121,10 +109,8 @@ main(int argc, char **argv)
     const bool stats_text = args.has("stats");
     const bool profile = args.has("profile");
 
-    uint64_t telemetry_interval = 0;
     try {
         checkFlags(args);
-        telemetry_interval = args.getCount("telemetry-interval", 500, 1);
         par::setThreads(args.getCount("threads", 0, 0, par::kMaxThreads));
 
         // Resolve the SIMD tier up front: an invalid --simd fails
@@ -160,28 +146,15 @@ main(int argc, char **argv)
             obs::Trace::global().setExitFlushPath(trace_out);
     }
 
-    // One background sampler drives every streaming consumer: the
-    // OpenMetrics file, the telemetry JSONL, the stderr heartbeat and
-    // the phase profiler's RSS series (fed while tracing is on). The
-    // profiler alone wants a fine 25 ms cadence; once a sink or the
-    // heartbeat is attached the telemetry interval sets it.
+    // One background sampler paints the stderr heartbeat and feeds
+    // the phase profiler's RSS series (while tracing is on). The
+    // profiler alone wants a fine cadence; the heartbeat sets a
+    // coarser one.
     auto &sampler = obs::TelemetrySampler::global();
-    const bool telemetry = !metrics_out.empty() ||
-                           !telemetry_out.empty() || heartbeat;
-    std::shared_ptr<obs::OpenMetricsSink> metrics_sink;
-    std::shared_ptr<obs::JsonlTelemetrySink> telemetry_sink;
-    if (!metrics_out.empty()) {
-        metrics_sink =
-            std::make_shared<obs::OpenMetricsSink>(metrics_out);
-        sampler.addSink(metrics_sink);
+    if (heartbeat || profile) {
+        sampler.start(heartbeat ? obs::kHeartbeatPeriodMs
+                                : obs::kProfilePeriodMs);
     }
-    if (!telemetry_out.empty()) {
-        telemetry_sink =
-            std::make_shared<obs::JsonlTelemetrySink>(telemetry_out);
-        sampler.addSink(telemetry_sink);
-    }
-    if (telemetry || profile)
-        sampler.start(telemetry ? telemetry_interval : 25);
     if (!stats_out.empty())
         obs::startLogCapture();
 
@@ -198,15 +171,9 @@ main(int argc, char **argv)
         // stats and trace data accumulated before the failure.
     }
 
-    // Takes one final sample (so short runs still get one), clears
-    // the heartbeat line and closes the sinks.
+    // Takes one final sample (so short runs still get one) and clears
+    // the heartbeat line.
     sampler.stop();
-    if (metrics_sink && metrics_sink->ok())
-        inform("metrics: wrote ", metrics_out);
-    if (telemetry_sink && telemetry_sink->ok()) {
-        inform("telemetry: wrote ", telemetry_out, " (",
-               sampler.samplesTaken(), " samples)");
-    }
 
     if (!stats_out.empty() || stats_text || !trace_out.empty() ||
         profile) {

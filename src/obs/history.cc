@@ -8,7 +8,6 @@
 #include <map>
 #include <sstream>
 
-#include "base/logging.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
 
@@ -20,37 +19,10 @@ namespace obs
 namespace
 {
 
-/** 64-bit FNV-1a over @p s. */
-uint64_t
-fnv1a(const std::string &s, uint64_t hash = 0xcbf29ce484222325ull)
-{
-    for (unsigned char c : s) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 double
 finiteOr(double v, double fallback)
 {
     return std::isfinite(v) ? v : fallback;
-}
-
-/** Stringify a config value that may be a string or a number. */
-std::string
-configValue(const JsonValue &v)
-{
-    if (v.isString())
-        return v.asString();
-    if (v.isNumber()) {
-        std::ostringstream os;
-        os << v.asDouble();
-        return os.str();
-    }
-    if (v.isBool())
-        return v.asBool() ? "1" : "0";
-    return "";
 }
 
 struct Samples
@@ -122,32 +94,6 @@ verdictName(Verdict v)
 
 } // anonymous namespace
 
-std::string
-BenchRun::configHash() const
-{
-    std::vector<std::string> entries;
-    entries.reserve(config.size());
-    for (const auto &[key, value] : config) {
-        if (key == "threads")
-            continue; // part of the run key on its own
-        entries.push_back(key + "=" + value);
-    }
-    std::sort(entries.begin(), entries.end());
-    uint64_t hash = fnv1a(name);
-    for (const auto &e : entries)
-        hash = fnv1a(e, hash);
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << hash;
-    return os.str();
-}
-
-std::string
-BenchRun::key() const
-{
-    return name + "|" + configHash() + "|t" +
-           std::to_string(threads) + "|" + git_rev;
-}
-
 bool
 parseBenchReport(const std::string &json_text, BenchRun &out,
                  std::string *error)
@@ -175,44 +121,6 @@ parseBenchReport(const std::string &json_text, BenchRun &out,
             *error = "report has no name";
         return false;
     }
-    if (const JsonValue *v = doc.find("git_rev"))
-        out.git_rev = v->asString();
-    if (out.git_rev.empty())
-        out.git_rev = "unknown";
-    if (const JsonValue *v = doc.find("seed"))
-        out.seed = v->asUint();
-    if (const JsonValue *v = doc.find("wall_time_s"))
-        out.wall_time_s = finiteOr(v->asDouble(), 0.0);
-    if (const JsonValue *v = doc.find("peak_rss_bytes"))
-        out.peak_rss_bytes = v->asUint();
-    if (const JsonValue *v = doc.find("rss_source"))
-        out.rss_source = v->asString();
-
-    if (const JsonValue *tp = doc.find("throughput")) {
-        if (const JsonValue *v = tp->find("strands_per_s"))
-            out.strands_per_s = finiteOr(v->asDouble(), 0.0);
-        if (const JsonValue *v = tp->find("bases_per_s"))
-            out.bases_per_s = finiteOr(v->asDouble(), 0.0);
-    }
-
-    if (const JsonValue *cfg = doc.find("config")) {
-        for (const auto &[key, value] : cfg->object())
-            out.config.emplace_back(key, configValue(value));
-    }
-
-    out.threads = 0;
-    for (const auto &[key, value] : out.config) {
-        if (key == "threads")
-            out.threads = std::strtoull(value.c_str(), nullptr, 10);
-    }
-    if (out.threads == 0) {
-        if (const JsonValue *par = doc.find("parallel")) {
-            if (const JsonValue *v = par->find("threads"))
-                out.threads = v->asUint();
-        }
-    }
-    if (out.threads == 0)
-        out.threads = 1;
 
     if (const JsonValue *rows = doc.find("benchmarks")) {
         for (const auto &row : rows->array()) {
@@ -252,7 +160,6 @@ loadBenchReport(const std::string &path, BenchRun &out,
             *error = path + ": " + *error;
         return false;
     }
-    out.source = path;
     return true;
 }
 
@@ -288,119 +195,12 @@ loadBenchInput(const std::string &path,
         return runs;
     }
 
-    if (fs::path(path).extension() == ".jsonl")
-        return readLedger(path, errors);
-
     BenchRun run;
     std::string error;
     if (loadBenchReport(path, run, &error))
         runs.push_back(std::move(run));
     else if (errors)
         errors->push_back(error);
-    return runs;
-}
-
-std::string
-benchRunToJsonLine(const BenchRun &run)
-{
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.value("schema", "dnasim.bench.v1");
-    w.value("name", run.name);
-    w.value("git_rev", run.git_rev);
-    w.value("seed", run.seed);
-    w.value("wall_time_s", run.wall_time_s);
-    w.value("peak_rss_bytes", run.peak_rss_bytes);
-    w.value("rss_source", run.rss_source);
-    w.beginObject("throughput");
-    w.value("strands_per_s", run.strands_per_s);
-    w.value("bases_per_s", run.bases_per_s);
-    w.endObject();
-    w.beginObject("config");
-    bool has_threads = false;
-    for (const auto &[key, value] : run.config) {
-        w.value(key, value);
-        has_threads = has_threads || key == "threads";
-    }
-    // Threads may have come from the "parallel" block of the source
-    // report; keep it in config so the line round-trips.
-    if (!has_threads)
-        w.value("threads", std::to_string(run.threads));
-    w.endObject();
-    w.beginArray("benchmarks");
-    for (const auto &row : run.rows) {
-        w.beginObject();
-        w.value("name", row.name);
-        w.value("real_time_ns", row.real_time_ns);
-        w.value("cpu_time_ns", row.cpu_time_ns);
-        w.value("iterations", row.iterations);
-        // Emitted only when measured so lines from pre-RSS reports
-        // round-trip byte-identically.
-        if (row.rss_high_water_bytes > 0)
-            w.value("rss_high_water_bytes", row.rss_high_water_bytes);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return os.str();
-}
-
-bool
-appendToLedger(const std::string &path, const BenchRun &run,
-               bool *appended, std::string *error)
-{
-    if (appended)
-        *appended = false;
-    // Append-only with idempotent re-ingestion: an existing line
-    // with the same key, seed and wall time is the same run.
-    for (const auto &existing : readLedger(path, nullptr)) {
-        if (existing.key() == run.key() &&
-            existing.seed == run.seed &&
-            existing.wall_time_s == run.wall_time_s)
-            return true;
-    }
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        if (error)
-            *error = "cannot open ledger " + path;
-        return false;
-    }
-    os << benchRunToJsonLine(run) << "\n";
-    if (!os.good()) {
-        if (error)
-            *error = "write failed for ledger " + path;
-        return false;
-    }
-    if (appended)
-        *appended = true;
-    return true;
-}
-
-std::vector<BenchRun>
-readLedger(const std::string &path,
-           std::vector<std::string> *errors)
-{
-    std::vector<BenchRun> runs;
-    std::ifstream is(path);
-    if (!is)
-        return runs;
-    std::string line;
-    size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        BenchRun run;
-        std::string error;
-        if (parseBenchReport(line, run, &error)) {
-            run.source = path + ":" + std::to_string(lineno);
-            runs.push_back(std::move(run));
-        } else if (errors) {
-            errors->push_back(path + ":" + std::to_string(lineno) +
-                              ": " + error);
-        }
-    }
     return runs;
 }
 
@@ -631,61 +431,6 @@ diffToJson(const DiffReport &report)
     w.endArray();
     w.endObject();
     os << "\n";
-    return os.str();
-}
-
-std::string
-ledgerSummary(const std::vector<BenchRun> &runs)
-{
-    struct Group
-    {
-        std::string name, git_rev;
-        uint64_t threads = 1;
-        size_t count = 0;
-        double wall_min = 0.0, wall_max = 0.0;
-        size_t rows = 0;
-    };
-    std::vector<std::string> order;
-    std::map<std::string, Group> groups;
-    for (const auto &run : runs) {
-        const std::string key = run.key();
-        auto it = groups.find(key);
-        if (it == groups.end()) {
-            order.push_back(key);
-            Group g;
-            g.name = run.name;
-            g.git_rev = run.git_rev;
-            g.threads = run.threads;
-            g.count = 1;
-            g.wall_min = g.wall_max = run.wall_time_s;
-            g.rows = run.rows.size();
-            groups.emplace(key, g);
-            continue;
-        }
-        Group &g = it->second;
-        ++g.count;
-        g.wall_min = std::min(g.wall_min, run.wall_time_s);
-        g.wall_max = std::max(g.wall_max, run.wall_time_s);
-        g.rows = std::max(g.rows, run.rows.size());
-    }
-
-    std::ostringstream os;
-    os << std::left << std::setw(20) << "benchmark" << std::setw(10)
-       << "git-rev" << std::right << std::setw(8) << "threads"
-       << std::setw(8) << "repeats" << std::setw(8) << "rows"
-       << std::setw(20) << "wall min..max (s)" << "\n";
-    for (const auto &key : order) {
-        const Group &g = groups.at(key);
-        std::ostringstream wall;
-        wall << std::fixed << std::setprecision(2) << g.wall_min
-             << ".." << g.wall_max;
-        os << std::left << std::setw(20) << g.name << std::setw(10)
-           << g.git_rev << std::right << std::setw(8) << g.threads
-           << std::setw(8) << g.count << std::setw(8) << g.rows
-           << std::setw(20) << wall.str() << "\n";
-    }
-    os << "total: " << runs.size() << " runs, " << order.size()
-       << " distinct keys\n";
     return os.str();
 }
 

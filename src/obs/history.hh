@@ -1,19 +1,17 @@
 /**
  * @file
- * The bench trajectory ledger: ingestion of dnasim.bench.v1 reports,
- * an append-only BENCH_LEDGER.jsonl history, and a noise-aware
- * performance-diff comparator.
+ * Loading of dnasim.bench.v1 reports and a noise-aware
+ * performance-diff comparator over them.
  *
- * Runs are keyed by (benchmark name, config hash, threads, git rev)
- * so repeats of the same configuration group into samples, and the
- * diff computes per-benchmark-row mean/stddev over repeats with a
- * relative delta. The verdict is noise-aware: a row regresses only
- * when its slowdown exceeds max(kDiffThreshold, kDiffSigma x pooled
- * relative stddev), so single noisy repeats don't flag and genuinely
- * quiet benchmarks still trip on small real regressions.
+ * Repeats of a bench binary group by (run name, row name) into
+ * samples, and the diff computes per-row mean/stddev over repeats
+ * with a relative delta. The verdict is noise-aware: a row regresses
+ * only when its slowdown exceeds max(kDiffThreshold, kDiffSigma x
+ * pooled relative stddev), so single noisy repeats don't flag and
+ * genuinely quiet benchmarks still trip on small real regressions.
  *
- * Consumed by `dnasim bench {ingest,diff,list}` and the CI perf gate
- * (which diffs quick-mode perf_* runs against bench/baselines/).
+ * Consumed by `dnasim bench diff` and the CI perf gate (which diffs
+ * quick-mode perf_* runs against bench/baselines/).
  */
 
 #ifndef DNASIM_OBS_HISTORY_HH
@@ -21,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace dnasim
@@ -41,30 +38,11 @@ struct BenchRunRow
     uint64_t rss_high_water_bytes = 0;
 };
 
-/** One ingested dnasim.bench.v1 report. */
+/** The rows of one loaded dnasim.bench.v1 report. */
 struct BenchRun
 {
-    std::string name;    ///< bench binary ("perf_channel", ...)
-    std::string git_rev; ///< short revision, "unknown" if absent
-    std::string source;  ///< file the run was loaded from
-    uint64_t seed = 0;
-    uint64_t threads = 1;
-    double wall_time_s = 0.0;
-    uint64_t peak_rss_bytes = 0;
-    std::string rss_source; ///< "proc_status", "getrusage", "none"
-    double strands_per_s = 0.0; ///< NaN-guarded: 0 when absent/NaN
-    double bases_per_s = 0.0;
-    std::vector<std::pair<std::string, std::string>> config;
+    std::string name; ///< bench binary ("perf_channel", ...)
     std::vector<BenchRunRow> rows;
-
-    /**
-     * FNV-1a hash over the sorted config (minus the "threads" key,
-     * which is part of the run key on its own), hex-encoded.
-     */
-    std::string configHash() const;
-
-    /** Ledger grouping key: name|config-hash|threads|git-rev. */
-    std::string key() const;
 };
 
 /** Parse a dnasim.bench.v1 document. */
@@ -76,32 +54,11 @@ bool loadBenchReport(const std::string &path, BenchRun &out,
                      std::string *error = nullptr);
 
 /**
- * Load bench runs from @p path: a single .json report, a .jsonl
- * ledger, or a directory searched recursively for BENCH_*.json.
- * Unparseable files are reported into @p errors (when non-null) and
- * skipped.
+ * Load bench runs from @p path: a single .json report, or a
+ * directory searched recursively for BENCH_*.json. Unparseable files
+ * are reported into @p errors (when non-null) and skipped.
  */
 std::vector<BenchRun> loadBenchInput(
-    const std::string &path,
-    std::vector<std::string> *errors = nullptr);
-
-/**
- * Serialize @p run as one compact dnasim.bench.v1 document (a
- * ledger line). Round-trips through parseBenchReport().
- */
-std::string benchRunToJsonLine(const BenchRun &run);
-
-/**
- * Append @p run to the JSONL ledger at @p path unless an identical
- * run (same key, wall time and seed) is already recorded. Returns
- * false on I/O error; @p appended reports whether a line was added.
- */
-bool appendToLedger(const std::string &path, const BenchRun &run,
-                    bool *appended = nullptr,
-                    std::string *error = nullptr);
-
-/** Read every parseable line of a JSONL ledger. */
-std::vector<BenchRun> readLedger(
     const std::string &path,
     std::vector<std::string> *errors = nullptr);
 
@@ -184,12 +141,6 @@ std::string diffToText(const DiffReport &report);
 
 /** Machine-readable diff (schema dnasim.benchdiff.v1). */
 std::string diffToJson(const DiffReport &report);
-
-/**
- * Trajectory summary of a ledger: one line per run key with repeat
- * count, wall-time range and row count.
- */
-std::string ledgerSummary(const std::vector<BenchRun> &runs);
 
 } // namespace obs
 } // namespace dnasim

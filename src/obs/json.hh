@@ -3,8 +3,9 @@
  * Minimal JSON support shared by the stats/trace exporters and the
  * bench-report funnel: a streaming writer (nesting, comma placement,
  * string escaping — the caller provides structure) and a small
- * recursive-descent parser (JsonValue / parseJson) used to ingest
- * dnasim.bench.v1 reports back into the bench ledger.
+ * recursive-descent parser (JsonValue / parseJson) that reads
+ * dnasim.bench.v1 reports back for `dnasim bench diff` and
+ * checkpoint manifests on resume.
  */
 
 #ifndef DNASIM_OBS_JSON_HH

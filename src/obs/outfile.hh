@@ -1,16 +1,15 @@
 /**
  * @file
- * Output-file plumbing shared by every exporter that takes a --*-out
- * path (--stats-out, --trace-out, --metrics-out, --telemetry-out):
+ * Output-file plumbing shared by the exporters that take a --*-out
+ * path (--stats-out, --trace-out) and the checkpoint manifest:
  *
  *  - prepareOutputPath() creates missing parent directories up
  *    front, so "out/run1/stats.json" works without a manual mkdir,
  *    and turns the previously opaque open failure into a diagnostic
  *    naming the path and the errno cause.
  *  - writeFileAtomic() writes through a temporary sibling and
- *    renames it into place, so readers polling the file (node_
- *    exporter's textfile collector, `dnasim watch`) never observe a
- *    half-written document.
+ *    renames it into place, so a reader (a resumed run reading the
+ *    checkpoint manifest) never observes a half-written document.
  */
 
 #ifndef DNASIM_OBS_OUTFILE_HH

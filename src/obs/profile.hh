@@ -13,8 +13,8 @@
  * the exclusive times sum to at most the synthetic root's inclusive
  * time (strictly less only where clock jitter forces clamping).
  *
- * While tracing is on, the telemetry sampler thread (obs/snapshot.hh)
- * appends a resident-set-size sample to the trace on every tick; at
+ * While tracing is on, the sampler thread (obs/snapshot.hh) appends
+ * a resident-set-size sample to the trace on every tick; at
  * build time each sample is attributed to every phase active at its
  * timestamp, giving per-phase RSS high-water marks.
  *

@@ -1,6 +1,7 @@
 #include "obs/progress.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <list>
 #include <mutex>
@@ -15,8 +16,6 @@
 #define DNASIM_ISATTY isatty
 #define DNASIM_FILENO fileno
 #endif
-
-#include "obs/events.hh"
 
 namespace dnasim
 {
@@ -61,6 +60,17 @@ fmtCount(uint64_t n)
     return buf;
 }
 
+/** Monotonic nanoseconds since the first call (the progress clock). */
+uint64_t
+monotonicNowNs()
+{
+    static const auto origin = std::chrono::steady_clock::now();
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - origin)
+            .count());
+}
+
 } // anonymous namespace
 
 namespace detail
@@ -69,34 +79,22 @@ namespace detail
 ProgressSlot *
 openProgress(const char *name, uint64_t total)
 {
-    ProgressSlot *slot;
-    {
-        Board &b = board();
-        std::lock_guard<std::mutex> lock(b.mutex);
-        slot = &b.slots.emplace_back();
-        slot->name = name;
-        slot->total = total;
-        slot->start_ns = monotonicNowNs();
-    }
-    emitEvent("phase_begin", name, {{"total", std::to_string(total)}});
+    Board &b = board();
+    std::lock_guard<std::mutex> lock(b.mutex);
+    ProgressSlot *slot = &b.slots.emplace_back();
+    slot->name = name;
+    slot->total = total;
+    slot->start_ns = monotonicNowNs();
     return slot;
 }
 
 void
 closeProgress(ProgressSlot *slot)
 {
-    const char *name = slot->name;
-    const uint64_t done = slot->done.load(std::memory_order_relaxed);
-    const uint64_t dur = monotonicNowNs() - slot->start_ns;
-    {
-        Board &b = board();
-        std::lock_guard<std::mutex> lock(b.mutex);
-        b.slots.remove_if(
-            [&](const ProgressSlot &open) { return &open == slot; });
-    }
-    emitEvent("phase_end", name,
-              {{"done", std::to_string(done)},
-               {"duration_ns", std::to_string(dur)}});
+    Board &b = board();
+    std::lock_guard<std::mutex> lock(b.mutex);
+    b.slots.remove_if(
+        [&](const ProgressSlot &open) { return &open == slot; });
 }
 
 } // namespace detail

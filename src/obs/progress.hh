@@ -6,16 +6,13 @@
  * span's own name (channel.simulate, cluster.sketch,
  * pipeline.retrieve, analysis.reconstructAll, ...): it registers the
  * phase with the global progress board, the loop calls
- * Span::advance() as items complete, and observers — the telemetry
- * sampler and the live stderr status line — read
+ * Span::advance() as items complete, and the live stderr status
+ * line, painted by the sampler thread (obs/snapshot.hh), reads
  * items-done/items-total without ever touching the loop.
  *
  * advance() is one relaxed atomic add, cheap enough for per-cluster
  * or per-read granularity (not per-base). Phases nest; the board
- * lists active phases in opening order. Opening and closing a phase
- * emits "phase_begin"/"phase_end" events into the event journal, so
- * phase transitions land in the telemetry stream even between
- * samples.
+ * lists active phases in opening order.
  *
  * The stderr heartbeat is TTY-aware: when enabled it repaints one
  * carriage-returned status line on a real terminal and prints plain
@@ -43,7 +40,7 @@ struct ProgressState
     std::string name;
     uint64_t done = 0;
     uint64_t total = 0;   ///< 0 = unknown / open-ended
-    uint64_t start_ns = 0; ///< monotonicNowNs() at phase open
+    uint64_t start_ns = 0; ///< progress-clock ns at phase open
 };
 
 namespace detail
@@ -60,12 +57,12 @@ struct ProgressSlot
 
 /**
  * Register a phase named @p name (which must outlive it) expecting
- * @p total items and journal phase_begin. Span's counted
- * constructors call this; the slot stays valid until closeProgress.
+ * @p total items. Span's counted constructors call this; the slot
+ * stays valid until closeProgress.
  */
 ProgressSlot *openProgress(const char *name, uint64_t total);
 
-/** Journal phase_end and drop @p slot from the board. */
+/** Drop @p slot from the board. */
 void closeProgress(ProgressSlot *slot);
 
 } // namespace detail
@@ -76,8 +73,8 @@ std::vector<ProgressState> progressSnapshot();
 /**
  * Render @p states as one human status line, e.g.
  * "channel.simulate 1200/5000 (24.0%) 38.1k/s · cluster.sketch
- * 10/..". @p now_ns
- * supplies the rate clock (monotonicNowNs()).
+ * 10/..". @p now_ns is the current time on the progress clock
+ * that stamped start_ns, for the rates.
  */
 std::string renderProgressLine(const std::vector<ProgressState> &states,
                                uint64_t now_ns,
@@ -95,8 +92,8 @@ bool stderrIsTty();
 
 /**
  * Paint the heartbeat for the current board state onto stderr (no-op
- * when disabled or no scope is active). Called by the telemetry
- * sampler each tick; safe from any thread.
+ * when disabled or no scope is active). Called by the sampler each
+ * tick; safe from any thread.
  */
 void paintProgressHeartbeat(uint64_t rss_bytes);
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Build/run provenance stamped into every machine-readable artifact
- * (`dnasim.stats.v1`, `dnasim.telemetry.v1`, `dnasim.bench.v1`,
- * `dnasim.lineage.v1`): git revision, compiler, active SIMD tier and
- * worker-thread count. Ledger and diff tooling keys on this block
- * uniformly instead of re-deriving it per schema.
+ * (`dnasim.stats.v1`, `dnasim.bench.v1`, `dnasim.lineage.v1`,
+ * checkpoint manifests): git revision, compiler, active SIMD tier
+ * and worker-thread count, written by one function instead of
+ * re-derived per schema.
  *
  * Layering: obs sits below the par and align libraries, so the
  * SIMD tier and thread count cannot be pulled from them here —

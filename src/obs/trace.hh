@@ -10,14 +10,14 @@
  * https://ui.perfetto.dev. When tracing is disabled (the default)
  * the trace half of a Span costs one relaxed atomic load, so spans
  * can stay compiled into hot-ish paths. Given an item total, a span
- * is also a progress phase under its own name (obs/progress.hh):
- * on the progress board, in the OpenMetrics phase gauges and as
- * telemetry phase_begin/phase_end events.
+ * is also a progress phase under its own name on the progress board
+ * (obs/progress.hh), which the --progress heartbeat paints.
  *
- * The recorded spans, together with the RSS samples the telemetry
- * sampler appends while tracing is on, are the raw material of the
- * hierarchical phase profiler (obs/profile.hh), which nests them
- * into an inclusive/exclusive call tree at snapshot time.
+ * The recorded spans, together with the RSS samples the sampler
+ * thread (obs/snapshot.hh) appends while tracing is on, are the raw
+ * material of the hierarchical phase profiler (obs/profile.hh),
+ * which nests them into an inclusive/exclusive call tree at
+ * snapshot time.
  */
 
 #ifndef DNASIM_OBS_TRACE_HH
@@ -86,7 +86,7 @@ class Trace
     void record(TraceSpan span);
 
     /**
-     * Append an RSS reading stamped now (the telemetry sampler does,
+     * Append an RSS reading stamped now (the sampler thread does,
      * once per tick). No-op when disabled or @p rss_bytes is 0.
      */
     void recordRss(uint64_t rss_bytes);

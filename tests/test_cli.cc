@@ -23,10 +23,9 @@
 #include "cli/commands.hh"
 #include "data/io.hh"
 #include "obs/json.hh"
-#include "obs/openmetrics.hh"
 #include "obs/progress.hh"
 #include "obs/snapshot.hh"
-#include "obs/telemetry.hh"
+#include "obs/trace.hh"
 #include "par/thread_pool.hh"
 #include "pipeline/checkpoint.hh"
 
@@ -118,8 +117,7 @@ TEST(Args, CountsRejectNegativesAndOutOfRangeValues)
     EXPECT_THROW(makeArgs({"--threads", "-1"})
                      .getCount("threads", 0, 0, par::kMaxThreads),
                  FatalError);
-    EXPECT_THROW(makeArgs({"--telemetry-interval", "0"})
-                     .getCount("telemetry-interval", 500, 1),
+    EXPECT_THROW(makeArgs({"--buckets", "0"}).getCount("buckets", 11, 1),
                  FatalError);
 }
 
@@ -206,6 +204,32 @@ TEST(CliFlags, RemovedFlagsAreFatal)
             checkFlags(makeArgs({"bench", "diff", "a", "b", flag})),
             FatalError)
             << flag;
+    // The live-monitoring sinks and the watch verb's flags are gone
+    // from every command.
+    for (const char *command : {"simulate", "roundtrip", "bench"}) {
+        for (const char *flag :
+             {"--metrics-out", "--telemetry-out", "--telemetry-interval",
+              "--follow", "--interval"}) {
+            EXPECT_THROW(checkFlags(makeArgs({command, "in", flag, "5"})),
+                         FatalError)
+                << command << " " << flag;
+        }
+    }
+    EXPECT_THROW(checkFlags(makeArgs({"bench", "list", "--ledger",
+                                      "BENCH_LEDGER.jsonl"})),
+                 FatalError);
+    // So is the ledger half of bench: its verbs print the usage and
+    // fail like any unknown verb.
+    for (const char *verb : {"ingest", "list"}) {
+        std::ostringstream err;
+        std::streambuf *saved = std::cerr.rdbuf(err.rdbuf());
+        const int rc = cmdBench(makeArgs({"bench", verb, "in"}));
+        std::cerr.rdbuf(saved);
+        EXPECT_EQ(rc, 1) << verb;
+        EXPECT_NE(err.str().find("usage: dnasim bench diff"),
+                  std::string::npos)
+            << verb << ": " << err.str();
+    }
 }
 
 TEST(CliFlags, EveryUsageFlagIsAccepted)
@@ -246,8 +270,8 @@ TEST(CliFlags, EveryUsageFlagIsAccepted)
                 per_command[command].insert((*it)[1]);
         }
     }
-    ASSERT_EQ(per_command.size(), 11u);
-    ASSERT_GE(global.size(), 10u);
+    ASSERT_EQ(per_command.size(), 10u);
+    ASSERT_EQ(global.size(), 7u);
     for (const auto &[cmd, flags] : per_command) {
         for (const std::string &flag : flags)
             EXPECT_NO_THROW(checkFlags(makeArgs({cmd, "--" + flag})))
@@ -836,6 +860,30 @@ TEST_F(CliCommands, OversizedSketchShapeIsFatal)
               0);
 }
 
+TEST_F(CliCommands, HostilePoolIndexIsFatal)
+{
+    // An index entry whose strand overruns the arena is a clean
+    // FatalError at open, not a panic or a fault at first access.
+    const std::string dataset = tmpPath("hostile_pool.evyat");
+    const std::string pool = tmpPath("hostile.dnapool");
+    cleanup_.insert(cleanup_.end(), {dataset, pool});
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "20",
+                                    "--out", dataset, "--seed", "5"})),
+              0);
+    ASSERT_EQ(cmdIngest(makeArgs({"ingest", dataset, "--out", pool})), 0);
+    ASSERT_EQ(cmdCluster(makeArgs({"cluster", pool})), 0);
+    {
+        // Entry 0's length (file bytes 72..79) set to 10^9 bases.
+        std::fstream f(pool, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        const uint64_t length = 1'000'000'000ull;
+        f.seekp(72);
+        f.write(reinterpret_cast<const char *>(&length), sizeof(length));
+    }
+    EXPECT_THROW(cmdCluster(makeArgs({"cluster", pool})), FatalError);
+}
+
 TEST_F(CliCommands, ZeroBucketsAndIntervalsAreFatal)
 {
     std::string dataset = tmpPath("buckets.evyat");
@@ -850,25 +898,19 @@ TEST_F(CliCommands, ZeroBucketsAndIntervalsAreFatal)
     EXPECT_THROW(cmdExplain(makeArgs({"explain", dataset, "--buckets",
                                       "0"})),
                  FatalError);
-    EXPECT_THROW(cmdWatch(makeArgs({"watch", dataset, "--interval",
-                                    "0"})),
-                 FatalError);
 }
 
 TEST_F(CliCommands, TelemetryKeepsOutputsByteIdentical)
 {
-    // Sampling every 5 ms into both sinks with the stderr heartbeat
-    // on must not change a data byte: simulate's evyat and
-    // roundtrip's stdout match a run without the sampler.
+    // The global sampler ticking every 5 ms, with the stderr
+    // heartbeat painting and tracing recording RSS, must not change
+    // a data byte: simulate's evyat and roundtrip's stdout match a
+    // run without the sampler.
     const std::string dataset = tmpPath("tele.evyat");
     const std::string sampled = tmpPath("tele_sampled.evyat");
     const std::string plain = tmpPath("tele_plain.evyat");
-    const std::string metrics = tmpPath("tele_metrics.prom");
-    const std::string jsonl = tmpPath("tele_telemetry.jsonl");
     const std::string payload = tmpPath("tele_payload.bin");
-    cleanup_.insert(cleanup_.end(),
-                    {dataset, sampled, plain, metrics, jsonl, payload});
-    std::remove(jsonl.c_str());
+    cleanup_.insert(cleanup_.end(), {dataset, sampled, plain, payload});
     {
         std::ofstream out(payload, std::ios::binary);
         Rng rng(0x7e1e);
@@ -900,19 +942,18 @@ TEST_F(CliCommands, TelemetryKeepsOutputsByteIdentical)
 
     obs::TelemetrySampler &sampler = obs::TelemetrySampler::global();
     ASSERT_FALSE(sampler.running());
+    obs::Trace &trace = obs::Trace::global();
+    ASSERT_FALSE(trace.enabled());
     const bool heartbeat = obs::progressHeartbeatEnabled();
-    auto metrics_sink = std::make_shared<obs::OpenMetricsSink>(metrics);
-    auto jsonl_sink = std::make_shared<obs::JsonlTelemetrySink>(jsonl);
-    sampler.addSink(metrics_sink);
-    sampler.addSink(jsonl_sink);
     obs::setProgressHeartbeat(true);
+    trace.enable();
     sampler.start(/*period_ms=*/5);
     const std::string sampled_stdout = run(sampled);
     sampler.stop();
-    sampler.clearSinks();
+    const size_t rss_readings = trace.rssSamples().size();
+    trace.disable();
+    trace.clear();
     obs::setProgressHeartbeat(heartbeat);
-    EXPECT_TRUE(metrics_sink->ok());
-    EXPECT_TRUE(jsonl_sink->ok());
 
     const std::string plain_stdout = run(plain);
     EXPECT_FALSE(readFileBytes(plain).empty());
@@ -920,25 +961,10 @@ TEST_F(CliCommands, TelemetryKeepsOutputsByteIdentical)
     EXPECT_NE(plain_stdout.find("payload-intact=yes"), std::string::npos);
     EXPECT_EQ(sampled_stdout, plain_stdout);
 
-    // The stream really sampled the runs: several ticks plus the
-    // phase events of the spans they opened.
-    std::ifstream in(jsonl);
-    std::string line;
-    size_t samples = 0, phase_events = 0;
-    while (std::getline(in, line)) {
-        obs::JsonValue doc;
-        ASSERT_TRUE(obs::parseJson(line, doc)) << line;
-        const obs::JsonValue *kind = doc.find("kind");
-        if (kind == nullptr)
-            continue;
-        if (kind->asString() == "sample")
-            ++samples;
-        else if (kind->asString() == "event" &&
-                 doc.find("event")->asString() == "phase_begin")
-            ++phase_events;
-    }
-    EXPECT_GE(samples, 2u);
-    EXPECT_GE(phase_events, 1u);
+    // The sampler really sampled the runs: several ticks, each one
+    // an RSS reading in the trace.
+    EXPECT_GE(sampler.samplesTaken(), 2u);
+    EXPECT_GE(rss_readings, 2u);
 }
 
 TEST_F(CliCommands, ExplainIsIdenticalAcrossThreadCounts)

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests of the bench trajectory ledger (obs/history.hh): the
- * dnasim.bench.v1 parser, the JSONL ledger round-trip and dedup, and
- * the noise-aware diff comparator's edge cases — missing-benchmark
- * pairs, zero-variance baselines, single-repeat runs and NaN-guarded
- * throughput fields.
+ * Tests of the bench report loader and diff (obs/history.hh): the
+ * dnasim.bench.v1 parser, directory loading, and the noise-aware
+ * diff comparator's edge cases — missing-benchmark pairs,
+ * zero-variance baselines, single-repeat runs and NaN-guarded
+ * fields.
  */
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -38,60 +37,18 @@ reportJson(const std::string &name, double real_ns,
            ",\"cpu_time_ns\":100.0,\"iterations\":1000}]}";
 }
 
-obs::BenchRun
-makeRun(const std::string &name, std::vector<double> row_ns,
-        double wall_s = 1.0)
-{
-    obs::BenchRun run;
-    run.name = name;
-    run.git_rev = "abc1234";
-    run.seed = 42;
-    run.threads = 2;
-    run.wall_time_s = wall_s;
-    run.config = {{"clusters", "100"}, {"threads", "2"}};
-    int i = 0;
-    for (double ns : row_ns) {
-        obs::BenchRunRow row;
-        row.name = "BM_Row" + std::to_string(i++);
-        row.real_time_ns = ns;
-        row.iterations = 100;
-        run.rows.push_back(row);
-    }
-    return run;
-}
-
 /** One run whose single row "BM_Main" took @p ns. */
 obs::BenchRun
-mainRowRun(const std::string &name, double ns, uint64_t seed = 42)
+mainRowRun(const std::string &name, double ns)
 {
     obs::BenchRun run;
     run.name = name;
-    run.git_rev = "abc1234";
-    run.seed = seed;
-    run.threads = 1;
     obs::BenchRunRow row;
     row.name = "BM_Main";
     row.real_time_ns = ns;
     run.rows.push_back(row);
     return run;
 }
-
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &suffix)
-        : path_(::testing::TempDir() + "dnasim_history_" +
-                std::to_string(counter_++) + suffix)
-    {}
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    static int counter_;
-    std::string path_;
-};
-
-int TempFile::counter_ = 0;
 
 TEST(History, ParsesBenchReport)
 {
@@ -102,11 +59,6 @@ TEST(History, ParsesBenchReport)
                               run, &error))
         << error;
     EXPECT_EQ(run.name, "perf_channel");
-    EXPECT_EQ(run.git_rev, "abc1234");
-    EXPECT_EQ(run.seed, 42u);
-    EXPECT_EQ(run.threads, 2u); // from config.threads
-    EXPECT_DOUBLE_EQ(run.wall_time_s, 1.5);
-    EXPECT_EQ(run.peak_rss_bytes, 1048576u);
     ASSERT_EQ(run.rows.size(), 1u);
     EXPECT_EQ(run.rows[0].name, "BM_Main");
     EXPECT_DOUBLE_EQ(run.rows[0].real_time_ns, 1234.5);
@@ -119,134 +71,32 @@ TEST(History, RejectsWrongSchemaAndGarbage)
     EXPECT_FALSE(obs::parseBenchReport("{\"schema\":\"other\"}", run));
     EXPECT_FALSE(obs::parseBenchReport("not json", run));
     EXPECT_FALSE(obs::parseBenchReport("[1,2]", run));
-    // A valid schema but no name is unusable for keying.
+    // A valid schema but no name cannot be grouped into a row.
     EXPECT_FALSE(obs::parseBenchReport(
         "{\"schema\":\"dnasim.bench.v1\"}", run));
 }
 
 TEST(History, NanGuardedThroughputFields)
 {
-    // null throughput values (the writer's representation of NaN)
-    // must not poison the run.
+    // null values (the writer's representation of NaN), in the
+    // throughput block or in a row, must not poison the run.
     obs::BenchRun run;
     ASSERT_TRUE(obs::parseBenchReport(
         reportJson("perf_channel", 10.0,
                    "\"throughput\":{\"strands_per_s\":null,"
                    "\"bases_per_s\":12.5},"),
         run));
-    EXPECT_DOUBLE_EQ(run.strands_per_s, 0.0);
-    EXPECT_DOUBLE_EQ(run.bases_per_s, 12.5);
-}
+    ASSERT_EQ(run.rows.size(), 1u);
+    EXPECT_DOUBLE_EQ(run.rows[0].real_time_ns, 10.0);
 
-TEST(History, ConfigHashIgnoresThreadsAndOrder)
-{
-    obs::BenchRun a = makeRun("perf_channel", {10.0});
-    obs::BenchRun b = a;
-    b.config = {{"threads", "8"}, {"clusters", "100"}};
-    b.threads = 8;
-    // Same config modulo threads/order: same hash, different key.
-    EXPECT_EQ(a.configHash(), b.configHash());
-    EXPECT_NE(a.key(), b.key());
-
-    obs::BenchRun c = a;
-    c.config.emplace_back("coverage", "20");
-    EXPECT_NE(a.configHash(), c.configHash());
-}
-
-TEST(History, SchemaRoundTrip)
-{
-    obs::BenchRun run = makeRun("perf_align", {1.5, 2.5}, 3.25);
-    run.peak_rss_bytes = 7654321;
-    run.rss_source = "proc_status";
-    run.strands_per_s = 1e6;
-    run.bases_per_s = 1.1e8;
-
-    obs::BenchRun back;
-    std::string error;
-    ASSERT_TRUE(obs::parseBenchReport(obs::benchRunToJsonLine(run),
-                                      back, &error))
-        << error;
-    EXPECT_EQ(back.name, run.name);
-    EXPECT_EQ(back.git_rev, run.git_rev);
-    EXPECT_EQ(back.seed, run.seed);
-    EXPECT_EQ(back.threads, run.threads);
-    EXPECT_DOUBLE_EQ(back.wall_time_s, run.wall_time_s);
-    EXPECT_EQ(back.peak_rss_bytes, run.peak_rss_bytes);
-    EXPECT_EQ(back.rss_source, run.rss_source);
-    EXPECT_DOUBLE_EQ(back.strands_per_s, run.strands_per_s);
-    EXPECT_DOUBLE_EQ(back.bases_per_s, run.bases_per_s);
-    EXPECT_EQ(back.key(), run.key());
-    ASSERT_EQ(back.rows.size(), run.rows.size());
-    for (size_t i = 0; i < run.rows.size(); ++i) {
-        EXPECT_EQ(back.rows[i].name, run.rows[i].name);
-        EXPECT_DOUBLE_EQ(back.rows[i].real_time_ns,
-                         run.rows[i].real_time_ns);
-    }
-}
-
-TEST(History, RoundTripKeepsThreadsFromParallelBlock)
-{
-    // threads can come from the "parallel" section rather than the
-    // config; the ledger line must still round-trip it.
-    obs::BenchRun run;
-    std::string error;
     ASSERT_TRUE(obs::parseBenchReport(
         "{\"schema\":\"dnasim.bench.v1\",\"name\":\"perf_x\","
-        "\"parallel\":{\"threads\":4},\"benchmarks\":[]}",
-        run, &error))
-        << error;
-    EXPECT_EQ(run.threads, 4u);
-    obs::BenchRun back;
-    ASSERT_TRUE(obs::parseBenchReport(obs::benchRunToJsonLine(run),
-                                      back, &error))
-        << error;
-    EXPECT_EQ(back.threads, 4u);
-}
-
-TEST(History, LedgerAppendsAndDeduplicates)
-{
-    TempFile ledger(".jsonl");
-    obs::BenchRun run = makeRun("perf_channel", {10.0});
-
-    bool appended = false;
-    std::string error;
-    ASSERT_TRUE(obs::appendToLedger(ledger.path(), run, &appended,
-                                    &error))
-        << error;
-    EXPECT_TRUE(appended);
-
-    // The identical run (same key, wall time, seed) is a duplicate.
-    ASSERT_TRUE(obs::appendToLedger(ledger.path(), run, &appended));
-    EXPECT_FALSE(appended);
-
-    // A repeat of the same configuration (different wall time) is a
-    // new sample under the same key.
-    obs::BenchRun repeat = makeRun("perf_channel", {11.0}, 2.0);
-    ASSERT_TRUE(obs::appendToLedger(ledger.path(), repeat,
-                                    &appended));
-    EXPECT_TRUE(appended);
-
-    auto runs = obs::readLedger(ledger.path());
-    ASSERT_EQ(runs.size(), 2u);
-    EXPECT_EQ(runs[0].key(), runs[1].key());
-    EXPECT_FALSE(obs::ledgerSummary(runs).empty());
-}
-
-TEST(History, ReadLedgerSkipsBadLines)
-{
-    TempFile ledger(".jsonl");
-    {
-        std::ofstream os(ledger.path());
-        os << obs::benchRunToJsonLine(makeRun("perf_a", {1.0}))
-           << "\n"
-           << "this line is not json\n"
-           << obs::benchRunToJsonLine(makeRun("perf_b", {2.0}))
-           << "\n";
-    }
-    std::vector<std::string> errors;
-    auto runs = obs::readLedger(ledger.path(), &errors);
-    EXPECT_EQ(runs.size(), 2u);
-    EXPECT_EQ(errors.size(), 1u);
+        "\"benchmarks\":[{\"name\":\"BM_Nan\",\"real_time_ns\":null,"
+        "\"cpu_time_ns\":null}]}",
+        run));
+    ASSERT_EQ(run.rows.size(), 1u);
+    EXPECT_DOUBLE_EQ(run.rows[0].real_time_ns, 0.0);
+    EXPECT_DOUBLE_EQ(run.rows[0].cpu_time_ns, 0.0);
 }
 
 TEST(HistoryDiff, FlagsRegressionBeyondThreshold)

@@ -21,9 +21,7 @@
 #include "core/coverage.hh"
 #include "core/ids_model.hh"
 #include "data/strand_factory.hh"
-#include "obs/events.hh"
 #include "obs/json.hh"
-#include "obs/telemetry.hh"
 #include "reconstruct/consensus.hh"
 #include "reconstruct/iterative.hh"
 
@@ -533,23 +531,35 @@ TEST(JsonEscaping, RoundTripsThroughTheParser)
 
 TEST(JsonEscaping, TelemetryEventLineSurvivesHostileStrings)
 {
-    obs::Event event;
-    event.seq = 7;
-    event.kind = "warning";
-    event.name = "bad \"path\"\n\twith control \x01 bytes";
-    event.fields = {{"detail", "a\\b \"c\""}};
+    // The same hostile strings as keys and values of a nested
+    // JsonWriter document, compact (one JSONL line) and indented.
+    const std::string name = "bad \"path\"\n\twith control \x01 bytes";
+    const std::string detail = "a\\b \"c\"";
+    for (int indent : {0, 2}) {
+        std::ostringstream os;
+        obs::JsonWriter w(os, indent);
+        w.beginObject();
+        w.value("name", name);
+        w.value(name, detail);
+        w.beginObject(detail);
+        w.value("detail", detail);
+        w.endObject();
+        w.endObject();
+        if (indent == 0) {
+            EXPECT_EQ(os.str().find('\n'), std::string::npos);
+        }
 
-    const std::string line = obs::telemetryEventLine(event);
-    obs::JsonValue parsed;
-    std::string error;
-    ASSERT_TRUE(obs::parseJson(line, parsed, &error)) << error;
-    EXPECT_EQ(parsed.find("schema")->asString(),
-              "dnasim.telemetry.v1");
-    EXPECT_EQ(parsed.find("event")->asString(), event.kind);
-    EXPECT_EQ(parsed.find("name")->asString(), event.name);
-    const obs::JsonValue *fields = parsed.find("fields");
-    ASSERT_NE(fields, nullptr);
-    EXPECT_EQ(fields->find("detail")->asString(), "a\\b \"c\"");
+        obs::JsonValue parsed;
+        std::string error;
+        ASSERT_TRUE(obs::parseJson(os.str(), parsed, &error))
+            << os.str() << ": " << error;
+        EXPECT_EQ(parsed.find("name")->asString(), name);
+        ASSERT_NE(parsed.find(name), nullptr);
+        EXPECT_EQ(parsed.find(name)->asString(), detail);
+        const obs::JsonValue *nested = parsed.find(detail);
+        ASSERT_NE(nested, nullptr);
+        EXPECT_EQ(nested->find("detail")->asString(), detail);
+    }
 }
 
 // ---------------------------------------------------------------
