@@ -16,22 +16,19 @@ namespace
 {
 
 /**
- * Reused buffers for the longest-match recursion. One recursive
- * matchingBlocks() call used to allocate two fresh DP rows per
- * longestMatch() invocation — O(log n) allocations per pair, times
- * millions of pairs in the profiler — so all scratch is hoisted here
- * and kept thread-local by the entry points.
+ * Reused buffers for the longest-match recursion, kept thread-local
+ * by the entry points so a pair costs no allocation once they have
+ * grown. A call reads only rows and words it wrote itself, so what
+ * an earlier call left here never reaches a later answer.
  */
 struct GestaltScratch
 {
     /// Match masks over the current b-subrange: bit (j - b_lo) of
     /// eq[c] is set iff b[j] has base code c.
     std::array<std::vector<uint64_t>, kNumBases> eq;
-    /// Suffix-run lengths for the current and previous row
-    /// (bit-parallel path). Stale entries are never read: prev[jj-1]
-    /// is consulted only when the previous row matched at jj-1, i.e.
-    /// when that cell was freshly written.
-    std::vector<uint32_t> prev, cur;
+    /// The doubling levels V_1, V_2, V_4, ... and two search
+    /// buffers, each one row of mask words per row of the a-subrange.
+    std::vector<uint64_t> levels;
     /// Dense rows for the scalar fallback (non-ACGT content).
     std::vector<size_t> sprev, scur;
 };
@@ -58,9 +55,10 @@ longestMatchScalar(std::string_view a, std::string_view b, size_t a_lo,
     prev.assign(b_hi - b_lo + 1, 0);
     cur.assign(b_hi - b_lo + 1, 0);
     for (size_t i = a_lo; i < a_hi; ++i) {
+        const char ai = a[i];
         for (size_t j = b_lo; j < b_hi; ++j) {
             size_t jj = j - b_lo + 1;
-            if (a[i] == b[j]) {
+            if (ai == b[j]) {
                 cur[jj] = prev[jj - 1] + 1;
                 if (cur[jj] > best.len) {
                     best.len = cur[jj];
@@ -77,27 +75,172 @@ longestMatchScalar(std::string_view a, std::string_view b, size_t a_lo,
     return best;
 }
 
+/// Rows [lo, hi) of a level that may be non-zero: its first through
+/// last non-zero row. Only these rows were written; lo >= hi is an
+/// empty level.
+struct LiveRows
+{
+    size_t lo;
+    size_t hi;
+
+    bool empty() const { return lo >= hi; }
+};
+
+constexpr LiveRows kNoRows{0, 0};
+
 /**
- * Bit-parallel longest common substring for ACGT content.
+ * One doubling or search step: out(r) = q(r) & (p(r - t) << t), which
+ * is V_{s+t} when p holds V_s and q holds V_t. Only rows where both
+ * operands are live are read and written. @p kWords is the row width
+ * in words, or 0 for the runtime @p words.
+ */
+template <size_t kWords>
+LiveRows
+extendRuns(const uint64_t *q, LiveRows q_live, const uint64_t *p,
+           LiveRows p_live, size_t t, size_t words, uint64_t *out)
+{
+    const size_t nw = kWords != 0 ? kWords : words;
+    const size_t lo = std::max(q_live.lo, p_live.lo + t);
+    const size_t hi = std::min(q_live.hi, p_live.hi + t);
+    if (lo >= hi)
+        return kNoRows;
+    // Word w of the shifted row is word w - ws shifted up by bs,
+    // plus the carry from the word below it. The carry is taken as
+    // (x >> 1) >> (63 - bs): x >> (64 - bs) would shift by 64, which
+    // is undefined, when t is word-aligned.
+    const size_t ws = t / 64;
+    const unsigned bs = static_cast<unsigned>(t % 64);
+    const unsigned carry = 63 - bs;
+    LiveRows live{hi, lo};
+    for (size_t r = lo; r < hi; ++r) {
+        const uint64_t *qr = q + r * nw;
+        const uint64_t *pr = p + (r - t) * nw;
+        uint64_t *o = out + r * nw;
+        for (size_t w = 0; w < ws; ++w)
+            o[w] = 0;
+        o[ws] = qr[ws] & (pr[0] << bs);
+        uint64_t any = o[ws];
+        for (size_t w = ws + 1; w < nw; ++w) {
+            o[w] = qr[w] & ((pr[w - ws] << bs) |
+                            ((pr[w - ws - 1] >> 1) >> carry));
+            any |= o[w];
+        }
+        if (any != 0) {
+            live.lo = std::min(live.lo, r);
+            live.hi = r + 1;
+        }
+    }
+    return live.empty() ? kNoRows : live;
+}
+
+/**
+ * Longest common substring of a[a_lo, a_hi) and the b-subrange the
+ * masks in @p scratch cover, by run-length doubling.
  *
- * Per-base match masks over the b-subrange are built once; each row
- * then visits only the positions where a[i] == b[j] (about a quarter
- * of the columns on a 4-letter alphabet) by iterating the set bits
- * of the mask. The diagonal predecessor's validity is itself a mask
- * lookup — prev[jj-1] holds a live value exactly when bit jj-1 of
- * the previous row's mask is set — so neither row is ever cleared.
+ * V_k(r) is the set of columns where a common run of length k or
+ * more ends at row r. V_1(r) is eq[a[a_lo + r]], and
+ * V_{s+t}(r) = V_t(r) & (V_s(r - t) << t). Levels V_1, V_2, V_4, ...
+ * are built until one is empty or cannot fit in the rectangle; the
+ * rest of the longest length L is then binary-searched down the
+ * stored levels. Each step is one word-wide pass over the live rows,
+ * O(log L) passes in all, instead of a visit to every matching cell.
  *
- * Traversal order (i ascending, j ascending, strictly-greater
- * updates) matches the scalar DP, so tie-breaking is identical.
+ * The block ends at the lowest set bit of V_L's first non-zero row.
+ * That is the first cell in row-major order whose run is L long,
+ * which is the one the scalar DP keeps (it replaces its best only on
+ * a strictly longer run), so ties break exactly as there.
+ */
+template <size_t kWords>
+MatchBlock
+longestMatchDoubling(std::string_view a, size_t a_lo, size_t a_hi,
+                     size_t b_lo, size_t width, size_t words,
+                     GestaltScratch &scratch)
+{
+    const size_t nw = kWords != 0 ? kWords : words;
+    const size_t rows = a_hi - a_lo;
+    const size_t limit = std::min(rows, width); // no run is longer
+    // Levels 2^0 .. 2^floor(log2 limit), then the two search buffers.
+    const size_t num_levels = static_cast<size_t>(std::bit_width(limit));
+    const size_t stride = rows * nw;
+    if (scratch.levels.size() < (num_levels + 2) * stride)
+        scratch.levels.resize((num_levels + 2) * stride);
+    uint64_t *const levels = scratch.levels.data();
+    auto level = [&](size_t k) { return levels + k * stride; };
+    std::array<LiveRows, 64> live;
+
+    LiveRows ones{rows, 0};
+    for (size_t r = 0; r < rows; ++r) {
+        const uint8_t code =
+            kCharToCode[static_cast<unsigned char>(a[a_lo + r])];
+        const uint64_t *eq = scratch.eq[code].data();
+        uint64_t *o = level(0) + r * nw;
+        uint64_t any = 0;
+        for (size_t w = 0; w < nw; ++w) {
+            o[w] = eq[w];
+            any |= eq[w];
+        }
+        if (any != 0) {
+            ones.lo = std::min(ones.lo, r);
+            ones.hi = r + 1;
+        }
+    }
+    if (ones.empty())
+        return {a_lo, b_lo, 0};
+    live[0] = ones;
+
+    size_t top = 0, len = 1;
+    while (2 * len <= limit) {
+        const LiveRows next =
+            extendRuns<kWords>(level(top), live[top], level(top),
+                               live[top], len, nw, level(top + 1));
+        if (next.empty())
+            break;
+        live[++top] = next;
+        len *= 2;
+    }
+
+    const uint64_t *cur = level(top);
+    LiveRows cur_live = live[top];
+    uint64_t *const spare[2] = {level(num_levels),
+                                level(num_levels + 1)};
+    size_t free_spare = 0;
+    for (size_t k = top; k-- > 0;) {
+        const size_t step = size_t{1} << k;
+        if (len + step > limit)
+            continue;
+        uint64_t *out = spare[free_spare];
+        const LiveRows grown = extendRuns<kWords>(
+            level(k), live[k], cur, cur_live, step, nw, out);
+        if (grown.empty())
+            continue;
+        cur = out;
+        cur_live = grown;
+        len += step;
+        free_spare ^= 1;
+    }
+
+    const uint64_t *row = cur + cur_live.lo * nw;
+    size_t w = 0;
+    while (row[w] == 0)
+        ++w;
+    const size_t jj =
+        w * 64 + static_cast<size_t>(std::countr_zero(row[w]));
+    return {a_lo + cur_live.lo + 1 - len, b_lo + jj + 1 - len, len};
+}
+
+/**
+ * Longest common substring for ACGT content: builds the per-base
+ * match masks over the b-subrange, then doubles on them with the row
+ * width fixed at 1, 2 or 3 words (every sub-problem up to 192
+ * columns) or read at run time beyond that.
  */
 MatchBlock
 longestMatchBits(std::string_view a, std::string_view b, size_t a_lo,
                  size_t a_hi, size_t b_lo, size_t b_hi,
                  GestaltScratch &scratch)
 {
-    MatchBlock best{a_lo, b_lo, 0};
     if (a_lo >= a_hi || b_lo >= b_hi)
-        return best;
+        return {a_lo, b_lo, 0};
 
     const size_t width = b_hi - b_lo;
     const size_t words = (width + 63) / 64;
@@ -110,44 +253,20 @@ longestMatchBits(std::string_view a, std::string_view b, size_t a_lo,
         scratch.eq[code][jj / 64] |= uint64_t{1} << (jj % 64);
     }
 
-    auto &prev = scratch.prev;
-    auto &cur = scratch.cur;
-    if (prev.size() < width) {
-        prev.resize(width);
-        cur.resize(width);
+    switch (words) {
+      case 1:
+        return longestMatchDoubling<1>(a, a_lo, a_hi, b_lo, width, 1,
+                                       scratch);
+      case 2:
+        return longestMatchDoubling<2>(a, a_lo, a_hi, b_lo, width, 2,
+                                       scratch);
+      case 3:
+        return longestMatchDoubling<3>(a, a_lo, a_hi, b_lo, width, 3,
+                                       scratch);
+      default:
+        return longestMatchDoubling<0>(a, a_lo, a_hi, b_lo, width,
+                                       words, scratch);
     }
-
-    uint8_t prev_code = kInvalidCode; // no previous row yet
-    for (size_t i = a_lo; i < a_hi; ++i) {
-        const uint8_t code =
-            kCharToCode[static_cast<unsigned char>(a[i])];
-        const auto &row = scratch.eq[code];
-        const uint64_t *diag = prev_code != kInvalidCode
-                                   ? scratch.eq[prev_code].data()
-                                   : nullptr;
-        for (size_t w = 0; w < words; ++w) {
-            uint64_t bits = row[w];
-            while (bits != 0) {
-                const size_t jj =
-                    w * 64 +
-                    static_cast<size_t>(std::countr_zero(bits));
-                bits &= bits - 1;
-                uint32_t len = 1;
-                if (jj > 0 && diag != nullptr &&
-                    ((diag[(jj - 1) / 64] >> ((jj - 1) % 64)) & 1u))
-                    len = prev[jj - 1] + 1;
-                cur[jj] = len;
-                if (len > best.len) {
-                    best.len = len;
-                    best.a_pos = i + 1 - len;
-                    best.b_pos = b_lo + jj + 1 - len;
-                }
-            }
-        }
-        std::swap(prev, cur);
-        prev_code = code;
-    }
-    return best;
 }
 
 void
@@ -179,6 +298,18 @@ allBases(std::string_view s)
 }
 
 } // anonymous namespace
+
+MatchBlock
+align_detail::longestMatch(std::string_view a, std::string_view b,
+                           size_t a_lo, size_t a_hi, size_t b_lo,
+                           size_t b_hi)
+{
+    thread_local GestaltScratch scratch;
+    return allBases(a) && allBases(b)
+               ? longestMatchBits(a, b, a_lo, a_hi, b_lo, b_hi, scratch)
+               : longestMatchScalar(a, b, a_lo, a_hi, b_lo, b_hi,
+                                    scratch);
+}
 
 std::vector<MatchBlock>
 matchingBlocks(std::string_view a, std::string_view b)

@@ -84,6 +84,22 @@ std::vector<AlignedGap> alignedGaps(std::string_view a,
 std::vector<size_t> gestaltErrorPositions(std::string_view ref,
                                           std::string_view copy);
 
+namespace align_detail
+{
+
+/**
+ * The longest common substring of a[a_lo, a_hi) and b[b_lo, b_hi),
+ * earliest end row first and then earliest end column on ties: the
+ * kernel matchingBlocks() runs on each sub-problem, with the same
+ * choice between the ACGT and the fallback path. Exposed for the
+ * equivalence tests.
+ */
+MatchBlock longestMatch(std::string_view a, std::string_view b,
+                        size_t a_lo, size_t a_hi, size_t b_lo,
+                        size_t b_hi);
+
+} // namespace align_detail
+
 } // namespace dnasim
 
 #endif // DNASIM_ALIGN_GESTALT_HH

@@ -88,6 +88,54 @@ checkProbability(const char *key, double p)
                      " is outside [0, 1]");
 }
 
+/**
+ * Check the fields of a complete profile against each other; each
+ * field's own range was checked as it was read.
+ */
+void
+checkConsistent(const ErrorProfile &p)
+{
+    if (p.totalRate() > 1.0)
+        DNASIM_FATAL("profile: aggregate rates sum to ", p.totalRate(),
+                     ", above 1");
+    // A distribution sums to 1, or is all zero (nothing observed).
+    auto isDistribution = [](const std::array<double, kNumBases> &w) {
+        double sum = 0.0;
+        for (double x : w)
+            sum += x;
+        return sum == 0.0 || std::fabs(sum - 1.0) <= 1e-9;
+    };
+    for (size_t b = 0; b < kNumBases; ++b) {
+        if (!isDistribution(p.confusion[b]))
+            DNASIM_FATAL("profile: confusion row ", kBaseChars[b],
+                         " sums to neither 1 nor 0");
+        if (p.confusion[b][b] != 0.0)
+            DNASIM_FATAL("profile: confusion row ", kBaseChars[b],
+                         " substitutes a base by itself");
+    }
+    if (!isDistribution(p.insert_base))
+        DNASIM_FATAL("profile: insert_base sums to neither 1 nor 0");
+    if (!(p.homopolymer_mult > 0.0 && std::isfinite(p.homopolymer_mult)))
+        DNASIM_FATAL("profile: homopolymer_mult ", p.homopolymer_mult,
+                     " is not a finite positive multiplier");
+    auto checkLength = [&p](const PositionProfile &spatial) {
+        if (!spatial.isUniform() && spatial.length() != p.design_length)
+            DNASIM_FATAL("profile: a spatial vector has ",
+                         spatial.length(), " entries but design_length is ",
+                         p.design_length);
+    };
+    checkLength(p.spatial);
+    for (const SecondOrderSpec &so : p.second_order) {
+        checkLength(so.spatial);
+        const bool substitution = so.key.type == EditOpType::Substitute;
+        if (substitution != (so.key.repl != '\0') ||
+            so.key.repl == so.key.base)
+            DNASIM_FATAL("profile: second_order ", so.key.str(),
+                         " needs a replacement base exactly when it "
+                         "is a substitution, and a different one");
+    }
+}
+
 PositionProfile
 profileFromMultipliers(const std::vector<double> &m)
 {
@@ -96,6 +144,11 @@ profileFromMultipliers(const std::vector<double> &m)
     // Rebuild through the histogram path, which renormalizes.
     Histogram h;
     for (size_t i = 0; i < m.size(); ++i) {
+        // A mean-1 profile's multipliers never exceed its length;
+        // the bound also keeps the count below in range.
+        if (m[i] > static_cast<double>(ErrorProfile::kMaxDesignLength))
+            DNASIM_FATAL("profile: spatial multiplier ", m[i],
+                         " exceeds ", ErrorProfile::kMaxDesignLength);
         h.add(i, static_cast<uint64_t>(m[i] * 1e6));
     }
     return PositionProfile::fromHistogram(h, m.size());
@@ -272,6 +325,7 @@ readProfile(std::istream &is)
         DNASIM_FATAL("profile: empty input");
     if (!saw_end)
         DNASIM_FATAL("profile: missing 'end' terminator");
+    checkConsistent(p);
     return p;
 }
 

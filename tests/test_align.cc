@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <thread>
 
 #include "align/edit_distance.hh"
 #include "align/gestalt.hh"
@@ -15,6 +17,7 @@
 #include "base/rng.hh"
 #include "core/ids_model.hh"
 #include "data/strand_factory.hh"
+#include "par/thread_pool.hh"
 
 namespace dnasim
 {
@@ -581,12 +584,17 @@ referenceLongestMatch(std::string_view a, std::string_view b,
                       size_t b_hi)
 {
     MatchBlock best{a_lo, b_lo, 0};
-    std::vector<size_t> prev(b_hi - b_lo + 1, 0),
-        cur(b_hi - b_lo + 1, 0);
+    // Raw rows, so the sanitizer lane's checked operator[] does not
+    // dominate the equivalence sweeps.
+    std::vector<size_t> rows(2 * (b_hi - b_lo + 1), 0);
+    size_t *prev = rows.data();
+    size_t *cur = prev + (b_hi - b_lo + 1);
+    const char *ap = a.data();
+    const char *bp = b.data();
     for (size_t i = a_lo; i < a_hi; ++i) {
         for (size_t j = b_lo; j < b_hi; ++j) {
             size_t jj = j - b_lo + 1;
-            if (a[i] == b[j]) {
+            if (ap[i] == bp[j]) {
                 cur[jj] = prev[jj - 1] + 1;
                 if (cur[jj] > best.len) {
                     best.len = cur[jj];
@@ -598,7 +606,6 @@ referenceLongestMatch(std::string_view a, std::string_view b,
             }
         }
         std::swap(prev, cur);
-        std::fill(cur.begin(), cur.end(), 0);
     }
     return best;
 }
@@ -685,6 +692,220 @@ TEST(GestaltBitParallel, NonAcgtContentUsesScalarFallback)
     EXPECT_EQ(gestaltScore("ANNA", "ANNA"), 1.0);
     EXPECT_EQ(matchingBlocks("ACGN", "NACG"),
               referenceBlocks("ACGN", "NACG"));
+
+    // Random pairs over ACGT plus N, and over A and N alone (ties),
+    // both argument orders.
+    Rng rng(0x4e4e);
+    for (int trial = 0; trial < 400; ++trial) {
+        Strand a(rng.index(151), 'A'), b(rng.index(151), 'A');
+        for (Strand *s : {&a, &b})
+            for (char &c : *s)
+                c = "ANCGT"[rng.index(trial % 2 == 0 ? 5 : 2)];
+        EXPECT_EQ(matchingBlocks(a, b), referenceBlocks(a, b)) << a;
+        EXPECT_EQ(matchingBlocks(b, a), referenceBlocks(b, a)) << b;
+    }
+}
+
+namespace
+{
+
+/** A uniformly random string over the first @p letters of ACGT. */
+Strand
+randomOver(size_t len, size_t letters, Rng &rng)
+{
+    Strand s(len, 'A');
+    for (char &c : s)
+        c = kBaseChars[rng.index(letters)];
+    return s;
+}
+
+/**
+ * @p a with each base substituted, deleted or followed by an
+ * insertion at rate @p rate (a third each), over @p letters letters.
+ */
+Strand
+noisyCopy(const Strand &a, double rate, size_t letters, Rng &rng)
+{
+    Strand out;
+    for (char c : a) {
+        const double u = rng.uniform();
+        if (u < rate / 3)
+            out += kBaseChars[rng.index(letters)];
+        else if (u < 2 * rate / 3)
+            continue;
+        else
+            out += c;
+        if (u >= 2 * rate / 3 && u < rate)
+            out += kBaseChars[rng.index(letters)];
+    }
+    return out;
+}
+
+struct StrandPair
+{
+    Strand a, b;
+};
+
+/**
+ * 20,000 fixed-seed pairs: lengths 0-300 (half of the draws capped
+ * at 100, which keeps the reference DP affordable in the sanitizer
+ * lanes) with the row-word boundaries forced in one time in eight,
+ * alphabets of 1 to 4 letters (on one or two letters nearly every
+ * longest match ties), and b either unrelated to a or a copy of it
+ * at 0-30 % noise.
+ */
+const std::vector<StrandPair> &
+randomPairs()
+{
+    static const std::vector<StrandPair> pairs = [] {
+        constexpr size_t kEdges[] = {1,   63,  64,  65,  127, 128,
+                                     129, 191, 192, 193, 256, 257};
+        Rng rng(0x9e57a17);
+        auto length = [&rng, &kEdges] {
+            if (rng.index(8) == 0)
+                return kEdges[rng.index(std::size(kEdges))];
+            return rng.index(rng.index(2) == 0 ? 301 : 101);
+        };
+        std::vector<StrandPair> out;
+        for (size_t k = 0; k < 20000; ++k) {
+            const size_t letters = 1 + k % 4;
+            StrandPair p;
+            p.a = randomOver(length(), letters, rng);
+            p.b = k % 2 == 0
+                      ? randomOver(length(), letters, rng)
+                      : noisyCopy(p.a, 0.3 * rng.uniform(), letters,
+                                  rng);
+            out.push_back(std::move(p));
+        }
+        return out;
+    }();
+    return pairs;
+}
+
+/** matchingBlocks() of @p p in both argument orders, concatenated. */
+std::vector<MatchBlock>
+bothOrders(const StrandPair &p)
+{
+    std::vector<MatchBlock> out = matchingBlocks(p.a, p.b);
+    const std::vector<MatchBlock> back = matchingBlocks(p.b, p.a);
+    out.insert(out.end(), back.begin(), back.end());
+    return out;
+}
+
+std::vector<std::vector<MatchBlock>>
+blocksInOrder(const std::vector<StrandPair> &pairs)
+{
+    std::vector<std::vector<MatchBlock>> out;
+    for (const StrandPair &p : pairs)
+        out.push_back(bothOrders(p));
+    return out;
+}
+
+/** Restore the default thread count when a test scope exits. */
+struct ThreadGuard
+{
+    explicit ThreadGuard(size_t n) { par::setThreads(n); }
+    ~ThreadGuard() { par::setThreads(0); }
+};
+
+} // anonymous namespace
+
+TEST(GestaltBitParallel, MatchesReferenceOnRandomPairsBothOrders)
+{
+    const auto &pairs = randomPairs();
+    size_t mismatches = 0;
+    for (size_t i = 0; i < pairs.size() && mismatches < 5; ++i) {
+        const StrandPair &p = pairs[i];
+        const bool ab =
+            matchingBlocks(p.a, p.b) == referenceBlocks(p.a, p.b);
+        const bool ba =
+            matchingBlocks(p.b, p.a) == referenceBlocks(p.b, p.a);
+        EXPECT_TRUE(ab && ba)
+            << "pair " << i << " (" << p.a.size() << " x " << p.b.size()
+            << "): " << p.a << " / " << p.b;
+        mismatches += ab && ba ? 0 : 1;
+    }
+}
+
+TEST(GestaltBitParallel, NoResultDependsOnAnEarlierCall)
+{
+    // The kernel keeps thread_local scratch. Whatever a call leaves
+    // there must not reach a later call's answer, or results would
+    // differ by schedule, thread and process.
+    const auto &pairs = randomPairs();
+    const auto expected = blocksInOrder(pairs);
+
+    std::vector<size_t> order(pairs.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    Rng rng(0x5c7a);
+    rng.shuffle(order);
+    for (size_t i : order)
+        ASSERT_EQ(bothOrders(pairs[i]), expected[i])
+            << "shuffled, pair " << i;
+
+    std::vector<std::vector<MatchBlock>> fresh;
+    std::thread([&] { fresh = blocksInOrder(pairs); }).join();
+    EXPECT_TRUE(fresh == expected) << "fresh thread";
+
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+        ThreadGuard guard(threads);
+        const auto parallel =
+            par::parallelTransform(pairs.size(), [&](size_t i) {
+                return bothOrders(pairs[i]);
+            });
+        EXPECT_TRUE(parallel == expected) << threads << " threads";
+    }
+}
+
+TEST(GestaltBitParallel, FewerRowsThanTheLongestRunLevelButMoreColumns)
+{
+    // When a is (nearly) a substring of a wider b, the longest match
+    // is as long as the rows allow, so the doubling stops on the row
+    // count before any level is empty. 70 x 148 is the shape that
+    // once read past the last level written.
+    Rng rng(0x70148);
+    for (size_t rows : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                        size_t{8}, size_t{9}, size_t{31}, size_t{33},
+                        size_t{63}, size_t{64}, size_t{65}, size_t{70},
+                        size_t{100}, size_t{129}, size_t{150}}) {
+        for (size_t cols : {rows + 1, rows + 17, 2 * rows + 8,
+                            size_t{148}, size_t{200}}) {
+            if (cols <= rows)
+                continue;
+            for (size_t letters = 1; letters <= 4; ++letters) {
+                const Strand b = randomOver(cols, letters, rng);
+                const size_t at = rng.index(cols - rows + 1);
+                Strand a = b.substr(at, rows);
+                if (letters > 1 && rows > 4 && rng.index(2) == 0)
+                    a[rows / 2] = a[rows / 2] == 'A' ? 'C' : 'A';
+                EXPECT_EQ(matchingBlocks(a, b), referenceBlocks(a, b))
+                    << rows << " x " << cols << " over " << letters;
+                EXPECT_EQ(matchingBlocks(b, a), referenceBlocks(b, a))
+                    << cols << " x " << rows << " over " << letters;
+            }
+        }
+    }
+}
+
+TEST(GestaltBitParallel, LongestMatchOnSubRectangles)
+{
+    // The recursion's sub-problems, driven directly: any window of a
+    // against any window of b, empty windows included.
+    Rng rng(0x5ab7ec);
+    const auto &pairs = randomPairs();
+    for (size_t k = 0; k < 4000; ++k) {
+        const StrandPair &p = pairs[rng.index(pairs.size())];
+        const size_t a_lo = rng.index(p.a.size() + 1);
+        const size_t a_hi = a_lo + rng.index(p.a.size() - a_lo + 1);
+        const size_t b_lo = rng.index(p.b.size() + 1);
+        const size_t b_hi = b_lo + rng.index(p.b.size() - b_lo + 1);
+        EXPECT_EQ(align_detail::longestMatch(p.a, p.b, a_lo, a_hi, b_lo,
+                                             b_hi),
+                  referenceLongestMatch(p.a, p.b, a_lo, a_hi, b_lo, b_hi))
+            << "[" << a_lo << ", " << a_hi << ") x [" << b_lo << ", "
+            << b_hi << ") of " << p.a << " / " << p.b;
+    }
 }
 
 } // namespace

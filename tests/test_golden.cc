@@ -1,6 +1,7 @@
 /**
  * @file
- * Committed golden digests of the channel's outputs, of every
+ * Committed golden digests of the channel's outputs, of the gestalt
+ * matching blocks and the calibrated profile text, of every
  * reconstructor's estimates and of the Rng's sample streams.
  *
  * The other determinism tests compare runs only with each other, so a
@@ -20,10 +21,12 @@
 #include <cstdio>
 #include <iterator>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "align/edit_script.hh"
+#include "align/gestalt.hh"
 #include "analysis/accuracy.hh"
 #include "base/rng.hh"
 #include "core/channel_simulator.hh"
@@ -31,6 +34,7 @@
 #include "core/dnasimulator_model.hh"
 #include "core/ids_model.hh"
 #include "core/lineage_log.hh"
+#include "core/profile_io.hh"
 #include "core/profiler.hh"
 #include "core/tech_profiles.hh"
 #include "core/wetlab.hh"
@@ -317,6 +321,79 @@ TEST(Golden, StagedChannelAndWetlab)
                      datasetDigest(NanoporeDatasetGenerator(config)
                                        .generate(wet_rng)),
                      0x666f7c0e5f229877);
+    }
+}
+
+/** Digest matchingBlocks() of @p data's pairs, in both argument orders. */
+uint64_t
+blocksDigest(const Dataset &data)
+{
+    Fnv64 h;
+    auto add = [&h](std::string_view a, std::string_view b) {
+        const std::vector<MatchBlock> blocks = matchingBlocks(a, b);
+        h.pod(static_cast<uint64_t>(blocks.size()));
+        for (const MatchBlock &m : blocks) {
+            h.pod(static_cast<uint64_t>(m.a_pos));
+            h.pod(static_cast<uint64_t>(m.b_pos));
+            h.pod(static_cast<uint64_t>(m.len));
+        }
+    };
+    for (const Cluster &c : data.clusters()) {
+        for (const Strand &copy : c.copies) {
+            add(c.reference, copy);
+            add(copy, c.reference);
+        }
+    }
+    return h.value();
+}
+
+/**
+ * The gestalt blocks behind every gestalt score, gestalt-aligned
+ * error position and calibrated spatial profile.
+ */
+TEST(Golden, GestaltBlocks)
+{
+    // Wetlab pairs: bursts, alien and truncated reads.
+    WetlabConfig config;
+    config.num_clusters = 40;
+    Rng wet_rng(0x6e51);
+    expectDigest("wetlab blocks",
+                 blocksDigest(
+                     NanoporeDatasetGenerator(config).generate(wet_rng)),
+                 0xcac2d591f712cae3);
+
+    // The roundtrip channel on 130-base strands: a row of the match
+    // masks spans three words.
+    IdsChannelModel model = IdsChannelModel::full(
+        NanoporeDatasetGenerator::groundTruthProfile(130, 0.04));
+    FixedCoverage coverage(8);
+    Rng channel_rng(0x6e52);
+    expectDigest("roundtrip-channel blocks",
+                 blocksDigest(ChannelSimulator(model).simulate(
+                     references(40, 130, 0x6e53), coverage,
+                     channel_rng)),
+                 0xa79beb1b5f334df4);
+}
+
+/**
+ * The calibrated profile itself, as `dnasim calibrate --out` writes
+ * it. Golden.CalibratedLadderModels pins it only through what the
+ * models then draw.
+ */
+TEST(Golden, CalibratedProfileText)
+{
+    WetlabConfig config;
+    config.num_clusters = 60;
+    Rng rng(0x9e5);
+    const Dataset data = NanoporeDatasetGenerator(config).generate(rng);
+    for (size_t threads : kThreadCounts) {
+        ThreadGuard guard(threads);
+        std::ostringstream text;
+        writeProfile(ErrorProfiler().calibrate(data), text);
+        Fnv64 h;
+        h.str(text.str());
+        expectDigest("calibrate @" + std::to_string(threads), h.value(),
+                     0x6e418d41a7fa2ea1);
     }
 }
 

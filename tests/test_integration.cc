@@ -78,6 +78,21 @@ TEST(Integration, CalibratedSpatialIsEndHeavy)
     EXPECT_GT(tail, head); // end ~2x the beginning
 }
 
+TEST(Integration, GestaltProfileIsTerminalHeavy)
+{
+    // Fig 3.2b: gestalt-aligned errors at the last two positions
+    // outnumber those at the first two, by about 2x in the paper.
+    // Counted as fig_3_2 counts them.
+    const Histogram gestalt = gestaltProfilePre(lab().wetlab);
+    const size_t len = lab().profile.design_length;
+    ASSERT_EQ(len, 110u);
+    const uint64_t head = gestalt.count(0) + gestalt.count(1);
+    const uint64_t tail = gestalt.count(len - 1) + gestalt.count(len - 2);
+    ASSERT_GT(head, 0u);
+    EXPECT_GT(static_cast<double>(tail), 1.5 * static_cast<double>(head))
+        << "tail " << tail << ", head " << head;
+}
+
 TEST(Integration, SimulatedDataEasierThanReal)
 {
     // The core finding of Tables 2.2/3.1: at fixed low coverage,

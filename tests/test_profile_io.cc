@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "base/logging.hh"
 #include "core/ids_model.hh"
 #include "core/profile_io.hh"
 #include "core/profiler.hh"
 #include "core/wetlab.hh"
+#include "data/strand_factory.hh"
 
 namespace dnasim
 {
@@ -239,8 +244,236 @@ TEST(ProfileIo, RejectsProbabilitiesOutsideUnitInterval)
 TEST(ProfileIo, RejectsNegativeVectorValues)
 {
     expectRejected("spatial", "spatial 3 -1 0 0");
+    // Read as millionths, 1e308 used to overflow its integer count.
+    expectRejected("spatial", "spatial 3 1e308 1 1");
     expectRejected("long_del", "long_del 0.001 2 84 -13");
     expectRejected("second_order", "second_order ins T - 0.01 4 2 1 -1");
+}
+
+TEST(ProfileIo, RejectsAggregateRatesAboveOne)
+{
+    // Used to be accepted and reported as "aggregate error 270.00%".
+    expectRejected("aggregate", "aggregate 0.9 0.9 0.9");
+    expectRejected("aggregate", "aggregate 0.5 0.3 0.3");
+
+    std::istringstream one(
+        profileWithLine("aggregate", "aggregate 0.5 0.25 0.25"));
+    EXPECT_DOUBLE_EQ(readProfile(one).totalRate(), 1.0);
+}
+
+TEST(ProfileIo, RejectsConfusionRowsThatAreNotDistributions)
+{
+    expectRejected("confusion", "confusion A 0 0.5 0.2 0.2");
+    expectRejected("confusion C", "confusion C 0.1 0 0.1 0.1");
+    // A base substituted by itself, though the row sums to 1.
+    expectRejected("confusion G", "confusion G 0.25 0.25 0.25 0.25");
+
+    std::istringstream empty_row(
+        profileWithLine("confusion", "confusion A 0 0 0 0"));
+    EXPECT_EQ(readProfile(empty_row).confusion[0][1], 0.0);
+}
+
+TEST(ProfileIo, RejectsInsertBaseThatIsNotADistribution)
+{
+    expectRejected("insert_base", "insert_base 0.5 0.5 0.5 0.5");
+    expectRejected("insert_base", "insert_base 0.1 0 0 0");
+
+    std::istringstream nothing_inserted(
+        profileWithLine("insert_base", "insert_base 0 0 0 0"));
+    EXPECT_EQ(readProfile(nothing_inserted).insert_base[2], 0.0);
+}
+
+TEST(ProfileIo, RejectsNonPositiveHomopolymerMultiplier)
+{
+    // The contextual model scales rates by mult / (1 + f (mult - 1)),
+    // negative or undefined for these.
+    expectRejected("homopolymer_mult", "homopolymer_mult -5");
+    expectRejected("homopolymer_mult", "homopolymer_mult 0");
+    expectRejected("homopolymer_mult", "homopolymer_mult 1e400");
+
+    std::istringstream strong(
+        profileWithLine("homopolymer_mult", "homopolymer_mult 3.5"));
+    EXPECT_EQ(readProfile(strong).homopolymer_mult, 3.5);
+}
+
+TEST(ProfileIo, RejectsSpatialVectorsOtherThanDesignLength)
+{
+    // The profile under test has design_length 80.
+    expectRejected("spatial", "spatial 3 1 1 1");
+    expectRejected("second_order",
+                   "second_order sub A C 0.01 4 3 1 1 1");
+    std::istringstream missing_length(profileWithLine(
+        "design_length", "# no design_length"));
+    EXPECT_NO_THROW(readProfile(missing_length));
+
+    std::string eighty = " 80";
+    for (int i = 0; i < 80; ++i)
+        eighty += " 1";
+    std::istringstream fits(profileWithLine("spatial", "spatial" + eighty));
+    EXPECT_EQ(readProfile(fits).spatial.length(), 80u);
+    std::istringstream second(profileWithLine(
+        "second_order", "second_order del T - 0.01 4" + eighty));
+    EXPECT_EQ(readProfile(second).second_order.at(0).spatial.length(),
+              80u);
+    std::istringstream uniform(
+        profileWithLine("second_order", "second_order ins G - 0.01 4 0"));
+    EXPECT_TRUE(readProfile(uniform).second_order.at(0).spatial.isUniform());
+}
+
+TEST(ProfileIo, RejectsSecondOrderKeysThatDisagree)
+{
+    // A substitution with no replacement base used to emit '\0'.
+    expectRejected("second_order", "second_order sub A - 0.01 4 0");
+    expectRejected("second_order", "second_order sub C C 0.01 4 0");
+    expectRejected("second_order", "second_order del A C 0.01 4 0");
+    expectRejected("second_order", "second_order ins T G 0.01 4 0");
+}
+
+/** A calibrated profile's text, as `dnasim calibrate --out` writes it. */
+std::string
+calibratedText(size_t clusters, double error_rate, uint64_t seed)
+{
+    WetlabConfig config;
+    config.num_clusters = clusters;
+    config.total_error_rate = error_rate;
+    Rng rng(seed);
+    const Dataset data = NanoporeDatasetGenerator(config).generate(rng);
+    std::ostringstream out;
+    writeProfile(ErrorProfiler().calibrate(data), out);
+    return out.str();
+}
+
+/**
+ * Every model of the ladder (and the contextual and full models)
+ * builds from @p profile and transmits design-length and shorter
+ * strands as ACGT text of bounded length.
+ */
+void
+expectDrivesEveryModel(const ErrorProfile &profile, Rng &rng)
+{
+    const IdsChannelModel models[] = {
+        IdsChannelModel::naive(profile),
+        IdsChannelModel::conditional(profile),
+        IdsChannelModel::skew(profile),
+        IdsChannelModel::secondOrder(profile),
+        IdsChannelModel::contextual(profile),
+        IdsChannelModel::full(profile),
+    };
+    const size_t len = profile.design_length != 0 ? profile.design_length
+                                                  : 110;
+    for (const Strand &ref :
+         {StrandFactory().make(len, rng), Strand(len / 2 + 1, 'A')}) {
+        for (const IdsChannelModel &model : models) {
+            const Strand copy = model.transmit(ref, rng);
+            EXPECT_LE(copy.size(), 2 * ref.size() + 1) << model.name();
+            for (char c : copy)
+                ASSERT_TRUE(isBaseChar(c)) << model.name();
+        }
+    }
+}
+
+TEST(ProfileIo, EveryCalibratedProfileReadsBack)
+{
+    // Whatever calibrate writes, the reader accepts, across the
+    // error rates and dataset sizes the paper's loop meets.
+    struct Case
+    {
+        double error_rate;
+        size_t clusters;
+    };
+    std::vector<Case> cases;
+    for (double error_rate : {0.01, 0.06, 0.3})
+        for (size_t clusters : {size_t{5}, size_t{60}, size_t{400}})
+            cases.push_back({error_rate, clusters});
+    cases.push_back({0.06, 2000}); // paper-ladder's dataset size
+    uint64_t seed = 0xca1;
+    for (const auto &[error_rate, clusters] : cases) {
+        const std::string text =
+            calibratedText(clusters, error_rate, ++seed);
+        std::istringstream in(text);
+        ErrorProfile parsed;
+        ASSERT_NO_THROW(parsed = readProfile(in))
+            << error_rate << " at " << clusters << " clusters:\n"
+            << text;
+        Rng rng(seed);
+        expectDrivesEveryModel(parsed, rng);
+    }
+}
+
+TEST(ProfileIo, MutatedProfilesAreRejectedOrDriveEveryModel)
+{
+    // Fixed-seed mutants of a calibrated profile's text: tokens
+    // overwritten with extreme numbers, lines dropped or repeated.
+    // Each one either fails with FatalError or reads into a profile
+    // every model can run.
+    const std::string text = calibratedText(40, 0.06, 0x5eed);
+    std::vector<std::string> lines;
+    std::istringstream split(text);
+    for (std::string line; std::getline(split, line);)
+        lines.push_back(line);
+    const char *const values[] = {"0",     "-1",         "1e308",
+                                  "nan",   "inf",        "-inf",
+                                  "1e-320", "4294967296", "1000000000",
+                                  "18446744073709551615"};
+    Rng rng(0x3a7e);
+    size_t rejected = 0, accepted = 0;
+    for (size_t iter = 0; iter < 2000; ++iter) {
+        std::vector<std::string> mutant = lines;
+        const size_t edits = 1 + rng.index(3);
+        for (size_t e = 0; e < edits; ++e) {
+            const size_t at = rng.index(mutant.size());
+            switch (rng.index(4)) {
+              case 0:
+                mutant.erase(mutant.begin() +
+                             static_cast<ptrdiff_t>(at));
+                break;
+              case 1: {
+                const std::string repeated = mutant[at];
+                mutant.insert(mutant.begin() +
+                                  static_cast<ptrdiff_t>(at),
+                              repeated);
+                break;
+              }
+              default: {
+                // Overwrite one whitespace-separated token.
+                std::istringstream in(mutant[at]);
+                std::vector<std::string> tokens(
+                    std::istream_iterator<std::string>{in}, {});
+                if (tokens.empty())
+                    break;
+                tokens[rng.index(tokens.size())] =
+                    values[rng.index(std::size(values))];
+                std::string joined;
+                for (const std::string &t : tokens)
+                    joined += (joined.empty() ? "" : " ") + t;
+                mutant[at] = joined;
+              }
+            }
+            if (mutant.empty())
+                break;
+        }
+        std::string joined;
+        for (const std::string &line : mutant)
+            joined += line + "\n";
+        std::istringstream in(joined);
+        ErrorProfile parsed;
+        try {
+            parsed = readProfile(in);
+        } catch (const FatalError &) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        expectDrivesEveryModel(parsed, rng);
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "mutant " << iter << ":\n" << joined;
+            break;
+        }
+    }
+    // Both outcomes occur, so the mutations reach past the parser's
+    // first checks.
+    EXPECT_GT(rejected, 200u);
+    EXPECT_GT(accepted, 200u);
 }
 
 TEST(ProfileIo, IgnoresCommentsAndBlanks)
