@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks of read clustering: shuffled read pools at
  * realistic sizes, exercising the anchor-bucket probing (transparent
- * string_view lookup) and the batched candidate-distance probes,
- * plus large-N scaling rows of the MinHash sketch index (10k/50k/200k
+ * string_view lookup) and the batched candidate-distance probes, the
+ * roundtrip workload's 71k-read re-cluster pool, plus large-N
+ * scaling rows of the MinHash sketch index (10k/50k/200k
  * reads, purity recorded). Results funnel into
  * BENCH_perf_cluster.json; compare rows across --threads values for
  * the scaling curve.
@@ -23,7 +24,9 @@
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
 #include "core/ids_model.hh"
+#include "core/wetlab.hh"
 #include "data/strand_factory.hh"
+#include "pipeline/archival_pipeline.hh"
 
 using namespace dnasim;
 
@@ -107,6 +110,40 @@ BM_ClusterReadsWideProbe(benchmark::State &state)
         reads += pool.size();
     }
     state.SetItemsProcessed(static_cast<int64_t>(reads));
+}
+
+/**
+ * The roundtrip workload's re-clustered pass: a 100 KiB payload
+ * stored by the archival pipeline, sent through the 1 % IDS channel
+ * at coverage 10 and shuffled — about 71k reads, some 70 blocks of
+ * the placement loop, so the row shows the parallel propose phase
+ * that the few-block BM_ClusterReads rows cannot.
+ */
+void
+BM_ClusterReadsRoundtripPool(benchmark::State &state)
+{
+    Rng rng = benchRng(0xc6);
+    Bytes payload(100 * 1024);
+    for (uint8_t &byte : payload)
+        byte = static_cast<uint8_t>(rng.index(256));
+    ArchivalPipeline pipeline;
+    const StoredObject object = pipeline.store(payload);
+    IdsChannelModel model = IdsChannelModel::full(
+        NanoporeDatasetGenerator::groundTruthProfile(
+            pipeline.strandLength(), 0.01));
+    std::vector<Strand> pool =
+        ChannelSimulator(model)
+            .simulate(object.strands, FixedCoverage(10), rng)
+            .pooledReads();
+    rng.shuffle(pool);
+    const ClusterOptions options = pipeline.config().cluster;
+    size_t reads = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(clusterReads(pool, options));
+        reads += pool.size();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(reads));
+    state.counters["reads"] = static_cast<double>(pool.size());
 }
 
 /**
@@ -277,6 +314,8 @@ const bool scaling_pool_registered = [] {
 BENCHMARK(BM_ClusterReads)->Arg(100)->Arg(400)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ClusterReadsWideProbe)->Arg(200)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_ClusterReadsRoundtripPool)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 // 1250/6250/25000 references at coverage 8 = 10k/50k/200k reads.
 BENCHMARK(BM_ClusterScaling)->Name("BM_ClusterScaling/sketch")

@@ -62,12 +62,7 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    {
-        std::lock_guard<std::mutex> lock(log_mutex);
-        std::cerr << "fatal: " << msg << "\n @ " << file << ":" << line
-                  << std::endl;
-    }
-    throw FatalError(msg);
+    throw FatalError(msg, file, line);
 }
 
 void

@@ -7,9 +7,10 @@
  *  - panic(): an internal invariant was violated (a dnasim bug);
  *    aborts the process so a debugger or core dump can be used.
  *  - fatal(): the simulation cannot continue because of a user error
- *    (bad configuration, malformed input file); throws FatalError so
- *    callers (and tests) can observe it, and terminates with exit(1)
- *    when it escapes main.
+ *    (bad configuration, malformed input file); throws FatalError,
+ *    which carries the message and where it was raised. Nothing is
+ *    printed: a library caller that handles the error stays quiet,
+ *    and the CLI's main prints the one "fatal:" line and exits 1.
  *
  * Non-terminating status helpers: inform(), warn(), warn_once().
  */
@@ -43,13 +44,20 @@ using LogSink = std::function<void(LogLevel, const std::string &)>;
  */
 LogSink setLogSink(LogSink sink);
 
-/** Exception thrown by fatal(); carries the formatted message. */
+/** Exception thrown by fatal(): the message and where it was raised. */
 class FatalError : public std::runtime_error
 {
   public:
-    explicit FatalError(const std::string &msg)
-        : std::runtime_error(msg)
+    FatalError(const std::string &msg, const char *file, int line)
+        : std::runtime_error(msg), file_(file), line_(line)
     {}
+
+    const char *file() const { return file_; }
+    int line() const { return line_; }
+
+  private:
+    const char *file_;
+    int line_;
 };
 
 namespace detail

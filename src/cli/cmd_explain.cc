@@ -85,8 +85,9 @@ cmdExplain(const Args &args)
         reclustered =
             poolAndRecluster(simulated, cluster_options, rng,
                              /*with_identity=*/true, &assignments);
-        estimates = reconstructAll(reclustered.regrouped(), *algo, rng,
-                                   design_len);
+        // The lineage still reads the pool: regroup a copy.
+        estimates = reconstructAll(ReclusteredPool(reclustered).regrouped(),
+                                   *algo, rng, design_len);
         inputs.clusters = &reclustered.clusters;
         inputs.pool = &reclustered.pool;
         inputs.identity = &reclustered.identity;

@@ -750,8 +750,11 @@ cmdCluster(const Args &args)
     const bool want_lineage = args.has("lineage-out");
     std::vector<ReadAssignment> assignments;
     auto start = std::chrono::steady_clock::now();
+    // The lineage still reads the dataset; otherwise its reads move
+    // into the pool.
     ReclusteredPool reclustered = poolAndRecluster(
-        dataset, options, rng, /*with_identity=*/true,
+        want_lineage ? Dataset(dataset) : std::move(dataset), options,
+        rng, /*with_identity=*/true,
         want_lineage ? &assignments : nullptr, max_reads,
         std::max<size_t>(shards, 1));
     double secs = std::chrono::duration<double>(

@@ -49,6 +49,14 @@
 namespace
 {
 
+/** The CLI's one report of a user error. */
+void
+reportFatal(const dnasim::FatalError &e)
+{
+    std::cerr << "fatal: " << e.what() << "\n @ " << e.file() << ":"
+              << e.line() << std::endl;
+}
+
 int
 dispatch(const std::string &command, const dnasim::Args &args)
 {
@@ -129,8 +137,9 @@ main(int argc, char **argv)
             DNASIM_FATAL("--progress must be auto, always or never, "
                          "got '", progress_mode, "'");
         }
-    } catch (const FatalError &) {
-        return 1; // message already printed by fatal()
+    } catch (const FatalError &e) {
+        reportFatal(e);
+        return 1;
     }
     const bool heartbeat =
         progress_mode == "always" ||
@@ -166,9 +175,10 @@ main(int argc, char **argv)
             reg.timer("cli." + command + ".time",
                       "wall time of the '" + command + "' command"));
         rc = dispatch(command, args);
-    } catch (const FatalError &) {
-        // Message already printed by fatal(); still flush whatever
-        // stats and trace data accumulated before the failure.
+    } catch (const FatalError &e) {
+        // Still flush whatever stats and trace data accumulated
+        // before the failure.
+        reportFatal(e);
     }
 
     // Takes one final sample (so short runs still get one) and clears

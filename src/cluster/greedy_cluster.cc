@@ -1,6 +1,7 @@
 #include "cluster/greedy_cluster.hh"
 
 #include <algorithm>
+#include <array>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -10,6 +11,7 @@
 #include "base/logging.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
+#include "par/thread_pool.hh"
 
 namespace dnasim
 {
@@ -39,11 +41,91 @@ struct AnchorHash
  * as cheap as a one-at-a-time early exit; deeper scans switch to
  * full 16-candidate chunks that keep 4- and 8-wide kernels
  * saturated. The schedule is fixed — independent of thread count
- * and SIMD tier — so probe order, and therefore the clustering,
- * never varies with either.
+ * and SIMD tier — and it defines candidates_probed and
+ * cluster.comparisons: a placement counts every candidate of the
+ * chunk that held its winner.
  */
 constexpr size_t kFirstProbeChunk = 4;
 constexpr size_t kProbeChunk = 16;
+
+/// A candidate distance not computed yet.
+constexpr size_t kUnverified = SIZE_MAX;
+
+/**
+ * Probe @p n candidates in the fixed chunk schedule; the first one
+ * within @p threshold wins. @p dist holds each candidate's distance,
+ * or kUnverified. Each chunk verifies, in one batch kernel call, the
+ * unverified candidates ahead of its first known winner: the read's
+ * pattern against one representative (@p rep of the candidate's
+ * position) per SIMD lane, each lane abandoning its text once the
+ * bound is certified. Returns the winner's position (n if none) and
+ * sets @p probed to the end of its chunk, or to n.
+ */
+template <typename Rep>
+size_t
+probeCandidates(const MyersPattern &pattern, size_t n, Rep rep,
+                size_t threshold, size_t *dist, size_t &probed)
+{
+    auto wins = [&](size_t k) {
+        return dist[k] != kUnverified && dist[k] <= threshold;
+    };
+    size_t lo = 0;
+    size_t chunk = kFirstProbeChunk;
+    while (lo < n) {
+        const size_t hi = std::min(lo + chunk, n);
+        size_t stop = lo;
+        while (stop < hi && !wins(stop))
+            ++stop;
+        std::array<std::string_view, kProbeChunk> texts{};
+        std::array<size_t, kProbeChunk> at{};
+        std::array<size_t, kProbeChunk> out{};
+        size_t m = 0;
+        for (size_t k = lo; k < stop; ++k) {
+            if (dist[k] == kUnverified) {
+                at[m] = k;
+                texts[m++] = rep(k);
+            }
+        }
+        if (m > 0) {
+            myersBatchDistanceBounded(pattern, {texts.data(), m},
+                                      threshold, {out.data(), m});
+            for (size_t j = 0; j < m; ++j)
+                dist[at[j]] = out[j];
+        }
+        for (size_t k = lo; k <= stop && k < hi; ++k) {
+            if (wins(k)) {
+                probed = hi;
+                return k;
+            }
+        }
+        lo = hi;
+        chunk = kProbeChunk;
+    }
+    probed = n;
+    return n;
+}
+
+/**
+ * One read of a block: its pattern, and what it learned from the
+ * clusters that existed when the block started (the "old" ones).
+ */
+struct Proposal
+{
+    Strand scratch; ///< the read's characters, for pool-backed views
+    std::string_view read;
+    MyersPattern pattern;
+    /// Old clusters in the read's anchor bucket at block start.
+    size_t anchor_old = 0;
+    /// Distances to the bucket's first min(anchor_old, max_probes)
+    /// members, verified through the chunk of the first winner.
+    std::vector<size_t> anchor_dist;
+    /// Band collisions with old clusters, their ranked candidates
+    /// (the read's anchor bucket excluded) and distances to them.
+    size_t old_collisions = 0;
+    std::vector<SketchCandidate> sketch;
+    std::vector<size_t> sketch_dist;
+    std::vector<uint32_t> rank_scratch;
+};
 
 } // anonymous namespace
 
@@ -109,185 +191,238 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
         "reads with no sketchable k-mer (short or non-ACGT)");
     obs::Span span("cluster.sketch", "cluster", stat_time, count);
     uint64_t comparisons = 0;
+    uint64_t merges = 0;
+    uint64_t bands_probed = 0;
+    uint64_t collisions = 0;
+    uint64_t sketch_candidates = 0;
     uint64_t sketch_probes = 0;
     uint64_t sketch_verified = 0;
 
+    const size_t threshold = options.distance_threshold;
+    const size_t max_probes = options.max_probes;
     std::vector<ReadCluster> clusters;
-    // One Myers pattern per *read*, probed against every candidate
-    // representative through the batch kernel (one representative
-    // per SIMD lane). Levenshtein is symmetric, so flipping the old
-    // representative-as-pattern orientation changes no accept/reject
-    // decision — and it lets a read's whole candidate list share one
-    // pattern, where per-representative patterns could only serve
-    // one text at a time. The pattern storage is reused across
-    // reads (assign()), so the swap also drops the old
-    // pattern-per-cluster cache and its O(clusters) memory.
-    MyersPattern read_pattern;
-    // anchor -> cluster indices whose representative starts with it.
-    // string_view-keyed heterogeneous lookup: probing never copies
-    // the anchor; only bucket creation materializes the key.
+    // anchor -> ids of the clusters whose representative starts with
+    // it, ascending. string_view-keyed heterogeneous lookup: probing
+    // never copies the anchor; only bucket creation materializes the
+    // key.
     std::unordered_map<std::string, std::vector<size_t>, AnchorHash,
                        std::equal_to<>>
         buckets;
     // Signatures for the whole range up front (parallel, order
-    // preserving); the band index itself fills in as clusters open.
+    // preserving); the band index fills in block by block.
     SketchIndex sketch(view, offset, count, options.sketch);
 
     auto anchor_of = [&](std::string_view s) -> std::string_view {
         return s.substr(0, std::min(options.anchor_length, s.size()));
     };
+    auto bucket_of = [&](std::string_view read) {
+        auto it = buckets.find(anchor_of(read));
+        return it == buckets.end() ? std::span<const size_t>()
+                                   : std::span<const size_t>(it->second);
+    };
 
-    std::vector<size_t> candidates;
-    std::vector<size_t> sketch_candidates;
-    std::vector<size_t> distances;
-    std::vector<std::string_view> rep_texts;
-    // Epoch-stamped dedup across the probe tiers: the sketch tier
-    // skips clusters the anchor tier already proposed.
-    EpochSeen seen;
+    // Load read i into @p p: its characters and its Myers pattern —
+    // one per *read*, probed against every candidate representative
+    // through the batch kernel (Levenshtein is symmetric).
+    auto load = [&](size_t i, Proposal &p) {
+        p.read = view.chars(offset + i, p.scratch);
+        p.pattern.assign(p.read);
+        p.anchor_old = 0;
+        p.anchor_dist.clear();
+        p.old_collisions = 0;
+        p.sketch.clear();
+        p.sketch_dist.clear();
+    };
+    // Propose: load read i and probe the clusters opened before its
+    // block. Reads the buckets, the published sketch table and the
+    // cluster list, and writes only @p p, so a block's reads propose
+    // in parallel.
+    auto propose = [&](size_t i, Proposal &p) {
+        load(i, p);
+        const std::span<const size_t> bucket = bucket_of(p.read);
+        p.anchor_old = bucket.size();
+        p.anchor_dist.assign(std::min(bucket.size(), max_probes),
+                             kUnverified);
+        size_t probed = 0;
+        if (probeCandidates(
+                p.pattern, p.anchor_dist.size(),
+                [&](size_t k) -> std::string_view {
+                    return clusters[bucket[k]].representative;
+                },
+                threshold, p.anchor_dist.data(),
+                probed) < p.anchor_dist.size())
+            return; // no cluster opened later can outrank this one
+        p.old_collisions = sketch.rankCandidates(
+            SketchIndex::Clusters::Published, i, bucket, max_probes,
+            p.sketch, p.rank_scratch);
+        p.sketch_dist.assign(p.sketch.size(), kUnverified);
+        probeCandidates(
+            p.pattern, p.sketch.size(),
+            [&](size_t k) -> std::string_view {
+                return clusters[p.sketch[k].id].representative;
+            },
+            threshold, p.sketch_dist.data(), probed);
+    };
+    std::vector<Proposal> proposals;
+    // The read under commit in a block that starts with no clusters:
+    // there is nothing to propose against, so it is only loaded.
+    Proposal loaded;
 
-    // Probe a candidate list in order; the first representative
-    // within the threshold wins. Candidates are verified by the
-    // batch Myers kernel — the read's pattern against one
-    // representative per SIMD lane — in fixed-size chunks, and the
-    // winner is selected by candidate order. Probes use the
-    // thresholded kernel: a probe's exact distance above the
-    // threshold is irrelevant, so each lane abandons its text as
-    // soon as the bound is certified. Placement decisions — and
-    // therefore the clustering — are byte-identical at any thread
-    // count and on every SIMD tier. probed reports how many
-    // candidates were dispatched for verification (whole chunks).
-    auto probe_list = [&](const std::vector<size_t> &cand,
-                          size_t &probed) -> size_t {
-        const size_t count = cand.size();
-        probed = count;
-        if (count == 0)
-            return 0;
-        rep_texts.resize(count);
-        for (size_t k = 0; k < count; ++k)
-            rep_texts[k] = clusters[cand[k]].representative;
-        std::span<const std::string_view> texts{rep_texts};
-
-        distances.resize(count);
-        std::span<size_t> dists{distances};
-        size_t lo = 0;
-        size_t chunk = kFirstProbeChunk;
-        while (lo < count) {
-            const size_t len = std::min(chunk, count - lo);
-            myersBatchDistanceBounded(read_pattern,
-                                      texts.subspan(lo, len),
-                                      options.distance_threshold,
-                                      dists.subspan(lo, len));
-            comparisons += len;
-            for (size_t k = lo; k < lo + len; ++k) {
-                if (distances[k] <= options.distance_threshold) {
-                    probed = lo + len;
-                    return k;
-                }
-            }
-            lo += len;
-            chunk = kProbeChunk;
-        }
-        return count;
+    // Commit scratch: the candidate lists of one read, as the serial
+    // greedy loop would build them, with what the proposal verified.
+    std::vector<size_t> probe_ids;
+    std::vector<size_t> probe_dist;
+    std::vector<SketchCandidate> fresh;
+    std::vector<uint32_t> rank_scratch;
+    auto probe = [&](const MyersPattern &pattern, size_t &probed) {
+        return probeCandidates(
+            pattern, probe_ids.size(),
+            [&](size_t k) -> std::string_view {
+                return clusters[probe_ids[k]].representative;
+            },
+            threshold, probe_dist.data(), probed);
     };
 
     if (assignments != nullptr)
         assignments->assign(count, ReadAssignment{});
 
-    // Strand materialization scratch: vector-backed views return
-    // zero-copy references into the backing store, pool-backed views
-    // unpack only the strand under the cursor into this buffer —
-    // which is what keeps clustering RSS independent of pool size.
-    Strand read_scratch;
-    for (size_t i = 0; i < count; ++i) {
-        const std::string_view read =
-            view.chars(offset + i, read_scratch);
-        span.advance();
-        read_pattern.assign(read);
-
-        // Tier 1: candidate clusters sharing the anchor prefix.
-        seen.begin(clusters.size());
-        candidates.clear();
-        auto it = buckets.find(anchor_of(read));
-        if (it != buckets.end()) {
-            candidates = it->second;
-            for (size_t c : candidates)
-                seen.set(c);
-        }
-        if (candidates.size() > options.max_probes)
-            candidates.resize(options.max_probes);
-
-        size_t probed = 0;
-        size_t pos = probe_list(candidates, probed);
-        size_t placed_in = pos < candidates.size() ? candidates[pos]
-                                                   : clusters.size();
-        // Snapshot the winner's exact distance now: the distances
-        // buffer is reused by the next probe_list call.
-        AssignmentTier tier = AssignmentTier::Fresh;
-        size_t verified_distance = 0;
-        if (pos < candidates.size()) {
-            tier = AssignmentTier::Anchor;
-            verified_distance = distances[pos];
+    for (size_t block = 0; block < count; block += kClusterBlockReads) {
+        const size_t n = std::min(kClusterBlockReads, count - block);
+        const bool proposed = !clusters.empty();
+        if (proposed) {
+            obs::Span propose_span("cluster.sketch.propose", "cluster");
+            proposals.resize(std::max(proposals.size(), n));
+            par::parallelFor(
+                0, n,
+                [&](size_t j) { propose(block + j, proposals[j]); },
+                /*grain=*/8);
         }
 
-        // Tier 2, only when the anchor tier rejected (the common
-        // accept path never pays a band probe): MinHash band
-        // collisions ranked by collision count then cluster id.
-        if (placed_in == clusters.size()) {
-            sketch_candidates.clear();
-            sketch.appendCandidates(i, seen, options.max_probes,
-                                    sketch_candidates);
-            size_t sprobed = 0;
-            size_t spos = probe_list(sketch_candidates, sprobed);
-            sketch_probes += sprobed;
-            probed += sprobed;
-            if (spos < sketch_candidates.size()) {
-                placed_in = sketch_candidates[spos];
-                tier = AssignmentTier::Sketch;
-                verified_distance = distances[spos];
-                ++sketch_verified;
+        // Commit, serially in read order: replay the greedy loop's
+        // decisions. A cluster opened inside the block has a larger
+        // id than every old one, so in an anchor bucket it sorts
+        // after them, and in the sketch ranking it loses every tie
+        // in hits to them. Verify only what the proposal did not,
+        // and count comparisons and probes by the chunk schedule
+        // over the lists the serial loop would have built.
+        obs::Span commit_span("cluster.sketch.commit", "cluster");
+        for (size_t j = 0; j < n; ++j) {
+            const size_t i = block + j;
+            Proposal &p = proposed ? proposals[j] : loaded;
+            if (!proposed)
+                load(i, p);
+            span.advance();
+
+            // Tier 1: the anchor bucket — old members first, then
+            // those opened earlier in this block.
+            const std::span<const size_t> bucket = bucket_of(p.read);
+            const std::span<const size_t> head =
+                bucket.first(std::min(bucket.size(), max_probes));
+            probe_ids.assign(head.begin(), head.end());
+            probe_dist.assign(probe_ids.size(), kUnverified);
+            std::copy(p.anchor_dist.begin(), p.anchor_dist.end(),
+                      probe_dist.begin());
+            size_t probed = 0;
+            const size_t pos = probe(p.pattern, probed);
+            comparisons += probed;
+            size_t placed_in = clusters.size();
+            AssignmentTier tier = AssignmentTier::Fresh;
+            size_t verified_distance = 0;
+            if (pos < probe_ids.size()) {
+                placed_in = probe_ids[pos];
+                tier = AssignmentTier::Anchor;
+                verified_distance = probe_dist[pos];
             }
-        }
 
-        if (assignments != nullptr) {
-            auto &a = (*assignments)[i];
-            a.cluster = static_cast<uint32_t>(
-                placed_in == clusters.size() ? clusters.size()
-                                             : placed_in);
-            a.tier = tier;
-            a.verified_distance =
-                static_cast<uint32_t>(verified_distance);
-            a.candidates_probed = static_cast<uint32_t>(probed);
-        }
+            // Tier 2, only when the anchor tier rejected (the common
+            // accept path never pays a band probe): the old and the
+            // in-block band collisions, merged by (hits desc, id
+            // asc) and cut at max_probes. An old candidate keeps its
+            // proposal-order distance.
+            if (placed_in == clusters.size() && sketch.hasSignature(i) &&
+                max_probes > 0) {
+                bands_probed += options.sketch.num_bands;
+                collisions +=
+                    p.old_collisions +
+                    sketch.rankCandidates(
+                        SketchIndex::Clusters::Staged, i,
+                        bucket.subspan(p.anchor_old), max_probes, fresh,
+                        rank_scratch);
+                probe_ids.clear();
+                probe_dist.clear();
+                size_t a = 0;
+                size_t b = 0;
+                while (probe_ids.size() < max_probes &&
+                       (a < p.sketch.size() || b < fresh.size())) {
+                    const bool take_old =
+                        b == fresh.size() ||
+                        (a < p.sketch.size() &&
+                         rankedBefore(p.sketch[a], fresh[b]));
+                    if (take_old) {
+                        probe_ids.push_back(p.sketch[a].id);
+                        probe_dist.push_back(p.sketch_dist[a]);
+                        ++a;
+                    } else {
+                        probe_ids.push_back(fresh[b].id);
+                        probe_dist.push_back(kUnverified);
+                        ++b;
+                    }
+                }
+                sketch_candidates += probe_ids.size();
+                size_t sprobed = 0;
+                const size_t spos = probe(p.pattern, sprobed);
+                comparisons += sprobed;
+                sketch_probes += sprobed;
+                probed += sprobed;
+                if (spos < probe_ids.size()) {
+                    placed_in = probe_ids[spos];
+                    tier = AssignmentTier::Sketch;
+                    verified_distance = probe_dist[spos];
+                    ++sketch_verified;
+                }
+            }
 
-        if (placed_in == clusters.size()) {
-            ReadCluster fresh;
-            fresh.members.push_back(offset + i);
-            fresh.representative = Strand(read);
-            clusters.push_back(std::move(fresh));
-            auto bucket = buckets.find(anchor_of(read));
-            if (bucket == buckets.end()) {
-                bucket = buckets
-                             .emplace(std::string(anchor_of(read)),
+            if (assignments != nullptr) {
+                auto &a = (*assignments)[i];
+                a.cluster = static_cast<uint32_t>(placed_in);
+                a.tier = tier;
+                a.verified_distance =
+                    static_cast<uint32_t>(verified_distance);
+                a.candidates_probed = static_cast<uint32_t>(probed);
+            }
+
+            if (placed_in == clusters.size()) {
+                ReadCluster opened;
+                opened.members.push_back(offset + i);
+                opened.representative = Strand(p.read);
+                clusters.push_back(std::move(opened));
+                auto it = buckets.find(anchor_of(p.read));
+                if (it == buckets.end()) {
+                    it = buckets
+                             .emplace(std::string(anchor_of(p.read)),
                                       std::vector<size_t>())
                              .first;
+                }
+                it->second.push_back(placed_in);
+                sketch.addCluster(i, placed_in);
+            } else {
+                clusters[placed_in].members.push_back(offset + i);
+                ++merges;
             }
-            bucket->second.push_back(clusters.size() - 1);
-            sketch.addCluster(i, clusters.size() - 1);
-            stat_created.inc();
-        } else {
-            clusters[placed_in].members.push_back(offset + i);
-            stat_merges.inc();
         }
+        if (block + n < count)
+            sketch.publish();
     }
     stat_reads.add(count);
     stat_comparisons.add(comparisons);
-    const SketchCounters &sc = sketch.counters();
-    stat_sk_bands.add(sc.bands_probed);
-    stat_sk_collisions.add(sc.collisions);
-    stat_sk_candidates.add(sc.candidates);
+    stat_merges.add(merges);
+    stat_created.add(clusters.size());
+    stat_sk_bands.add(bands_probed);
+    stat_sk_collisions.add(collisions);
+    stat_sk_candidates.add(sketch_candidates);
     stat_sk_probes.add(sketch_probes);
     stat_sk_verified.add(sketch_verified);
-    stat_sk_empty.add(sc.empty_signatures);
+    stat_sk_empty.add(sketch.emptySignatures());
     return clusters;
 }
 

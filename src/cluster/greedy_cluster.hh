@@ -11,6 +11,16 @@
  * collisions (see sketch_index.hh) — and a read attaches to the
  * first candidate whose representative is within a distance
  * threshold.
+ *
+ * [18] spreads clustering over workers and changes the result; here
+ * the greedy result stays exact. Reads are placed in blocks: the
+ * reads of a block first probe, in parallel, the clusters opened
+ * before the block (propose), then are placed one by one in read
+ * order (commit), which verifies only the clusters opened inside the
+ * block and replays the serial loop's decisions and counters. The
+ * output is the one-read-at-a-time greedy clustering, byte for byte,
+ * at any thread count (DESIGN.md, "Two-tier clustering candidate
+ * generation").
  */
 
 #ifndef DNASIM_CLUSTER_GREEDY_CLUSTER_HH
@@ -82,6 +92,15 @@ struct ReadAssignment
     /// before the decision (whole probe chunks).
     uint32_t candidates_probed = 0;
 };
+
+/**
+ * Reads per block of the placement loop. Each block first probes, in
+ * parallel, the clusters opened before it (propose), then places its
+ * reads serially in read order (commit). The clustering is the same
+ * at any block size; the size is a constant so the split of the work
+ * never depends on --threads either.
+ */
+inline constexpr size_t kClusterBlockReads = 1024;
 
 /**
  * Greedily cluster @p reads. Deterministic for a fixed input order;

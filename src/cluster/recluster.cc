@@ -8,8 +8,9 @@ namespace dnasim
 {
 
 Dataset
-ReclusteredPool::regrouped() const
+ReclusteredPool::regrouped() &&
 {
+    // The clusters partition the pool, so each read moves once.
     Dataset out;
     out.clusters().reserve(clusters.size());
     for (const ReadCluster &rc : clusters) {
@@ -17,20 +18,25 @@ ReclusteredPool::regrouped() const
         c.reference = rc.representative;
         c.copies.reserve(rc.members.size());
         for (size_t m : rc.members)
-            c.copies.push_back(pool[m]);
+            c.copies.push_back(std::move(pool[m]));
         out.add(std::move(c));
     }
+    pool.clear();
     return out;
 }
 
 ReclusteredPool
-poolAndRecluster(const Dataset &data, const ClusterOptions &options,
-                 Rng &rng, bool with_identity,
+poolAndRecluster(Dataset data, const ClusterOptions &options, Rng &rng,
+                 bool with_identity,
                  std::vector<ReadAssignment> *assignments,
                  size_t max_reads, size_t shards)
 {
     // Shuffle a permutation so identities can follow their reads.
-    std::vector<Strand> reads = data.pooledReads();
+    std::vector<Strand> reads;
+    reads.reserve(data.totalCopies());
+    for (Cluster &c : data.clusters())
+        for (Strand &copy : c.copies)
+            reads.push_back(std::move(copy));
     std::vector<size_t> perm(reads.size());
     std::iota(perm.begin(), perm.end(), size_t{0});
     rng.shuffle(perm);

@@ -38,23 +38,26 @@ struct ReclusteredPool
 
     /**
      * One Cluster per recovered cluster: the representative as its
-     * reference, the members' reads as its copies.
+     * reference, the members' reads as its copies. Moves the reads
+     * out of the pool; a caller that still needs the pool regroups
+     * a copy.
      */
-    Dataset regrouped() const;
+    Dataset regrouped() &&;
 };
 
 /**
  * Pool every copy of @p data, shuffle the pool with @p rng, keep
  * the first @p max_reads reads (0 = all) and cluster them — with
  * clusterReads() when @p shards is 0, else clusterReadsSharded() in
- * @p shards segments. @p with_identity tracks true origins through
- * the shuffle; @p assignments, if non-null, receives the per-read
- * placement provenance. The shuffle's draws depend only on the pool
- * size, so identities never change the order, and the result is the
- * same at any thread count.
+ * @p shards segments. The copies are moved into the pool, so pass
+ * an rvalue unless the caller still needs @p data. @p with_identity
+ * tracks true origins through the shuffle; @p assignments, if
+ * non-null, receives the per-read placement provenance. The
+ * shuffle's draws depend only on the pool size, so identities never
+ * change the order, and the result is the same at any thread count.
  */
 ReclusteredPool
-poolAndRecluster(const Dataset &data, const ClusterOptions &options,
+poolAndRecluster(Dataset data, const ClusterOptions &options,
                  Rng &rng, bool with_identity = false,
                  std::vector<ReadAssignment> *assignments = nullptr,
                  size_t max_reads = 0, size_t shards = 0);

@@ -28,28 +28,55 @@ mix64(uint64_t x)
 
 constexpr size_t kMaxHashes = SketchOptions::kMaxHashes;
 
-/** Chain terminator in the cluster-id node pool. */
-constexpr uint32_t kNoNode = 0xffffffffu;
-
 } // anonymous namespace
 
-SketchIndex::SketchIndex(const std::vector<Strand> &reads,
-                         const SketchOptions &options)
-    : opts_(options)
+BandTable::BandTable() : slots_(1024), mask_(slots_.size() - 1) {}
+
+void
+BandTable::add(uint64_t key, uint32_t id)
 {
-    build(StrandPoolView(reads), 0, reads.size());
+    size_t slot = findSlot(key);
+    if (slots_[slot].gen != gen_) {
+        slots_[slot] = Slot{key, kNoNode, gen_};
+        ++used_;
+        if (used_ * 3 > slots_.size() * 2) {
+            grow();
+            slot = findSlot(key);
+        }
+    }
+    ids_.push_back(id);
+    next_.push_back(slots_[slot].head);
+    slots_[slot].head = static_cast<uint32_t>(ids_.size() - 1);
+}
+
+void
+BandTable::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot &s : old)
+        if (s.gen == gen_)
+            slots_[findSlot(s.key)] = s;
+}
+
+void
+BandTable::clear()
+{
+    used_ = 0;
+    ids_.clear();
+    next_.clear();
+    // A wrapped generation would revive slots stamped 2^32 clears
+    // ago; start over from blank slots instead.
+    if (++gen_ == 0) {
+        slots_.assign(slots_.size(), Slot{});
+        gen_ = 1;
+    }
 }
 
 SketchIndex::SketchIndex(const StrandPoolView &view, size_t offset,
                          size_t count, const SketchOptions &options)
     : opts_(options)
-{
-    build(view, offset, count);
-}
-
-void
-SketchIndex::build(const StrandPoolView &view, size_t offset,
-                   size_t count)
 {
     DNASIM_ASSERT(opts_.kmer_length >= 1 &&
                       opts_.kmer_length <= PackedStrand::kBasesPerWord,
@@ -89,28 +116,8 @@ SketchIndex::build(const StrandPoolView &view, size_t offset,
             /*grain=*/16);
         for (size_t i = 0; i < count; ++i)
             if (!has_sig_[i])
-                ++counters_.empty_signatures;
+                ++empty_signatures_;
     }
-
-    // Start the bucket table at a modest power of two; it doubles as
-    // clusters are indexed.
-    table_.assign(1024, Slot{0, kNoNode, 0});
-    table_mask_ = table_.size() - 1;
-}
-
-bool
-SketchIndex::signatureInto(std::string_view read, uint64_t *out) const
-{
-    // Pack into a reused per-thread arena; a non-ACGT read (none in
-    // simulator output, possible in external pools) simply goes
-    // unsketched and relies on the anchor tier.
-    thread_local std::vector<uint64_t> words;
-    size_t len = 0;
-    if (!packWordsInto(read, read.size(), words, &len))
-        return false;
-    return signatureFromWords({words.data(),
-                               PackedStrand::numWords(len)},
-                              len, out);
 }
 
 bool
@@ -160,126 +167,90 @@ SketchIndex::signatureFromWords(std::span<const uint64_t> words,
 
     // Fold each band's rows into one 64-bit band key; the band index
     // seeds the fold so the same rows in different bands cannot
-    // alias, letting all bands share one bucket table. Key 0 is the
-    // table's empty sentinel — remap the (1 in 2^64) collision.
+    // alias, letting all bands share one bucket table.
     for (size_t b = 0; b < opts_.num_bands; ++b) {
         uint64_t key = 0x100001b3u + b;
         for (size_t r = 0; r < opts_.rows_per_band; ++r)
             key = mix64(key ^ minh[b * opts_.rows_per_band + r]);
-        out[b] = key == 0 ? 1 : key;
+        out[b] = key;
     }
     return true;
-}
-
-size_t
-SketchIndex::findSlot(uint64_t key) const
-{
-    size_t slot = static_cast<size_t>(key) & table_mask_;
-    while (table_[slot].key != 0 && table_[slot].key != key)
-        slot = (slot + 1) & table_mask_;
-    return slot;
-}
-
-void
-SketchIndex::growTable()
-{
-    std::vector<Slot> old = std::move(table_);
-    table_.assign(old.size() * 2, Slot{0, kNoNode, 0});
-    table_mask_ = table_.size() - 1;
-    for (const Slot &s : old) {
-        if (s.key == 0)
-            continue;
-        table_[findSlot(s.key)] = s;
-    }
 }
 
 void
 SketchIndex::addCluster(size_t read_index, size_t cluster_id)
 {
-    if (hits_.size() <= cluster_id) {
-        hits_.resize(cluster_id + 1, 0);
-        hit_epoch_.resize(cluster_id + 1, 0);
-    }
     if (!has_sig_[read_index])
         return;
-    const uint64_t *keys =
-        flat_keys_.data() + read_index * opts_.num_bands;
-    // The per-band slots are independent random accesses into a
-    // table much larger than cache; issuing them all up front
-    // overlaps the misses instead of serializing them.
-    for (size_t b = 0; b < opts_.num_bands; ++b)
-        __builtin_prefetch(
-            &table_[static_cast<size_t>(keys[b]) & table_mask_]);
-    for (size_t b = 0; b < opts_.num_bands; ++b) {
-        size_t slot = findSlot(keys[b]);
-        if (table_[slot].key == 0) {
-            table_[slot].key = keys[b];
-            table_[slot].head = kNoNode;
-            ++table_used_;
-            if (table_used_ * 3 > table_.size() * 2) {
-                growTable();
-                slot = findSlot(keys[b]);
-            }
-        }
-        node_id_.push_back(static_cast<uint32_t>(cluster_id));
-        node_next_.push_back(table_[slot].head);
-        table_[slot].head = static_cast<uint32_t>(node_id_.size() - 1);
-    }
+    for (uint64_t key : bandKeys(read_index))
+        staged_.add(key, static_cast<uint32_t>(cluster_id));
+    staged_clusters_.emplace_back(static_cast<uint32_t>(read_index),
+                                  static_cast<uint32_t>(cluster_id));
 }
 
 void
-SketchIndex::appendCandidates(size_t read_index, EpochSeen &seen,
-                              size_t max_total,
-                              std::vector<size_t> &out)
+SketchIndex::publish()
 {
-    if (!has_sig_[read_index] || out.size() >= max_total)
-        return;
-    const uint64_t *keys =
-        flat_keys_.data() + read_index * opts_.num_bands;
+    for (const auto &[read_index, cluster_id] : staged_clusters_) {
+        const std::span<const uint64_t> keys = bandKeys(read_index);
+        // The per-band slots are independent random accesses into a
+        // table much larger than cache; issuing them all up front
+        // overlaps the misses instead of serializing them.
+        for (uint64_t key : keys)
+            published_.prefetch(key);
+        for (uint64_t key : keys)
+            published_.add(key, cluster_id);
+    }
+    staged_.clear();
+    staged_clusters_.clear();
+}
 
-    ++probe_epoch_;
-    touched_.clear();
-    // Overlap the independent per-band table misses (see
-    // addCluster); the chain walks behind them are usually empty.
-    for (size_t b = 0; b < opts_.num_bands; ++b)
-        __builtin_prefetch(
-            &table_[static_cast<size_t>(keys[b]) & table_mask_]);
-    for (size_t b = 0; b < opts_.num_bands; ++b) {
-        ++counters_.bands_probed;
-        const size_t slot = findSlot(keys[b]);
-        if (table_[slot].key == 0)
-            continue;
-        for (uint32_t n = table_[slot].head; n != kNoNode;
-             n = node_next_[n]) {
-            const uint32_t id = node_id_[n];
-            ++counters_.collisions;
-            if (hit_epoch_[id] != probe_epoch_) {
-                hit_epoch_[id] = probe_epoch_;
-                hits_[id] = 1;
-                touched_.push_back(id);
-            } else {
-                ++hits_[id];
-            }
-        }
+size_t
+SketchIndex::rankCandidates(Clusters which, size_t read_index,
+                            std::span<const size_t> exclude,
+                            size_t max_total,
+                            std::vector<SketchCandidate> &out,
+                            std::vector<uint32_t> &scratch) const
+{
+    out.clear();
+    if (!has_sig_[read_index] || max_total == 0)
+        return 0;
+    const BandTable &table =
+        which == Clusters::Published ? published_ : staged_;
+    const std::span<const uint64_t> keys = bandKeys(read_index);
+    // Overlap the independent per-band table misses (see publish);
+    // the chain walks behind them are usually empty.
+    for (uint64_t key : keys)
+        table.prefetch(key);
+    scratch.clear();
+    for (uint64_t key : keys)
+        table.forEach(key, [&](uint32_t id) { scratch.push_back(id); });
+
+    // One candidate per distinct id, its hits the length of its run
+    // in the sorted collisions; the excluded ids go in the same
+    // ascending walk.
+    std::sort(scratch.begin(), scratch.end());
+    size_t e = 0;
+    for (size_t lo = 0; lo < scratch.size();) {
+        size_t hi = lo + 1;
+        while (hi < scratch.size() && scratch[hi] == scratch[lo])
+            ++hi;
+        while (e < exclude.size() && exclude[e] < scratch[lo])
+            ++e;
+        if (e == exclude.size() || exclude[e] != scratch[lo])
+            out.push_back({scratch[lo], static_cast<uint32_t>(hi - lo)});
+        lo = hi;
     }
 
-    // Rank by collision count, ties to the older cluster: a stable,
-    // thread-independent order (greedy semantics pick the first
-    // accepted candidate, so the order *is* the clustering).
-    std::sort(touched_.begin(), touched_.end(),
-              [&](uint32_t a, uint32_t b) {
-                  if (hits_[a] != hits_[b])
-                      return hits_[a] > hits_[b];
-                  return a < b;
-              });
-    for (uint32_t id : touched_) {
-        if (out.size() >= max_total)
-            break;
-        if (seen.testAndSet(id))
-            continue;
-        out.push_back(id);
-        ++counters_.candidates;
+    if (out.size() > max_total) {
+        std::partial_sort(out.begin(),
+                          out.begin() + static_cast<ptrdiff_t>(max_total),
+                          out.end(), rankedBefore);
+        out.resize(max_total);
+    } else {
+        std::sort(out.begin(), out.end(), rankedBefore);
     }
+    return scratch.size();
 }
 
 } // namespace dnasim

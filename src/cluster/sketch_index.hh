@@ -33,10 +33,15 @@
  *
  * Determinism: signatures are a pure function of the read bytes and
  * the sketch seed. The per-read signature pass runs through the
- * order-preserving par layer (one output slot per read index), band
- * maps are only mutated by the serial placement loop, and candidate
- * ranking breaks ties by cluster id — so the clustering is
- * byte-identical at any --threads value.
+ * order-preserving par layer (one output slot per read index).
+ * Clusters are indexed in two steps: addCluster() stages a cluster
+ * in a small table of its own, and publish() moves the staged
+ * clusters into the main table in id order. The clusterer publishes
+ * at the end of each block of reads, so while a block's reads rank
+ * their candidates in parallel against the published table, nothing
+ * writes to it. Ranking is const and breaks hit-count ties by
+ * cluster id, so the clustering is byte-identical at any --threads
+ * value.
  *
  * K-mers are extracted word-wise from the 2-bit packed form
  * (base/packed.hh forEachPackedKmer); the character strand is never
@@ -48,10 +53,9 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "base/dna.hh"
 #include "base/strand_pool.hh"
 
 namespace dnasim
@@ -76,82 +80,112 @@ struct SketchOptions
     uint64_t seed = 0x5ee'dc0de;
 };
 
-/**
- * Epoch-stamped membership marks over dense ids [0, n). Replaces a
- * per-item std::find / clear() with O(1) stamps: begin() opens a new
- * epoch, test()/set() compare-or-write the current epoch. Used by
- * the clusterer to dedup candidate ids across probe tiers without
- * rescanning the candidate list.
- */
-class EpochSeen
+/** A candidate cluster and how many band keys it shares with a read. */
+struct SketchCandidate
 {
-  public:
-    /** Start a fresh epoch covering ids [0, n). */
-    void
-    begin(size_t n)
-    {
-        if (stamp_.size() < n)
-            stamp_.resize(n, 0);
-        ++epoch_;
-    }
-
-    bool test(size_t id) const { return stamp_[id] == epoch_; }
-
-    void set(size_t id) { stamp_[id] = epoch_; }
-
-    /** True if already seen this epoch; marks it seen either way. */
-    bool
-    testAndSet(size_t id)
-    {
-        if (stamp_[id] == epoch_)
-            return true;
-        stamp_[id] = epoch_;
-        return false;
-    }
-
-  private:
-    std::vector<uint64_t> stamp_;
-    uint64_t epoch_ = 0;
+    uint32_t id = 0;
+    uint32_t hits = 0;
 };
 
-/** Probe-side event counts, flushed to cluster.sketch.* stats. */
-struct SketchCounters
+/**
+ * The sketch tier's probe order: more shared band keys first, ties to
+ * the older cluster. A total, thread-independent order — greedy
+ * semantics pick the first accepted candidate, so the order *is* the
+ * clustering.
+ */
+inline bool
+rankedBefore(const SketchCandidate &a, const SketchCandidate &b)
 {
-    uint64_t bands_probed = 0;  ///< band-bucket lookups
-    uint64_t collisions = 0;    ///< cluster ids scanned in hit buckets
-    uint64_t candidates = 0;    ///< deduped candidates emitted
-    uint64_t empty_signatures = 0; ///< reads with no sketchable k-mer
+    return a.hits != b.hits ? a.hits > b.hits : a.id < b.id;
+}
+
+/**
+ * Band key -> cluster ids: one open-addressed table over all bands
+ * (the band index is folded into the key) whose slots head chains of
+ * cluster ids in a shared node pool; key and head share a 16-byte
+ * slot, so a band probe costs one cache line. A slot is live while
+ * it carries the table's generation, which makes clear() O(1).
+ */
+class BandTable
+{
+  public:
+    BandTable();
+
+    /** Append @p id to the chain of @p key. */
+    void add(uint64_t key, uint32_t id);
+
+    /** Every id added under @p key since the last clear(). */
+    template <typename Fn>
+    void
+    forEach(uint64_t key, Fn &&fn) const
+    {
+        const Slot &slot = slots_[findSlot(key)];
+        if (slot.gen != gen_)
+            return;
+        for (uint32_t n = slot.head; n != kNoNode; n = next_[n])
+            fn(ids_[n]);
+    }
+
+    /** Start loading the slot @p key hashes to. */
+    void
+    prefetch(uint64_t key) const
+    {
+        __builtin_prefetch(&slots_[static_cast<size_t>(key) & mask_]);
+    }
+
+    /** Drop every key; the slot array keeps its size. */
+    void clear();
+
+  private:
+    static constexpr uint32_t kNoNode = 0xffffffffu;
+
+    struct Slot
+    {
+        uint64_t key = 0;
+        uint32_t head = kNoNode;
+        uint32_t gen = 0;
+    };
+
+    /// Slot holding @p key, or the free slot where it belongs.
+    size_t
+    findSlot(uint64_t key) const
+    {
+        size_t slot = static_cast<size_t>(key) & mask_;
+        while (slots_[slot].gen == gen_ && slots_[slot].key != key)
+            slot = (slot + 1) & mask_;
+        return slot;
+    }
+
+    /// Double the slot array and rehash every live key.
+    void grow();
+
+    std::vector<Slot> slots_;
+    size_t mask_ = 0;
+    size_t used_ = 0;
+    uint32_t gen_ = 1;
+    std::vector<uint32_t> ids_;
+    std::vector<uint32_t> next_;
 };
 
 /**
  * The per-pool sketch index: signatures for every read (built once,
- * in parallel), and band-keyed buckets over the clusters opened so
- * far. The placement loop interleaves addCluster() (a read became a
- * representative) with appendCandidates() (rank this read's band
- * collisions); both are serial-loop operations.
+ * in parallel), and band-keyed buckets over the clusters indexed so
+ * far — published ones, and staged ones that only the serial side of
+ * the clusterer sees until publish().
  */
 class SketchIndex
 {
   public:
     /**
-     * Compute signatures for every read of @p reads. Parallel over
-     * reads through the order-preserving par layer; byte-identical
-     * results at any thread count.
+     * Compute signatures for reads [offset, offset + count) of a
+     * pool view, in parallel through the order-preserving par layer
+     * (byte-identical at any thread count). Read indices passed to
+     * the other members are *local* to the range (0 .. count).
+     * Pool-backed views sketch straight from the mmap'd packed
+     * words; the character form is never materialized.
      */
-    SketchIndex(const std::vector<Strand> &reads,
+    SketchIndex(const StrandPoolView &view, size_t offset, size_t count,
                 const SketchOptions &options);
-
-    /**
-     * Same, over reads [offset, offset + count) of a pool view —
-     * the shard-building path of the out-of-core clusterer. Read
-     * indices passed to the other members are *local* to the range
-     * (0 .. count). Pool-backed views sketch straight from the
-     * mmap'd packed words; the character form is never materialized.
-     */
-    SketchIndex(const StrandPoolView &view, size_t offset,
-                size_t count, const SketchOptions &options);
-
-    const SketchOptions &options() const { return opts_; }
 
     /** False for reads with no k-mer (short or non-ACGT content). */
     bool
@@ -160,70 +194,66 @@ class SketchIndex
         return has_sig_[read_index] != 0;
     }
 
-    /** Index read @p read_index as the representative of @p cluster_id.
-     *  Ids must be dense and increasing (the clusterer's invariant). */
+    /** The num_bands band keys of a read with a signature. */
+    std::span<const uint64_t>
+    bandKeys(size_t read_index) const
+    {
+        return {flat_keys_.data() + read_index * opts_.num_bands,
+                opts_.num_bands};
+    }
+
+    /** Reads with no sketchable k-mer. */
+    uint64_t emptySignatures() const { return empty_signatures_; }
+
+    /** Stage read @p read_index as the representative of
+     *  @p cluster_id. Ids must be dense and increasing. */
     void addCluster(size_t read_index, size_t cluster_id);
 
-    /**
-     * Append candidate cluster ids for @p read_index to @p out:
-     * every indexed cluster sharing at least one band key, ranked by
-     * (collision count desc, cluster id asc), skipping ids already
-     * marked in @p seen (and marking emitted ones), until @p out
-     * reaches @p max_total entries.
-     */
-    void appendCandidates(size_t read_index, EpochSeen &seen,
-                          size_t max_total, std::vector<size_t> &out);
+    /** Move the staged clusters into the published table, in id
+     *  order. */
+    void publish();
 
-    const SketchCounters &counters() const { return counters_; }
+    /** Which clusters rankCandidates() looks at. */
+    enum class Clusters
+    {
+        Published,
+        Staged,
+    };
+
+    /**
+     * Rank the @p which clusters that share at least one band key
+     * with read @p read_index into @p out: by hit count descending,
+     * then cluster id ascending, skipping the ids in @p exclude
+     * (ascending), cut at @p max_total. Returns the collisions
+     * scanned (every id in every matching band chain; 0 for a read
+     * without a signature or a zero budget). Const: safe to call
+     * from many threads while nothing stages or publishes.
+     * @p scratch is reused storage.
+     */
+    size_t rankCandidates(Clusters which, size_t read_index,
+                          std::span<const size_t> exclude,
+                          size_t max_total,
+                          std::vector<SketchCandidate> &out,
+                          std::vector<uint32_t> &scratch) const;
 
   private:
-    /// Compute the num_bands band keys of @p read into @p out.
-    /// False (out untouched) if the read has no sketchable k-mer.
-    bool signatureInto(std::string_view read, uint64_t *out) const;
-
-    /// Same, from an already 2-bit packed strand of @p len bases.
+    /// Compute the num_bands band keys of a 2-bit packed strand of
+    /// @p len bases into @p out. False (out untouched) if it has no
+    /// sketchable k-mer.
     bool signatureFromWords(std::span<const uint64_t> words,
                             size_t len, uint64_t *out) const;
-
-    /// Shared ctor body: validate options, sketch the range, size
-    /// the bucket table.
-    void build(const StrandPoolView &view, size_t offset,
-               size_t count);
-
-    /// Slot holding @p key, or the empty slot where it belongs.
-    size_t findSlot(uint64_t key) const;
-    /// Double the open-addressing table and rehash every key.
-    void growTable();
 
     SketchOptions opts_;
     /// Per-read band keys, num_bands per read, flat; valid iff the
     /// read's has_sig_ flag is set.
     std::vector<uint64_t> flat_keys_;
     std::vector<uint8_t> has_sig_;
+    uint64_t empty_signatures_ = 0;
 
-    /// Open-addressed bucket table over all bands (the band index is
-    /// folded into the key, key 0 = empty slot). A slot heads a chain
-    /// of cluster ids in the shared node pool below; key and head
-    /// share a 16-byte slot so a band probe costs one cache line.
-    struct Slot
-    {
-        uint64_t key = 0;
-        uint32_t head = 0;
-        uint32_t pad = 0;
-    };
-    std::vector<Slot> table_;
-    size_t table_mask_ = 0;
-    size_t table_used_ = 0;
-    std::vector<uint32_t> node_id_;
-    std::vector<uint32_t> node_next_;
-
-    /// Collision-ranking scratch, epoch-stamped per appendCandidates.
-    std::vector<uint32_t> hits_;
-    std::vector<uint64_t> hit_epoch_;
-    uint64_t probe_epoch_ = 0;
-    std::vector<uint32_t> touched_;
-
-    SketchCounters counters_;
+    BandTable published_;
+    BandTable staged_;
+    /// (read index, cluster id) of every staged cluster, in id order.
+    std::vector<std::pair<uint32_t, uint32_t>> staged_clusters_;
 };
 
 } // namespace dnasim

@@ -27,6 +27,7 @@ struct PipelineStats
     obs::Counter &undecodable;
     obs::Counter &crc_failures;
     obs::Counter &frames_recovered;
+    obs::Counter &frames_corrected;
     obs::Counter &stripes_failed;
     obs::Timer &store_time;
     obs::Timer &retrieve_time;
@@ -51,6 +52,9 @@ struct PipelineStats
                         "frames dropped by CRC/unpack checks"),
             reg.counter("pipeline.frames_recovered",
                         "frames rebuilt from logical redundancy"),
+            reg.counter("pipeline.frames_corrected",
+                        "received frames whose bytes logical redundancy "
+                        "corrected"),
             reg.counter("pipeline.rs_decode_failures",
                         "redundancy stripes that failed to decode"),
             reg.timer("pipeline.store_time",
@@ -108,61 +112,100 @@ stripeFrame(size_t stripe, size_t j, size_t k, size_t parity, size_t d)
 using FrameTable = std::vector<std::optional<Frame>>;
 
 /**
- * Logical-redundancy recovery: rebuild the lost data frames of each
- * RS stripe over @p d data frames in @p received, where byte b of a
- * stripe's frames is one RS codeword. Counts rebuilt frames and
- * stripes beyond the parity budget into @p stats.
+ * Logical-redundancy recovery. Byte b of an RS stripe's frames is one
+ * codeword, and every stripe is decoded for errors as well as
+ * erasures, the stripes in parallel. A stripe that decodes rebuilds
+ * its lost data frames in @p received and writes its corrections
+ * back into the received ones; a stripe past the code's reach, or
+ * whose decode puts a non-zero byte into a padding slot, fails.
+ * Counts rebuilt frames, corrected frames and failed stripes into
+ * @p stats, and returns how many stripes failed with every data
+ * frame present: wrong data that nothing could locate.
  */
-void
+size_t
 recoverStripes(FrameTable &received, size_t d, size_t k, size_t parity,
                size_t payload, RetrievalStats &stats)
 {
     obs::Span span("pipeline.recover", "pipeline");
-    for (size_t stripe = 0; stripe < numStripes(d, k, parity); ++stripe) {
-        // Each slot's received payload (null when lost or padding)
-        // and the lost slots in slot order, data first.
-        std::vector<const Bytes *> slots(k + parity, nullptr);
-        std::vector<size_t> erasures;
-        for (size_t j = 0; j < k + parity; ++j) {
-            const size_t f = stripeFrame(stripe, j, k, parity, d);
-            if (f == kPadding)
-                continue;
-            if (received[f])
-                slots[j] = &received[f]->payload;
-            else
-                erasures.push_back(j);
-        }
-        const size_t lost_data = static_cast<size_t>(
-            std::lower_bound(erasures.begin(), erasures.end(), k) -
-            erasures.begin());
-        if (lost_data == 0)
-            continue;
-        bool stripe_ok = erasures.size() <= parity;
+    const size_t stripes = numStripes(d, k, parity);
+    if (stripes == 0)
+        return 0;
+    struct StripeOutcome
+    {
+        size_t recovered = 0;
+        size_t corrected = 0;
+        bool failed = false;
+        bool data_present = false;
+    };
+    const ReedSolomon rs(parity);
+    // Each stripe reads and writes only its own frames' slots.
+    const std::vector<StripeOutcome> outcomes =
+        par::parallelTransform(stripes, [&](size_t stripe) {
+            StripeOutcome out;
+            // Each slot's received frame (null when lost or padding)
+            // and the lost slots in slot order, data first.
+            std::vector<Frame *> slots(k + parity, nullptr);
+            std::vector<size_t> erasures;
+            for (size_t j = 0; j < k + parity; ++j) {
+                const size_t f = stripeFrame(stripe, j, k, parity, d);
+                if (f == kPadding)
+                    continue;
+                if (received[f])
+                    slots[j] = &*received[f];
+                else
+                    erasures.push_back(j);
+            }
+            out.data_present = erasures.empty() || erasures.front() >= k;
+            out.failed = erasures.size() > parity;
 
-        // Rebuild the missing data frames column by column.
-        const ReedSolomon rs(parity);
-        std::vector<Frame> rebuilt;
-        for (size_t r = 0; r < lost_data; ++r)
-            rebuilt.push_back(Frame{static_cast<uint32_t>(stripeFrame(
-                                        stripe, erasures[r], k, parity, d)),
-                                    Bytes(payload, 0)});
-        std::vector<uint8_t> codeword(k + parity);
-        for (size_t b = 0; b < payload && stripe_ok; ++b) {
-            for (size_t j = 0; j < k + parity; ++j)
-                codeword[j] = slots[j] != nullptr ? (*slots[j])[b] : 0;
-            const auto decoded = rs.decode(codeword, erasures);
-            stripe_ok = decoded.has_value();
-            for (size_t r = 0; r < lost_data && stripe_ok; ++r)
-                rebuilt[r].payload[b] = (*decoded)[erasures[r]];
-        }
-        if (!stripe_ok) {
+            // Decode column by column into the stripe's data payloads.
+            std::vector<Bytes> decoded(k, Bytes(payload, 0));
+            std::vector<uint8_t> codeword(k + parity);
+            for (size_t b = 0; b < payload && !out.failed; ++b) {
+                for (size_t j = 0; j < k + parity; ++j)
+                    codeword[j] =
+                        slots[j] != nullptr ? slots[j]->payload[b] : 0;
+                const auto column = rs.decode(codeword, erasures);
+                out.failed = !column.has_value();
+                for (size_t j = 0; j < k && !out.failed; ++j)
+                    decoded[j][b] = (*column)[j];
+            }
+            for (size_t j = 0; j < k && !out.failed; ++j) {
+                if (stripeFrame(stripe, j, k, parity, d) == kPadding &&
+                    std::any_of(decoded[j].begin(), decoded[j].end(),
+                                [](uint8_t v) { return v != 0; }))
+                    out.failed = true;
+            }
+            if (out.failed)
+                return out;
+
+            for (size_t j = 0; j < k; ++j) {
+                const size_t f = stripeFrame(stripe, j, k, parity, d);
+                if (f == kPadding)
+                    continue;
+                if (slots[j] == nullptr) {
+                    received[f] = Frame{static_cast<uint32_t>(f),
+                                        std::move(decoded[j])};
+                    ++out.recovered;
+                } else if (slots[j]->payload != decoded[j]) {
+                    slots[j]->payload = std::move(decoded[j]);
+                    ++out.corrected;
+                }
+            }
+            return out;
+        });
+
+    size_t undetectable = 0;
+    for (const StripeOutcome &out : outcomes) {
+        stats.frames_recovered += out.recovered;
+        stats.frames_corrected += out.corrected;
+        if (out.failed) {
             ++stats.stripes_failed;
-            continue;
+            if (out.data_present)
+                ++undetectable;
         }
-        stats.frames_recovered += rebuilt.size();
-        for (Frame &f : rebuilt)
-            received[f.index] = std::move(f);
     }
+    return undetectable;
 }
 
 } // anonymous namespace
@@ -314,8 +357,10 @@ ArchivalPipeline::retrieve(const Dataset &clusters,
     ps.undecodable.add(stats.undecodable_strands);
     ps.crc_failures.add(stats.crc_failures);
 
-    recoverStripes(received, d, k, parity, payload, stats);
+    const size_t wrong_stripes =
+        recoverStripes(received, d, k, parity, payload, stats);
     ps.frames_recovered.add(stats.frames_recovered);
+    ps.frames_corrected.add(stats.frames_corrected);
     ps.stripes_failed.add(stats.stripes_failed);
 
     // Reassemble the data frames.
@@ -328,7 +373,7 @@ ArchivalPipeline::retrieve(const Dataset &clusters,
     Bytes stream = frame_codec_.reassemble(data_frames, d, &missing);
     stream.resize(object.file_size);
     result.data = std::move(stream);
-    result.success = missing.empty();
+    result.success = missing.empty() && wrong_stripes == 0;
     return result;
 }
 
@@ -356,7 +401,8 @@ ArchivalPipeline::roundTrip(const Bytes &file, const ErrorModel &model,
         // clusters only cost decode attempts, not correctness.
         obs::Span cluster_span("pipeline.recluster", "pipeline");
         Rng shuffle_rng = rng.fork(0x5eed);
-        clusters = poolAndRecluster(clusters, config_.cluster, shuffle_rng)
+        clusters = poolAndRecluster(std::move(clusters), config_.cluster,
+                                    shuffle_rng)
                        .regrouped();
     }
     Rng decode_rng = rng.fork(0xdec0de);

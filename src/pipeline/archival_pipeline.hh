@@ -71,6 +71,7 @@ struct RetrievalStats
     size_t undecodable_strands = 0; ///< codec failures
     size_t crc_failures = 0;
     size_t frames_recovered = 0;    ///< via logical redundancy
+    size_t frames_corrected = 0;    ///< received, then corrected
     size_t stripes_failed = 0;      ///< redundancy exceeded
 };
 

@@ -402,6 +402,24 @@ TEST(Logging, FatalMessageContent)
     }
 }
 
+TEST(Logging, FatalIsQuietAndCarriesItsLocation)
+{
+    // A caller that handles the error decides whether anyone sees
+    // it: throwing writes nothing to stderr.
+    ::testing::internal::CaptureStderr();
+    const int line = __LINE__ + 2;
+    try {
+        DNASIM_FATAL("unreadable input");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "unreadable input");
+        EXPECT_TRUE(std::string(e.file()).ends_with("test_base.cc"))
+            << e.file();
+        EXPECT_EQ(e.line(), line);
+    }
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
 TEST(Logging, AssertPassesOnTrue)
 {
     DNASIM_ASSERT(1 + 1 == 2, "arithmetic works");

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -1116,6 +1118,45 @@ TEST_F(CliCommands, MissingPositionalIsFatal)
                  FatalError);
     EXPECT_THROW(cmdAnalyze(makeArgs({"analyze"})), FatalError);
     EXPECT_THROW(cmdSimulate(makeArgs({"simulate"})), FatalError);
+}
+
+/**
+ * Run the dnasim binary with @p args; returns its exit status and the
+ * number of stderr lines that start with "fatal:".
+ */
+std::pair<int, size_t>
+fatalLinesOfCli(const std::string &args)
+{
+    const std::string command =
+        std::string(DNASIM_CLI_BINARY) + " " + args + " 2>&1 >/dev/null";
+    FILE *pipe = popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        return {-1, 0};
+    std::string err;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr)
+        err += buf;
+    const int status = pclose(pipe);
+    size_t lines = 0;
+    std::istringstream in(err);
+    for (std::string line; std::getline(in, line);)
+        lines += line.starts_with("fatal:") ? 1 : 0;
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, lines};
+}
+
+TEST(CliFatal, LibrariesStayQuietAndMainReportsOnce)
+{
+    // A command that raises FatalError prints nothing itself.
+    ::testing::internal::CaptureStderr();
+    EXPECT_THROW(cmdSimulate(makeArgs({"simulate"})), FatalError);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+    // main prints one line from each of its catch sites: flag
+    // checks before the command runs, and the command itself.
+    EXPECT_EQ(fatalLinesOfCli("simulate --no-such-flag 1"),
+              std::make_pair(1, size_t{1}));
+    EXPECT_EQ(fatalLinesOfCli("simulate --threads 1"),
+              std::make_pair(1, size_t{1}));
 }
 
 } // namespace

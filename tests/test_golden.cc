@@ -1,8 +1,9 @@
 /**
  * @file
  * Committed golden digests of the channel's outputs, of the gestalt
- * matching blocks and the calibrated profile text, of every
- * reconstructor's estimates and of the Rng's sample streams.
+ * matching blocks and the calibrated profile text, of the clusterer's
+ * placements, of every reconstructor's estimates and of the Rng's
+ * sample streams.
  *
  * The other determinism tests compare runs only with each other, so a
  * change that shifts every output the same way at every thread count
@@ -29,6 +30,8 @@
 #include "align/gestalt.hh"
 #include "analysis/accuracy.hh"
 #include "base/rng.hh"
+#include "base/strand_pool.hh"
+#include "cluster/recluster.hh"
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
 #include "core/dnasimulator_model.hh"
@@ -395,6 +398,191 @@ TEST(Golden, CalibratedProfileText)
         expectDigest("calibrate @" + std::to_string(threads), h.value(),
                      0x6e418d41a7fa2ea1);
     }
+}
+
+/** The ten counters clusterReadsRange() adds to. */
+constexpr const char *kClusterCounters[] = {
+    "cluster.reads",
+    "cluster.comparisons",
+    "cluster.merges",
+    "cluster.created",
+    "cluster.sketch.bands_probed",
+    "cluster.sketch.collisions",
+    "cluster.sketch.candidates",
+    "cluster.sketch.probes",
+    "cluster.sketch.verified",
+    "cluster.sketch.empty_signatures",
+};
+
+std::vector<uint64_t>
+clusterCounters()
+{
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    std::vector<uint64_t> values;
+    for (const char *name : kClusterCounters)
+        values.push_back(snap.counter(name));
+    return values;
+}
+
+/**
+ * Digest of one clustering run: whatever @p run folds in itself, the
+ * clusters (representative and members in order), every read's
+ * assignment, and how much each cluster counter grew during @p run.
+ */
+template <typename Run>
+uint64_t
+clusteringDigest(Run run)
+{
+    const std::vector<uint64_t> before = clusterCounters();
+    std::vector<ReadAssignment> assignments;
+    Fnv64 h;
+    const std::vector<ReadCluster> clusters = run(assignments, h);
+    const std::vector<uint64_t> after = clusterCounters();
+    h.pod(static_cast<uint64_t>(clusters.size()));
+    for (const ReadCluster &c : clusters) {
+        h.str(c.representative);
+        h.pod(static_cast<uint64_t>(c.members.size()));
+        for (size_t m : c.members)
+            h.pod(static_cast<uint64_t>(m));
+    }
+    h.pod(static_cast<uint64_t>(assignments.size()));
+    for (const ReadAssignment &a : assignments) {
+        h.pod(a.cluster);
+        h.pod(static_cast<uint8_t>(a.tier));
+        h.pod(a.verified_distance);
+        h.pod(a.candidates_probed);
+    }
+    for (size_t k = 0; k < before.size(); ++k)
+        h.pod(after[k] - before[k]);
+    return h.value();
+}
+
+/** The digest of @p run, which must agree at threads 1 and 8. */
+template <typename Run>
+uint64_t
+clusteringDigestAtEveryThreadCount(const std::string &what, Run run)
+{
+    uint64_t first = 0;
+    for (size_t threads : kThreadCounts) {
+        ThreadGuard guard(threads);
+        const uint64_t d = clusteringDigest(run);
+        if (threads == kThreadCounts[0])
+            first = d;
+        EXPECT_EQ(d, first) << what << " at " << threads << " threads";
+    }
+    return first;
+}
+
+/** A pseudo-clustered channel read-out of @p refs 130-base strands. */
+Dataset
+channelReadout(size_t refs, double error_rate, size_t coverage,
+               uint64_t seed)
+{
+    IdsChannelModel model = IdsChannelModel::full(
+        NanoporeDatasetGenerator::groundTruthProfile(130, error_rate));
+    Rng rng(seed);
+    return ChannelSimulator(model).simulate(references(refs, 130, seed),
+                                            FixedCoverage(coverage), rng);
+}
+
+/** @p data's reads, shuffled into a wetlab-ordered pool. */
+std::vector<Strand>
+shuffledPool(const Dataset &data, uint64_t seed)
+{
+    std::vector<Strand> pool = data.pooledReads();
+    Rng rng(seed);
+    rng.shuffle(pool);
+    return pool;
+}
+
+/**
+ * The clusterer's placements, assignments and counters: the
+ * roundtrip's re-cluster channel, a noisier pool that opens many
+ * clusters and places many reads by sketch, a wide probe budget, the
+ * pool-and-recluster path with a read cap and three shards, and the
+ * first pool read through a packed pool file.
+ */
+TEST(Golden, ClusterReads)
+{
+    // The roundtrip's re-clustered pass: 1 % IDS, coverage 10.
+    const Dataset readout = channelReadout(480, 0.01, 10, 0xc1);
+    const std::vector<Strand> roundtrip_pool =
+        shuffledPool(readout, 0xc2);
+    ASSERT_EQ(roundtrip_pool.size(), 4800u);
+    const ClusterOptions defaults;
+    expectDigest("roundtrip pool",
+                 clusteringDigestAtEveryThreadCount(
+                     "roundtrip pool",
+                     [&](std::vector<ReadAssignment> &a, Fnv64 &) {
+                         return clusterReads(roundtrip_pool, defaults,
+                                             &a);
+                     }),
+                 0x1db0749f9d939acd);
+
+    // 4 % IDS at coverage 6.
+    const std::vector<Strand> noisy_pool =
+        shuffledPool(channelReadout(700, 0.04, 6, 0xc3), 0xc4);
+    expectDigest("noisy pool",
+                 clusteringDigestAtEveryThreadCount(
+                     "noisy pool",
+                     [&](std::vector<ReadAssignment> &a, Fnv64 &) {
+                         return clusterReads(noisy_pool, defaults, &a);
+                     }),
+                 0x727a76b84d404d83);
+
+    ClusterOptions wide;
+    wide.max_probes = 64;
+    wide.anchor_length = 20;
+    expectDigest("wide probe",
+                 clusteringDigestAtEveryThreadCount(
+                     "wide probe",
+                     [&](std::vector<ReadAssignment> &a, Fnv64 &) {
+                         return clusterReads(noisy_pool, wide, &a);
+                     }),
+                 0x15cd610af2c1bc6b);
+
+    // poolAndRecluster, capped and sharded; the pool and the
+    // identities it shuffled are part of the digest.
+    expectDigest(
+        "pooled, capped, 3 shards",
+        clusteringDigestAtEveryThreadCount(
+            "pooled, capped, 3 shards",
+            [&](std::vector<ReadAssignment> &a, Fnv64 &h) {
+                Rng rng(0xc5);
+                ReclusteredPool rc = poolAndRecluster(
+                    readout, defaults, rng, /*with_identity=*/true, &a,
+                    /*max_reads=*/3700, /*shards=*/3);
+                for (size_t r = 0; r < rc.pool.size(); ++r) {
+                    h.str(rc.pool[r]);
+                    h.pod(rc.identity[r].origin_cluster);
+                    h.pod(rc.identity[r].origin_copy);
+                }
+                return rc.clusters;
+            }),
+        0xb564af72b8a5cbb6);
+
+    // The roundtrip pool again, read through a packed pool file.
+    const std::string path =
+        ::testing::TempDir() + "/dnasim_golden_cluster.dnapool";
+    {
+        PackedStrandPoolBuilder builder;
+        ASSERT_TRUE(builder.open(path));
+        for (const Strand &r : roundtrip_pool)
+            ASSERT_TRUE(builder.append(r));
+        ASSERT_TRUE(builder.finish());
+    }
+    PackedStrandPool packed;
+    ASSERT_TRUE(packed.open(path));
+    const StrandPoolView view(packed);
+    expectDigest("roundtrip pool, packed view",
+                 clusteringDigestAtEveryThreadCount(
+                     "roundtrip pool, packed view",
+                     [&](std::vector<ReadAssignment> &a, Fnv64 &) {
+                         return clusterReadsRange(view, 0, view.size(),
+                                                  defaults, &a);
+                     }),
+                 0x1db0749f9d939acd);
+    std::remove(path.c_str());
 }
 
 /**

@@ -272,26 +272,36 @@ TEST(Determinism, CalibrateIsIdenticalAcrossThreadCounts)
 
 TEST(Determinism, ClusterReadsIsIdenticalAcrossThreadCounts)
 {
+    // More than three blocks of reads, so most blocks propose in
+    // parallel against the clusters earlier blocks opened.
     E2eFixture fx;
+    Rng ref_rng(0xb10c);
+    fx.refs = StrandFactory().makeMany(400, 110, ref_rng);
     std::vector<Strand> pool;
     {
         ThreadGuard guard(1);
         pool = fx.simulate().pooledReads();
     }
+    ASSERT_GT(pool.size(), 3 * kClusterBlockReads);
+    std::vector<Strand> shuffled = pool;
+    Rng shuffle_rng(0xb10d);
+    shuffle_rng.shuffle(shuffled);
     // Byte-identical at every thread count: same clusters, same
-    // member order.
+    // member order, in cluster order and shuffled.
     ClusterOptions options;
     options.max_probes = 32;
     auto run = [&] {
         std::string s;
-        for (const auto &c : clusterReads(pool, options)) {
-            s += c.representative;
-            s += ':';
-            for (size_t m : c.members) {
-                s += std::to_string(m);
-                s += ',';
+        for (const auto *reads : {&pool, &shuffled}) {
+            for (const auto &c : clusterReads(*reads, options)) {
+                s += c.representative;
+                s += ':';
+                for (size_t m : c.members) {
+                    s += std::to_string(m);
+                    s += ',';
+                }
+                s += '\n';
             }
-            s += '\n';
         }
         return s;
     };

@@ -341,6 +341,68 @@ TEST(Pipeline, DuplicateFrameIndexFirstClusterWins)
     par::setThreads(0);
 }
 
+TEST(Pipeline, ForgedFrameIsCorrectedOrReported)
+{
+    // A CRC-valid strand for frame 0 with another payload, in the
+    // first cluster so it keeps the index. Every stripe is decoded
+    // for errors too: two or more parity frames locate and correct
+    // the wrong frame, one only detects it, and without parity the
+    // frame CRC is the only check, so the wrong bytes come back.
+    struct Case
+    {
+        size_t parity;
+        std::vector<size_t> lost;
+        bool success;
+        bool intact;
+        size_t recovered;
+        size_t corrected;
+        size_t failed;
+    };
+    const Case cases[] = {
+        {0, {}, true, false, 0, 0, 0},
+        {1, {}, false, false, 0, 0, 1},
+        {2, {}, true, true, 0, 1, 0},
+        {8, {}, true, true, 0, 1, 0},
+        // One erasure and one error need 2 + 1 parity symbols.
+        {2, {3}, false, false, 0, 0, 1},
+        {3, {3}, true, true, 1, 1, 0},
+    };
+    const Bytes file = loremBytes(100); // 6 frames, one stripe
+    MajorityVote algo;
+    for (const Case &c : cases) {
+        PipelineConfig config;
+        config.rs_parity = c.parity;
+        ArchivalPipeline pipeline(config);
+        const StoredObject object = pipeline.store(file);
+        FrameCodec frames(config.payload_bytes, config.index_bytes);
+        Cluster forged;
+        forged.reference = RotatingCodec().encode(
+            frames.pack(Frame{0, Bytes(config.payload_bytes, 'X')}));
+        forged.copies.assign(2, forged.reference);
+        Dataset clusters;
+        clusters.add(forged);
+        for (const Cluster &g : cleanReadout(object, c.lost))
+            clusters.add(g);
+
+        for (size_t threads : {size_t{1}, size_t{8}}) {
+            par::setThreads(threads);
+            const std::string what = "parity " + std::to_string(c.parity) +
+                                     ", " + std::to_string(c.lost.size()) +
+                                     " lost, " + std::to_string(threads) +
+                                     " threads";
+            Rng rng(172);
+            const RetrievedObject r =
+                pipeline.retrieve(clusters, algo, object, rng);
+            EXPECT_EQ(r.success, c.success) << what;
+            EXPECT_EQ(r.data == file, c.intact) << what;
+            EXPECT_EQ(r.stats.frames_recovered, c.recovered) << what;
+            EXPECT_EQ(r.stats.frames_corrected, c.corrected) << what;
+            EXPECT_EQ(r.stats.stripes_failed, c.failed) << what;
+        }
+    }
+    par::setThreads(0);
+}
+
 TEST(Pipeline, StagedReclusteredRunEqualsRoundTrip)
 {
     // roundTrip() is store -> simulate on fork(0xc4a) -> the
