@@ -91,8 +91,8 @@ BM_LevenshteinScalarBanded(benchmark::State &state)
 /**
  * Edit-script recovery across the engine's whole operating envelope:
  * strand length x error rate x tie-break mode. rng_mode 0 is the
- * deterministic consensus shape (Tier A bit-vectors), rng_mode 1 the
- * profiler's random tie-break shape (Tier B banded). Each row also
+ * deterministic consensus shape, rng_mode 1 the profiler's random
+ * tie-break shape; both are one bit-vector walk. Each row also
  * records its per-script cell-equivalent count (from
  * align.editops.cells) as an `editops.cells/...` report metric, so
  * the report shows work-done changes even when time is noisy.

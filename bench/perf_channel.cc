@@ -186,3 +186,6 @@ BENCHMARK(BM_SimulateCluster)->Arg(5)->Arg(27);
 BENCHMARK(BM_SimulateDataset)->Arg(500)->Arg(2000)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_Calibrate)->Arg(20)->Unit(benchmark::kMillisecond);
+// The paper-ladder input size: many accumulator chunks to merge.
+BENCHMARK(BM_Calibrate)->Arg(2000)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();

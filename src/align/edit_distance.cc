@@ -381,7 +381,7 @@ levenshtein(std::string_view a, std::string_view b)
 
 // editOps()/editOpsInto() live in edit_script.cc: the flat DP this
 // file used to host survives there as editOpsReference(), behind the
-// two-tier bit-vector/banded engine.
+// bit-vector walk.
 
 size_t
 numErrors(const std::vector<EditOp> &ops)

@@ -187,10 +187,10 @@ std::vector<EditOp> editOps(std::string_view ref, std::string_view copy,
                             Rng *rng = nullptr);
 
 /**
- * editOps() into a caller-provided buffer (cleared first). The DP
- * matrix lives in reused thread-local scratch, so a steady-state
- * caller (consensus voting iterates this over every copy of every
- * cluster) performs no per-call heap allocation.
+ * editOps() into a caller-provided buffer (cleared first). The
+ * pattern tables and the backtrace trace live in reused thread-local
+ * scratch, so a steady-state caller (calibration iterates this over
+ * every copy of every cluster) performs no per-call heap allocation.
  */
 void editOpsInto(std::string_view ref, std::string_view copy, Rng *rng,
                  std::vector<EditOp> &out);
@@ -198,9 +198,8 @@ void editOpsInto(std::string_view ref, std::string_view copy, Rng *rng,
 /**
  * editOpsInto() reusing a prebuilt MyersPattern over @p ref
  * (pattern.size() must equal ref.size()). Clustered callers that
- * align many copies against one estimate build the pattern's Peq
- * tables once and amortize them across every copy; the engine also
- * uses the pattern to seed the Tier-B band (see align/edit_script.hh).
+ * align many copies against one estimate or reference build the
+ * pattern's Peq tables once and amortize them across every copy.
  */
 void editOpsInto(const MyersPattern &pattern, std::string_view ref,
                  std::string_view copy, Rng *rng,
@@ -210,11 +209,11 @@ namespace align_detail
 {
 
 /**
- * One deterministic (Tier-A) alignment, ready to walk: the delta
- * words of the bit-vector forward pass, or, for a non-ACGT
- * reference, the reference DP's script.
+ * One alignment, ready to walk: the delta words of the bit-vector
+ * forward pass, or, for a non-ACGT reference, the reference DP's
+ * script.
  */
-struct DeterministicTrace
+struct EditTrace
 {
     /// Per copy position j in [0, m], 4 * blocks words at
     /// deltas[j * 4 * blocks]: HP, HN, VP, VN (see
@@ -227,14 +226,14 @@ struct DeterministicTrace
 };
 
 /**
- * Tier selection and forward pass behind editOpsWalk() for two
+ * Dispatch and forward pass behind editOpsWalk() for two
  * non-empty strands; counts one align.editops.bitvec or .fallback
- * script. The trace lives in thread-local scratch until the next
- * call on this thread.
+ * script. A non-ACGT reference runs the reference DP, which draws
+ * its tie-breaks from @p rng when it is non-null. The trace lives in
+ * thread-local scratch until the next call on this thread.
  */
-DeterministicTrace deterministicTrace(const MyersPattern &pattern,
-                                      std::string_view ref,
-                                      std::string_view copy);
+EditTrace editTrace(const MyersPattern &pattern, std::string_view ref,
+                    std::string_view copy, Rng *rng);
 
 /** Release the delta scratch if the last trace grew it too large. */
 void releaseOversizedTrace();
@@ -242,35 +241,38 @@ void releaseOversizedTrace();
 } // namespace align_detail
 
 /**
- * Walk the deterministic minimum-cost script of editOpsInto() with a
- * null Rng, without materializing it: @p visit(type, ref_pos,
- * copy_pos) is called once per op, from the end of the strings to
- * the start. ref_pos is the EditOp's; copy_pos is the copy index the
- * op consumes (Equal, Substitute, Insert) or, for a Delete, the
- * number of copy characters before it.
+ * Walk the minimum-cost script of editOpsInto() without
+ * materializing it: @p visit(type, ref_pos, copy_pos) is called once
+ * per op, from the end of the strings to the start. ref_pos is the
+ * EditOp's; copy_pos is the copy index the op consumes (Equal,
+ * Substitute, Insert) or, for a Delete, the number of copy
+ * characters before it.
  *
  * Dispatch is editOpsInto()'s: an empty side gives the trivial
  * script, a non-ACGT reference the reference DP, anything else the
- * bit-vector backtrace, which reads each move off the stored deltas
- * in the fixed diagonal > delete > insert preference.
+ * bit-vector backtrace, which reads each move off the stored deltas.
+ * With a null @p rng it takes the first minimum-cost move in the
+ * fixed diagonal > delete > insert preference; with an Rng it
+ * collects every minimum-cost move in that order and draws among
+ * them as Appendix B does, exactly as editOpsReference() would.
  * @p pattern must be built over @p ref.
  */
 template <typename Visit>
 void
 editOpsWalk(const MyersPattern &pattern, std::string_view ref,
-            std::string_view copy, Visit &&visit)
+            std::string_view copy, Rng *rng, Visit &&visit)
 {
     size_t i = ref.size(), j = copy.size();
     if (i == 0 || j == 0) {
-        // Forced: all insertions or all deletions.
+        // Forced: all insertions or all deletions, so no draw.
         for (; j > 0; --j)
             visit(EditOpType::Insert, size_t{0}, j - 1);
         for (; i > 0; --i)
             visit(EditOpType::Delete, i - 1, size_t{0});
         return;
     }
-    const align_detail::DeterministicTrace trace =
-        align_detail::deterministicTrace(pattern, ref, copy);
+    const align_detail::EditTrace trace =
+        align_detail::editTrace(pattern, ref, copy, rng);
     if (trace.script != nullptr) {
         for (auto op = trace.script->rbegin();
              op != trace.script->rend(); ++op) {
@@ -305,36 +307,45 @@ editOpsWalk(const MyersPattern &pattern, std::string_view ref,
         return bit(sp + blocks, row) ? -1 : 0;
     };
 
+    // Moves: 0 = diagonal, 1 = delete, 2 = insert.
     while (i > 0 || j > 0) {
-        // The reference backtrace's candidate order is diagonal >
-        // delete > insert and the deterministic rule takes the first
-        // valid one, so testing in that order is equivalent. A move
-        // is minimum-cost exactly when the stored deltas say the
-        // predecessor's value plus the step cost equals this cell's:
+        // A move is minimum-cost exactly when the stored deltas say
+        // the predecessor's value plus the step cost equals this
+        // cell's, so each test reads the full matrix's own values:
         //   diag: D[i][j] - D[i-1][j-1] = V(j,i) + H(j,i-1) == cost
         //   del:  D[i][j] - D[i-1][j]   = V(j,i)            == +1
         //   ins:  D[i][j] - D[i][j-1]   = H(j,i)            == +1
-        if (i > 0 && j > 0) {
-            const int cost = ref[i - 1] == copy[j - 1] ? 0 : 1;
-            if (vdelta(j, i) + hdelta(j, i - 1) == cost) {
-                --i;
-                --j;
-                visit(cost == 0 ? EditOpType::Equal
-                                : EditOpType::Substitute,
-                      i, j);
-                continue;
-            }
-        }
-        if (i > 0 && vdelta(j, i) == 1) {
+        // The candidates are collected in the reference backtrace's
+        // order; without an Rng the first one is taken, so the rest
+        // are not tested.
+        uint8_t candidates[3];
+        size_t num = 0;
+        const int v = i > 0 ? vdelta(j, i) : 0;
+        if (i > 0 && j > 0 &&
+            v + hdelta(j, i - 1) == (ref[i - 1] == copy[j - 1] ? 0 : 1))
+            candidates[num++] = 0;
+        if ((num == 0 || rng != nullptr) && v == 1)
+            candidates[num++] = 1;
+        if ((num == 0 || rng != nullptr) && j > 0 && hdelta(j, i) == 1)
+            candidates[num++] = 2;
+        DNASIM_ASSERT(num > 0, "bit-vector backtrace stuck at (", i, ",",
+                      j, ")");
+        const uint8_t move = rng != nullptr && num > 1
+                                 ? candidates[rng->index(num)]
+                                 : candidates[0];
+        if (move == 0) {
+            --i;
+            --j;
+            visit(ref[i] == copy[j] ? EditOpType::Equal
+                                    : EditOpType::Substitute,
+                  i, j);
+        } else if (move == 1) {
             --i;
             visit(EditOpType::Delete, i, j);
-            continue;
+        } else {
+            --j;
+            visit(EditOpType::Insert, i, j);
         }
-        DNASIM_ASSERT(j > 0 && hdelta(j, i) == 1,
-                      "bit-vector backtrace stuck at (", i, ",", j,
-                      ")");
-        --j;
-        visit(EditOpType::Insert, i, j);
     }
     align_detail::releaseOversizedTrace();
 }

@@ -1,7 +1,6 @@
 #include "align/edit_script.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "align/pattern_access.hh"
 #include "base/dna.hh"
@@ -19,19 +18,13 @@ EditOpsStats::get()
     auto &reg = obs::Registry::global();
     static EditOpsStats st{
         reg.counter("align.editops.bitvec",
-                    "edit scripts served by the deterministic "
-                    "bit-vector tier"),
-        reg.counter("align.editops.banded",
-                    "edit scripts served by the banded "
-                    "random-tie-break tier"),
-        reg.counter("align.editops.band_retries",
-                    "banded edit-script refills after a band escape"),
+                    "edit scripts served by the bit-vector walk"),
         reg.counter("align.editops.fallback",
                     "edit scripts served by the reference flat DP"),
         reg.counter("align.editops.cells",
                     "edit-script work units: uint32 cells for the "
-                    "scalar tiers, 64-row delta words for the "
-                    "bit-vector tier"),
+                    "reference DP, 64-row delta words for the "
+                    "bit-vector walk"),
         reg.counter("align.editops.shrinks",
                     "oversized edit-script scratch buffers released "
                     "back to the allocator"),
@@ -45,9 +38,10 @@ namespace
 /**
  * Per-thread scratch cap: one unusually long pair must not pin large
  * backtrace buffers in every worker thread for the rest of the
- * process. Accounting is in bytes because the tiers use different
- * cell layouts (uint32 DP cells vs uint64 delta words); 16 MiB
- * matches the old flat-DP kKeepCells (2^22 cells * 4 B).
+ * process. Accounting is in bytes because the reference DP and the
+ * walk use different layouts (uint32 DP cells vs uint64 delta
+ * words); 16 MiB matches the old flat-DP kKeepCells (2^22 cells *
+ * 4 B).
  */
 constexpr size_t kKeepScratchBytes = size_t{1} << 24;
 
@@ -62,10 +56,6 @@ shrinkOversized(std::vector<T> &buf, size_t used_elems)
         EditOpsStats::get().shrinks.inc();
     }
 }
-
-/** Sentinel for never-written banded cells; +1 must not overflow. */
-constexpr uint32_t kCellInvalid =
-    std::numeric_limits<uint32_t>::max() / 4;
 
 } // anonymous namespace
 
@@ -151,14 +141,14 @@ editOpsReference(std::string_view ref, std::string_view copy,
 namespace
 {
 
-/// Tier A's stored delta words, one trace at a time per thread.
+/// The walk's stored delta words, one trace at a time per thread.
 thread_local std::vector<uint64_t> t_deltas;
 
 } // anonymous namespace
 
-DeterministicTrace
-deterministicTrace(const MyersPattern &pattern, std::string_view ref,
-                   std::string_view copy)
+EditTrace
+editTrace(const MyersPattern &pattern, std::string_view ref,
+          std::string_view copy, Rng *rng)
 {
     const size_t n = ref.size(), m = copy.size();
     DNASIM_ASSERT(pattern.size() == n, "pattern/ref length mismatch");
@@ -169,7 +159,7 @@ deterministicTrace(const MyersPattern &pattern, std::string_view ref,
         // pairs keep the flat DP.
         st.fallback.inc();
         thread_local std::vector<EditOp> script;
-        editOpsReference(ref, copy, nullptr, script);
+        editOpsReference(ref, copy, rng, script);
         return {nullptr, 0, &script};
     }
     st.bitvec.inc();
@@ -236,201 +226,15 @@ releaseOversizedTrace()
     shrinkOversized(t_deltas, t_deltas.size());
 }
 
-bool
-editOpsBandedWithBand(std::string_view ref, std::string_view copy,
-                      size_t band, Rng &rng,
-                      std::vector<EditOp> &out)
-{
-    const size_t n = ref.size(), m = copy.size();
-    DNASIM_ASSERT(n > 0 && m > 0, "empty strands are trivial scripts");
-    const size_t diff = n > m ? n - m : m - n;
-    if (band < diff)
-        return false; // (n, m) itself lies outside the band
-
-    // Diagonal-banded layout: cell (i, j) lives at row i, offset
-    // j - i + band + 1, so the three DP neighbours are (prev row,
-    // same offset) = diagonal, (prev row, offset + 1) = up and
-    // (same row, offset - 1) = left. Offsets 0 and 2*band + 2 are
-    // permanent kCellInvalid sentinels, which lets both the fill and
-    // the backtrace read "one past the band" without bounds checks.
-    const size_t width = 2 * band + 3;
-    const size_t cells = (n + 1) * width;
-    thread_local std::vector<uint32_t> buf;
-    buf.assign(cells, kCellInvalid);
-    EditOpsStats::get().cells.add(cells);
-    auto at = [&](size_t i, size_t j) -> uint32_t & {
-        return buf[i * width + (j + band + 1 - i)];
-    };
-
-    for (size_t j = 0; j <= std::min(m, band); ++j)
-        at(0, j) = static_cast<uint32_t>(j);
-    for (size_t i = 1; i <= n; ++i) {
-        size_t lo = i > band ? i - band : 0;
-        const size_t hi = std::min(m, i + band);
-        if (lo == 0) {
-            at(i, 0) = static_cast<uint32_t>(i);
-            lo = 1;
-        }
-        const char rc = ref[i - 1];
-        const uint32_t *prev = &buf[(i - 1) * width];
-        uint32_t *cur = &buf[i * width];
-        size_t off = lo + band + 1 - i;
-        for (size_t j = lo; j <= hi; ++j, ++off) {
-            const uint32_t diag =
-                prev[off] + (rc == copy[j - 1] ? 0 : 1);
-            const uint32_t up = prev[off + 1] + 1;
-            const uint32_t left = cur[off - 1] + 1;
-            cur[off] = std::min({diag, up, left});
-        }
-    }
-
-    // A banded value <= band is certified exact, and distance <= band
-    // is precisely the premise under which every minimum-cost path —
-    // hence every cell the backtrace can visit and every candidate
-    // test it performs — stays exact inside the band (DESIGN.md).
-    // Escape means the caller seeded the band below the true
-    // distance; report it before any Rng draw so the retry replays
-    // the same stream.
-    if (at(n, m) > band)
-        return false;
-
-    // Checked read for the backtrace's candidate probing: cells
-    // outside the band (or never filled) read as kCellInvalid, which
-    // can never equal a real value plus one.
-    auto val = [&](size_t i, size_t j) -> uint32_t {
-        if (j + band < i || j > i + band)
-            return kCellInvalid;
-        return at(i, j);
-    };
-
-    out.clear();
-    out.reserve(n + m);
-    size_t i = n, j = m;
-    while (i > 0 || j > 0) {
-        // Mirrors editOpsReference() move for move: same candidate
-        // encoding, same order, a draw if and only if the full
-        // matrix would draw.
-        uint8_t candidates[3];
-        size_t num = 0;
-        const uint32_t here = at(i, j);
-        if (i > 0 && j > 0) {
-            const uint32_t cost = ref[i - 1] == copy[j - 1] ? 0 : 1;
-            if (here == val(i - 1, j - 1) + cost)
-                candidates[num++] = 0;
-        }
-        if (i > 0 && here == val(i - 1, j) + 1)
-            candidates[num++] = 1;
-        if (j > 0 && here == val(i, j - 1) + 1)
-            candidates[num++] = 2;
-        DNASIM_ASSERT(num > 0, "banded backtrace stuck at (", i, ",",
-                      j, ")");
-
-        uint8_t move = candidates[0];
-        if (num > 1)
-            move = candidates[rng.index(num)];
-
-        switch (move) {
-          case 0:
-            --i;
-            --j;
-            out.push_back({ref[i] == copy[j] ? EditOpType::Equal
-                                             : EditOpType::Substitute,
-                           i, ref[i], copy[j]});
-            break;
-          case 1:
-            --i;
-            out.push_back({EditOpType::Delete, i, ref[i], '\0'});
-            break;
-          default:
-            --j;
-            out.push_back({EditOpType::Insert, i, '\0', copy[j]});
-            break;
-        }
-    }
-    std::reverse(out.begin(), out.end());
-
-    shrinkOversized(buf, cells);
-    return true;
-}
-
 } // namespace align_detail
-
-namespace
-{
-
-using align_detail::EditOpsStats;
-
-/**
- * Tier selection shared by both editOpsInto() overloads. @p pattern
- * may be null (the one-shot path, which then builds or skips the
- * Peq tables as the tier requires).
- */
-void
-editOpsDispatch(const MyersPattern *pattern, std::string_view ref,
-                std::string_view copy, Rng *rng,
-                std::vector<EditOp> &out)
-{
-    auto &st = EditOpsStats::get();
-    const size_t n = ref.size(), m = copy.size();
-    if (rng == nullptr || n == 0 || m == 0) {
-        // Tier A. A script with an empty side is forced (every cell
-        // has one candidate), so no Rng draw ever happens there.
-        if (pattern == nullptr) {
-            thread_local MyersPattern local;
-            local.assign(ref);
-            pattern = &local;
-        }
-        out.clear();
-        out.reserve(n + m);
-        editOpsWalk(*pattern, ref, copy,
-                    [&](EditOpType type, size_t i, size_t j) {
-                        out.push_back(
-                            {type, i,
-                             type == EditOpType::Insert ? '\0' : ref[i],
-                             type == EditOpType::Delete ? '\0'
-                                                        : copy[j]});
-                    });
-        std::reverse(out.begin(), out.end());
-        return;
-    }
-
-    // Tier B: seed the band with the exact distance — reuse the
-    // caller's Peq tables when it has them; levenshtein() also
-    // serves non-ACGT content, which the banded fill compares
-    // bytewise just like the reference DP.
-    const size_t d = pattern != nullptr && pattern->packed()
-                         ? pattern->distance(copy)
-                         : levenshtein(ref, copy);
-    size_t band = d;
-    for (;;) {
-        // Once the band row is as wide as a full row the flat DP is
-        // strictly cheaper (no sentinel columns, no escape risk) and
-        // identically distributed, so hand distant pairs to it.
-        if (2 * band + 3 >= m + 1) {
-            st.fallback.inc();
-            align_detail::editOpsReference(ref, copy, rng, out);
-            return;
-        }
-        if (align_detail::editOpsBandedWithBand(ref, copy, band,
-                                                *rng, out)) {
-            st.banded.inc();
-            return;
-        }
-        // Defensive only: band >= exact distance cannot escape. A
-        // retry is still byte-safe because a failed fill consumes no
-        // Rng draws.
-        st.band_retries.inc();
-        band = band * 2 + 1;
-    }
-}
-
-} // anonymous namespace
 
 void
 editOpsInto(std::string_view ref, std::string_view copy, Rng *rng,
             std::vector<EditOp> &out)
 {
-    editOpsDispatch(nullptr, ref, copy, rng, out);
+    thread_local MyersPattern local;
+    local.assign(ref);
+    editOpsInto(local, ref, copy, rng, out);
 }
 
 void
@@ -439,7 +243,16 @@ editOpsInto(const MyersPattern &pattern, std::string_view ref,
 {
     DNASIM_ASSERT(pattern.size() == ref.size(),
                   "pattern/ref length mismatch");
-    editOpsDispatch(&pattern, ref, copy, rng, out);
+    out.clear();
+    out.reserve(ref.size() + copy.size());
+    editOpsWalk(pattern, ref, copy, rng,
+                [&](EditOpType type, size_t i, size_t j) {
+                    out.push_back(
+                        {type, i,
+                         type == EditOpType::Insert ? '\0' : ref[i],
+                         type == EditOpType::Delete ? '\0' : copy[j]});
+                });
+    std::reverse(out.begin(), out.end());
 }
 
 std::vector<EditOp>

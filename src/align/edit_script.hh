@@ -1,44 +1,36 @@
 /**
  * @file
- * The two-tier edit-script alignment engine behind editOpsInto().
+ * The edit-script alignment engine behind editOpsInto().
  *
  * Recovering the Appendix-B edit script is the inner loop of both
  * consensus reconstruction (one backtrace per copy per refinement
  * round per cluster) and data-driven profile calibration (one per
  * (reference, copy) pair). The flat O(n*m) scalar DP it shipped with
- * is replaced by two exact-equivalent tiers:
+ * is replaced by one exact-equivalent walk over a bit-vector trace:
  *
- * - **Tier A (bit-vector, deterministic).** When no Rng is supplied
- *   the backtrace preference is fixed (diagonal > delete > insert),
- *   so no DP cell values are needed — only, at each cell, which
- *   moves are minimum-cost. Those are recovered from the Myers
- *   bit-vector horizontal/vertical delta words (HP/HN/VP/VN), which
- *   the forward pass stores per text position: O(n * ceil(m_ref/64))
- *   words instead of O(n*m) uint32 cells, Hyyro-style. The pattern's
- *   Peq tables come from a MyersPattern, so one estimate's tables
- *   amortize across every copy in a cluster. The backtrace is one
- *   walk, editOpsWalk() (align/edit_distance.hh), which hands each
- *   op to a visitor from the end of the strings: consensus voting
- *   folds the ops straight into its vote arrays, and editOpsInto()
- *   pushes them into its vector and reverses it.
+ * - **The trace.** The Myers forward pass stores, per text position,
+ *   the horizontal/vertical delta words (HP/HN/VP/VN) of the whole
+ *   DP column: O(n * ceil(m_ref/64)) words instead of O(n*m) uint32
+ *   cells, Hyyro-style. The pattern's Peq tables come from a
+ *   MyersPattern, so one reference's or estimate's tables amortize
+ *   across every copy in a cluster.
  *
- * - **Tier B (banded, random tie-break).** With an Rng, Appendix B
- *   draws uniformly among the minimum-cost predecessors at each
- *   backtrace step, so the full candidate sets must be reproduced
- *   bit-for-bit. A Ukkonen band of half-width d (the exact distance,
- *   precomputed by the Myers kernel) suffices: every cell of every
- *   minimum-cost path satisfies |i - j| <= d, and at such cells the
- *   banded values that decide candidate membership are provably
- *   exact (see DESIGN.md "Edit-script engine"), so the candidate
- *   sets — and therefore the tie-break distribution and the
- *   byte-exact script given the same Rng stream — are identical to
- *   the full matrix, at O((2d+1) * n) cost.
+ * - **The walk.** editOpsWalk() (align/edit_distance.hh) reads each
+ *   backtrace move off those deltas and hands each op to a visitor
+ *   from the end of the strings. The deltas are the full matrix's
+ *   exact differences, so the walk's test of whether a move is
+ *   minimum-cost is the reference DP's own test. With a null Rng it
+ *   takes the first such move in the fixed diagonal > delete >
+ *   insert preference; with an Rng it collects all of them in that
+ *   order and draws among them as Appendix B does, so scripts and
+ *   Rng consumption match the full matrix draw for draw. Consensus
+ *   voting folds the ops straight into its vote arrays, and
+ *   editOpsInto() pushes them into its vector and reverses it.
  *
  * The original flat DP survives as the reference implementation: the
- * equivalence suite (tests/test_editscript.cc) pins both tiers to it
+ * equivalence suite (tests/test_editscript.cc) pins the walk to it
  * on synthetic pairs and on whole calibrate / reconstruct workloads,
- * and dispatch falls back to it for non-ACGT references and for pairs
- * whose band would be as wide as a full row.
+ * and dispatch falls back to it for non-ACGT references.
  */
 
 #ifndef DNASIM_ALIGN_EDIT_SCRIPT_HH
@@ -61,36 +53,21 @@ namespace align_detail
 /** Observability for the edit-script engine (dnasim.stats.v1). */
 struct EditOpsStats
 {
-    obs::Counter &bitvec;       ///< scripts served by Tier A
-    obs::Counter &banded;       ///< scripts served by Tier B
-    obs::Counter &band_retries; ///< band-escape refills (defensive)
-    obs::Counter &fallback;     ///< scripts served by the flat DP
-    obs::Counter &cells;        ///< cell-equivalents computed
-    obs::Counter &shrinks;      ///< oversized scratch releases
+    obs::Counter &bitvec;   ///< scripts served by the bit-vector walk
+    obs::Counter &fallback; ///< scripts served by the flat DP
+    obs::Counter &cells;    ///< cell-equivalents computed
+    obs::Counter &shrinks;  ///< oversized scratch releases
 
     static EditOpsStats &get();
 };
 
 /**
  * The original flat-matrix DP + backtrace — the reference
- * implementation both tiers are pinned to, and the dispatch fallback
- * for non-ACGT references and full-width bands. Exposed for the
- * equivalence tests.
+ * implementation the walk is pinned to, and the dispatch fallback
+ * for non-ACGT references. Exposed for the equivalence tests.
  */
 void editOpsReference(std::string_view ref, std::string_view copy,
                       Rng *rng, std::vector<EditOp> &out);
-
-/**
- * Tier B: banded edit script with random tie-breaking at the given
- * band half-width. Returns false — leaving @p out unspecified and
- * @p rng UNCONSUMED — when the banded distance escapes the band
- * (band < true distance), in which case the caller must widen and
- * retry. On success the script and the Rng draws are identical to
- * editOpsReference() with the same Rng stream.
- */
-bool editOpsBandedWithBand(std::string_view ref,
-                           std::string_view copy, size_t band,
-                           Rng &rng, std::vector<EditOp> &out);
 
 } // namespace align_detail
 

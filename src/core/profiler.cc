@@ -27,6 +27,11 @@ constexpr double kSecondOrderFloor = 0.10;
 /// Copies with more edit errors than this fraction of the reference
 /// length are clustering artifacts, not channel observations.
 constexpr double kMaxCopyErrorFrac = 0.30;
+/// Clusters per calibration accumulator. A constant, so the
+/// partition never depends on the thread count. Small enough that a
+/// few dozen clusters still spread over the workers, large enough
+/// that the serial merge of a 2,000-cluster run is 250 partials.
+constexpr size_t kCalibrateChunkClusters = 8;
 
 /** Ordering for use as a map key. */
 struct KeyLess
@@ -71,11 +76,10 @@ struct ProfilerStats
 };
 
 /**
- * Everything calibrate() counts, gathered per cluster (or per chunk
- * of clusters) and merged in cluster order. Every field is a sum or
- * a max, so merging partial accumulators reproduces the serial
- * totals exactly regardless of how clusters were partitioned across
- * threads.
+ * Everything calibrate() counts, gathered per chunk of clusters and
+ * merged in chunk order. Every field is an integer sum, a max or a
+ * keyed map of sums, so merging partial accumulators reproduces the
+ * serial totals exactly regardless of how clusters were partitioned.
  */
 struct CalibrationAccum
 {
@@ -116,9 +120,8 @@ CalibrationAccum::absorbCluster(const Cluster &cluster, Rng &rng)
     for (bool b : run_mask)
         run_positions += b ? 1 : 0;
 
-    // One Peq table build for the cluster reference: the edit-script
-    // engine seeds its Tier-B band from pattern.distance(copy), so
-    // the tables are hit once per copy.
+    // One Peq table build for the cluster reference, shared by every
+    // copy's forward pass.
     thread_local MyersPattern pattern;
     thread_local std::vector<EditOp> ops;
     pattern.assign(ref);
@@ -255,18 +258,23 @@ ErrorProfiler::calibrate(const Dataset &data) const
     // depending on the processing order.
     const Rng root(kProfilerSeed);
 
-    // Per-cluster accumulation with an index-ordered tree merge:
-    // identical totals for any thread count or chunking.
-    std::vector<CalibrationAccum> partials =
-        par::parallelTransform(
-            data.size(),
-            [&](size_t i) {
+    // One accumulator per fixed chunk of clusters, merged in chunk
+    // order: identical totals for any thread count.
+    const size_t chunks =
+        (data.size() + kCalibrateChunkClusters - 1) /
+        kCalibrateChunkClusters;
+    std::vector<CalibrationAccum> partials = par::parallelTransform(
+        chunks, [&](size_t chunk) {
+            const size_t begin = chunk * kCalibrateChunkClusters;
+            const size_t end =
+                std::min(data.size(), begin + kCalibrateChunkClusters);
+            CalibrationAccum local;
+            for (size_t i = begin; i < end; ++i) {
                 Rng cluster_rng = root.fork(i);
-                CalibrationAccum local;
                 local.absorbCluster(data[i], cluster_rng);
-                return local;
-            },
-            /*grain=*/4);
+            }
+            return local;
+        });
     CalibrationAccum acc;
     for (auto &partial : partials)
         acc.merge(std::move(partial));

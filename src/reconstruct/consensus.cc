@@ -145,7 +145,7 @@ alignedConsensus(const Strand &estimate,
         // a vote cell has the same weight w, so the sums are the
         // ones a front-to-back fold gives.
         const Strand &copy = copies[c];
-        editOpsWalk(pattern, estimate, copy,
+        editOpsWalk(pattern, estimate, copy, nullptr,
                     [&](EditOpType type, size_t i, size_t j) {
                         switch (type) {
                           case EditOpType::Equal:
@@ -227,7 +227,7 @@ enforceDesignLength(Strand estimate, std::span<const Strand> copies,
         ins_votes.assign(len + 1, std::array<double, kNumBases>{});
         pattern.assign(estimate);
         for (const auto &copy : copies) {
-            editOpsWalk(pattern, estimate, copy,
+            editOpsWalk(pattern, estimate, copy, nullptr,
                         [&](EditOpType type, size_t i, size_t j) {
                             if (type == EditOpType::Delete)
                                 del_votes[i] += 1.0;
@@ -354,7 +354,7 @@ consensusVoteProfile(const Strand &estimate,
         const Strand &copy = copies[k];
         std::string *copy_votes =
             per_copy != nullptr ? &(*per_copy)[k] : nullptr;
-        editOpsWalk(pattern, estimate, copy,
+        editOpsWalk(pattern, estimate, copy, nullptr,
                     [&](EditOpType type, size_t i, size_t j) {
                         switch (type) {
                           case EditOpType::Equal:

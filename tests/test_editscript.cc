@@ -1,15 +1,15 @@
 /**
  * @file
- * Equivalence suite for the two-tier edit-script engine
- * (align/edit_script.hh): both tiers are pinned byte-for-byte to the
- * reference flat DP — identical scripts in deterministic mode,
+ * Equivalence suite for the edit-script engine
+ * (align/edit_script.hh): the bit-vector walk is pinned byte-for-byte
+ * to the reference flat DP — identical scripts in deterministic mode,
  * identical scripts AND identical Rng consumption in random
  * tie-break mode — on synthetic pairs, on every pair a calibrate →
- * simulate → reconstruct workload feeds them, and on the edge cases
- * the tiers special-case (empty strands, word-boundary lengths, band
- * escapes, non-ACGT fallbacks, tier selection). The Tier-A walk
- * (editOpsWalk) is pinned the same way: its visits, reversed, are the
- * reference script.
+ * simulate → reconstruct workload feeds it, and on the edge cases
+ * dispatch special-cases (empty strands, word-boundary lengths,
+ * distant pairs, oversized traces, non-ACGT fallbacks). editOpsWalk
+ * is pinned the same way: its visits, reversed, are the reference
+ * script.
  */
 
 #include <gtest/gtest.h>
@@ -35,7 +35,6 @@ namespace dnasim
 namespace
 {
 
-using align_detail::editOpsBandedWithBand;
 using align_detail::editOpsReference;
 using align_detail::EditOpsStats;
 
@@ -69,7 +68,7 @@ walkScript(const MyersPattern &pattern, std::string_view ref,
 {
     std::vector<EditOp> out;
     size_t next_j = copy.size();
-    editOpsWalk(pattern, ref, copy,
+    editOpsWalk(pattern, ref, copy, nullptr,
                 [&](EditOpType type, size_t i, size_t j) {
                     if (type == EditOpType::Delete) {
                         EXPECT_EQ(j, next_j);
@@ -98,7 +97,7 @@ class EditScriptEquivalence
 {};
 
 /**
- * Deterministic mode: the bit-vector tier must reproduce the flat
+ * Deterministic mode: the bit-vector walk must reproduce the flat
  * DP's diagonal > delete > insert backtrace exactly, op for op.
  */
 TEST_P(EditScriptEquivalence, DeterministicScriptsIdentical)
@@ -118,10 +117,10 @@ TEST_P(EditScriptEquivalence, DeterministicScriptsIdentical)
 }
 
 /**
- * Random tie-break mode: given the same Rng stream the banded tier
- * must produce the identical script AND leave the engine in the
- * identical state (same candidate sets at every backtrace step means
- * the same draws in the same order).
+ * Random tie-break mode: given the same Rng stream the walk must
+ * produce the identical script AND leave the engine in the identical
+ * state (same candidate sets at every backtrace step means the same
+ * draws in the same order).
  */
 TEST_P(EditScriptEquivalence, TieBreakScriptsAndDrawsIdentical)
 {
@@ -149,8 +148,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ScriptCase{10, 0.30}, ScriptCase{63, 0.03},
                       ScriptCase{64, 0.03}, ScriptCase{65, 0.03},
                       ScriptCase{100, 0.01}, ScriptCase{100, 0.10},
-                      ScriptCase{150, 0.03}, ScriptCase{300, 0.10},
-                      ScriptCase{300, 0.01}));
+                      ScriptCase{127, 0.03}, ScriptCase{128, 0.03},
+                      ScriptCase{129, 0.03}, ScriptCase{150, 0.03},
+                      ScriptCase{191, 0.10}, ScriptCase{192, 0.10},
+                      ScriptCase{193, 0.10}, ScriptCase{300, 0.10},
+                      ScriptCase{300, 0.01}, ScriptCase{1000, 0.03}));
 
 TEST(EditScript, EmptyStrands)
 {
@@ -179,8 +181,7 @@ TEST(EditScript, EqualStrands)
 
 TEST(EditScript, AllMismatch)
 {
-    // Every position substituted: distance == length, the widest
-    // band the profiler path can see relative to strand length.
+    // Every position substituted: distance == length.
     const std::string ref(90, 'A');
     const std::string copy(90, 'C');
     EXPECT_EQ(engineScript(ref, copy, nullptr),
@@ -231,8 +232,8 @@ TEST(EditScript, RoundTripsThroughApply)
 
 TEST(EditScript, BitVectorTierDirect)
 {
-    // Drive Tier A below the vector-building dispatch, through the
-    // walk consensus voting uses: one pattern, many copies.
+    // Drive the walk below the vector-building dispatch, as
+    // consensus voting does: one pattern, many copies.
     StrandFactory factory;
     Rng rng(55);
     ErrorProfile profile = ErrorProfile::uniform(0.05, 150);
@@ -306,55 +307,11 @@ TEST(EditScript, WalkVisitsReversedAreTheReferenceScript)
     expectWalk("", "");
 }
 
-TEST(EditScript, BandEscapeLeavesRngUntouchedAndRetrySucceeds)
-{
-    // Distance here is 4 (one 4-base deletion); a band of 1 cannot
-    // contain the optimal path, so the fill must escape WITHOUT
-    // consuming any Rng draws — the retry then replays the same
-    // stream and must match the reference exactly.
-    const std::string ref = "ACGTACGTACGTACGTACGT";
-    std::string copy = ref;
-    copy.erase(8, 4);
-    ASSERT_EQ(levenshtein(ref, copy), 4u);
-
-    Rng rng(31);
-    Rng untouched(31);
-    std::vector<EditOp> out;
-    EXPECT_FALSE(editOpsBandedWithBand(ref, copy, 1, rng, out));
-    EXPECT_TRUE(rng.engine() == untouched.engine())
-        << "band escape consumed Rng draws";
-
-    Rng ref_rng(31);
-    ASSERT_TRUE(editOpsBandedWithBand(ref, copy, 4, rng, out));
-    EXPECT_EQ(out, refScript(ref, copy, &ref_rng));
-    EXPECT_TRUE(rng.engine() == ref_rng.engine());
-}
-
-TEST(EditScript, BandWiderThanDistanceStillExact)
-{
-    // Over-wide bands must not change candidate sets: run the same
-    // pair at every band from the exact distance up to full width.
-    const std::string ref = "TTGACCAGTACGTTGACAGTTACGAT";
-    std::string copy = ref;
-    copy[3] = 'T';
-    copy.erase(11, 1);
-    copy.insert(17, "G");
-    const size_t d = levenshtein(ref, copy);
-    for (size_t band = d; band <= ref.size(); ++band) {
-        Rng a(99), b(99);
-        std::vector<EditOp> out;
-        ASSERT_TRUE(editOpsBandedWithBand(ref, copy, band, a, out))
-            << "band " << band;
-        EXPECT_EQ(out, refScript(ref, copy, &b)) << "band " << band;
-        EXPECT_TRUE(a.engine() == b.engine()) << "band " << band;
-    }
-}
-
 TEST(EditScript, NonAcgtFallsBackToReference)
 {
     // 'N's in either strand must not break equivalence: the engine
     // routes non-ACGT references to the flat DP (visible through the
-    // fallback counter) and lets Tier A handle non-ACGT copies via
+    // fallback counter) and lets the walk handle non-ACGT copies via
     // all-zero Peq rows.
     auto &fallback = EditOpsStats::get().fallback;
     const std::string ref = "ACGTNNACGTACGT";
@@ -371,34 +328,41 @@ TEST(EditScript, NonAcgtFallsBackToReference)
     const uint64_t clean_before = fallback.value();
     EXPECT_EQ(engineScript(clean_ref, copy, nullptr),
               refScript(clean_ref, copy, nullptr));
+    Rng c(4), d(4);
+    EXPECT_EQ(engineScript(clean_ref, copy, &c),
+              refScript(clean_ref, copy, &d));
+    EXPECT_TRUE(c.engine() == d.engine());
     EXPECT_EQ(fallback.value(), clean_before);
 }
 
 TEST(EditScript, EngineSelection)
 {
-    // Dispatch picks the tier from the input alone: Tier A without
-    // an Rng, Tier B with one, and the flat DP once the band would
-    // be as wide as a full row. Every route yields the reference
-    // script.
+    // Dispatch picks the route from the reference alone: the
+    // bit-vector walk for ACGT references, with or without an Rng and
+    // however distant the copy, the flat DP for non-ACGT ones. Every
+    // route yields the reference script.
     auto &st = EditOpsStats::get();
     const std::string ref = "ACGTTGCAACGTTGCA";
     const std::string copy = "ACGTGCAACGTTGGCA";
-
-    const uint64_t bitvec_before = st.bitvec.value();
-    EXPECT_EQ(engineScript(ref, copy, nullptr),
-              refScript(ref, copy, nullptr));
-    EXPECT_EQ(st.bitvec.value(), bitvec_before + 1);
-
-    const uint64_t banded_before = st.banded.value();
-    Rng a(21), b(21);
-    EXPECT_EQ(engineScript(ref, copy, &a), refScript(ref, copy, &b));
-    EXPECT_TRUE(a.engine() == b.engine());
-    EXPECT_EQ(st.banded.value(), banded_before + 1);
-
     const std::string far(ref.size(), 'A');
+    for (const std::string *other : {&copy, &far}) {
+        const uint64_t bitvec_before = st.bitvec.value();
+        const uint64_t fallback_before = st.fallback.value();
+        EXPECT_EQ(engineScript(ref, *other, nullptr),
+                  refScript(ref, *other, nullptr));
+        Rng a(21), b(21);
+        EXPECT_EQ(engineScript(ref, *other, &a),
+                  refScript(ref, *other, &b));
+        EXPECT_TRUE(a.engine() == b.engine());
+        EXPECT_EQ(st.bitvec.value(), bitvec_before + 2) << *other;
+        EXPECT_EQ(st.fallback.value(), fallback_before) << *other;
+    }
+
+    std::string n_ref = ref;
+    n_ref[4] = 'N';
     const uint64_t fallback_before = st.fallback.value();
     Rng c(22), d(22);
-    EXPECT_EQ(engineScript(ref, far, &c), refScript(ref, far, &d));
+    EXPECT_EQ(engineScript(n_ref, copy, &c), refScript(n_ref, copy, &d));
     EXPECT_TRUE(c.engine() == d.engine());
     EXPECT_EQ(st.fallback.value(), fallback_before + 1);
 }
@@ -440,8 +404,8 @@ expectOverloadsMatchReference(const Strand &ref, const Strand &copy,
  * A whole paper-loop workload: 60 generated wetlab clusters (seed
  * 11), calibrated and re-simulated with the second-order model (seed
  * 13), then reconstructed by Iterative (seed 17). Its pairs are the
- * ones calibration (Tier B) and consensus voting (Tier A) feed the
- * engine in the pipeline.
+ * ones calibration (tie-break) and consensus voting (deterministic)
+ * feed the engine in the pipeline.
  */
 struct PaperLoopWorkload
 {
@@ -521,22 +485,79 @@ TEST(EditScript, IterativeEstimatePairsMatchReference)
     EXPECT_GT(pairs, 1000u);
 }
 
+/**
+ * The pairs whose tie-breaks used to leave the band for the flat DP:
+ * unrelated strands, 40-60 % noise and one side of 1-3 bases. Script
+ * and Rng state through both overloads, against the reference DP.
+ */
+TEST(EditScript, DistantPairsMatchReference)
+{
+    Rng rng(0xd157);
+    auto random = [&](size_t len) {
+        Strand s(len, 'A');
+        for (char &c : s)
+            c = kBaseChars[rng.index(kNumBases)];
+        return s;
+    };
+    Rng stream(0xd158);
+    auto expectPair = [&](const Strand &ref, const Strand &copy) {
+        expectOverloadsMatchReference(ref, copy, MyersPattern(ref),
+                                      &stream);
+    };
+    for (int trial = 0; trial < 8; ++trial) {
+        const Strand ref = random(110);
+        for (size_t len : {110, 60, 160})
+            expectPair(ref, random(len));
+        for (double rate : {0.4, 0.5, 0.6}) {
+            const IdsChannelModel channel = IdsChannelModel::naive(
+                ErrorProfile::uniform(rate, ref.size()));
+            expectPair(ref, channel.transmit(ref, rng));
+        }
+        for (size_t len : {1, 2, 3}) {
+            const Strand tiny = random(len);
+            expectPair(ref, tiny);
+            expectPair(tiny, ref);
+            expectPair(tiny, random(len));
+        }
+    }
+}
+
+/**
+ * A tie-break trace past the 16 MiB scratch cap (32 B per 64 rows per
+ * column: 94 blocks x 6,001 columns here) still yields a valid
+ * minimum script, and its scratch is released.
+ */
+TEST(EditScript, OversizedTieBreakTraceIsValidAndReleased)
+{
+    Rng rng(0x5111);
+    Strand ref(6000, 'A');
+    for (char &c : ref)
+        c = kBaseChars[rng.index(kNumBases)];
+    const IdsChannelModel channel =
+        IdsChannelModel::naive(ErrorProfile::uniform(0.05, ref.size()));
+    const Strand copy = channel.transmit(ref, rng);
+    auto &shrinks = EditOpsStats::get().shrinks;
+    const uint64_t before = shrinks.value();
+    const std::vector<EditOp> ops = engineScript(ref, copy, &rng);
+    EXPECT_EQ(applyEditOps(ref, ops), copy);
+    EXPECT_EQ(numErrors(ops), levenshtein(ref, copy));
+    EXPECT_GT(shrinks.value(), before);
+}
+
 TEST(EditScript, StatsCountTierUsage)
 {
+    // One bit-vector script per call, with or without an Rng.
     auto &st = EditOpsStats::get();
     const std::string ref = "ACGTACGTACGTACGTACGTACGTACGT";
     std::string copy = ref;
     copy[5] = 'A';
 
     const uint64_t bitvec_before = st.bitvec.value();
-    (void)engineScript(ref, copy, nullptr);
-    EXPECT_GT(st.bitvec.value(), bitvec_before);
-
-    const uint64_t banded_before = st.banded.value();
     const uint64_t cells_before = st.cells.value();
+    (void)engineScript(ref, copy, nullptr);
     Rng rng(13);
     (void)engineScript(ref, copy, &rng);
-    EXPECT_GT(st.banded.value(), banded_before);
+    EXPECT_EQ(st.bitvec.value(), bitvec_before + 2);
     EXPECT_GT(st.cells.value(), cells_before);
 }
 

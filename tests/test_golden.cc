@@ -400,6 +400,102 @@ TEST(Golden, CalibratedProfileText)
     }
 }
 
+/**
+ * Fold the Appendix-B tie-break scripts of @p copies against @p ref
+ * into @p h: through both editOpsInto() overloads, each on its own
+ * copy of @p stream consumed copy after copy, plus the next engine
+ * word, which pins how many draws the scripts took.
+ */
+void
+hashTieBreakScripts(Fnv64 &h, const Strand &ref,
+                    const std::vector<Strand> &copies, const Rng &stream)
+{
+    const MyersPattern pattern(ref);
+    std::vector<EditOp> ops;
+    for (const bool reuse : {false, true}) {
+        Rng rng = stream;
+        for (const Strand &copy : copies) {
+            if (reuse)
+                editOpsInto(pattern, ref, copy, &rng, ops);
+            else
+                editOpsInto(ref, copy, &rng, ops);
+            h.pod(static_cast<uint64_t>(ops.size()));
+            for (const EditOp &op : ops) {
+                h.pod(static_cast<uint8_t>(op.type));
+                h.pod(static_cast<uint64_t>(op.ref_pos));
+                h.pod(op.ref_base);
+                h.pod(op.copy_base);
+            }
+        }
+        h.pod(rng.engine()());
+    }
+}
+
+/**
+ * Random tie-break edit scripts: a wetlab set's calibration pairs on
+ * calibrate()'s per-cluster forks, then block-boundary and long
+ * pattern lengths, unrelated strands, heavy noise and one side of
+ * 1-3 bases.
+ */
+TEST(Golden, TieBreakScripts)
+{
+    WetlabConfig config;
+    config.num_clusters = 60;
+    Rng wet_rng(0x7b1e);
+    const Dataset wetlab =
+        NanoporeDatasetGenerator(config).generate(wet_rng);
+    const Rng root(kProfilerSeed);
+    Fnv64 calibration;
+    for (size_t i = 0; i < wetlab.size(); ++i) {
+        if (!wetlab[i].reference.empty())
+            hashTieBreakScripts(calibration, wetlab[i].reference,
+                                wetlab[i].copies, root.fork(i));
+    }
+    expectDigest("calibration pairs", calibration.value(),
+                 0xf4dde066a230c995);
+
+    // Unconstrained strands: the factory admits no strand of 1-3
+    // bases.
+    Rng rng(0x7b1f);
+    auto random = [&](size_t len) {
+        Strand s(len, 'A');
+        for (char &c : s)
+            c = kBaseChars[rng.index(kNumBases)];
+        return s;
+    };
+    auto noisy = [&](const Strand &ref, double rate, size_t count) {
+        const IdsChannelModel channel = IdsChannelModel::naive(
+            ErrorProfile::uniform(rate, ref.size()));
+        std::vector<Strand> copies;
+        for (size_t k = 0; k < count; ++k)
+            copies.push_back(channel.transmit(ref, rng));
+        return copies;
+    };
+    Fnv64 shapes;
+    uint64_t salt = 0;
+    for (size_t len : {127, 128, 129, 191, 192, 193, 1000}) {
+        const Strand ref = random(len);
+        hashTieBreakScripts(shapes, ref, noisy(ref, 0.06, 4),
+                            rng.fork(salt++));
+    }
+    for (double rate : {0.4, 0.5, 0.6}) {
+        const Strand ref = random(110);
+        hashTieBreakScripts(shapes, ref, noisy(ref, rate, 4),
+                            rng.fork(salt++));
+    }
+    const Strand ref = random(110);
+    hashTieBreakScripts(shapes, ref,
+                        {random(110), random(80), random(140), random(1),
+                         random(2), random(3)},
+                        rng.fork(salt++));
+    for (size_t len : {1, 2, 3}) {
+        const Strand tiny = random(len);
+        hashTieBreakScripts(shapes, tiny, {ref, random(len)},
+                            rng.fork(salt++));
+    }
+    expectDigest("shapes", shapes.value(), 0xeb05549feac3d1cf);
+}
+
 /** The ten counters clusterReadsRange() adds to. */
 constexpr const char *kClusterCounters[] = {
     "cluster.reads",

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,13 @@ TEST(SimdDispatch, ParseAndNames)
 
 TEST(SimdDispatch, OverrideAndClamp)
 {
+    // The tier with no override set: the detected one unless
+    // DNASIM_SIMD asks for another.
+    setSimdTierOverride(std::nullopt);
+    const SimdTier unforced = activeSimdTier();
+    if (std::getenv("DNASIM_SIMD") == nullptr) {
+        EXPECT_EQ(unforced, detectedSimdTier());
+    }
     {
         TierGuard guard(SimdTier::Scalar);
         EXPECT_EQ(activeSimdTier(), SimdTier::Scalar);
@@ -124,7 +132,7 @@ TEST(SimdDispatch, OverrideAndClamp)
     EXPECT_TRUE(applySimdOverride("scalar"));
     EXPECT_EQ(activeSimdTier(), SimdTier::Scalar);
     EXPECT_TRUE(applySimdOverride("auto"));
-    EXPECT_EQ(activeSimdTier(), detectedSimdTier());
+    EXPECT_EQ(activeSimdTier(), unforced);
 }
 
 TEST(MyersBatch, MatchesScalarRandomized)
