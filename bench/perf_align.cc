@@ -4,7 +4,6 @@
  * edit-operation backtraces, gestalt matching, Hamming profiling.
  */
 
-#include <algorithm>
 #include <string_view>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "align/gestalt.hh"
 #include "align/hamming.hh"
 #include "align/myers_batch.hh"
-#include "base/packed.hh"
 #include "base/rng.hh"
 #include "core/ids_model.hh"
 #include "data/strand_factory.hh"
@@ -48,44 +46,6 @@ BM_Levenshtein(benchmark::State &state)
     Fixture f(static_cast<size_t>(state.range(0)), 0.06);
     for (auto _ : state)
         benchmark::DoNotOptimize(levenshtein(f.ref, f.copy));
-}
-
-void
-BM_LevenshteinBitParallel(benchmark::State &state)
-{
-    Fixture f(static_cast<size_t>(state.range(0)), 0.06);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            levenshteinBitParallel(f.ref, f.copy));
-}
-
-/**
- * The pre-Myers scalar path: adaptive banded DP, band widened until
- * the distance is certified — head-to-head baseline for the
- * bit-parallel kernel at the same inputs.
- */
-size_t
-scalarAdaptiveBanded(std::string_view a, std::string_view b)
-{
-    const size_t n = a.size(), m = b.size();
-    size_t diff = n > m ? n - m : m - n;
-    size_t band = std::max<size_t>(8, diff + 4);
-    const size_t limit = std::max(n, m);
-    for (;;) {
-        size_t d = levenshteinBanded(a, b, band);
-        if (d <= band || band >= limit)
-            return d;
-        band = std::min(limit, band * 2);
-    }
-}
-
-void
-BM_LevenshteinScalarBanded(benchmark::State &state)
-{
-    Fixture f(static_cast<size_t>(state.range(0)), 0.06);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            scalarAdaptiveBanded(f.ref, f.copy));
 }
 
 /**
@@ -175,26 +135,6 @@ BM_HammingErrorPositions(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(
             hammingErrorPositions(f.ref, f.copy));
-}
-
-void
-BM_HammingChars(benchmark::State &state)
-{
-    Fixture f(static_cast<size_t>(state.range(0)), 0.06);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hammingDistance(f.ref, f.copy));
-}
-
-void
-BM_HammingPacked(benchmark::State &state)
-{
-    // Pack once, compare many times — the shape of a cluster loop
-    // that holds packed representatives.
-    Fixture f(static_cast<size_t>(state.range(0)), 0.06);
-    PackedStrand a(f.ref);
-    PackedStrand b(f.copy);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hammingDistance(a, b));
 }
 
 void
@@ -311,15 +251,11 @@ batchVerifyArgs(benchmark::internal::Benchmark *b)
 } // anonymous namespace
 
 BENCHMARK(BM_Levenshtein)->Arg(110)->Arg(220);
-BENCHMARK(BM_LevenshteinBitParallel)->Arg(64)->Arg(150)->Arg(1000);
-BENCHMARK(BM_LevenshteinScalarBanded)->Arg(64)->Arg(150)->Arg(1000);
 BENCHMARK(BM_EditOps)->Apply(editOpsArgs);
 BENCHMARK(BM_EditOpsReference)->Apply(editOpsArgs);
 BENCHMARK(BM_GestaltScore)->Arg(110)->Arg(220);
 BENCHMARK(BM_GestaltErrorPositions)->Arg(110);
 BENCHMARK(BM_HammingErrorPositions)->Arg(110);
-BENCHMARK(BM_HammingChars)->Arg(110)->Arg(1000);
-BENCHMARK(BM_HammingPacked)->Arg(110)->Arg(1000);
 BENCHMARK(BM_MyersPatternReuse)->Arg(110)->Arg(150);
 BENCHMARK(BM_MyersPatternBounded)->Arg(110)->Arg(150);
 BENCHMARK(BM_MyersBatchVerify)->Apply(batchVerifyArgs);

@@ -4,8 +4,9 @@
  * paper-scale read pairs: 110-mers (the payload length used across
  * chapter 3) and 150-mers (Illumina read length). The dominant cost
  * is the recursive longest-common-substring search, so these rows
- * track the bit-parallel LCS kernel plus the scalar fallback that
- * non-ACGT content drops to.
+ * track the run-length doubling LCS kernel. The one-row scalar
+ * kernel runs only on sub-problems too large for the scratch cap,
+ * which paper-scale pairs never reach.
  */
 
 #include <string>
@@ -74,23 +75,9 @@ BM_GestaltScoreHighNoise(benchmark::State &state)
         benchmark::DoNotOptimize(gestaltScore(f.ref, f.copy));
 }
 
-void
-BM_GestaltScoreScalarFallback(benchmark::State &state)
-{
-    // One non-ACGT character anywhere forces the scalar DP; this row
-    // is the head-to-head baseline for the bit-parallel kernel.
-    Fixture f(static_cast<size_t>(state.range(0)), 0.06);
-    Strand copy = f.copy;
-    if (!copy.empty())
-        copy[copy.size() / 2] = 'N';
-    for (auto _ : state)
-        benchmark::DoNotOptimize(gestaltScore(f.ref, copy));
-}
-
 } // anonymous namespace
 
 BENCHMARK(BM_MatchingBlocks)->Arg(110)->Arg(150);
 BENCHMARK(BM_GestaltScore)->Arg(110)->Arg(150);
 BENCHMARK(BM_GestaltErrorPositions)->Arg(110)->Arg(150);
 BENCHMARK(BM_GestaltScoreHighNoise)->Arg(110);
-BENCHMARK(BM_GestaltScoreScalarFallback)->Arg(110);

@@ -17,7 +17,12 @@
  *   --profile       enable tracing + RSS sampling; the phase profile
  *                   is printed to stderr and embedded in the report
  *   --trace-out F   write a Chrome trace JSON (flushed at exit)
+ * The console table is coloured only when stdout is a terminal and
+ * --benchmark_color is not false, so redirected output carries no
+ * escape codes.
  */
+
+#include <unistd.h>
 
 #include <cstdlib>
 #include <iostream>
@@ -39,6 +44,8 @@ namespace
 class ReportingReporter : public benchmark::ConsoleReporter
 {
   public:
+    using ConsoleReporter::ConsoleReporter;
+
     void
     ReportRuns(const std::vector<Run> &reports) override
     {
@@ -80,6 +87,7 @@ main(int argc, char **argv)
     bool quick = false;
     bool profile = false;
     std::string trace_out;
+    bool color = isatty(STDOUT_FILENO) != 0;
     std::vector<char *> keep;
     // Owns strings injected into argv (benchmark::Initialize keeps
     // pointers into them).
@@ -126,6 +134,12 @@ main(int argc, char **argv)
         if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
             continue;
+        }
+        if (arg.rfind("--benchmark_color=", 0) == 0) {
+            const std::string value = arg.substr(18);
+            if (value == "false" || value == "no" || value == "0" ||
+                value == "off")
+                color = false;
         }
         keep.push_back(argv[i]);
     }
@@ -175,7 +189,9 @@ main(int argc, char **argv)
     benchmark::Initialize(&kept_argc, keep.data());
     if (benchmark::ReportUnrecognizedArguments(kept_argc, keep.data()))
         return 1;
-    ReportingReporter reporter;
+    ReportingReporter reporter(
+        color ? benchmark::ConsoleReporter::OO_ColorTabular
+              : benchmark::ConsoleReporter::OO_Tabular);
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 

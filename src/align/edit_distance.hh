@@ -9,22 +9,31 @@
  * ties uniformly at random (the paper's ChooseRandomAndInsertOp).
  *
  * The paper presents the recursion directly (exponential); we
- * implement the equivalent O(|a|*|b|) dynamic program with a
- * backtrace. The recovered operations drive the data-driven
- * calibration of every error-model parameter (core/profiler.hh).
+ * compute the same scripts from a Myers bit-parallel trace
+ * (align/edit_script.hh). The recovered operations drive the
+ * data-driven calibration of every error-model parameter
+ * (core/profiler.hh).
+ *
+ * Precondition: strands are over A, C, G and T. Every entry point
+ * checks its input (readEvyat rejects any other character, the
+ * .dnapool builder skips such reads) and the channel, codec and
+ * reconstructors emit only these four, so the kernels here keep no
+ * generic-character path. A pattern (the side whose base tables a
+ * kernel builds) with another character panics, as charToBase()
+ * does; a text character outside ACGT matches nothing.
  */
 
 #ifndef DNASIM_ALIGN_EDIT_DISTANCE_HH
 #define DNASIM_ALIGN_EDIT_DISTANCE_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "base/dna.hh"
 #include "base/logging.hh"
-#include "base/packed.hh"
 #include "base/rng.hh"
 
 namespace dnasim
@@ -67,51 +76,24 @@ struct EditOp
 };
 
 /**
- * Plain Levenshtein distance (unit costs).
- *
- * Dispatches to the Myers bit-parallel kernel (64 DP cells per word)
- * for typical strand lengths, and to the adaptive banded scalar DP
- * for very long inputs where the band (proportional to the true
- * distance) is narrower than the bit-parallel column.
+ * Plain Levenshtein distance (unit costs): a MyersPattern over the
+ * shorter string, probed with the longer one. Exact at any length;
+ * the shorter string must be ACGT.
  */
 size_t levenshtein(std::string_view a, std::string_view b);
 
 /**
- * Myers (1999) bit-parallel Levenshtein distance: the DP column is
- * packed into ceil(min_len/64) machine words and advanced one text
- * character at a time. Exact for all inputs; fastest when the
- * shorter string fits few words. Exposed for tests and benches —
- * call levenshtein() in normal code.
- */
-size_t levenshteinBitParallel(std::string_view a, std::string_view b);
-
-/**
- * Banded scalar Levenshtein: only cells with |i - j| <= band are
- * computed. The result equals the true distance whenever the true
- * distance is at most @p band (any optimal path then stays inside
- * the band); otherwise it is an overestimate the caller must
- * reject. Exposed for tests and benches — call levenshtein() in
- * normal code.
- */
-size_t levenshteinBanded(std::string_view a, std::string_view b,
-                         size_t band);
-
-/**
  * A Myers bit-parallel pattern with precomputed match tables.
  *
- * The free levenshtein* functions rebuild the per-character match
- * bit-vectors (Peq) on every call. When one string is compared
- * against many others — a cluster representative probed by thousands
- * of reads, a consensus estimate scored against every copy — the
- * tables can be built once and reused. A MyersPattern owns the Peq
- * rows for the four bases (built from a character strand or directly
- * from a PackedStrand's 2-bit words) and answers distance queries
- * against arbitrary texts with zero per-call allocation.
+ * levenshtein() rebuilds the per-base match bit-vectors (Peq) on
+ * every call. When one string is compared against many others — a
+ * cluster representative probed by thousands of reads, a consensus
+ * estimate scored against every copy — the tables can be built once
+ * and reused. A MyersPattern owns the Peq rows for the four bases and
+ * answers distance queries with zero per-call allocation.
  *
- * Distances are exact and identical to levenshtein() for all
- * inputs. Patterns containing non-ACGT characters fall back to the
- * generic kernel (and are flagged in the align.char_fallback
- * counter); texts may contain arbitrary characters either way.
+ * The pattern must be ACGT: building one over any other character
+ * panics. Texts may hold any byte; one outside ACGT matches nothing.
  */
 class MyersPattern
 {
@@ -120,9 +102,6 @@ class MyersPattern
 
     /** Build the match tables for @p pattern. */
     explicit MyersPattern(std::string_view pattern);
-
-    /** Build the match tables from 2-bit packed words. */
-    explicit MyersPattern(const PackedStrand &pattern);
 
     /**
      * Rebuild the match tables for a new pattern, reusing the Peq
@@ -135,11 +114,12 @@ class MyersPattern
     /** Pattern length in bases. */
     size_t size() const { return m_; }
 
-    /** False when the pattern required the non-ACGT fallback. */
-    bool packed() const { return fallback_.empty(); }
-
     /** Exact Levenshtein distance between the pattern and @p text. */
-    size_t distance(std::string_view text) const;
+    size_t
+    distance(std::string_view text) const
+    {
+        return distanceBounded(text, std::numeric_limits<size_t>::max());
+    }
 
     /**
      * Thresholded distance: the exact distance when it is at most
@@ -156,16 +136,11 @@ class MyersPattern
     /// Peq rows across SIMD lanes instead of rebuilding them.
     friend struct align_detail::PatternAccess;
 
-    void build(std::string_view pattern);
-    size_t run(std::string_view text, size_t limit) const;
-
     size_t m_ = 0;
     size_t blocks_ = 0;
     /// Peq rows, kNumBases * blocks_: match bits of pattern slice b
     /// for base code c live at peq_[c * blocks_ + b].
     std::vector<uint64_t> peq_;
-    /// Pattern copy, only set for non-ACGT patterns (generic path).
-    std::string fallback_;
 };
 
 /**
@@ -208,32 +183,23 @@ void editOpsInto(const MyersPattern &pattern, std::string_view ref,
 namespace align_detail
 {
 
-/**
- * One alignment, ready to walk: the delta words of the bit-vector
- * forward pass, or, for a non-ACGT reference, the reference DP's
- * script.
- */
+/** One alignment, ready to walk: the bit-vector forward pass. */
 struct EditTrace
 {
     /// Per copy position j in [0, m], 4 * blocks words at
     /// deltas[j * 4 * blocks]: HP, HN, VP, VN (see
-    /// align/edit_script.hh); column 0 is the left border. Null when
-    /// @c script is set.
+    /// align/edit_script.hh); column 0 is the left border.
     const uint64_t *deltas = nullptr;
     size_t blocks = 0;
-    /// The fallback script, in reference order.
-    const std::vector<EditOp> *script = nullptr;
 };
 
 /**
- * Dispatch and forward pass behind editOpsWalk() for two
- * non-empty strands; counts one align.editops.bitvec or .fallback
- * script. A non-ACGT reference runs the reference DP, which draws
- * its tie-breaks from @p rng when it is non-null. The trace lives in
+ * Forward pass behind editOpsWalk() for two non-empty strands;
+ * counts one align.editops.bitvec script. The trace lives in
  * thread-local scratch until the next call on this thread.
  */
 EditTrace editTrace(const MyersPattern &pattern, std::string_view ref,
-                    std::string_view copy, Rng *rng);
+                    std::string_view copy);
 
 /** Release the delta scratch if the last trace grew it too large. */
 void releaseOversizedTrace();
@@ -248,8 +214,7 @@ void releaseOversizedTrace();
  * Substitute, Insert) or, for a Delete, the number of copy
  * characters before it.
  *
- * Dispatch is editOpsInto()'s: an empty side gives the trivial
- * script, a non-ACGT reference the reference DP, anything else the
+ * An empty side gives the trivial script; anything else the
  * bit-vector backtrace, which reads each move off the stored deltas.
  * With a null @p rng it takes the first minimum-cost move in the
  * fixed diagonal > delete > insert preference; with an Rng it
@@ -272,16 +237,7 @@ editOpsWalk(const MyersPattern &pattern, std::string_view ref,
         return;
     }
     const align_detail::EditTrace trace =
-        align_detail::editTrace(pattern, ref, copy, rng);
-    if (trace.script != nullptr) {
-        for (auto op = trace.script->rbegin();
-             op != trace.script->rend(); ++op) {
-            if (op->type != EditOpType::Delete)
-                --j;
-            visit(op->type, op->ref_pos, j);
-        }
-        return;
-    }
+        align_detail::editTrace(pattern, ref, copy);
 
     // All index arithmetic is over 1-based row i / column j; bits
     // above row n in the last block are junk the walk never reads.

@@ -19,12 +19,9 @@ EditOpsStats::get()
     static EditOpsStats st{
         reg.counter("align.editops.bitvec",
                     "edit scripts served by the bit-vector walk"),
-        reg.counter("align.editops.fallback",
-                    "edit scripts served by the reference flat DP"),
         reg.counter("align.editops.cells",
-                    "edit-script work units: uint32 cells for the "
-                    "reference DP, 64-row delta words for the "
-                    "bit-vector walk"),
+                    "edit-script work units: 64-row delta words of "
+                    "the bit-vector walk"),
         reg.counter("align.editops.shrinks",
                     "oversized edit-script scratch buffers released "
                     "back to the allocator"),
@@ -34,16 +31,6 @@ EditOpsStats::get()
 
 namespace
 {
-
-/**
- * Per-thread scratch cap: one unusually long pair must not pin large
- * backtrace buffers in every worker thread for the rest of the
- * process. Accounting is in bytes because the reference DP and the
- * walk use different layouts (uint32 DP cells vs uint64 delta
- * words); 16 MiB matches the old flat-DP kKeepCells (2^22 cells *
- * 4 B).
- */
-constexpr size_t kKeepScratchBytes = size_t{1} << 24;
 
 /** Release @p buf if this call grew it past the scratch cap. */
 template <typename T>
@@ -72,7 +59,6 @@ editOpsReference(std::string_view ref, std::string_view copy,
     // allocate n + 2 vectors per call.
     thread_local std::vector<uint32_t> dist;
     dist.resize(cells);
-    EditOpsStats::get().cells.add(cells);
     for (size_t i = 0; i <= n; ++i)
         dist[i * stride] = static_cast<uint32_t>(i);
     for (size_t j = 0; j <= m; ++j)
@@ -148,20 +134,12 @@ thread_local std::vector<uint64_t> t_deltas;
 
 EditTrace
 editTrace(const MyersPattern &pattern, std::string_view ref,
-          std::string_view copy, Rng *rng)
+          std::string_view copy)
 {
     const size_t n = ref.size(), m = copy.size();
     DNASIM_ASSERT(pattern.size() == n, "pattern/ref length mismatch");
     DNASIM_ASSERT(n > 0 && m > 0, "empty strands are trivial scripts");
     auto &st = EditOpsStats::get();
-    if (!pattern.packed()) {
-        // Non-ACGT references cannot feed the 4-row Peq tables; those
-        // pairs keep the flat DP.
-        st.fallback.inc();
-        thread_local std::vector<EditOp> script;
-        editOpsReference(ref, copy, rng, script);
-        return {nullptr, 0, &script};
-    }
     st.bitvec.inc();
 
     const size_t blocks = PatternAccess::blocks(pattern);
@@ -217,7 +195,7 @@ editTrace(const MyersPattern &pattern, std::string_view ref,
             hin_neg = hout_neg;
         }
     }
-    return {t_deltas.data(), blocks, nullptr};
+    return {t_deltas.data(), blocks};
 }
 
 void

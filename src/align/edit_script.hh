@@ -27,10 +27,11 @@
  *   voting folds the ops straight into its vote arrays, and
  *   editOpsInto() pushes them into its vector and reverses it.
  *
- * The original flat DP survives as the reference implementation: the
+ * References are ACGT (align/edit_distance.hh): a MyersPattern over
+ * any other character panics, so every non-empty pair takes the walk.
+ * The original flat DP survives only as the test reference: the
  * equivalence suite (tests/test_editscript.cc) pins the walk to it
- * on synthetic pairs and on whole calibrate / reconstruct workloads,
- * and dispatch falls back to it for non-ACGT references.
+ * on synthetic pairs and on whole calibrate / reconstruct workloads.
  */
 
 #ifndef DNASIM_ALIGN_EDIT_SCRIPT_HH
@@ -53,18 +54,26 @@ namespace align_detail
 /** Observability for the edit-script engine (dnasim.stats.v1). */
 struct EditOpsStats
 {
-    obs::Counter &bitvec;   ///< scripts served by the bit-vector walk
-    obs::Counter &fallback; ///< scripts served by the flat DP
-    obs::Counter &cells;    ///< cell-equivalents computed
-    obs::Counter &shrinks;  ///< oversized scratch releases
+    obs::Counter &bitvec;  ///< scripts served by the bit-vector walk
+    obs::Counter &cells;   ///< delta words computed
+    obs::Counter &shrinks; ///< oversized scratch releases
 
     static EditOpsStats &get();
 };
 
 /**
+ * Per-thread scratch cap: one unusually long pair must not pin large
+ * buffers in every worker thread for the rest of the process. The
+ * edit-script trace is released after a call that grew it past this,
+ * and a gestalt sub-problem whose doubling levels would exceed it
+ * runs the one-row scalar kernel instead (align/gestalt.cc).
+ */
+inline constexpr size_t kKeepScratchBytes = size_t{1} << 24;
+
+/**
  * The original flat-matrix DP + backtrace — the reference
- * implementation the walk is pinned to, and the dispatch fallback
- * for non-ACGT references. Exposed for the equivalence tests.
+ * implementation the walk is pinned to. Any bytes; exposed for the
+ * equivalence tests.
  */
 void editOpsReference(std::string_view ref, std::string_view copy,
                       Rng *rng, std::vector<EditOp> &out);

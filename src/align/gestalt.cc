@@ -5,9 +5,9 @@
 #include <bit>
 #include <vector>
 
-#include "align/path_stats.hh"
+#include "align/edit_script.hh"
+#include "base/dna.hh"
 #include "base/logging.hh"
-#include "base/packed.hh"
 
 namespace dnasim
 {
@@ -29,16 +29,17 @@ struct GestaltScratch
     /// The doubling levels V_1, V_2, V_4, ... and two search
     /// buffers, each one row of mask words per row of the a-subrange.
     std::vector<uint64_t> levels;
-    /// Dense rows for the scalar fallback (non-ACGT content).
+    /// Dense rows for the scalar kernel (sub-problems over the cap).
     std::vector<size_t> sprev, scur;
 };
 
 /**
  * Scalar longest common substring of a[a_lo, a_hi) and b[b_lo, b_hi)
- * — the original character DP, kept as the exact fallback for
- * strings with non-ACGT content. Earliest occurrence on ties
- * (difflib semantics, modulo its junk heuristics, which do not apply
- * to a 4-letter alphabet).
+ * — the original character DP, which needs one row of scratch: the
+ * kernel for sub-problems whose doubling levels would not fit in
+ * kKeepScratchBytes. Earliest occurrence on ties (difflib semantics,
+ * modulo its junk heuristics, which do not apply to a 4-letter
+ * alphabet).
  */
 MatchBlock
 longestMatchScalar(std::string_view a, std::string_view b, size_t a_lo,
@@ -170,9 +171,7 @@ longestMatchDoubling(std::string_view a, size_t a_lo, size_t a_hi,
 
     LiveRows ones{rows, 0};
     for (size_t r = 0; r < rows; ++r) {
-        const uint8_t code =
-            kCharToCode[static_cast<unsigned char>(a[a_lo + r])];
-        const uint64_t *eq = scratch.eq[code].data();
+        const uint64_t *eq = scratch.eq[baseIndex(a[a_lo + r])].data();
         uint64_t *o = level(0) + r * nw;
         uint64_t any = 0;
         for (size_t w = 0; w < nw; ++w) {
@@ -229,10 +228,14 @@ longestMatchDoubling(std::string_view a, size_t a_lo, size_t a_hi,
 }
 
 /**
- * Longest common substring for ACGT content: builds the per-base
- * match masks over the b-subrange, then doubles on them with the row
- * width fixed at 1, 2 or 3 words (every sub-problem up to 192
- * columns) or read at run time beyond that.
+ * Longest common substring of a[a_lo, a_hi) and b[b_lo, b_hi): builds
+ * the per-base match masks over the b-subrange, then doubles on them
+ * with the row width fixed at 1, 2 or 3 words (every sub-problem up
+ * to 192 columns) or read at run time beyond that. A sub-problem
+ * whose levels would exceed kKeepScratchBytes runs the one-row scalar
+ * kernel instead, which returns the same block: the levels grow with
+ * the product of the two lengths, and long strands would otherwise
+ * pin hundreds of MiB per thread.
  */
 MatchBlock
 longestMatchBits(std::string_view a, std::string_view b, size_t a_lo,
@@ -242,15 +245,22 @@ longestMatchBits(std::string_view a, std::string_view b, size_t a_lo,
     if (a_lo >= a_hi || b_lo >= b_hi)
         return {a_lo, b_lo, 0};
 
+    const size_t rows = a_hi - a_lo;
     const size_t width = b_hi - b_lo;
     const size_t words = (width + 63) / 64;
+    // longestMatchDoubling's levels plus its two search buffers.
+    const size_t level_rows =
+        (static_cast<size_t>(std::bit_width(std::min(rows, width))) + 2) *
+        rows;
+    if (level_rows * words * sizeof(uint64_t) >
+        align_detail::kKeepScratchBytes)
+        return longestMatchScalar(a, b, a_lo, a_hi, b_lo, b_hi, scratch);
+
     for (auto &mask : scratch.eq)
         mask.assign(words, 0);
     for (size_t j = b_lo; j < b_hi; ++j) {
-        const uint8_t code =
-            kCharToCode[static_cast<unsigned char>(b[j])];
         const size_t jj = j - b_lo;
-        scratch.eq[code][jj / 64] |= uint64_t{1} << (jj % 64);
+        scratch.eq[baseIndex(b[j])][jj / 64] |= uint64_t{1} << (jj % 64);
     }
 
     switch (words) {
@@ -272,29 +282,16 @@ longestMatchBits(std::string_view a, std::string_view b, size_t a_lo,
 void
 recurse(std::string_view a, std::string_view b, size_t a_lo, size_t a_hi,
         size_t b_lo, size_t b_hi, std::vector<MatchBlock> &out,
-        GestaltScratch &scratch, bool use_bits)
+        GestaltScratch &scratch)
 {
     MatchBlock m =
-        use_bits
-            ? longestMatchBits(a, b, a_lo, a_hi, b_lo, b_hi, scratch)
-            : longestMatchScalar(a, b, a_lo, a_hi, b_lo, b_hi,
-                                 scratch);
+        longestMatchBits(a, b, a_lo, a_hi, b_lo, b_hi, scratch);
     if (m.len == 0)
         return;
-    recurse(a, b, a_lo, m.a_pos, b_lo, m.b_pos, out, scratch,
-            use_bits);
+    recurse(a, b, a_lo, m.a_pos, b_lo, m.b_pos, out, scratch);
     out.push_back(m);
     recurse(a, b, m.a_pos + m.len, a_hi, m.b_pos + m.len, b_hi, out,
-            scratch, use_bits);
-}
-
-bool
-allBases(std::string_view s)
-{
-    for (char c : s)
-        if (kCharToCode[static_cast<unsigned char>(c)] == kInvalidCode)
-            return false;
-    return true;
+            scratch);
 }
 
 } // anonymous namespace
@@ -305,27 +302,15 @@ align_detail::longestMatch(std::string_view a, std::string_view b,
                            size_t b_hi)
 {
     thread_local GestaltScratch scratch;
-    return allBases(a) && allBases(b)
-               ? longestMatchBits(a, b, a_lo, a_hi, b_lo, b_hi, scratch)
-               : longestMatchScalar(a, b, a_lo, a_hi, b_lo, b_hi,
-                                    scratch);
+    return longestMatchBits(a, b, a_lo, a_hi, b_lo, b_hi, scratch);
 }
 
 std::vector<MatchBlock>
 matchingBlocks(std::string_view a, std::string_view b)
 {
     thread_local GestaltScratch scratch;
-    auto &ps = align_detail::PathStats::get();
-    // Non-ACGT characters (e.g. N calls in real FASTQ data) fall
-    // back to the scalar DP for the whole pair: a stray character
-    // could legitimately match an identical stray character, which
-    // the 4-row masks cannot represent.
-    const bool use_bits = allBases(a) && allBases(b);
-    (use_bits ? ps.packed_fastpath : ps.char_fallback).inc();
-
     std::vector<MatchBlock> blocks;
-    recurse(a, b, 0, a.size(), 0, b.size(), blocks, scratch,
-            use_bits);
+    recurse(a, b, 0, a.size(), 0, b.size(), blocks, scratch);
     blocks.push_back({a.size(), b.size(), 0}); // terminating sentinel
     return blocks;
 }

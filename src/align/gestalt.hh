@@ -37,7 +37,10 @@ struct MatchBlock
 /**
  * Ordered gestalt matching blocks of @p a and @p b.
  *
- * Blocks are non-overlapping and strictly increasing in both
+ * Both strings must be ACGT (align/edit_distance.hh): the
+ * run-length doubling kernel indexes per-base match masks with
+ * either side and panics on any other character. Blocks are
+ * non-overlapping and strictly increasing in both
  * coordinates. A zero-length sentinel block at (|a|, |b|) terminates
  * the list (difflib-compatible), so the gaps after the last real
  * match are representable.
@@ -91,8 +94,9 @@ namespace align_detail
  * The longest common substring of a[a_lo, a_hi) and b[b_lo, b_hi),
  * earliest end row first and then earliest end column on ties: the
  * kernel matchingBlocks() runs on each sub-problem, with the same
- * choice between the ACGT and the fallback path. Exposed for the
- * equivalence tests.
+ * choice between run-length doubling and the one-row scalar kernel
+ * for sub-problems over the scratch cap. Exposed for the equivalence
+ * tests.
  */
 MatchBlock longestMatch(std::string_view a, std::string_view b,
                         size_t a_lo, size_t a_hi, size_t b_lo,

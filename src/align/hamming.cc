@@ -1,78 +1,7 @@
 #include "align/hamming.hh"
 
-#include <algorithm>
-#include <bit>
-#include <cstring>
-
 namespace dnasim
 {
-
-namespace
-{
-
-/** Number of non-zero bytes in @p x (classic SWAR zero-byte test). */
-inline size_t
-countDifferingBytes(uint64_t x)
-{
-    constexpr uint64_t k7f = 0x7f7f7f7f7f7f7f7fULL;
-    // bit 7 of each byte of z is set iff that byte of x is zero.
-    const uint64_t z = ~((((x & k7f) + k7f) | x) | k7f);
-    return 8 - static_cast<size_t>(std::popcount(z));
-}
-
-} // anonymous namespace
-
-size_t
-hammingDistance(std::string_view a, std::string_view b)
-{
-    const size_t common = std::min(a.size(), b.size());
-    size_t errors = std::max(a.size(), b.size()) - common;
-
-    // Eight bases per iteration: XOR the raw characters and count
-    // non-zero bytes. Identical to the per-character loop — a byte
-    // differs iff the characters differ.
-    size_t i = 0;
-    for (; i + 8 <= common; i += 8) {
-        uint64_t wa, wb;
-        std::memcpy(&wa, a.data() + i, 8);
-        std::memcpy(&wb, b.data() + i, 8);
-        if (const uint64_t x = wa ^ wb)
-            errors += countDifferingBytes(x);
-    }
-    for (; i < common; ++i)
-        if (a[i] != b[i])
-            ++errors;
-    return errors;
-}
-
-size_t
-hammingDistance(const PackedStrand &a, const PackedStrand &b)
-{
-    const size_t common = std::min(a.size(), b.size());
-    size_t errors = std::max(a.size(), b.size()) - common;
-
-    constexpr uint64_t kOdd = 0x5555555555555555ULL;
-    const auto wa = a.words();
-    const auto wb = b.words();
-    const size_t full = common / PackedStrand::kBasesPerWord;
-    for (size_t w = 0; w < full; ++w) {
-        const uint64_t x = wa[w] ^ wb[w];
-        // Fold each base's two difference bits onto the even bit.
-        errors += static_cast<size_t>(std::popcount((x | (x >> 1)) &
-                                                    kOdd));
-    }
-    const size_t tail = common % PackedStrand::kBasesPerWord;
-    if (tail > 0) {
-        // Mask off bases past the common prefix: the longer strand
-        // has real (non-zero) codes there that are already accounted
-        // for by the length-difference term.
-        const uint64_t mask = (uint64_t{1} << (2 * tail)) - 1;
-        const uint64_t x = (wa[full] ^ wb[full]) & mask;
-        errors += static_cast<size_t>(std::popcount((x | (x >> 1)) &
-                                                    kOdd));
-    }
-    return errors;
-}
 
 std::vector<size_t>
 hammingErrorPositions(std::string_view ref, std::string_view copy)

@@ -8,11 +8,6 @@
  * indel corrupts all later positions (the paper's example: for
  * r = AGTC, c = ATC, Hamming errors appear at copy positions 1, 2
  * and 3).
- *
- * Two kernels compute the same distance: a SWAR character kernel
- * (eight bases per 64-bit word) for plain strands, and an XOR +
- * popcount kernel (32 bases per word) for 2-bit packed strands.
- * Both are bit-identical to the naive character loop.
  */
 
 #ifndef DNASIM_ALIGN_HAMMING_HH
@@ -21,23 +16,8 @@
 #include <string_view>
 #include <vector>
 
-#include "base/packed.hh"
-
 namespace dnasim
 {
-
-/**
- * Number of positions where @p a and @p b disagree, counting the
- * length difference as disagreements.
- */
-size_t hammingDistance(std::string_view a, std::string_view b);
-
-/**
- * Packed-strand Hamming distance: XOR the 2-bit words, fold each
- * base pair's two difference bits into one, popcount. Equals
- * hammingDistance(a.toStrand(), b.toStrand()) for all inputs.
- */
-size_t hammingDistance(const PackedStrand &a, const PackedStrand &b);
 
 /**
  * Positions of Hamming errors in @p copy relative to @p ref: indices

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "align/myers_batch_impl.hh"
-#include "align/path_stats.hh"
 #include "align/pattern_access.hh"
 #include "align/simd_dispatch.hh"
 #include "base/logging.hh"
@@ -52,8 +51,8 @@ struct BatchStats
                         "(batches * lane width))"),
             reg.counter("align.simd.scalar_tail",
                         "batch-API texts served by the scalar kernel "
-                        "(scalar tier, non-ACGT fallback, or "
-                        "single-text groups)"),
+                        "(scalar tier, empty pattern, or single-text "
+                        "groups)"),
             reg.counter("align.batch.allocs",
                         "batch-scratch (re)allocations; zero in steady "
                         "state once thread-local capacity has grown"),
@@ -143,10 +142,6 @@ runGroup(SimdTier tier, size_t lanes, const MyersPattern &pattern,
             max_n = std::max(max_n, len);
         }
     }
-    // Trivially-resolved lanes took the same certified shortcuts
-    // the scalar fast path counts.
-    align_detail::PathStats::get().packed_fastpath.add(texts.size());
-
     if (live > 0) {
         const size_t blocks = PatternAccess::blocks(pattern);
         const auto peq = PatternAccess::peq(pattern);
@@ -217,8 +212,7 @@ myersBatchDistanceBounded(const MyersPattern &pattern,
 #ifndef DNASIM_X86_SIMD_KERNELS
     tier = SimdTier::Scalar;
 #endif
-    if (tier == SimdTier::Scalar || !pattern.packed() ||
-        pattern.size() == 0) {
+    if (tier == SimdTier::Scalar || pattern.size() == 0) {
         BatchStats::get().scalar_tail.add(texts.size());
         for (size_t i = 0; i < texts.size(); ++i)
             out[i] = pattern.distanceBounded(texts[i], limit);

@@ -26,9 +26,10 @@
  * re-derived per lane at the same step the scalar kernel would
  * abandon. Batch-vs-scalar is therefore bit-equal, not merely
  * decision-equal, so swapping tiers (or enabling batching at a call
- * site) can never change simulation output. Patterns that required
- * the non-ACGT fallback are served per text by the generic kernel,
- * exactly as the scalar path would.
+ * site) can never change simulation output. The pattern is ACGT (a
+ * MyersPattern cannot hold anything else); a text character outside
+ * ACGT gathers the pad row, as the scalar kernel gives it a zero
+ * match mask.
  *
  * Observability: align.simd.batches / align.simd.lanes_filled /
  * align.simd.scalar_tail count vector invocations, live lanes and

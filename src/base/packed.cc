@@ -2,22 +2,18 @@
 
 #include <algorithm>
 
-#include "base/logging.hh"
-
 namespace dnasim
 {
 
 bool
-packWordsInto(std::string_view s, size_t max_bases,
-              std::vector<uint64_t> &out, size_t *packed_len)
+packWordsInto(std::string_view s, std::vector<uint64_t> &out)
 {
-    const size_t len = std::min(s.size(), max_bases);
-    out.resize(PackedStrand::numWords(len));
+    const size_t len = s.size();
+    out.resize(numWords(len));
     size_t i = 0;
     for (size_t w = 0; w < out.size(); ++w) {
         uint64_t word = 0;
-        const size_t stop =
-            std::min(len, (w + 1) * PackedStrand::kBasesPerWord);
+        const size_t stop = std::min(len, (w + 1) * kBasesPerWord);
         for (size_t shift = 0; i < stop; ++i, shift += 2) {
             const uint8_t code =
                 kCharToCode[static_cast<unsigned char>(s[i])];
@@ -27,8 +23,6 @@ packWordsInto(std::string_view s, size_t max_bases,
         }
         out[w] = word;
     }
-    if (packed_len != nullptr)
-        *packed_len = len;
     return true;
 }
 
@@ -53,79 +47,17 @@ packLaneMajorCodes(std::span<const std::string_view> texts,
     }
 }
 
-PackedStrand::PackedStrand(std::string_view s)
-{
-    packFrom(s);
-}
-
-std::optional<PackedStrand>
-PackedStrand::tryPack(std::string_view s)
-{
-    PackedStrand p;
-    if (!packWordsInto(s, s.size(), p.words_, &p.len_))
-        return std::nullopt;
-    return p;
-}
-
-void
-PackedStrand::packFrom(std::string_view s)
-{
-    const bool ok = packWordsInto(s, s.size(), words_, &len_);
-    DNASIM_ASSERT(ok, "non-ACGT character in strand");
-}
-
-Base
-PackedStrand::base(size_t i) const
-{
-    DNASIM_ASSERT(i < len_, "packed index ", i, " out of range ", len_);
-    const uint64_t w = words_[i / kBasesPerWord];
-    return static_cast<Base>((w >> (2 * (i % kBasesPerWord))) & 3u);
-}
-
-uint64_t
-PackedStrand::word(size_t w) const
-{
-    DNASIM_ASSERT(w < numWords(len_), "packed word ", w,
-                  " out of range");
-    return words_[w];
-}
-
-Strand
-PackedStrand::toStrand() const
-{
-    Strand out;
-    unpackInto(out);
-    return out;
-}
-
-void
-PackedStrand::unpackInto(Strand &out) const
-{
-    unpackWords(words(), len_, out);
-}
-
 void
 unpackWords(std::span<const uint64_t> words, size_t len, Strand &out)
 {
     out.resize(len);
     size_t i = 0;
-    for (size_t w = 0; w < PackedStrand::numWords(len); ++w) {
+    for (size_t w = 0; w < numWords(len); ++w) {
         uint64_t word = words[w];
-        const size_t stop =
-            std::min(len, (w + 1) * PackedStrand::kBasesPerWord);
+        const size_t stop = std::min(len, (w + 1) * kBasesPerWord);
         for (; i < stop; ++i, word >>= 2)
             out[i] = kBaseChars[word & 3u];
     }
-}
-
-bool
-PackedStrand::words_same(const PackedStrand &other) const
-{
-    const size_t n = numWords(len_);
-    for (size_t w = 0; w < n; ++w)
-        if (words_[w] != other.words_[w])
-            return false;
-    return true;
 }
 
 } // namespace dnasim

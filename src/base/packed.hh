@@ -1,27 +1,24 @@
 /**
  * @file
- * 2-bit packed DNA strands.
+ * 2-bit packed DNA words.
  *
- * A PackedStrand stores a strand over {A, C, G, T} at 2 bits per
- * base, 32 bases per 64-bit word, least-significant pair first. The
- * bit codes are the Base enum indices (A=0, C=1, G=2, T=3), so a
- * packed word is directly usable as a vector of probability-table
- * indices. Unused tail bits of the last word are always zero, which
- * makes whole-word equality, XOR-based Hamming comparison, and
- * word-wise vote accumulation valid without per-call masking.
+ * A packed strand stores bases over {A, C, G, T} at 2 bits each, 32
+ * bases per 64-bit word, least-significant pair first. The bit codes
+ * are the Base enum indices (A=0, C=1, G=2, T=3), so a packed word is
+ * directly usable as a vector of probability-table indices. Unused
+ * tail bits of the last word are always zero.
  *
- * The packed layout is a *kernel substrate*, not a replacement for
- * the public Strand API: pipelines still exchange std::string
- * strands, and every packed kernel is required to be bit-identical
- * to its character-path counterpart (see DESIGN.md, "Packed strand
- * core").
+ * The packed layout is a storage and kernel substrate, not a
+ * replacement for the public Strand API: pipelines exchange
+ * std::string strands. The .dnapool arena (base/strand_pool.hh)
+ * stores reads in these words, packWordsInto() is its ACGT check,
+ * and the sketch index walks them k-mer by k-mer.
  */
 
 #ifndef DNASIM_BASE_PACKED_HH
 #define DNASIM_BASE_PACKED_HH
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -31,102 +28,29 @@
 namespace dnasim
 {
 
-/** A DNA strand packed at 2 bits per base. */
-class PackedStrand
+/** Bases stored per 64-bit word. */
+inline constexpr size_t kBasesPerWord = 32;
+
+/** Words needed for @p len bases. */
+constexpr size_t
+numWords(size_t len)
 {
-  public:
-    /** Bases stored per 64-bit word. */
-    static constexpr size_t kBasesPerWord = 32;
-
-    /** Words needed for @p len bases. */
-    static constexpr size_t
-    numWords(size_t len)
-    {
-        return (len + kBasesPerWord - 1) / kBasesPerWord;
-    }
-
-    PackedStrand() = default;
-
-    /**
-     * Pack @p s. Every character must be one of A, C, G, T; invalid
-     * content is a bug upstream and is checked with an assertion.
-     * Use tryPack() for untrusted input.
-     */
-    explicit PackedStrand(std::string_view s);
-
-    /** Pack @p s, or nullopt if it contains a non-ACGT character. */
-    static std::optional<PackedStrand> tryPack(std::string_view s);
-
-    /**
-     * Repack @p s into this strand, reusing the existing word
-     * storage (no allocation once capacity has grown to the working
-     * length). Asserts validity like the constructor.
-     */
-    void packFrom(std::string_view s);
-
-    /** Number of bases. */
-    size_t size() const { return len_; }
-
-    bool empty() const { return len_ == 0; }
-
-    /** Base at position @p i (asserted in range). */
-    Base base(size_t i) const;
-
-    /** Character at position @p i. */
-    char charAt(size_t i) const
-    {
-        return baseToChar(base(i));
-    }
-
-    /** The packed words; tail bits beyond size() are zero. */
-    std::span<const uint64_t> words() const
-    {
-        return {words_.data(), numWords(len_)};
-    }
-
-    /** Word @p w (asserted in range). */
-    uint64_t word(size_t w) const;
-
-    /** Unpack back to the public string representation. */
-    Strand toStrand() const;
-
-    /** Unpack into @p out (resized; storage reused). */
-    void unpackInto(Strand &out) const;
-
-    /**
-     * Equality is length + word equality — valid because tail bits
-     * are canonically zero.
-     */
-    bool operator==(const PackedStrand &other) const
-    {
-        return len_ == other.len_ && words_same(other);
-    }
-
-  private:
-    bool words_same(const PackedStrand &other) const;
-
-    std::vector<uint64_t> words_;
-    size_t len_ = 0;
-};
+    return (len + kBasesPerWord - 1) / kBasesPerWord;
+}
 
 /**
- * Pack the first min(|s|, max_bases) bases of @p s into @p out
- * (resized to the needed word count, tail bits zeroed). Returns
- * false — leaving @p out unspecified — if a non-ACGT character is
- * encountered. This is the allocation-free workhorse behind
- * PackedStrand and the consensus fast path, which packs into a
- * reused arena instead of one PackedStrand per copy.
+ * Pack @p s into @p out (resized to numWords(|s|), tail bits
+ * zeroed). Returns false — leaving @p out unspecified — if a
+ * non-ACGT character is encountered. The .dnapool builder packs
+ * each read with it and skips those it rejects.
  */
-bool packWordsInto(std::string_view s, size_t max_bases,
-                   std::vector<uint64_t> &out, size_t *packed_len);
+bool packWordsInto(std::string_view s, std::vector<uint64_t> &out);
 
 /**
  * Unpack @p len bases of packed @p words into @p out (resized;
  * storage reused). The inverse of packWordsInto(); also the unpack
  * path for strands read straight out of an mmap-backed pool arena
- * (base/strand_pool.hh), which hands word spans that never lived in
- * a PackedStrand. @p words must hold PackedStrand::numWords(@p len)
- * words.
+ * (base/strand_pool.hh). @p words must hold numWords(@p len) words.
  */
 void unpackWords(std::span<const uint64_t> words, size_t len,
                  Strand &out);
@@ -165,8 +89,8 @@ void packLaneMajorCodes(std::span<const std::string_view> texts,
  * per-read MinHash sketching (cluster/sketch_index.hh) cheap enough
  * to run in front of every clustering probe.
  *
- * @p words must hold at least numWords(@p len) packed words (e.g.
- * PackedStrand::words() or a packWordsInto() arena). @p k outside
+ * @p words must hold at least numWords(@p len) packed words (e.g. a
+ * packWordsInto() arena or a pool read). @p k outside
  * [1, kBasesPerWord] or @p len < @p k yields no invocations.
  */
 template <typename Fn>
@@ -174,14 +98,14 @@ inline void
 forEachPackedKmer(std::span<const uint64_t> words, size_t len, size_t k,
                   Fn &&fn)
 {
-    if (k == 0 || k > PackedStrand::kBasesPerWord || len < k)
+    if (k == 0 || k > kBasesPerWord || len < k)
         return;
     const uint64_t top_shift = 2 * (k - 1);
     uint64_t cur = 0;
     uint64_t w = 0;
     for (size_t i = 0; i < len; ++i) {
-        if ((i & (PackedStrand::kBasesPerWord - 1)) == 0)
-            w = words[i / PackedStrand::kBasesPerWord];
+        if ((i & (kBasesPerWord - 1)) == 0)
+            w = words[i / kBasesPerWord];
         cur = (cur >> 2) | ((w & 3) << top_shift);
         w >>= 2;
         if (i + 1 >= k)

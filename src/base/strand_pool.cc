@@ -291,15 +291,15 @@ bool
 PackedStrandPoolBuilder::append(std::string_view strand)
 {
     DNASIM_ASSERT(open_, "append on a closed pool builder");
-    size_t len = 0;
-    if (!packWordsInto(strand, strand.size(), scratch_, &len))
+    if (!packWordsInto(strand, scratch_))
         return false;
+    const size_t len = strand.size();
 
     char entry[PackedStrandPool::kIndexEntryBytes];
     storeU64(entry, arena_words_);
     storeU64(entry + 8, len);
     index_out_.write(entry, sizeof(entry));
-    const size_t num_words = PackedStrand::numWords(len);
+    const size_t num_words = numWords(len);
     if (num_words > 0) {
         arena_out_.write(
             reinterpret_cast<const char *>(scratch_.data()),

@@ -18,10 +18,9 @@
  *
  * All integers are little-endian u64. Every strand starts on a word
  * boundary, so words(i) is a direct span into the mapping and feeds
- * forEachPackedKmer() and the packed kernels without copying; the
- * cost is at most 31 padding bases per strand. Tail bits beyond a
- * strand's length are zero, matching the PackedStrand canonical-tail
- * contract.
+ * forEachPackedKmer() without copying; the cost is at most 31
+ * padding bases per strand. Tail bits beyond a strand's length are
+ * zero, as packWordsInto() writes them.
  *
  * PackedStrandPoolBuilder streams strands to side files in bounded
  * memory and commits the assembled pool atomically (write to a temp
@@ -264,10 +263,10 @@ class StrandPoolView
             len = pool_->length(i);
             return true;
         }
-        if (!packWordsInto((*vec_)[i], (*vec_)[i].size(), scratch,
-                           &len))
+        if (!packWordsInto((*vec_)[i], scratch))
             return false;
-        words = {scratch.data(), PackedStrand::numWords(len)};
+        len = (*vec_)[i].size();
+        words = scratch;
         return true;
     }
 

@@ -102,7 +102,7 @@ clusterOptionsFromArgs(const Args &args)
     options.max_probes = args.getCount("max-probes", options.max_probes);
     options.sketch.kmer_length = args.getCount(
         "sketch-kmer", options.sketch.kmer_length, 1,
-        PackedStrand::kBasesPerWord);
+        kBasesPerWord);
     options.sketch.num_bands =
         args.getCount("sketch-bands", options.sketch.num_bands, 1);
     options.sketch.rows_per_band =

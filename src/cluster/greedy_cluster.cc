@@ -188,7 +188,7 @@ clusterReadsRange(const StrandPoolView &view, size_t offset,
         "verified over probes is the sketch false-positive rate)");
     static obs::Counter &stat_sk_empty = reg.counter(
         "cluster.sketch.empty_signatures",
-        "reads with no sketchable k-mer (short or non-ACGT)");
+        "reads shorter than the k-mer (no signature)");
     obs::Span span("cluster.sketch", "cluster", stat_time, count);
     uint64_t comparisons = 0;
     uint64_t merges = 0;

@@ -79,7 +79,7 @@ SketchIndex::SketchIndex(const StrandPoolView &view, size_t offset,
     : opts_(options)
 {
     DNASIM_ASSERT(opts_.kmer_length >= 1 &&
-                      opts_.kmer_length <= PackedStrand::kBasesPerWord,
+                      opts_.kmer_length <= kBasesPerWord,
                   "sketch k-mer length out of [1, 32]");
     DNASIM_ASSERT(opts_.num_bands >= 1 && opts_.rows_per_band >= 1,
                   "sketch needs at least one band and one row");

@@ -187,7 +187,7 @@ class SketchIndex
     SketchIndex(const StrandPoolView &view, size_t offset, size_t count,
                 const SketchOptions &options);
 
-    /** False for reads with no k-mer (short or non-ACGT content). */
+    /** False for reads shorter than the k-mer (no signature). */
     bool
     hasSignature(size_t read_index) const
     {

@@ -115,6 +115,17 @@ checkConsistent(const ErrorProfile &p)
     }
     if (!isDistribution(p.insert_base))
         DNASIM_FATAL("profile: insert_base sums to neither 1 nor 0");
+    // The DNASimulator dictionary reads each base's conditional
+    // rates plus long_del as one distribution over the next event,
+    // summed in its constructor's order.
+    for (size_t b = 0; b < kNumBases; ++b) {
+        const double total = p.p_sub_given[b] + p.p_ins_given[b] +
+                             p.p_del_given[b] + p.p_long_del;
+        if (total > 1.0)
+            DNASIM_FATAL("profile: conditional rates of base ",
+                         kBaseChars[b], " plus long_del sum to ", total,
+                         ", above 1");
+    }
     if (!(p.homopolymer_mult > 0.0 && std::isfinite(p.homopolymer_mult)))
         DNASIM_FATAL("profile: homopolymer_mult ", p.homopolymer_mult,
                      " is not a finite positive multiplier");

@@ -5,9 +5,7 @@
 
 #include "align/edit_distance.hh"
 #include "align/myers_batch.hh"
-#include "align/path_stats.hh"
 #include "base/logging.hh"
-#include "base/packed.hh"
 
 namespace dnasim
 {
@@ -27,40 +25,25 @@ namespace
 {
 
 /**
- * Unweighted column voting over packed words: each copy is packed
- * once (into a reused arena) and its 2-bit codes are streamed into
- * per-column integer counters, 32 columns per word load. Columns are
- * decided by BaseVote::winner's pluralityIndex(), so the result is
- * bit-identical to the character path (unit weights are exact in
+ * Unweighted column voting: each copy's bases are counted into
+ * per-column integer counters. Columns are decided by
+ * BaseVote::winner's pluralityIndex(), so the result is bit-identical
+ * to the weighted path with unit weights (unit weights are exact in
  * both integer and double arithmetic).
- *
- * Returns false (leaving @p out untouched and the Rng unconsumed)
- * when a copy contains a non-ACGT character; the caller then runs
- * the generic weighted path.
  */
-bool
-packedPlurality(std::span<const Strand> copies, size_t design_len,
-                Rng &rng, Strand &out)
+Strand
+unweightedPlurality(std::span<const Strand> copies, size_t design_len,
+                    Rng &rng)
 {
-    thread_local std::vector<uint64_t> packed;
     thread_local std::vector<uint32_t> counts;
     counts.assign(kNumBases * design_len, 0);
-
     for (const Strand &copy : copies) {
-        size_t plen = 0;
-        if (!packWordsInto(copy, design_len, packed, &plen))
-            return false;
-        size_t pos = 0;
-        for (size_t w = 0; w < packed.size(); ++w) {
-            uint64_t word = packed[w];
-            const size_t stop = std::min(
-                plen, (w + 1) * PackedStrand::kBasesPerWord);
-            for (; pos < stop; ++pos, word >>= 2)
-                ++counts[pos * kNumBases + (word & 3u)];
-        }
+        const size_t len = std::min(copy.size(), design_len);
+        for (size_t pos = 0; pos < len; ++pos)
+            ++counts[pos * kNumBases + baseIndex(copy[pos])];
     }
 
-    out.clear();
+    Strand out;
     out.reserve(design_len);
     for (size_t pos = 0; pos < design_len; ++pos) {
         const uint32_t *c = &counts[pos * kNumBases];
@@ -70,7 +53,7 @@ packedPlurality(std::span<const Strand> copies, size_t design_len,
         }
         out.push_back(kBaseChars[pluralityIndex(c, rng)]);
     }
-    return true;
+    return out;
 }
 
 } // anonymous namespace
@@ -81,15 +64,9 @@ positionalPlurality(std::span<const Strand> copies, size_t design_len,
 {
     DNASIM_ASSERT(weights.empty() || weights.size() == copies.size(),
                   "weight/copy count mismatch");
-    auto &ps = align_detail::PathStats::get();
+    if (weights.empty())
+        return unweightedPlurality(copies, design_len, rng);
     Strand out;
-    if (weights.empty() &&
-        packedPlurality(copies, design_len, rng, out)) {
-        ps.packed_fastpath.inc();
-        return out;
-    }
-    ps.char_fallback.inc();
-    out.clear();
     out.reserve(design_len);
     BaseVote vote;
     for (size_t pos = 0; pos < design_len; ++pos) {
@@ -97,9 +74,8 @@ positionalPlurality(std::span<const Strand> copies, size_t design_len,
         for (size_t k = 0; k < copies.size(); ++k) {
             if (pos >= copies[k].size())
                 continue;
-            double w = weights.empty() ? 1.0 : weights[k];
-            if (w > 0.0)
-                vote.add(copies[k][pos], w);
+            if (weights[k] > 0.0)
+                vote.add(copies[k][pos], weights[k]);
         }
         out.push_back(vote.empty() ? 'A' : vote.winner(rng));
     }

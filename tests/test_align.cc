@@ -66,9 +66,8 @@ TEST(Levenshtein, MetricProperties)
 
 TEST(Levenshtein, BandedFastPathMatchesFullMatrix)
 {
-    // The banded implementation must agree with the textbook DP on
-    // arbitrary pairs, including very dissimilar ones where the
-    // band has to widen all the way out.
+    // levenshtein() must agree with the textbook DP on arbitrary
+    // pairs, very dissimilar ones included, and on close ones.
     auto full = [](std::string_view a, std::string_view b) {
         std::vector<size_t> prev(b.size() + 1), cur(b.size() + 1);
         for (size_t j = 0; j <= b.size(); ++j)
@@ -129,61 +128,14 @@ fullMatrixDp(std::string_view a, std::string_view b)
 
 } // anonymous namespace
 
-TEST(LevenshteinBanded, BandZeroIsDiagonalOnly)
-{
-    // Band 0 admits only the main diagonal: exact for equal-length
-    // substitution-only pairs, an overestimate otherwise.
-    EXPECT_EQ(levenshteinBanded("ACGT", "ACGT", 0), 0u);
-    EXPECT_EQ(levenshteinBanded("ACGT", "AGGT", 0), 1u);
-    EXPECT_EQ(levenshteinBanded("AAAA", "TTTT", 0), 4u);
-    // An indel forces the path off the diagonal; the result may be
-    // an overestimate but must stay >= the true distance and > band.
-    size_t d = levenshteinBanded("ACGT", "ACG", 0);
-    EXPECT_GE(d, 1u);
-    EXPECT_GT(d, 0u);
-}
-
-TEST(LevenshteinBanded, EmptyStrings)
-{
-    EXPECT_EQ(levenshteinBanded("", "", 0), 0u);
-    EXPECT_EQ(levenshteinBanded("", "", 10), 0u);
-    // One side empty: the true distance is the other's length, which
-    // lies outside a narrow band — certified only once band >= len.
-    EXPECT_EQ(levenshteinBanded("", "ACGT", 4), 4u);
-    EXPECT_EQ(levenshteinBanded("ACGT", "", 4), 4u);
-    EXPECT_GE(levenshteinBanded("", "ACGT", 2), 4u);
-    EXPECT_GE(levenshteinBanded("ACGT", "", 2), 4u);
-}
-
-TEST(LevenshteinBanded, OverestimateNeverUnderestimates)
-{
-    // The banded result is exact when <= band; otherwise it may
-    // overestimate but must never undercut the true distance (the
-    // widening loop in levenshtein() relies on exactly this).
-    StrandFactory factory;
-    Rng rng(41);
-    for (int trial = 0; trial < 40; ++trial) {
-        Strand a = factory.make(10 + rng.index(60), rng);
-        Strand b = factory.make(10 + rng.index(60), rng);
-        size_t truth = fullMatrixDp(a, b);
-        for (size_t band : {size_t{0}, size_t{2}, size_t{5},
-                            size_t{12}, size_t{200}}) {
-            size_t d = levenshteinBanded(a, b, band);
-            EXPECT_GE(d, truth) << "band " << band;
-            if (d <= band || truth <= band) {
-                EXPECT_EQ(d, truth) << "band " << band;
-            }
-        }
-    }
-}
-
 TEST(LevenshteinBitParallel, MatchesFullDpAtWordBoundaries)
 {
-    // The Myers kernel switches from one 64-bit word to the blocked
-    // variant at pattern length 65; lengths straddling every word
-    // boundary must agree with the textbook DP. Strands are drawn
-    // base-by-base (StrandFactory's GC constraints cannot be met at
-    // tiny lengths).
+    // levenshtein() runs one MyersPattern over the shorter string;
+    // the column moves from one 64-bit word to several at pattern
+    // length 65, and 4095-4097 and 6,000 cover what a banded DP
+    // used to serve. Every length must agree with the textbook DP.
+    // Strands are drawn base-by-base (StrandFactory's GC constraints
+    // cannot be met at tiny lengths).
     Rng rng(42);
     auto make = [&](size_t len) {
         Strand s;
@@ -195,44 +147,33 @@ TEST(LevenshteinBitParallel, MatchesFullDpAtWordBoundaries)
     IdsChannelModel channel = IdsChannelModel::naive(profile);
     for (size_t len : {size_t{1}, size_t{2}, size_t{63}, size_t{64},
                        size_t{65}, size_t{127}, size_t{128},
-                       size_t{129}, size_t{150}, size_t{200}}) {
-        for (int trial = 0; trial < 10; ++trial) {
+                       size_t{129}, size_t{150}, size_t{200},
+                       size_t{4095}, size_t{4096}, size_t{4097}}) {
+        const int trials = len < 4095 ? 10 : 1;
+        for (int trial = 0; trial < trials; ++trial) {
             Strand a = make(len);
             Strand b = channel.transmit(a, rng);
-            EXPECT_EQ(levenshteinBitParallel(a, b),
-                      fullMatrixDp(a, b))
+            EXPECT_EQ(levenshtein(a, b), fullMatrixDp(a, b))
                 << "similar pair, len " << len;
+            EXPECT_EQ(levenshtein(b, a), fullMatrixDp(a, b))
+                << "similar pair, swapped, len " << len;
             Strand c = make(1 + rng.index(2 * len));
-            EXPECT_EQ(levenshteinBitParallel(a, c),
-                      fullMatrixDp(a, c))
+            EXPECT_EQ(levenshtein(a, c), fullMatrixDp(a, c))
                 << "dissimilar pair, len " << len;
         }
     }
+    const Strand a = make(6000);
+    const Strand b = channel.transmit(a, rng);
+    EXPECT_EQ(levenshtein(a, b), fullMatrixDp(a, b)) << "6,000 bases";
 }
 
 TEST(LevenshteinBitParallel, EmptyAndDegenerate)
 {
-    EXPECT_EQ(levenshteinBitParallel("", ""), 0u);
-    EXPECT_EQ(levenshteinBitParallel("", "ACGT"), 4u);
-    EXPECT_EQ(levenshteinBitParallel("ACGT", ""), 4u);
-    EXPECT_EQ(levenshteinBitParallel("A", "A"), 0u);
-    EXPECT_EQ(levenshteinBitParallel("A", "T"), 1u);
-}
-
-TEST(LevenshteinBitParallel, ArbitraryBytes)
-{
-    // The peq tables index by unsigned char; the kernel must handle
-    // the full byte range, not just ACGT.
-    Rng rng(43);
-    for (int trial = 0; trial < 30; ++trial) {
-        std::string a, b;
-        size_t la = 1 + rng.index(130), lb = 1 + rng.index(130);
-        for (size_t i = 0; i < la; ++i)
-            a.push_back(static_cast<char>(rng.index(256)));
-        for (size_t i = 0; i < lb; ++i)
-            b.push_back(static_cast<char>(rng.index(256)));
-        EXPECT_EQ(levenshteinBitParallel(a, b), fullMatrixDp(a, b));
-    }
+    EXPECT_EQ(levenshtein("", ""), 0u);
+    EXPECT_EQ(levenshtein("", "ACGT"), 4u);
+    EXPECT_EQ(levenshtein("ACGT", ""), 4u);
+    EXPECT_EQ(levenshtein("A", "A"), 0u);
+    EXPECT_EQ(levenshtein("A", "T"), 1u);
 }
 
 TEST(EditOps, EqualStringsAllEqualOps)
@@ -401,10 +342,14 @@ TEST(EditOpTypeName, AllNamed)
 
 TEST(Gestalt, PaperWikiExample)
 {
-    // Fig 3.1: WIKIMEDIA vs WIKIMANIA — matched blocks WIKIM?, IA...
-    // Km = |WIKIM| + |IA| + |A between? | — difflib yields ratio
-    // 2*7/18.
-    double score = gestaltScore("WIKIMEDIA", "WIKIMANIA");
+    // Fig 3.1: WIKIMEDIA vs WIKIMANIA matches WIKIM, then IA after
+    // the unmatched ED / AN, so Km = 7 and the ratio is 2*7/18.
+    // Strands are ACGT, so the same shape is spelled over A, C, G, T:
+    // ACGTA, then CC / TT unmatched, then GT.
+    const std::vector<MatchBlock> expected = {
+        {0, 0, 5}, {7, 7, 2}, {9, 9, 0}};
+    EXPECT_EQ(matchingBlocks("ACGTACCGT", "ACGTATTGT"), expected);
+    double score = gestaltScore("ACGTACCGT", "ACGTATTGT");
     EXPECT_NEAR(score, 2.0 * 7.0 / 18.0, 1e-9);
 }
 
@@ -522,14 +467,6 @@ TEST(Hamming, PaperExample)
     // short for position 3).
     auto positions = hammingErrorPositions("AGTC", "ATC");
     EXPECT_EQ(positions, (std::vector<size_t>{1, 2}));
-}
-
-TEST(Hamming, DistanceCountsLengthDifference)
-{
-    EXPECT_EQ(hammingDistance("ACGT", "ACGT"), 0u);
-    EXPECT_EQ(hammingDistance("ACGT", "ACG"), 1u);
-    EXPECT_EQ(hammingDistance("ACGT", "TGCA"), 4u);
-    EXPECT_EQ(hammingDistance("", "ACG"), 3u);
 }
 
 TEST(Hamming, LongerCopyMarksTrailingPositions)
@@ -683,27 +620,17 @@ TEST(GestaltBitParallel, MatchesReferenceOnTieHeavyStrands)
     }
 }
 
-TEST(GestaltBitParallel, NonAcgtContentUsesScalarFallback)
+TEST(GestaltBitParallel, NonAcgtContentPanics)
 {
-    // N calls must still match each other (the 4-row masks cannot
-    // express that, so the whole pair drops to the scalar DP).
-    EXPECT_EQ(matchingBlocks("ANNA", "ANNA"),
-              referenceBlocks("ANNA", "ANNA"));
-    EXPECT_EQ(gestaltScore("ANNA", "ANNA"), 1.0);
-    EXPECT_EQ(matchingBlocks("ACGN", "NACG"),
-              referenceBlocks("ACGN", "NACG"));
-
-    // Random pairs over ACGT plus N, and over A and N alone (ties),
-    // both argument orders.
-    Rng rng(0x4e4e);
-    for (int trial = 0; trial < 400; ++trial) {
-        Strand a(rng.index(151), 'A'), b(rng.index(151), 'A');
-        for (Strand *s : {&a, &b})
-            for (char &c : *s)
-                c = "ANCGT"[rng.index(trial % 2 == 0 ? 5 : 2)];
-        EXPECT_EQ(matchingBlocks(a, b), referenceBlocks(a, b)) << a;
-        EXPECT_EQ(matchingBlocks(b, a), referenceBlocks(b, a)) << b;
-    }
+    // Strands are ACGT: either side indexes the per-base masks, and
+    // any other character panics where the mask is read.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(matchingBlocks("ACGNACGT", "ACGTACGT"),
+                 "invalid base character 'N'");
+    EXPECT_DEATH(matchingBlocks("ACGTACGT", "ACGTNCGT"),
+                 "invalid base character 'N'");
+    EXPECT_DEATH(gestaltScore("ACGT", "acgt"),
+                 "invalid base character 'a'");
 }
 
 namespace
@@ -886,6 +813,21 @@ TEST(GestaltBitParallel, FewerRowsThanTheLongestRunLevelButMoreColumns)
             }
         }
     }
+}
+
+TEST(GestaltBitParallel, OverCapSubProblemsMatchReference)
+{
+    // A rectangle whose doubling levels would exceed the per-thread
+    // scratch cap (about 3,100 x 3,100 bases and up) runs the one-row
+    // scalar kernel; its sub-problems drop back under the cap and
+    // double. Both must give the reference blocks.
+    Rng rng(0x0ca9);
+    const Strand a = randomOver(4000, 4, rng);
+    const Strand b = noisyCopy(a, 0.05, 4, rng);
+    EXPECT_EQ(align_detail::longestMatch(a, b, 0, a.size(), 0, b.size()),
+              referenceLongestMatch(a, b, 0, a.size(), 0, b.size()));
+    EXPECT_EQ(matchingBlocks(a, b), referenceBlocks(a, b));
+    EXPECT_EQ(matchingBlocks(b, a), referenceBlocks(b, a));
 }
 
 TEST(GestaltBitParallel, LongestMatchOnSubRectangles)

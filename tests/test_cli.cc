@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -1121,27 +1125,47 @@ TEST_F(CliCommands, MissingPositionalIsFatal)
 }
 
 /**
+ * Run the dnasim binary with @p args and @p redirect (a shell
+ * redirection of its streams into the pipe); returns its exit status
+ * and what it wrote to the pipe.
+ */
+std::pair<int, std::string>
+runCli(const std::string &args,
+       const std::string &redirect = "2>&1 >/dev/null")
+{
+    const std::string command =
+        std::string(DNASIM_CLI_BINARY) + " " + args + " " + redirect;
+    FILE *pipe = popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        return {-1, ""};
+    std::string text;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr)
+        text += buf;
+    const int status = pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, text};
+}
+
+/** Number of lines of @p text that start with "fatal:". */
+size_t
+fatalLines(const std::string &text)
+{
+    size_t lines = 0;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines += line.starts_with("fatal:") ? 1 : 0;
+    return lines;
+}
+
+/**
  * Run the dnasim binary with @p args; returns its exit status and the
  * number of stderr lines that start with "fatal:".
  */
 std::pair<int, size_t>
 fatalLinesOfCli(const std::string &args)
 {
-    const std::string command =
-        std::string(DNASIM_CLI_BINARY) + " " + args + " 2>&1 >/dev/null";
-    FILE *pipe = popen(command.c_str(), "r");
-    if (pipe == nullptr)
-        return {-1, 0};
-    std::string err;
-    char buf[256];
-    while (std::fgets(buf, sizeof(buf), pipe) != nullptr)
-        err += buf;
-    const int status = pclose(pipe);
-    size_t lines = 0;
-    std::istringstream in(err);
-    for (std::string line; std::getline(in, line);)
-        lines += line.starts_with("fatal:") ? 1 : 0;
-    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, lines};
+    const auto [status, err] = runCli(args);
+    return {status, fatalLines(err)};
 }
 
 TEST(CliFatal, LibrariesStayQuietAndMainReportsOnce)
@@ -1157,6 +1181,155 @@ TEST(CliFatal, LibrariesStayQuietAndMainReportsOnce)
               std::make_pair(1, size_t{1}));
     EXPECT_EQ(fatalLinesOfCli("simulate --threads 1"),
               std::make_pair(1, size_t{1}));
+}
+
+TEST_F(CliCommands, StrandReadersRejectANonAcgtCopy)
+{
+    // The alignment kernels take ACGT strands as a precondition and
+    // keep no path for other characters; this is the boundary that
+    // keeps them out. Every command that reads an evyat exits 1 with
+    // one fatal line on a copy holding an N, and ingest skips it.
+    const std::string clean = tmpPath("clean.evyat");
+    const std::string bad = tmpPath("n.evyat");
+    const std::string pool = tmpPath("n.dnapool");
+    cleanup_ = {clean, bad, pool};
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "4",
+                                    "--coverage", "6", "--out", clean,
+                                    "--seed", "3"})),
+              0);
+    std::vector<std::string> lines;
+    {
+        std::istringstream in(readFileBytes(clean));
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    // Line 3 is the first cluster's first copy.
+    ASSERT_GE(lines.size(), 3u);
+    ASSERT_GT(lines[2].size(), 5u);
+    lines[2][5] = 'N';
+    {
+        std::ofstream out(bad, std::ios::binary);
+        for (const std::string &line : lines)
+            out << line << '\n';
+    }
+
+    for (const char *cmd : {"calibrate", "analyze", "simulate",
+                            "reconstruct", "cluster", "explain"}) {
+        const auto [status, err] = runCli(std::string(cmd) + " " + bad);
+        EXPECT_EQ(status, 1) << cmd;
+        EXPECT_EQ(fatalLines(err), 1u) << cmd << ": " << err;
+        EXPECT_NE(err.find("fatal: line 3: copy is not a DNA strand"),
+                  std::string::npos)
+            << cmd << ": " << err;
+    }
+
+    // ingest's table row: format, reads, skipped, clusters, bases.
+    const auto [status, out] =
+        runCli("ingest " + bad + " --out " + pool, "2>/dev/null");
+    EXPECT_EQ(status, 0);
+    std::istringstream table(out);
+    bool found = false;
+    for (std::string row; std::getline(table, row);) {
+        if (!row.starts_with("evyat"))
+            continue;
+        std::istringstream cells(row);
+        std::string format;
+        size_t reads = 0, skipped = 0;
+        cells >> format >> reads >> skipped;
+        EXPECT_GT(reads, 0u);
+        EXPECT_EQ(skipped, 1u) << row;
+        found = true;
+    }
+    EXPECT_TRUE(found) << out;
+}
+
+/**
+ * Peak RSS of one run of the dnasim binary with @p args, from
+ * wait4's rusage, in bytes; 0 when it could not run or failed.
+ */
+size_t
+peakRssOfCli(const std::vector<std::string> &args)
+{
+    std::vector<char *> argv;
+    argv.push_back(const_cast<char *>(DNASIM_CLI_BINARY));
+    for (const std::string &arg : args)
+        argv.push_back(const_cast<char *>(arg.c_str()));
+    argv.push_back(nullptr);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY,
+                                     0);
+    posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY,
+                                     0);
+    pid_t pid = 0;
+    const int spawned = posix_spawn(&pid, DNASIM_CLI_BINARY, &actions,
+                                    nullptr, argv.data(), environ);
+    posix_spawn_file_actions_destroy(&actions);
+    if (spawned != 0)
+        return 0;
+    int status = 0;
+    struct rusage usage = {};
+    if (wait4(pid, &status, 0, &usage) != pid || !WIFEXITED(status) ||
+        WEXITSTATUS(status) != 0)
+        return 0;
+    return static_cast<size_t>(usage.ru_maxrss) * 1024; // KiB on Linux
+}
+
+TEST_F(CliCommands, DnaSimulatorRejectsConditionalRatesAboveOne)
+{
+    // A calibrated profile whose conditional rates sum above 1 for a
+    // base used to pass the reader and abort with exit 134 inside
+    // the DNASimulator model; it must be one clean fatal line.
+    const std::string dataset = tmpPath("in.evyat");
+    const std::string profile = tmpPath("calibrated.prof");
+    const std::string bad = tmpPath("bad.prof");
+    cleanup_ = {dataset, profile, bad};
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "20",
+                                    "--out", dataset, "--seed", "7"})),
+              0);
+    ASSERT_EQ(cmdCalibrate(makeArgs(
+                  {"calibrate", dataset, "--out", profile})),
+              0);
+    std::istringstream in(readFileBytes(profile));
+    std::ofstream out(bad);
+    for (std::string line; std::getline(in, line);) {
+        if (line.starts_with("conditional "))
+            line = "conditional 0.6 0.6 0.6 0.6 0.6 0.6 0.6 0.6 0.6 0.6 "
+                   "0.6 0.6";
+        out << line << '\n';
+    }
+    out.close();
+    const auto [status, err] =
+        runCli("simulate " + dataset +
+               " --model dnasimulator --error-profile " + bad);
+    EXPECT_EQ(status, 1) << err;
+    EXPECT_EQ(fatalLines(err), 1u) << err;
+    EXPECT_NE(err.find("conditional rates of base A"), std::string::npos)
+        << err;
+}
+
+TEST_F(CliCommands, LongStrandGestaltScratchStaysBounded)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory inflates the resident set "
+                    "far past what the program allocates, so a peak-RSS "
+                    "bound means nothing in this build";
+#endif
+    // Gestalt's doubling levels grow with the product of the two
+    // lengths; a sub-problem over the per-thread scratch cap runs the
+    // one-row kernel instead. analyze on one 6,000-base cluster
+    // peaked at 85 MiB without the cap.
+    const std::string dataset = tmpPath("long.evyat");
+    cleanup_.push_back(dataset);
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "1",
+                                    "--length", "6000", "--coverage",
+                                    "2", "--out", dataset, "--seed",
+                                    "6"})),
+              0);
+    const size_t peak =
+        peakRssOfCli({"analyze", dataset, "--threads", "1"});
+    ASSERT_GT(peak, 0u) << "analyze did not run";
+    EXPECT_LT(peak, size_t{64} << 20) << peak / 1024 << " KiB";
 }
 
 } // namespace

@@ -6,10 +6,9 @@
  * identical scripts AND identical Rng consumption in random
  * tie-break mode — on synthetic pairs, on every pair a calibrate →
  * simulate → reconstruct workload feeds it, and on the edge cases
- * dispatch special-cases (empty strands, word-boundary lengths,
- * distant pairs, oversized traces, non-ACGT fallbacks). editOpsWalk
- * is pinned the same way: its visits, reversed, are the reference
- * script.
+ * (empty strands, word-boundary lengths, distant pairs, oversized
+ * traces). editOpsWalk is pinned the same way: its visits, reversed,
+ * are the reference script.
  */
 
 #include <gtest/gtest.h>
@@ -249,9 +248,8 @@ TEST(EditScript, BitVectorTierDirect)
 
 /**
  * The walk against the reference DP at pattern lengths around the
- * 64-row block boundaries, with empty sides and non-ACGT characters,
- * counting one script per call: a bit-vector script for ACGT
- * references, a fallback for non-ACGT ones, none for an empty side.
+ * 64-row block boundaries and with empty sides, counting one
+ * bit-vector script per call with two non-empty sides.
  */
 TEST(EditScript, WalkVisitsReversedAreTheReferenceScript)
 {
@@ -259,17 +257,12 @@ TEST(EditScript, WalkVisitsReversedAreTheReferenceScript)
     auto expectWalk = [&](const std::string &ref,
                           const std::string &copy) {
         const uint64_t bitvec_before = st.bitvec.value();
-        const uint64_t fallback_before = st.fallback.value();
         const MyersPattern pattern(ref);
         EXPECT_EQ(walkScript(pattern, ref, copy),
                   refScript(ref, copy, nullptr))
             << ref << " vs " << copy;
         const bool trivial = ref.empty() || copy.empty();
-        EXPECT_EQ(st.bitvec.value() - bitvec_before,
-                  !trivial && pattern.packed() ? 1u : 0u)
-            << ref << " vs " << copy;
-        EXPECT_EQ(st.fallback.value() - fallback_before,
-                  !trivial && !pattern.packed() ? 1u : 0u)
+        EXPECT_EQ(st.bitvec.value() - bitvec_before, trivial ? 0u : 1u)
             << ref << " vs " << copy;
     };
 
@@ -294,60 +287,37 @@ TEST(EditScript, WalkVisitsReversedAreTheReferenceScript)
         const Strand ref = random(len);
         expectWalk(ref, "");
         expectWalk("", ref);
-        // Non-ACGT copy characters stay in the bit-vector tier.
-        Strand n_copy = channel.transmit(ref, rng) + "N";
-        n_copy[0] = 'N';
-        expectWalk(ref, n_copy);
-        // A non-ACGT reference falls back to the reference DP.
-        Strand n_ref = ref;
-        n_ref[len / 2] = 'N';
-        expectWalk(n_ref, ref);
-        expectWalk(n_ref, n_copy);
     }
     expectWalk("", "");
 }
 
-TEST(EditScript, NonAcgtFallsBackToReference)
+TEST(EditScript, NonAcgtReferencePanics)
 {
-    // 'N's in either strand must not break equivalence: the engine
-    // routes non-ACGT references to the flat DP (visible through the
-    // fallback counter) and lets the walk handle non-ACGT copies via
-    // all-zero Peq rows.
-    auto &fallback = EditOpsStats::get().fallback;
-    const std::string ref = "ACGTNNACGTACGT";
-    const std::string copy = "ACGTNACGTACGGT";
-    const uint64_t fallback_before = fallback.value();
-    EXPECT_EQ(engineScript(ref, copy, nullptr),
-              refScript(ref, copy, nullptr));
-    EXPECT_EQ(fallback.value(), fallback_before + 1);
-    Rng a(3), b(3);
-    EXPECT_EQ(engineScript(ref, copy, &a), refScript(ref, copy, &b));
-    EXPECT_TRUE(a.engine() == b.engine());
-
-    const std::string clean_ref = "ACGTACGTACGTAC";
-    const uint64_t clean_before = fallback.value();
-    EXPECT_EQ(engineScript(clean_ref, copy, nullptr),
-              refScript(clean_ref, copy, nullptr));
-    Rng c(4), d(4);
-    EXPECT_EQ(engineScript(clean_ref, copy, &c),
-              refScript(clean_ref, copy, &d));
-    EXPECT_TRUE(c.engine() == d.engine());
-    EXPECT_EQ(fallback.value(), clean_before);
+    // References are ACGT: building the pattern's base tables
+    // panics on any other character, with or without an Rng.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string n_ref = "ACGTNNACGTACGT";
+    const std::string copy = "ACGTACGTACGGT";
+    std::vector<EditOp> ops;
+    EXPECT_DEATH(editOpsInto(n_ref, copy, nullptr, ops),
+                 "invalid base character 'N'");
+    Rng rng(3);
+    EXPECT_DEATH(editOpsInto(n_ref, copy, &rng, ops),
+                 "invalid base character 'N'");
+    EXPECT_DEATH(editOps("ACGX", "ACGT"), "invalid base character 'X'");
 }
 
 TEST(EditScript, EngineSelection)
 {
-    // Dispatch picks the route from the reference alone: the
-    // bit-vector walk for ACGT references, with or without an Rng and
-    // however distant the copy, the flat DP for non-ACGT ones. Every
-    // route yields the reference script.
+    // Every non-empty pair takes the bit-vector walk, with or
+    // without an Rng and however distant the copy, and yields the
+    // reference script.
     auto &st = EditOpsStats::get();
     const std::string ref = "ACGTTGCAACGTTGCA";
     const std::string copy = "ACGTGCAACGTTGGCA";
     const std::string far(ref.size(), 'A');
     for (const std::string *other : {&copy, &far}) {
         const uint64_t bitvec_before = st.bitvec.value();
-        const uint64_t fallback_before = st.fallback.value();
         EXPECT_EQ(engineScript(ref, *other, nullptr),
                   refScript(ref, *other, nullptr));
         Rng a(21), b(21);
@@ -355,16 +325,7 @@ TEST(EditScript, EngineSelection)
                   refScript(ref, *other, &b));
         EXPECT_TRUE(a.engine() == b.engine());
         EXPECT_EQ(st.bitvec.value(), bitvec_before + 2) << *other;
-        EXPECT_EQ(st.fallback.value(), fallback_before) << *other;
     }
-
-    std::string n_ref = ref;
-    n_ref[4] = 'N';
-    const uint64_t fallback_before = st.fallback.value();
-    Rng c(22), d(22);
-    EXPECT_EQ(engineScript(n_ref, copy, &c), refScript(n_ref, copy, &d));
-    EXPECT_TRUE(c.engine() == d.engine());
-    EXPECT_EQ(st.fallback.value(), fallback_before + 1);
 }
 
 /**

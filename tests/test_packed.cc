@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the 2-bit packed strand core and the kernels specialized
- * on it: PackedStrand round-trips and validation, word-wise Hamming,
- * MyersPattern reuse, thresholded distances, and packed consensus
- * voting. The load-bearing property throughout is *bit-identical
- * equivalence* with the character paths — the packed kernels are an
- * optimization, never a semantic change.
+ * Tests for the 2-bit packed words and the kernels around them:
+ * packWordsInto()/unpackWords() round-trips and validation,
+ * MyersPattern reuse, thresholded distances and the ACGT
+ * precondition, unweighted consensus voting, and packed k-mer walks.
+ * The load-bearing property throughout is *bit-identical
+ * equivalence* with the character paths.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "align/edit_distance.hh"
-#include "align/hamming.hh"
 #include "base/packed.hh"
 #include "base/rng.hh"
 #include "data/strand_factory.hh"
@@ -54,88 +53,59 @@ mutate(std::string s, double rate, Rng &rng)
     return s;
 }
 
+/** Pack @p s, expecting it to be ACGT. */
+std::vector<uint64_t>
+packAll(std::string_view s)
+{
+    std::vector<uint64_t> words;
+    EXPECT_TRUE(packWordsInto(s, words)) << s;
+    return words;
+}
+
 TEST(PackedStrand, RoundTripBoundaryLengths)
 {
     Rng rng(0x9a11);
     for (size_t len : kBoundaryLengths) {
         const std::string s = randomStrand(len, rng);
-        PackedStrand p(s);
-        EXPECT_EQ(p.size(), len);
-        EXPECT_EQ(p.toStrand(), s) << "len " << len;
-        for (size_t i = 0; i < len; ++i) {
-            EXPECT_EQ(p.charAt(i), s[i]) << "len " << len << " pos "
-                                         << i;
-        }
+        const std::vector<uint64_t> words = packAll(s);
+        EXPECT_EQ(words.size(), numWords(len));
+        Strand back;
+        unpackWords(words, len, back);
+        EXPECT_EQ(back, s) << "len " << len;
     }
 }
 
 TEST(PackedStrand, TailBitsAreZero)
 {
-    // Canonical zero tail is what makes word equality and XOR
-    // kernels valid without masking.
-    PackedStrand p(std::string(65, 'T')); // T = code 3, all-ones pairs
-    ASSERT_EQ(p.words().size(), 3u);
-    EXPECT_EQ(p.word(2), uint64_t{3}); // one base, 62 zero tail bits
+    // Canonical zero tail: a pool read's last word carries nothing
+    // past the strand.
+    const std::vector<uint64_t> words =
+        packAll(std::string(65, 'T')); // T = code 3, all-ones pairs
+    ASSERT_EQ(words.size(), 3u);
+    EXPECT_EQ(words[2], uint64_t{3}); // one base, 62 zero tail bits
 }
 
 TEST(PackedStrand, EqualityAndReuse)
 {
-    PackedStrand a(std::string_view("ACGTACGT"));
-    PackedStrand b(std::string_view("ACGTACGT"));
-    PackedStrand c(std::string_view("ACGTACGA"));
-    EXPECT_TRUE(a == b);
-    EXPECT_FALSE(a == c);
-
-    // packFrom reuses storage and must fully replace prior content,
-    // including the canonical tail.
+    // Packing into a larger buffer reuses its storage and must fully
+    // replace prior content, including the canonical tail.
     Rng rng(3);
-    PackedStrand r(randomStrand(4096, rng));
-    r.packFrom("ACGT");
-    EXPECT_EQ(r.size(), 4u);
-    EXPECT_EQ(r.toStrand(), "ACGT");
-    EXPECT_TRUE(r == PackedStrand(std::string_view("ACGT")));
+    std::vector<uint64_t> words = packAll(randomStrand(4096, rng));
+    ASSERT_TRUE(packWordsInto("ACGT", words));
+    EXPECT_EQ(words, packAll("ACGT"));
+    Strand back;
+    unpackWords(words, 4, back);
+    EXPECT_EQ(back, "ACGT");
 }
 
 TEST(PackedStrand, RejectsNonAcgt)
 {
-    EXPECT_FALSE(PackedStrand::tryPack("ACGN").has_value());
-    EXPECT_FALSE(PackedStrand::tryPack("acgt").has_value());
-    EXPECT_FALSE(PackedStrand::tryPack(std::string_view("AC\0T", 4))
-                     .has_value());
-    EXPECT_TRUE(PackedStrand::tryPack("").has_value());
-    EXPECT_TRUE(PackedStrand::tryPack("ACGT").has_value());
-}
-
-TEST(PackedHamming, MatchesCharKernelRandomized)
-{
-    Rng rng(0x7a33);
-    for (size_t la : kBoundaryLengths) {
-        for (int trial = 0; trial < 3; ++trial) {
-            // Unequal lengths exercise the length-difference term
-            // and the masked tail of the common prefix.
-            const size_t lb =
-                trial == 0 ? la
-                           : (la > 2 ? la - 1 - rng.index(2) : la + 7);
-            const std::string a = randomStrand(la, rng);
-            std::string b = mutate(randomStrand(lb, rng), 0.0, rng);
-            // Make b a noisy copy of a's prefix so distances are
-            // non-trivial (pure random pairs differ everywhere).
-            for (size_t i = 0; i < std::min(la, lb); ++i)
-                b[i] = rng.uniform() < 0.8 ? a[i] : b[i];
-
-            // Reference: the naive per-character definition.
-            size_t expected =
-                std::max(la, lb) - std::min(la, lb);
-            for (size_t i = 0; i < std::min(la, lb); ++i)
-                expected += a[i] != b[i] ? 1 : 0;
-
-            EXPECT_EQ(hammingDistance(a, b), expected);
-            EXPECT_EQ(hammingDistance(PackedStrand(a),
-                                      PackedStrand(b)),
-                      expected)
-                << "la " << la << " lb " << lb;
-        }
-    }
+    std::vector<uint64_t> words;
+    EXPECT_FALSE(packWordsInto("ACGN", words));
+    EXPECT_FALSE(packWordsInto("acgt", words));
+    EXPECT_FALSE(packWordsInto(std::string_view("AC\0T", 4), words));
+    EXPECT_TRUE(packWordsInto("", words));
+    EXPECT_TRUE(packWordsInto("ACGT", words));
 }
 
 TEST(MyersPattern, MatchesLevenshteinAcrossLengths)
@@ -145,7 +115,6 @@ TEST(MyersPattern, MatchesLevenshteinAcrossLengths)
         const std::string pat = randomStrand(len, rng);
         MyersPattern pattern{std::string_view(pat)};
         EXPECT_EQ(pattern.size(), len);
-        EXPECT_TRUE(pattern.packed());
         // Reuse the same pattern across several texts — the cached
         // Peq tables must not carry state between queries.
         for (int trial = 0; trial < 4; ++trial) {
@@ -158,22 +127,6 @@ TEST(MyersPattern, MatchesLevenshteinAcrossLengths)
                 << "len " << len << " trial " << trial;
         }
         EXPECT_EQ(pattern.distance(""), len);
-    }
-}
-
-TEST(MyersPattern, PackedConstructionMatchesCharConstruction)
-{
-    Rng rng(0x5eed);
-    for (size_t len : kBoundaryLengths) {
-        const std::string pat = randomStrand(len, rng);
-        MyersPattern from_chars{std::string_view(pat)};
-        MyersPattern from_words{PackedStrand(pat)};
-        for (int trial = 0; trial < 3; ++trial) {
-            const std::string txt = mutate(pat, 0.15, rng);
-            EXPECT_EQ(from_words.distance(txt),
-                      from_chars.distance(txt))
-                << "len " << len;
-        }
     }
 }
 
@@ -201,18 +154,24 @@ TEST(MyersPattern, BoundedIsExactWithinLimitAndConsistentAbove)
     }
 }
 
-TEST(MyersPattern, NonAcgtPatternFallsBack)
+TEST(MyersPattern, NonAcgtPatternPanics)
 {
-    MyersPattern pattern{std::string_view("ACGNACGT")};
-    EXPECT_FALSE(pattern.packed());
-    EXPECT_EQ(pattern.distance("ACGNACGT"), 0u);
-    EXPECT_EQ(pattern.distance("ACGTACGT"), 1u);
-    // Non-ACGT *text* stays on the fast path: those characters
-    // simply match nothing in an ACGT pattern.
+    // Patterns are ACGT: the base tables panic on anything else,
+    // through the constructor, assign() and levenshtein()'s shorter
+    // side.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(MyersPattern{std::string_view("ACGNACGT")},
+                 "invalid base character 'N'");
+    MyersPattern pattern;
+    EXPECT_DEATH(pattern.assign("acgt"), "invalid base character 'a'");
+    EXPECT_DEATH(levenshtein("ACGN", "ACGTACGT"),
+                 "invalid base character 'N'");
+    // A text character outside ACGT is no second path: it matches
+    // nothing in an ACGT pattern.
     MyersPattern acgt{std::string_view("ACGT")};
-    EXPECT_TRUE(acgt.packed());
     EXPECT_EQ(acgt.distance("ANGT"), 1u);
     EXPECT_EQ(acgt.distance("NNNN"), 4u);
+    EXPECT_EQ(acgt.distanceBounded("NNNNNN", 6), 6u);
 }
 
 TEST(PackedConsensus, MatchesCharVotingRandomized)
@@ -290,11 +249,11 @@ TEST(ForEachPackedKmer, MatchesCharacterPath)
     for (size_t len : {size_t{10}, size_t{31}, size_t{32}, size_t{33},
                        size_t{64}, size_t{65}, size_t{110}}) {
         Strand s = factory.make(len, rng);
-        PackedStrand packed(s);
+        const std::vector<uint64_t> packed = packAll(s);
         for (size_t k : {size_t{1}, size_t{5}, size_t{10}, size_t{31},
                          size_t{32}}) {
             std::vector<uint64_t> codes;
-            forEachPackedKmer(packed.words(), len, k,
+            forEachPackedKmer(packed, len, k,
                               [&](uint64_t c) { codes.push_back(c); });
             if (len < k) {
                 EXPECT_TRUE(codes.empty()) << len << " " << k;
@@ -311,13 +270,12 @@ TEST(ForEachPackedKmer, MatchesCharacterPath)
 
 TEST(ForEachPackedKmer, DegenerateKYieldsNothing)
 {
-    PackedStrand packed(Strand(40, 'G'));
+    const std::vector<uint64_t> packed = packAll(Strand(40, 'G'));
     size_t calls = 0;
     auto count = [&](uint64_t) { ++calls; };
-    forEachPackedKmer(packed.words(), 40, 0, count);
-    forEachPackedKmer(packed.words(), 40,
-                      PackedStrand::kBasesPerWord + 1, count);
-    forEachPackedKmer(packed.words(), 0, 5, count);
+    forEachPackedKmer(packed, 40, 0, count);
+    forEachPackedKmer(packed, 40, kBasesPerWord + 1, count);
+    forEachPackedKmer(packed, 0, 5, count);
     EXPECT_EQ(calls, 0u);
 }
 
@@ -327,12 +285,12 @@ TEST(ForEachPackedKmer, WholeReadAsSingleKmer)
     StrandFactory factory;
     Rng rng(78);
     Strand s = factory.make(32, rng);
-    PackedStrand packed(s);
+    const std::vector<uint64_t> packed = packAll(s);
     std::vector<uint64_t> codes;
-    forEachPackedKmer(packed.words(), 32, 32,
+    forEachPackedKmer(packed, 32, 32,
                       [&](uint64_t c) { codes.push_back(c); });
     ASSERT_EQ(codes.size(), 1u);
-    EXPECT_EQ(codes[0], packed.words()[0]);
+    EXPECT_EQ(codes[0], packed[0]);
 }
 
 } // anonymous namespace

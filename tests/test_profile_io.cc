@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "core/dnasimulator_model.hh"
 #include "core/ids_model.hh"
 #include "core/profile_io.hh"
 #include "core/profiler.hh"
@@ -261,6 +262,39 @@ TEST(ProfileIo, RejectsAggregateRatesAboveOne)
     EXPECT_DOUBLE_EQ(readProfile(one).totalRate(), 1.0);
 }
 
+TEST(ProfileIo, RejectsConditionalRatesAboveOne)
+{
+    // DNASimulator reads a base's three conditional rates plus
+    // long_del as one distribution. "0.6 0.6 0.6" per base used to
+    // pass the reader and abort `simulate --model dnasimulator`.
+    expectRejected("conditional", "conditional 0.6 0.6 0.6 0.6 0.6 0.6 "
+                                  "0.6 0.6 0.6 0.6 0.6 0.6");
+    // One base over is enough, and the error names it.
+    std::istringstream t_over(profileWithLine(
+        "conditional", "conditional 0.01 0.01 0.01 0.01 0.01 0.01 0.01 "
+                       "0.01 0.01 0.5 0.3 0.3"));
+    try {
+        readProfile(t_over);
+        ADD_FAILURE() << "base T's rates sum to 1.1";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("base T"), std::string::npos)
+            << e.what();
+    }
+    // long_del counts toward every base's sum.
+    const std::string full = profileWithLine(
+        "conditional", "conditional 0.5 0.25 0.25 0.5 0.25 0.25 0.5 0.25 "
+                       "0.25 0.5 0.25 0.25");
+    std::istringstream exactly_one(full);
+    EXPECT_NO_THROW(readProfile(exactly_one));
+    std::string with_long_del = full;
+    const std::string no_long_del = "\nlong_del 0 0\n";
+    ASSERT_NE(with_long_del.find(no_long_del), std::string::npos);
+    with_long_del.replace(with_long_del.find(no_long_del),
+                          no_long_del.size(), "\nlong_del 0.01 0\n");
+    std::istringstream over(with_long_del);
+    EXPECT_THROW(readProfile(over), FatalError);
+}
+
 TEST(ProfileIo, RejectsConfusionRowsThatAreNotDistributions)
 {
     expectRejected("confusion", "confusion A 0 0.5 0.2 0.2");
@@ -344,14 +378,14 @@ calibratedText(size_t clusters, double error_rate, uint64_t seed)
 }
 
 /**
- * Every model of the ladder (and the contextual and full models)
- * builds from @p profile and transmits design-length and shorter
- * strands as ACGT text of bounded length.
+ * Every model of the ladder (and the contextual, full and DNASimulator
+ * models) builds from @p profile and transmits design-length and
+ * shorter strands as ACGT text of bounded length.
  */
 void
 expectDrivesEveryModel(const ErrorProfile &profile, Rng &rng)
 {
-    const IdsChannelModel models[] = {
+    const IdsChannelModel ids[] = {
         IdsChannelModel::naive(profile),
         IdsChannelModel::conditional(profile),
         IdsChannelModel::skew(profile),
@@ -359,15 +393,21 @@ expectDrivesEveryModel(const ErrorProfile &profile, Rng &rng)
         IdsChannelModel::contextual(profile),
         IdsChannelModel::full(profile),
     };
+    const DnaSimulatorModel dnasimulator =
+        DnaSimulatorModel::fromProfile(profile);
+    std::vector<const ErrorModel *> models;
+    for (const IdsChannelModel &model : ids)
+        models.push_back(&model);
+    models.push_back(&dnasimulator);
     const size_t len = profile.design_length != 0 ? profile.design_length
                                                   : 110;
     for (const Strand &ref :
          {StrandFactory().make(len, rng), Strand(len / 2 + 1, 'A')}) {
-        for (const IdsChannelModel &model : models) {
-            const Strand copy = model.transmit(ref, rng);
-            EXPECT_LE(copy.size(), 2 * ref.size() + 1) << model.name();
+        for (const ErrorModel *model : models) {
+            const Strand copy = model->transmit(ref, rng);
+            EXPECT_LE(copy.size(), 2 * ref.size() + 1) << model->name();
             for (char c : copy)
-                ASSERT_TRUE(isBaseChar(c)) << model.name();
+                ASSERT_TRUE(isBaseChar(c)) << model->name();
         }
     }
 }
