@@ -22,6 +22,7 @@
  * escape codes.
  */
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -71,6 +72,11 @@ class ReportingReporter : public benchmark::ConsoleReporter
             row.rss_high_water_bytes = rss_high_water;
             dnasim::BenchReport::global().addRow(std::move(row));
         }
+        // Hand the heap this family freed back to the kernel first:
+        // glibc keeps freed arena pages resident, and VmHWM restarts
+        // from what is resident, so without the trim the next family
+        // would inherit this one's footprint.
+        malloc_trim(0);
         dnasim::clearPeakRss();
         ConsoleReporter::ReportRuns(reports);
     }

@@ -3,7 +3,12 @@
  * Microbenchmarks of the trace-reconstruction algorithms at
  * realistic cluster sizes, plus the two kernels under BMA and
  * Iterative: the BMA forward pass and one aligned-consensus round.
+ * The single-cluster rows repeat one cluster; the *Set rows walk
+ * 1,000 distinct clusters per iteration, so branch predictors see
+ * real data, and report ns per base-copy.
  */
+
+#include <algorithm>
 
 #include <benchmark/benchmark.h>
 
@@ -119,6 +124,110 @@ BM_BmaForwardPass(benchmark::State &state)
     }
 }
 
+/** A fixed set of distinct clusters of one design length. */
+struct ClusterSet
+{
+    std::vector<std::vector<Strand>> clusters;
+    size_t design_len = 0;
+    size_t base_copies = 0; ///< copy bases over the whole set
+};
+
+constexpr size_t kSetClusters = 1000;
+
+ClusterSet
+finishSet(std::vector<std::vector<Strand>> clusters, size_t design_len)
+{
+    ClusterSet set{std::move(clusters), design_len, 0};
+    for (const auto &copies : set.clusters)
+        for (const Strand &copy : copies)
+            set.base_copies += copy.size();
+    return set;
+}
+
+/** The roundtrip's channel at its coverage, 8. */
+const ClusterSet &
+roundtripSet()
+{
+    static const ClusterSet set = [] {
+        Rng rng = benchRng(0x4f2);
+        std::vector<std::vector<Strand>> clusters;
+        for (size_t i = 0; i < kSetClusters; ++i)
+            clusters.push_back(makeRoundtripCluster(8, rng));
+        return finishSet(std::move(clusters), 130);
+    }();
+    return set;
+}
+
+/**
+ * The ladder's shape: wetlab clusters with at least 10 copies, cut
+ * to their first 6 (Dataset::fixedCoverage(6, 10)).
+ */
+const ClusterSet &
+wetlabSet()
+{
+    static const ClusterSet set = [] {
+        WetlabConfig config;
+        config.num_clusters = 1400;
+        Rng rng = benchRng(0x4f3);
+        const Dataset fixed = NanoporeDatasetGenerator(config)
+                                  .generate(rng)
+                                  .fixedCoverage(6, 10);
+        std::vector<std::vector<Strand>> clusters;
+        for (size_t i = 0; i < std::min(fixed.size(), kSetClusters); ++i)
+            clusters.push_back(fixed[i].copies);
+        return finishSet(std::move(clusters), config.strand_length);
+    }();
+    return set;
+}
+
+/**
+ * Run @p run over every cluster of @p set per iteration, each with
+ * its own fork(i) of one Rng, and report ns per base-copy.
+ */
+template <typename Run>
+void
+walkSet(benchmark::State &state, const ClusterSet &set, Run run)
+{
+    const Rng rng = benchRng(0x4f4);
+    for (auto _ : state) {
+        for (size_t i = 0; i < set.clusters.size(); ++i) {
+            Rng r = rng.fork(i);
+            benchmark::DoNotOptimize(run(set.clusters[i], set.design_len, r));
+        }
+    }
+    state.counters["ns_per_base_copy"] = benchmark::Counter(
+        static_cast<double>(set.base_copies) * 1e-9,
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+void
+BM_BmaForwardPassSet(benchmark::State &state, const ClusterSet &(*set)())
+{
+    walkSet(state, set(), BmaLookahead::forwardPass);
+}
+
+void
+reconstructSet(benchmark::State &state, const ClusterSet &set,
+               const Reconstructor &algo)
+{
+    walkSet(state, set,
+            [&algo](const std::vector<Strand> &copies, size_t len,
+                    Rng &r) { return algo.reconstruct(copies, len, r); });
+}
+
+void
+BM_BmaSet(benchmark::State &state, const ClusterSet &(*set)())
+{
+    reconstructSet(state, set(), BmaLookahead());
+}
+
+void
+BM_IterativeSet(benchmark::State &state, const ClusterSet &(*set)())
+{
+    reconstructSet(state, set(), Iterative());
+}
+
 /**
  * One Iterative refinement round against the forward-pass seed: an
  * edit-script walk per copy voted into the consensus arrays.
@@ -179,6 +288,18 @@ BENCHMARK(BM_TwoWayIterative)->Arg(5)->Arg(27)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BmaForwardPass)->Arg(8)->Arg(27)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BmaForwardPassSet, roundtrip, roundtripSet)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BmaForwardPassSet, wetlab, wetlabSet)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BmaSet, roundtrip, roundtripSet)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BmaSet, wetlab, wetlabSet)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IterativeSet, roundtrip, roundtripSet)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IterativeSet, wetlab, wetlabSet)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AlignedConsensus)->Arg(8)->Arg(27)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ReconstructAll)->Arg(200)->Arg(1000)

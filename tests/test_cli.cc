@@ -487,6 +487,98 @@ TEST_F(CliCommands, LineageKeepsDataOutputsByteIdentical)
     EXPECT_FALSE(readFileBytes(cl_lineage).empty());
 }
 
+/**
+ * The checks every dnasim.lineage.v1 stream passes, line by line:
+ * each line is JSON with the schema and a known kind; exactly one
+ * meta line, first, carrying provenance.git_rev; exactly one summary
+ * line, whose cause counts sum to the failure lines before it; at
+ * least one read line; and no failure whose cause is unknown.
+ */
+void
+expectWellFormedLineage(const std::string &path)
+{
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    std::map<std::string, size_t> kinds = {
+        {"meta", 0}, {"read", 0}, {"failure", 0}, {"summary", 0}};
+    size_t line_no = 0;
+    for (std::string line; std::getline(in, line);) {
+        ++line_no;
+        const std::string where = path + ":" + std::to_string(line_no);
+        obs::JsonValue doc;
+        std::string error;
+        ASSERT_TRUE(obs::parseJson(line, doc, &error)) << where << error;
+        const obs::JsonValue *schema = doc.find("schema");
+        ASSERT_TRUE(schema && schema->asString() == "dnasim.lineage.v1")
+            << where;
+        const obs::JsonValue *kind = doc.find("kind");
+        ASSERT_TRUE(kind && kinds.count(kind->asString())) << where;
+        ++kinds[kind->asString()];
+        if (kind->asString() == "meta") {
+            EXPECT_EQ(line_no, 1u) << where;
+            const obs::JsonValue *provenance = doc.find("provenance");
+            EXPECT_TRUE(provenance && provenance->find("git_rev"))
+                << where;
+        } else if (kind->asString() == "failure") {
+            const obs::JsonValue *cause = doc.find("cause");
+            ASSERT_TRUE(cause) << where;
+            EXPECT_NE(cause->asString(), "unknown") << where;
+        } else if (kind->asString() == "summary") {
+            const obs::JsonValue *causes = doc.find("causes");
+            ASSERT_TRUE(causes && causes->isObject()) << where;
+            uint64_t sum = 0;
+            for (const auto &entry : causes->object())
+                sum += entry.second.asUint();
+            EXPECT_EQ(sum, kinds["failure"]) << where;
+        }
+    }
+    EXPECT_EQ(kinds["meta"], 1u) << path;
+    EXPECT_EQ(kinds["summary"], 1u) << path;
+    EXPECT_GE(kinds["read"], 1u) << path;
+}
+
+TEST_F(CliCommands, LineageStreamsParseLineByLine)
+{
+    // The streams simulate, cluster and explain (pseudo-clustered at
+    // one thread, and re-clustered) write with --lineage-out.
+    const std::string dataset = tmpPath("lin.evyat");
+    const std::string simulated = tmpPath("lin_sim.evyat");
+    const std::string clusters = tmpPath("lin_cl.txt");
+    const std::vector<std::string> streams = {
+        tmpPath("simulate.jsonl"), tmpPath("cluster.jsonl"),
+        tmpPath("explain_t1.jsonl"), tmpPath("recluster.jsonl")};
+    cleanup_.insert(cleanup_.end(), {dataset, simulated, clusters});
+    cleanup_.insert(cleanup_.end(), streams.begin(), streams.end());
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "150",
+                                    "--out", dataset, "--seed", "31"})),
+              0);
+    ASSERT_EQ(cmdSimulate(makeArgs({"simulate", dataset, "--model",
+                                    "second-order", "--seed", "33",
+                                    "--out", simulated, "--lineage-out",
+                                    streams[0]})),
+              0);
+    ASSERT_EQ(cmdCluster(makeArgs({"cluster", dataset,
+                                   "--distance-threshold", "22", "--out",
+                                   clusters, "--lineage-out",
+                                   streams[1]})),
+              0);
+    {
+        ThreadGuard one(1);
+        ASSERT_EQ(cmdExplain(makeArgs({"explain", dataset, "--coverage",
+                                       "6", "--seed", "35",
+                                       "--lineage-out", streams[2]})),
+                  0);
+    }
+    ASSERT_EQ(cmdExplain(makeArgs({"explain", dataset, "--coverage", "6",
+                                   "--seed", "35", "--recluster",
+                                   "--distance-threshold", "22",
+                                   "--lineage-out", streams[3]})),
+              0);
+    for (const std::string &stream : streams)
+        expectWellFormedLineage(stream);
+}
+
 TEST_F(CliCommands, ZeroClusterDatasetSimulatesOnBothPaths)
 {
     std::string dataset = tmpPath("zero_src.evyat");

@@ -421,5 +421,158 @@ TEST(XorRedundancyTest, LostParityIsHarmless)
     EXPECT_EQ(*decoded, (Bytes{1, 2}));
 }
 
+// Fixed-seed mutation fuzzing of the three decoders on the retrieve
+// side: every mutant must be refused or decode to output of the
+// promised shape, never crash or read out of bounds (the ASan/UBSan
+// lane runs these through ctest).
+
+Strand
+randomStrand(size_t n, Rng &rng)
+{
+    Strand s(n, 'A');
+    for (char &c : s)
+        c = kBaseChars[rng.index(kNumBases)];
+    return s;
+}
+
+TEST(DecodeFuzz, RotatingCodecRefusesOrReturnsExpectedLength)
+{
+    RotatingCodec codec;
+    Rng rng(0xf0a);
+    size_t decoded = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        const size_t len = rng.index(41);
+        const Bytes data = randomBytes(len, rng);
+        Strand strand = codec.encode(data);
+        switch (trial % 6) {
+          case 0: // substitutions
+            for (size_t i = 1 + rng.index(3); i-- > 0;)
+                strand[rng.index(strand.size())] =
+                    kBaseChars[rng.index(kNumBases)];
+            break;
+          case 1: // an insertion
+            strand.insert(strand.begin() + static_cast<ptrdiff_t>(
+                                               rng.index(strand.size() + 1)),
+                          kBaseChars[rng.index(kNumBases)]);
+            break;
+          case 2: // a deletion
+            strand.erase(strand.begin() + static_cast<ptrdiff_t>(
+                                              rng.index(strand.size())));
+            break;
+          case 3: // truncated to empty
+            strand.clear();
+            break;
+          case 4: // extended
+            strand += randomStrand(1 + rng.index(60), rng);
+            break;
+          default: // any ACGT string
+            strand = randomStrand(rng.index(300), rng);
+        }
+        const auto out = codec.decode(strand, len);
+        if (out) {
+            ++decoded;
+            ASSERT_EQ(out->size(), len) << "trial " << trial;
+        }
+    }
+    // Substituted, extended and random strands do decode sometimes.
+    EXPECT_GT(decoded, 0u);
+}
+
+TEST(DecodeFuzz, FrameUnpackAcceptsExactlyCrcMatches)
+{
+    Rng rng(0xf0b);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const FrameCodec codec(1 + rng.index(40), 1 + rng.index(4));
+        Frame frame;
+        frame.index = static_cast<uint32_t>(
+            rng.index(size_t{1} << (8 * std::min<size_t>(
+                                             codec.indexBytes(), 3))));
+        frame.payload = randomBytes(codec.payloadBytes(), rng);
+        Bytes raw = codec.pack(frame);
+        switch (trial % 4) {
+          case 0: // random bytes of any length
+            raw = randomBytes(rng.index(2 * codec.frameBytes() + 2), rng);
+            break;
+          case 1: // truncated
+            raw.resize(rng.index(raw.size()));
+            break;
+          case 2: // extended
+            raw.push_back(static_cast<uint8_t>(rng.uniformInt(0, 255)));
+            break;
+          default: // bit flips
+            for (size_t i = 1 + rng.index(3); i-- > 0;)
+                raw[rng.index(raw.size())] ^=
+                    static_cast<uint8_t>(1u << rng.index(8));
+        }
+        const bool crc_matches =
+            raw.size() == codec.frameBytes() &&
+            crc8(Bytes(raw.begin(), raw.end() - 1)) == raw.back();
+        const auto out = codec.unpack(raw);
+        ASSERT_EQ(out.has_value(), crc_matches) << "trial " << trial;
+        if (out) {
+            EXPECT_EQ(codec.pack(*out), raw) << "trial " << trial;
+        }
+    }
+}
+
+TEST(DecodeFuzz, ReedSolomonRefusesOrReturnsANearbyCodeword)
+{
+    Rng rng(0xf0c);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const size_t parity = 1 + rng.index(16);
+        const ReedSolomon rs(parity);
+        std::vector<uint8_t> word;
+        std::vector<size_t> erasures;
+        bool within_budget = false;
+        Bytes data;
+        if (trial % 5 == 4) {
+            // Any length from 0 to 256, any bytes.
+            word = randomBytes(rng.index(257), rng);
+        } else {
+            data = randomBytes(1 + rng.index(255 - parity), rng);
+            word = rs.encode(data);
+            // Random errata: s erasures and e errors elsewhere.
+            const size_t s = rng.index(parity + 2);
+            const size_t e = rng.index(parity / 2 + 2);
+            std::vector<size_t> order(word.size());
+            for (size_t i = 0; i < order.size(); ++i)
+                order[i] = i;
+            rng.shuffle(order);
+            for (size_t i = 0; i < std::min(s + e, order.size()); ++i) {
+                if (i < s)
+                    erasures.push_back(order[i]);
+                if (i >= s || rng.bernoulli(0.5))
+                    word[order[i]] ^=
+                        static_cast<uint8_t>(rng.uniformInt(1, 255));
+            }
+            within_budget = 2 * e + s <= parity && s + e <= word.size();
+            if (trial % 5 == 2 && !erasures.empty()) {
+                erasures.push_back(erasures[rng.index(erasures.size())]);
+                within_budget = false;
+            } else if (trial % 5 == 3) {
+                erasures.push_back(word.size() + rng.index(4));
+                within_budget = false;
+            }
+        }
+        const std::vector<uint8_t> received = word;
+        const auto out = rs.decode(word, erasures);
+        if (within_budget) {
+            ASSERT_TRUE(out.has_value()) << "trial " << trial;
+            EXPECT_EQ(*out, data) << "trial " << trial;
+        }
+        if (!out)
+            continue;
+        ASSERT_EQ(out->size() + parity, received.size())
+            << "trial " << trial;
+        // The decoded data re-encodes to a codeword that differs
+        // from the received word in at most parity symbols.
+        const std::vector<uint8_t> codeword = rs.encode(*out);
+        size_t differ = 0;
+        for (size_t i = 0; i < received.size(); ++i)
+            differ += codeword[i] != received[i];
+        EXPECT_LE(differ, parity) << "trial " << trial;
+    }
+}
+
 } // namespace
 } // namespace dnasim

@@ -20,6 +20,7 @@
 #include "reconstruct/bma.hh"
 #include "reconstruct/iterative.hh"
 
+#include <cmath>
 #include <sstream>
 
 namespace dnasim
@@ -136,6 +137,7 @@ TEST(Integration, ChiSquareDistanceFallsDownTheLadder)
 struct HarnessRun
 {
     Rng root;
+    Dataset wetlab;
     std::vector<Strand> refs;
 
     HarnessRun(uint64_t seed, size_t clusters) : root(seed)
@@ -143,7 +145,8 @@ struct HarnessRun
         WetlabConfig config;
         config.num_clusters = clusters;
         Rng gen_rng = stream(0x3e7);
-        refs = NanoporeDatasetGenerator(config).generate(gen_rng).references();
+        wetlab = NanoporeDatasetGenerator(config).generate(gen_rng);
+        refs = wetlab.references();
     }
 
     Rng stream(uint64_t salt) const { return root.fork(salt); }
@@ -156,6 +159,42 @@ struct HarnessRun
         return ChannelSimulator(model).simulate(refs, coverage, rng);
     }
 };
+
+TEST(Integration, BmaGapToRealShrinksDownTheLadder)
+{
+    // Table 3.1 at N = 5 as table_3_1 derives it at its default seed:
+    // BMA's per-character accuracy on simulated data is above the
+    // real row, and refining the model from naive to +2nd-order
+    // shrinks that gap. Across table_3_1 seeds 1-8 x 150 and 300
+    // clusters the per-character gap shrank in all 16 runs; the
+    // per-strand gap grew in one (seed 3 at 150 clusters) and is not
+    // asserted (EXPERIMENTS.md).
+    const HarnessRun run(0xbe9c, 150);
+    const ErrorProfile profile = ErrorProfiler().calibrate(run.wetlab);
+    Dataset real = run.wetlab;
+    Rng shuffle_rng = run.stream(0x5b0f);
+    real.shuffleWithinClusters(shuffle_rng);
+    real = real.fixedCoverage(5, 10);
+    const BmaLookahead bma;
+    // Row i of the table reconstructs with stream 0x501 + i.
+    auto perChar = [&](const Dataset &data, uint64_t row) {
+        Rng rng = run.stream(0x501 + row);
+        return evaluateAccuracy(data, bma, rng).perChar();
+    };
+    const double real_char = perChar(real, 0);
+    const double naive_gap =
+        perChar(run.simulate(IdsChannelModel::naive(profile), 5, 0x401),
+                1) -
+        real_char;
+    const double refined_gap =
+        perChar(run.simulate(IdsChannelModel::secondOrder(profile), 5,
+                             0x404),
+                4) -
+        real_char;
+    EXPECT_GT(naive_gap, 0.0) << "naive " << naive_gap;
+    EXPECT_LT(std::abs(refined_gap), naive_gap)
+        << "naive " << naive_gap << ", +2nd-order " << refined_gap;
+}
 
 TEST(Integration, AShapedIsEasierThanVShapedForBma)
 {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
 #include "align/edit_distance.hh"
@@ -392,6 +393,114 @@ TEST(Bma, ForwardPassEdgeShapesMatchCharPathReference)
                                   size_t{40}, size_t{47}})
             expectForwardPassMatchesReference(clusters[i], design_len,
                                               100 * i + design_len);
+}
+
+TEST(Bma, ForwardPassWideClusterMatchesReference)
+{
+    // More copies than a 16-bit tally field holds: one noisy cluster,
+    // and one split evenly between two strands, so every column where
+    // they differ ties at 35,000 votes and draws.
+    Rng rng(0xb3d);
+    StrandFactory factory;
+    const Strand ref = factory.make(40, rng);
+    const Strand other = factory.make(40, rng);
+    const std::vector<Strand> noisy = noisyCluster(ref, 70000, 0.1, rng);
+    std::vector<Strand> split(35000, ref);
+    split.insert(split.end(), 35000, other);
+    for (size_t design_len : {size_t{40}, size_t{43}}) {
+        expectForwardPassMatchesReference(noisy, design_len, design_len);
+        expectForwardPassMatchesReference(split, design_len,
+                                          7 * design_len);
+    }
+}
+
+TEST(Bma, ForwardPassTiesMatchReference)
+{
+    // Clusters of 2, 4 and 6 copies made of two or three strands in
+    // equal numbers, so most columns tie and the draws decide them,
+    // and of three strands of distinct lengths, so the two left after
+    // one runs off tie wherever they differ.
+    Rng rng(0xb3e);
+    StrandFactory factory;
+    for (uint64_t trial = 0; trial < 160; ++trial) {
+        const bool staggered = trial % 4 == 3;
+        const size_t copies_n = staggered ? 3 : 2 + 2 * (trial % 3);
+        const size_t kinds = staggered || (copies_n == 6 && trial % 2)
+                                 ? 3
+                                 : 2;
+        std::vector<Strand> kind;
+        for (size_t i = 0; i < kinds; ++i)
+            kind.push_back(factory.make(
+                staggered ? 20 + 3 * i : 12 + rng.index(30), rng));
+        std::vector<Strand> copies;
+        for (size_t i = 0; i < copies_n; ++i)
+            copies.push_back(kind[i % kinds]);
+        const size_t design_len = 10 + rng.index(35);
+        expectForwardPassMatchesReference(copies, design_len, trial);
+    }
+}
+
+/**
+ * Two-way BMA composed from the reference pass: a pass over the
+ * copies, a pass over reversed strings, the forward half joined to
+ * the reversed backward half.
+ */
+Strand
+composedTwoWay(const std::vector<Strand> &copies, size_t design_len,
+               Rng &rng, uint64_t &lookaheads)
+{
+    lookaheads = 0;
+    if (copies.empty())
+        return Strand();
+    uint64_t forward_lookaheads = 0, backward_lookaheads = 0;
+    const Strand forward =
+        referenceForwardPass(copies, design_len, rng, forward_lookaheads);
+    std::vector<Strand> reversed;
+    for (const Strand &c : copies)
+        reversed.push_back(reverseStrand(c));
+    const Strand backward = referenceForwardPass(
+        reversed, design_len, rng, backward_lookaheads);
+    lookaheads = forward_lookaheads + backward_lookaheads;
+    const size_t front_len = (design_len + 1) / 2;
+    Strand back = backward.substr(0, design_len - front_len);
+    std::reverse(back.begin(), back.end());
+    return forward.substr(0, front_len) + back;
+}
+
+TEST(Bma, TwoWayMatchesComposedReference)
+{
+    auto &lookaheads =
+        obs::Registry::global().counter("reconstruct.bma.lookaheads");
+    const BmaLookahead bma;
+    Rng rng(0xb3f);
+    for (uint64_t trial = 0; trial < 200; ++trial) {
+        const size_t len = 1 + rng.index(60);
+        Strand ref(len, 'A');
+        for (char &c : ref)
+            c = kBaseChars[rng.index(kNumBases)];
+        std::vector<Strand> copies = noisyCluster(
+            ref, rng.index(13), 0.02 + 0.15 * rng.uniform(), rng);
+        if (trial % 4 == 1)
+            copies.insert(copies.begin() + static_cast<ptrdiff_t>(
+                                               rng.index(copies.size() + 1)),
+                          Strand());
+        for (size_t design_len :
+             {size_t{0}, size_t{1}, len, len + 1, 2 * (len / 2) + 2}) {
+            Rng kernel_rng(trial), reference_rng(trial);
+            const uint64_t before = lookaheads.value();
+            const Strand estimate =
+                bma.reconstruct(copies, design_len, kernel_rng);
+            uint64_t expected_lookaheads = 0;
+            EXPECT_EQ(estimate,
+                      composedTwoWay(copies, design_len, reference_rng,
+                                     expected_lookaheads))
+                << "trial " << trial << ", design length " << design_len;
+            EXPECT_TRUE(kernel_rng.engine() == reference_rng.engine())
+                << "Rng consumption diverged, trial " << trial;
+            EXPECT_EQ(lookaheads.value() - before, expected_lookaheads)
+                << "trial " << trial;
+        }
+    }
 }
 
 TEST(Bma, ForwardPassPanicsOnNonAcgt)
