@@ -184,19 +184,6 @@ runGroup(SimdTier tier, size_t lanes, const MyersPattern &pattern,
 
 } // anonymous namespace
 
-size_t
-simdTierLanes()
-{
-    switch (activeSimdTier()) {
-      case SimdTier::Avx512: return 8;
-      // Two interleaved 4-lane halves per invocation (ILP, not
-      // width) — the batch granularity is still 8 texts.
-      case SimdTier::Avx2: return 8;
-      case SimdTier::Scalar: break;
-    }
-    return 1;
-}
-
 void
 myersBatchDistanceBounded(const MyersPattern &pattern,
                           std::span<const std::string_view> texts,

@@ -68,9 +68,6 @@ void myersBatchDistanceBounded(const MyersPattern &pattern,
 size_t myersBatchTotalDistance(const MyersPattern &pattern,
                                std::span<const std::string_view> texts);
 
-/** Lane width of @p tier's batch kernel (1 for the scalar tier). */
-size_t simdTierLanes();
-
 } // namespace dnasim
 
 #endif // DNASIM_ALIGN_MYERS_BATCH_HH

@@ -13,12 +13,6 @@ detail::invalidBaseChar(char c)
     DNASIM_PANIC("invalid base character '", c, "' (", int(c), ")");
 }
 
-char
-complementChar(char c)
-{
-    return baseToChar(complement(charToBase(c)));
-}
-
 bool
 isValidStrand(std::string_view s)
 {
@@ -29,16 +23,6 @@ Strand
 reverseStrand(std::string_view s)
 {
     return Strand(s.rbegin(), s.rend());
-}
-
-Strand
-reverseComplement(std::string_view s)
-{
-    Strand out;
-    out.reserve(s.size());
-    for (auto it = s.rbegin(); it != s.rend(); ++it)
-        out.push_back(complementChar(*it));
-    return out;
 }
 
 double

@@ -110,30 +110,11 @@ baseIndex(char c)
     return static_cast<size_t>(charToBase(c));
 }
 
-/** Watson-Crick complement of a single base. */
-constexpr Base
-complement(Base b)
-{
-    switch (b) {
-      case Base::A: return Base::T;
-      case Base::T: return Base::A;
-      case Base::C: return Base::G;
-      case Base::G: return Base::C;
-    }
-    return Base::A; // unreachable
-}
-
-/** Watson-Crick complement of a single base character. */
-char complementChar(char c);
-
 /** True iff every character of @p s is a valid base. */
 bool isValidStrand(std::string_view s);
 
 /** Reverse of a strand (no complementing). */
 Strand reverseStrand(std::string_view s);
-
-/** Reverse complement of a strand. */
-Strand reverseComplement(std::string_view s);
 
 /**
  * GC-ratio of a strand in [0, 1]: (#G + #C) / length.

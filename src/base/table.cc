@@ -68,34 +68,6 @@ TextTable::str() const
     return os.str();
 }
 
-std::string
-TextTable::csv() const
-{
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string out = "\"";
-        for (char c : s) {
-            if (c == '"')
-                out += '"';
-            out += c;
-        }
-        out += '"';
-        return out;
-    };
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t i = 0; i < row.size(); ++i)
-            os << quote(row[i]) << (i + 1 == row.size() ? "" : ",");
-        os << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-    return os.str();
-}
-
 void
 TextTable::print(std::ostream &os) const
 {

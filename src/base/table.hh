@@ -4,7 +4,7 @@
  *
  * Every experiment binary prints the rows of the corresponding paper
  * table/figure through TextTable so that the output is uniform and
- * grep-able, and can optionally emit CSV for plotting.
+ * grep-able.
  */
 
 #ifndef DNASIM_BASE_TABLE_HH
@@ -36,9 +36,6 @@ class TextTable
 
     /** Render as an aligned text table. */
     std::string str() const;
-
-    /** Render as CSV (header + rows, comma-separated, quoted). */
-    std::string csv() const;
 
     /** Print str() to @p os followed by a blank line. */
     void print(std::ostream &os) const;

@@ -92,6 +92,10 @@ RotatingCodec::decode(const Strand &strand, size_t expected_len) const
                     static_cast<uint64_t>(it - alphabet.begin());
             prev = c;
         }
+        // 3^26 > 2^40: a block value past 40 bits is one encode()
+        // never writes, so the strand is corrupted.
+        if (value >> (8 * kBlockBytes) != 0)
+            return std::nullopt;
         for (size_t i = kBlockBytes; i-- > 0;)
             out.push_back(static_cast<uint8_t>(value >> (8 * i)));
     }

@@ -39,7 +39,8 @@ class RotatingCodec
      * @param strand       the (possibly corrupted) strand
      * @param expected_len the original payload size in bytes
      * @return the payload, or std::nullopt if the strand cannot
-     *         possibly decode (too short, or a repeated base)
+     *         possibly decode (too short, a repeated base, or a
+     *         block whose value does not fit in 40 bits)
      */
     std::optional<Bytes> decode(const Strand &strand,
                                 size_t expected_len) const;

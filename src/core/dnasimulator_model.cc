@@ -1,6 +1,7 @@
 #include "core/dnasimulator_model.hh"
 
 #include "base/logging.hh"
+#include "core/ids_model.hh"
 
 namespace dnasim
 {
@@ -15,43 +16,6 @@ DnaSimulatorModel::DnaSimulatorModel(
         DNASIM_ASSERT(total >= 0.0 && total <= 1.0,
                       "bad DNASimulator dictionary entry");
     }
-}
-
-DnaSimulatorModel
-DnaSimulatorModel::preset(SynthesisTech synth, SequencingTech seq)
-{
-    // Representative per-base dictionaries in the spirit of the
-    // original tool's hard-coded tables. Synthesis contributes
-    // mostly deletions; sequencing dominates the totals (Illumina
-    // low-error, Nanopore high-error).
-    double synth_del;
-    switch (synth) {
-      case SynthesisTech::Twist: synth_del = 9.0e-4; break;
-      case SynthesisTech::CustomArray: synth_del = 2.0e-3; break;
-      case SynthesisTech::Idt: synth_del = 6.0e-4; break;
-      default: DNASIM_PANIC("unknown synthesis technology");
-    }
-
-    std::array<DnaSimulatorEntry, kNumBases> dict{};
-    std::string tag;
-    if (seq == SequencingTech::Illumina) {
-        tag = "dnasimulator(illumina)";
-        for (auto &e : dict) {
-            e.p_sub = 1.2e-3;
-            e.p_ins = 4.0e-4;
-            e.p_del = 6.0e-4 + synth_del;
-            e.p_long_del = 5.0e-5;
-        }
-    } else {
-        tag = "dnasimulator(nanopore)";
-        for (auto &e : dict) {
-            e.p_sub = 2.2e-2;
-            e.p_ins = 1.2e-2;
-            e.p_del = 2.2e-2 + synth_del;
-            e.p_long_del = 3.3e-3;
-        }
-    }
-    return DnaSimulatorModel(dict, tag);
 }
 
 DnaSimulatorModel
@@ -82,6 +46,7 @@ DnaSimulatorModel::transmit(const Strand &ref, Rng &rng,
     // identical strands for identical Rng state.
     Strand out;
     out.reserve(ref.size() + 8);
+    ChannelStats::Events events;
     size_t i = 0;
     while (i < ref.size()) {
         const char base = ref[i];
@@ -94,26 +59,31 @@ DnaSimulatorModel::transmit(const Strand &ref, Rng &rng,
             const char repl = kBaseChars[rng.index(kNumBases)];
             lineage.substitution(i, base, repl);
             out.push_back(repl);
+            ++events.sub;
         } else if (prob <= e.p_sub + e.p_ins) {
             out.push_back(base);
             const char extra = kBaseChars[rng.index(kNumBases)];
             lineage.insertion(i + 1, extra);
             out.push_back(extra);
+            ++events.ins;
         } else if (prob <= e.p_sub + e.p_ins + e.p_del) {
             // single-base deletion
             lineage.deletion(i, base);
+            ++events.del;
         } else if (prob <=
                    e.p_sub + e.p_ins + e.p_del + e.p_long_del) {
             // The original tool's "long-deletion" removes a short
             // run; length 2 matches the dominant observed run length.
             lineage.longDeletion(
                 i, i + 1 < ref.size() ? size_t{2} : size_t{1}, base);
+            ++events.long_del;
             ++i; // skip one extra base beyond the loop increment
         } else {
             out.push_back(base);
         }
         ++i;
     }
+    ChannelStats::get().flush(ref.size(), out.size(), events);
     return out;
 }
 

@@ -6,13 +6,15 @@
  *
  * DNASimulator keeps one dictionary E of per-base probabilities for
  * substitution, insertion, single-base deletion, and long deletion,
- * predetermined per (synthesis, sequencing) technology pair. Errors
- * are injected in a single pass, independent of position and of
- * neighbouring errors, and substitutions draw a replacement
- * uniformly from all four bases — including the original, so a
- * fraction 1/4 of substitution events are silent. All of those
- * modelling choices are deliberate parts of the baseline being
- * critiqued (section 2.2.3).
+ * predetermined per (synthesis, sequencing) technology pair in the
+ * original tool; this port builds it from a calibrated profile
+ * (fromProfile). Errors are injected in a single pass, independent
+ * of position and of neighbouring errors, and substitutions draw a
+ * replacement uniformly from all four bases — including the
+ * original, so a fraction 1/4 of substitution events are silent.
+ * All of those modelling choices are deliberate parts of the
+ * baseline being critiqued (section 2.2.3). A silent substitution
+ * still counts as one, in the lineage and in channel.errors.sub.
  */
 
 #ifndef DNASIM_CORE_DNASIMULATOR_MODEL_HH
@@ -36,21 +38,6 @@ struct DnaSimulatorEntry
     double p_long_del = 0.0; ///< probability of a long (2-base+) deletion
 };
 
-/** Synthesis technologies offered by the original tool. */
-enum class SynthesisTech
-{
-    Twist,
-    CustomArray,
-    Idt,
-};
-
-/** Sequencing technologies offered by the original tool. */
-enum class SequencingTech
-{
-    Illumina,
-    Nanopore,
-};
-
 /** Algorithm 1: the DNASimulator error model. */
 class DnaSimulatorModel : public ErrorModel
 {
@@ -59,15 +46,6 @@ class DnaSimulatorModel : public ErrorModel
     explicit DnaSimulatorModel(
         std::array<DnaSimulatorEntry, kNumBases> dictionary,
         std::string display_name = "dnasimulator");
-
-    /**
-     * The dictionary predetermined for a (synthesis, sequencing)
-     * pair, mirroring the hard-coded tables of the original tool
-     * (representative magnitudes: Illumina ~0.1-0.3% total error,
-     * Nanopore ~5-6%).
-     */
-    static DnaSimulatorModel preset(SynthesisTech synth,
-                                    SequencingTech seq);
 
     /**
      * Build the dictionary from a calibrated ErrorProfile's

@@ -8,49 +8,46 @@
 namespace dnasim
 {
 
-namespace
+ChannelStats &
+ChannelStats::get()
 {
+    auto &reg = obs::Registry::global();
+    static ChannelStats cs{
+        reg.counter("channel.strands",
+                    "strands transmitted through the channel"),
+        reg.counter("channel.bases_in",
+                    "reference bases entering the channel"),
+        reg.counter("channel.bases_out",
+                    "noisy bases emitted by the channel"),
+        reg.counter("channel.errors.sub", "substitution events injected"),
+        reg.counter("channel.errors.ins", "insertion events injected"),
+        reg.counter("channel.errors.del",
+                    "single-base deletion events injected"),
+        reg.counter("channel.errors.long_del",
+                    "long-deletion runs injected"),
+        reg.counter("channel.errors.second_order",
+                    "events drawn from listed second-order errors"),
+    };
+    return cs;
+}
 
-/** Process-wide channel instruments, resolved once. */
-struct ChannelStats
+void
+ChannelStats::flush(size_t n_in, size_t n_out, const Events &events)
 {
-    obs::Counter &strands;
-    obs::Counter &bases_in;
-    obs::Counter &bases_out;
-    obs::Counter &sub;
-    obs::Counter &ins;
-    obs::Counter &del;
-    obs::Counter &long_del;
-    obs::Counter &second_order;
-
-    static ChannelStats &
-    get()
-    {
-        auto &reg = obs::Registry::global();
-        static ChannelStats cs{
-            reg.counter("channel.strands",
-                        "strands transmitted through the channel"),
-            reg.counter("channel.bases_in",
-                        "reference bases entering the channel"),
-            reg.counter("channel.bases_out",
-                        "noisy bases emitted by the channel"),
-            reg.counter("channel.errors.sub",
-                        "substitution events injected"),
-            reg.counter("channel.errors.ins",
-                        "insertion events injected"),
-            reg.counter("channel.errors.del",
-                        "single-base deletion events injected"),
-            reg.counter("channel.errors.long_del",
-                        "long-deletion runs injected"),
-            reg.counter("channel.errors.second_order",
-                        "events drawn from listed second-order "
-                        "errors"),
-        };
-        return cs;
-    }
-};
-
-} // anonymous namespace
+    strands.inc();
+    bases_in.add(n_in);
+    bases_out.add(n_out);
+    if (events.sub)
+        sub.add(events.sub);
+    if (events.ins)
+        ins.add(events.ins);
+    if (events.del)
+        del.add(events.del);
+    if (events.long_del)
+        long_del.add(events.long_del);
+    if (events.second_order)
+        second_order.add(events.second_order);
+}
 
 IdsChannelModel::IdsChannelModel(ErrorProfile profile,
                                  ModelFeatures features,
@@ -466,22 +463,9 @@ IdsChannelModel::transmitScaled(const Strand &ref, double rate_scale,
         ++i;
     }
 
-    // Batched stats flush: one sharded add per touched counter per
-    // strand keeps the hot loop free of bookkeeping.
-    ChannelStats &cs = ChannelStats::get();
-    cs.strands.inc();
-    cs.bases_in.add(len);
-    cs.bases_out.add(out.size());
-    if (n_sub)
-        cs.sub.add(n_sub);
-    if (n_ins)
-        cs.ins.add(n_ins);
-    if (n_del)
-        cs.del.add(n_del);
-    if (n_long_del)
-        cs.long_del.add(n_long_del);
-    if (n_second_order)
-        cs.second_order.add(n_second_order);
+    ChannelStats::get().flush(
+        len, out.size(),
+        {n_sub, n_ins, n_del, n_long_del, n_second_order});
     return out;
 }
 

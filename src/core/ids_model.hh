@@ -30,6 +30,45 @@
 namespace dnasim
 {
 
+namespace obs
+{
+class Counter;
+}
+
+/**
+ * The process-wide channel.* counters, resolved once and fed by every
+ * model (this engine and DnaSimulatorModel). A model counts its
+ * events per strand in locals and flushes them once per strand: one
+ * sharded add per touched counter keeps the hot loops free of
+ * bookkeeping.
+ */
+struct ChannelStats
+{
+    /** Error events injected into one strand. */
+    struct Events
+    {
+        uint64_t sub = 0;
+        uint64_t ins = 0;
+        uint64_t del = 0;
+        uint64_t long_del = 0;
+        uint64_t second_order = 0;
+    };
+
+    obs::Counter &strands;
+    obs::Counter &bases_in;
+    obs::Counter &bases_out;
+    obs::Counter &sub;
+    obs::Counter &ins;
+    obs::Counter &del;
+    obs::Counter &long_del;
+    obs::Counter &second_order;
+
+    static ChannelStats &get();
+
+    /** Count one strand of @p n_in bases sent as @p n_out bases. */
+    void flush(size_t n_in, size_t n_out, const Events &events);
+};
+
 /** Which layers of the ErrorProfile the engine uses. */
 struct ModelFeatures
 {

@@ -192,7 +192,8 @@ JsonValue::asDouble(double fallback) const
 uint64_t
 JsonValue::asUint(uint64_t fallback) const
 {
-    if (kind_ != Kind::Number || !(num_ >= 0.0))
+    // Out of range (2^64 and up) converts with undefined behaviour.
+    if (kind_ != Kind::Number || !(num_ >= 0.0) || num_ >= 0x1p64)
         return fallback;
     return static_cast<uint64_t>(num_);
 }

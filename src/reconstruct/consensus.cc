@@ -10,17 +10,6 @@
 namespace dnasim
 {
 
-char
-pluralityChar(std::span<const char> votes, Rng &rng)
-{
-    if (votes.empty())
-        return 'A';
-    BaseVote vote;
-    for (char c : votes)
-        vote.add(c);
-    return vote.winner(rng);
-}
-
 namespace
 {
 

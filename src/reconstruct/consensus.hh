@@ -31,12 +31,6 @@ Strand positionalPlurality(std::span<const Strand> copies,
                            std::span<const double> weights = {});
 
 /**
- * Plurality vote over a set of single characters with random
- * tie-breaking. Returns 'A' when @p votes is empty.
- */
-char pluralityChar(std::span<const char> votes, Rng &rng);
-
-/**
  * One round of alignment-based (star-MSA) consensus refinement.
  *
  * Every copy is aligned to @p estimate by minimum edit distance;

@@ -1,53 +1,11 @@
 #include "stats/distributions.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
 
 namespace dnasim
 {
-
-TriangularDist::TriangularDist(double a, double c, double b)
-    : a_(a), c_(c), b_(b)
-{
-    DNASIM_ASSERT(a <= c && c <= b && a < b,
-                  "bad triangular params a=", a, " c=", c, " b=", b);
-}
-
-double
-TriangularDist::pdf(double x) const
-{
-    if (x < a_ || x > b_)
-        return 0.0;
-    if (x < c_)
-        return 2.0 * (x - a_) / ((b_ - a_) * (c_ - a_));
-    if (x > c_)
-        return 2.0 * (b_ - x) / ((b_ - a_) * (b_ - c_));
-    return 2.0 / (b_ - a_);
-}
-
-double
-TriangularDist::cdf(double x) const
-{
-    if (x <= a_)
-        return 0.0;
-    if (x >= b_)
-        return 1.0;
-    if (x <= c_)
-        return (x - a_) * (x - a_) / ((b_ - a_) * (c_ - a_));
-    return 1.0 - (b_ - x) * (b_ - x) / ((b_ - a_) * (b_ - c_));
-}
-
-double
-TriangularDist::sample(Rng &rng) const
-{
-    double u = rng.uniform();
-    double fc = (c_ - a_) / (b_ - a_);
-    if (u < fc)
-        return a_ + std::sqrt(u * (b_ - a_) * (c_ - a_));
-    return b_ - std::sqrt((1.0 - u) * (b_ - a_) * (b_ - c_));
-}
 
 CumulativeSampler::CumulativeSampler(std::vector<double> weights)
 {

@@ -1,8 +1,7 @@
 /**
  * @file
- * Samplers beyond what base/rng.hh provides directly: triangular
- * distributions (the paper's A-shaped spatial curve) and reusable
- * cumulative samplers over discrete weights.
+ * A sampler beyond what base/rng.hh provides directly: a reusable
+ * cumulative sampler over discrete weights.
  */
 
 #ifndef DNASIM_STATS_DISTRIBUTIONS_HH
@@ -14,37 +13,6 @@
 
 namespace dnasim
 {
-
-/**
- * Triangular distribution on [a, b] with mode c.
- *
- * Used for the paper's A-shaped spatial error distribution
- * (a = 0, b = 0.30, mean 0.15, i.e. mode at the midpoint).
- */
-class TriangularDist
-{
-  public:
-    TriangularDist(double a, double c, double b);
-
-    double a() const { return a_; }
-    double c() const { return c_; }
-    double b() const { return b_; }
-
-    /** Probability density at @p x. */
-    double pdf(double x) const;
-
-    /** Cumulative distribution function at @p x. */
-    double cdf(double x) const;
-
-    /** Draw a sample via inverse-CDF. */
-    double sample(Rng &rng) const;
-
-    /** Mean (a + b + c) / 3. */
-    double mean() const { return (a_ + b_ + c_) / 3.0; }
-
-  private:
-    double a_, c_, b_;
-};
 
 /**
  * Precomputed cumulative sampler over fixed non-negative weights.

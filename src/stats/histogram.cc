@@ -1,7 +1,6 @@
 #include "stats/histogram.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "base/logging.hh"
 
@@ -52,18 +51,6 @@ Histogram::normalized() const
     return out;
 }
 
-double
-Histogram::meanBin() const
-{
-    uint64_t t = total();
-    if (t == 0)
-        return 0.0;
-    double acc = 0.0;
-    for (size_t i = 0; i < counts_.size(); ++i)
-        acc += static_cast<double>(i) * static_cast<double>(counts_[i]);
-    return acc / static_cast<double>(t);
-}
-
 void
 Histogram::merge(const Histogram &other)
 {
@@ -77,22 +64,6 @@ void
 Histogram::clear()
 {
     std::fill(counts_.begin(), counts_.end(), 0);
-}
-
-std::string
-Histogram::str() const
-{
-    std::ostringstream os;
-    bool first = true;
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        if (counts_[i] == 0)
-            continue;
-        if (!first)
-            os << " ";
-        os << i << ":" << counts_[i];
-        first = false;
-    }
-    return os.str();
 }
 
 double

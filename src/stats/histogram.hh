@@ -7,8 +7,8 @@
 #ifndef DNASIM_STATS_HISTOGRAM_HH
 #define DNASIM_STATS_HISTOGRAM_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dnasim
@@ -47,17 +47,11 @@ class Histogram
     /** Normalized mass per bin (sums to 1; empty if no mass). */
     std::vector<double> normalized() const;
 
-    /** Mean of the bin-index distribution (0 if empty). */
-    double meanBin() const;
-
     /** Merge another histogram into this one. */
     void merge(const Histogram &other);
 
     /** Reset all counts to zero, keeping the bin count. */
     void clear();
-
-    /** Render as "bin:count" pairs, skipping empty bins. */
-    std::string str() const;
 
   private:
     std::vector<uint64_t> counts_;

@@ -131,27 +131,6 @@ PositionProfile::multiplier(size_t pos, size_t len) const
     return multipliers_[lo] * (1.0 - frac) + multipliers_[hi] * frac;
 }
 
-PositionProfile
-PositionProfile::resampled(size_t len) const
-{
-    DNASIM_ASSERT(len > 0, "resample to zero length");
-    if (multipliers_.empty())
-        return PositionProfile();
-    std::vector<double> m(len);
-    for (size_t i = 0; i < len; ++i)
-        m[i] = multiplier(i, len);
-    return PositionProfile(std::move(m));
-}
-
-PositionProfile
-PositionProfile::reversed() const
-{
-    if (multipliers_.empty())
-        return PositionProfile();
-    std::vector<double> m(multipliers_.rbegin(), multipliers_.rend());
-    return PositionProfile(std::move(m));
-}
-
 std::string
 PositionProfile::str() const
 {

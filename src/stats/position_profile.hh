@@ -84,15 +84,6 @@ class PositionProfile
     /** The raw multiplier vector (empty for uniform). */
     const std::vector<double> &multipliers() const { return multipliers_; }
 
-    /**
-     * Profile with the same shape resampled to length @p len
-     * (linear interpolation, then renormalized to mean 1).
-     */
-    PositionProfile resampled(size_t len) const;
-
-    /** Reversed profile (shape mirrored end-for-end). */
-    PositionProfile reversed() const;
-
     /** Short description for reports. */
     std::string str() const;
 

@@ -50,14 +50,6 @@ TEST(Dna, IsBaseChar)
     EXPECT_FALSE(isBaseChar(' '));
 }
 
-TEST(Dna, ComplementIsInvolution)
-{
-    for (Base b : kAllBases)
-        EXPECT_EQ(complement(complement(b)), b);
-    EXPECT_EQ(complementChar('A'), 'T');
-    EXPECT_EQ(complementChar('G'), 'C');
-}
-
 TEST(Dna, IsValidStrand)
 {
     EXPECT_TRUE(isValidStrand(""));
@@ -72,13 +64,6 @@ TEST(Dna, ReverseStrand)
     EXPECT_EQ(reverseStrand("ACGT"), "TGCA");
     EXPECT_EQ(reverseStrand(""), "");
     EXPECT_EQ(reverseStrand("A"), "A");
-}
-
-TEST(Dna, ReverseComplement)
-{
-    EXPECT_EQ(reverseComplement("ACGT"), "ACGT"); // palindrome
-    EXPECT_EQ(reverseComplement("AAA"), "TTT");
-    EXPECT_EQ(reverseComplement("GATTACA"), "TGTAATC");
 }
 
 TEST(Dna, GcRatio)
@@ -436,15 +421,6 @@ TEST(Table, AlignedOutput)
     EXPECT_NE(s.find("demo"), std::string::npos);
     EXPECT_NE(s.find("alpha"), std::string::npos);
     EXPECT_NE(s.find("22"), std::string::npos);
-}
-
-TEST(Table, CsvEscaping)
-{
-    TextTable t;
-    t.setHeader({"a", "b"});
-    t.addRow({"x,y", "plain"});
-    std::string csv = t.csv();
-    EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
 }
 
 TEST(Table, FmtHelpers)

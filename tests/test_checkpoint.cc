@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for stage checkpoints (dnasim.checkpoint.v1): manifest
- * round-trip, the manifest-written-last commit contract, and the
- * little-endian u32 sidecar files.
+ * round-trip and mutation fuzzing, the manifest-written-last commit
+ * contract, and the little-endian u32 sidecar files.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
+#include "base/logging.hh"
+#include "base/rng.hh"
 #include "pipeline/checkpoint.hh"
 
 namespace dnasim
@@ -77,6 +80,122 @@ TEST(Checkpoint, MalformedManifestReadFails)
     std::string error;
     EXPECT_FALSE(ckpt.readManifest(manifest, &error));
     EXPECT_FALSE(error.empty());
+    fs::remove_all(ckpt.dir());
+}
+
+// Every mutant of a written manifest must parse or be refused
+// cleanly (false with a message, or FatalError); it must never abort
+// or throw anything else. The ASan/UBSan lane runs this through
+// ctest.
+TEST(ManifestFuzz, MutantsParseOrAreRefusedWithAMessage)
+{
+    CheckpointDir ckpt(tempDir("fuzz"));
+    CheckpointManifest manifest;
+    manifest.stage = "cluster";
+    manifest.seed = 0x51a70;
+    manifest.num_refs = 300;
+    manifest.num_reads = 8254;
+    manifest.num_clusters = 4315;
+    manifest.config = {{"index", "sketch"}, {"shards", "4"}};
+    ASSERT_TRUE(ckpt.writeManifest(manifest));
+    std::string text;
+    {
+        std::ifstream in(ckpt.manifestPath(), std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        text = buf.str();
+    }
+    ASSERT_FALSE(text.empty());
+
+    // Bytes that matter to a JSON parser, and values of every kind
+    // and range to put where a value was.
+    static const char kJsonBytes[] = "{}[]\":,\\0123456789eE.-+ \n\t";
+    static const char *const kValues[] = {
+        "-1", "0.5", "1e300", "-1e300", "18446744073709551616",
+        "1e19", "null", "true", "[]", "{}", "\"\"", "\"\\u0000\"",
+        "[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[",
+    };
+    Rng rng(0x3a1f);
+    auto anyByte = [&rng] {
+        return rng.bernoulli(0.5)
+                   ? kJsonBytes[rng.index(sizeof(kJsonBytes) - 1)]
+                   : static_cast<char>(rng.index(256));
+    };
+    size_t parsed = 0, refused = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::string m = text;
+        switch (trial % 6) {
+          case 0: // byte substitutions
+            for (size_t n = 1 + rng.index(3); n-- > 0;)
+                m[rng.index(m.size())] = anyByte();
+            break;
+          case 1: // byte insertions
+            for (size_t n = 1 + rng.index(3); n-- > 0;)
+                m.insert(m.begin() + static_cast<ptrdiff_t>(
+                                         rng.index(m.size() + 1)),
+                         anyByte());
+            break;
+          case 2: // byte deletions
+            for (size_t n = 1 + rng.index(3); n-- > 0 && !m.empty();)
+                m.erase(m.begin() +
+                        static_cast<ptrdiff_t>(rng.index(m.size())));
+            break;
+          case 3: // truncation
+            m.resize(rng.index(m.size() + 1));
+            break;
+          case 4: { // a value replaced by one of another kind or range
+            const size_t colon = m.find(':', rng.index(m.size()));
+            if (colon == std::string::npos)
+                break;
+            const size_t end = m.find_first_of(",}\n", colon);
+            m.replace(colon + 1,
+                      (end == std::string::npos ? m.size() : end) -
+                          colon - 1,
+                      kValues[rng.index(std::size(kValues))]);
+            break;
+          }
+          default: { // a duplicated line (a repeated key)
+            const size_t at = m.find('\n', rng.index(m.size()));
+            if (at == std::string::npos)
+                break;
+            const size_t next = m.find('\n', at + 1);
+            if (next != std::string::npos)
+                m.insert(at + 1, m.substr(at + 1, next - at));
+          }
+        }
+        {
+            std::ofstream os(ckpt.manifestPath(),
+                             std::ios::binary | std::ios::trunc);
+            os << m;
+        }
+        CheckpointManifest back;
+        std::string error;
+        try {
+            if (ckpt.readManifest(back, &error)) {
+                ++parsed;
+            } else {
+                ++refused;
+                EXPECT_FALSE(error.empty()) << "trial " << trial;
+            }
+        } catch (const FatalError &) {
+            ++refused;
+        }
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(refused, 0u);
+
+    // Counts past 2^64 (whose conversion would be undefined) and
+    // negative ones read as 0.
+    {
+        std::ofstream os(ckpt.manifestPath(), std::ios::trunc);
+        os << "{\"schema\": \"dnasim.checkpoint.v1\", \"seed\": 1e300, "
+              "\"num_refs\": 18446744073709551616, \"num_reads\": -1}\n";
+    }
+    CheckpointManifest back;
+    ASSERT_TRUE(ckpt.readManifest(back));
+    EXPECT_EQ(back.seed, 0u);
+    EXPECT_EQ(back.num_refs, 0u);
+    EXPECT_EQ(back.num_reads, 0u);
     fs::remove_all(ckpt.dir());
 }
 

@@ -291,6 +291,48 @@ TEST(RotatingCodecTest, DetectsRepeatedBaseCorruption)
     EXPECT_FALSE(codec.decode(strand, data.size()).has_value());
 }
 
+TEST(RotatingCodecTest, RefusesBlocksPastFortyBits)
+{
+    RotatingCodec codec;
+    // A block of all-2 trits holds 3^26 - 1, a value no 40-bit block
+    // encodes to. Trit 2 is the last base that differs from the
+    // previous one ('A' before the first block).
+    auto appendAllTwos = [](Strand &strand) {
+        for (size_t i = 0; i < RotatingCodec::kBlockTrits; ++i) {
+            const char prev = strand.empty() ? 'A' : strand.back();
+            char last = prev;
+            for (char c : kBaseChars)
+                if (c != prev)
+                    last = c;
+            strand.push_back(last);
+        }
+    };
+    Strand first;
+    appendAllTwos(first);
+    EXPECT_FALSE(codec.decode(first, 5).has_value());
+    Strand second = codec.encode(Bytes{1, 2, 3, 4, 5});
+    appendAllTwos(second);
+    EXPECT_FALSE(codec.decode(second, 10).has_value());
+    // The valid first block alone still decodes.
+    EXPECT_TRUE(codec.decode(second, 5).has_value());
+
+    // Every value encode() writes still decodes, the largest 40-bit
+    // block (all 0xff) included.
+    for (const Bytes &data : {Bytes(5, 0x00), Bytes(5, 0xff),
+                              Bytes(13, 0xff), Bytes{0xff}}) {
+        const auto out = codec.decode(codec.encode(data), data.size());
+        ASSERT_TRUE(out.has_value());
+        EXPECT_EQ(*out, data);
+    }
+    Rng rng(0x40b);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const Bytes data = randomBytes(rng.index(41), rng);
+        const auto out = codec.decode(codec.encode(data), data.size());
+        ASSERT_TRUE(out.has_value()) << "trial " << trial;
+        EXPECT_EQ(*out, data);
+    }
+}
+
 TEST(Crc8, DetectsSingleByteCorruption)
 {
     Rng rng(140);

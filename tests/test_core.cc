@@ -3,7 +3,7 @@
  * Unit and statistical tests for the core library: error profiles,
  * the IDS channel engine and its feature ladder, the DNASimulator
  * port, coverage models, the channel simulator, the data-driven
- * profiler, the composable stage pipeline, and the wetlab channel.
+ * profiler, and the wetlab channel.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "core/error_profile.hh"
 #include "core/ids_model.hh"
 #include "core/profiler.hh"
-#include "core/stages.hh"
 #include "core/wetlab.hh"
 #include "data/strand_factory.hh"
 #include "par/thread_pool.hh"
@@ -425,19 +424,6 @@ TEST(DnaSimulator, AlgorithmOneSemantics)
     for (char c : copy)
         silent += (c == 'A') ? 1 : 0;
     EXPECT_NEAR(static_cast<double>(silent) / 400.0, 0.25, 0.08);
-}
-
-TEST(DnaSimulator, PresetsHaveSaneMagnitudes)
-{
-    auto illumina = DnaSimulatorModel::preset(
-        SynthesisTech::Twist, SequencingTech::Illumina);
-    auto nanopore = DnaSimulatorModel::preset(
-        SynthesisTech::Twist, SequencingTech::Nanopore);
-    double low = measuredErrorRate(illumina, 110, 400, 54);
-    double high = measuredErrorRate(nanopore, 110, 400, 55);
-    EXPECT_LT(low, 0.01);
-    EXPECT_GT(high, 0.04);
-    EXPECT_LT(high, 0.10);
 }
 
 TEST(DnaSimulator, FromProfileMatchesAggregateRate)
@@ -903,97 +889,6 @@ TEST_P(CalibrationRateSweep, RecoversTotalRate)
 INSTANTIATE_TEST_SUITE_P(Rates, CalibrationRateSweep,
                          ::testing::Values(0.01, 0.03, 0.06, 0.09,
                                            0.12, 0.15));
-
-TEST(Stages, SynthesisExpandsPool)
-{
-    SynthesisStage stage(0.01, 5);
-    std::vector<Molecule> pool = {{Strand(60, 'A'), 0},
-                                  {Strand(60, 'C'), 1}};
-    Rng rng(72);
-    stage.apply(pool, rng);
-    EXPECT_EQ(pool.size(), 10u);
-    for (const auto &mol : pool)
-        EXPECT_LE(mol.origin, 1u);
-}
-
-TEST(Stages, DecayKillsExpectedFraction)
-{
-    // One half-life: ~50% survival.
-    DecayStage stage(100.0, 100.0, 0.0);
-    std::vector<Molecule> pool(2000, Molecule{Strand(30, 'G'), 0});
-    Rng rng(73);
-    stage.apply(pool, rng);
-    EXPECT_NEAR(static_cast<double>(pool.size()) / 2000.0, 0.5,
-                0.05);
-}
-
-TEST(Stages, DecayBreaksTruncate)
-{
-    DecayStage stage(0.0, 100.0, 1.0); // everyone breaks, all survive
-    std::vector<Molecule> pool(50, Molecule{Strand(40, 'T'), 0});
-    Rng rng(74);
-    stage.apply(pool, rng);
-    ASSERT_EQ(pool.size(), 50u);
-    for (const auto &mol : pool) {
-        EXPECT_LT(mol.seq.size(), 40u);
-        EXPECT_GE(mol.seq.size(), 20u); // longer fragment kept
-    }
-}
-
-TEST(Stages, PcrAmplifies)
-{
-    PcrStage stage(4, 0.9, 0.0, 0.0);
-    // Start from enough molecules that the stochastic growth
-    // concentrates: four cycles at 90% efficiency give a factor of
-    // about 1.9^4 ~ 13.
-    std::vector<Molecule> pool(50, Molecule{Strand(30, 'A'), 0});
-    Rng rng(75);
-    stage.apply(pool, rng);
-    EXPECT_GT(pool.size(), 400u);
-    EXPECT_LT(pool.size(), 950u);
-}
-
-TEST(Stages, PcrRespectsPoolCap)
-{
-    PcrStage stage(10, 1.0, 0.0, 0.0, /*max_pool=*/64);
-    std::vector<Molecule> pool = {{Strand(30, 'A'), 0}};
-    Rng rng(76);
-    stage.apply(pool, rng);
-    EXPECT_LE(pool.size(), 64u);
-}
-
-TEST(Stages, SamplingDrawsExactCount)
-{
-    SamplingStage stage(37);
-    std::vector<Molecule> pool(10, Molecule{Strand(30, 'C'), 0});
-    Rng rng(77);
-    stage.apply(pool, rng);
-    EXPECT_EQ(pool.size(), 37u);
-}
-
-TEST(Stages, StagedChannelGroupsByOrigin)
-{
-    StagedChannel channel;
-    channel.add(std::make_unique<SynthesisStage>(0.005, 6))
-        .add(std::make_unique<PcrStage>(2, 0.8, 0.3, 0.0005))
-        .add(std::make_unique<SamplingStage>(200))
-        .add(std::make_unique<SequencingStage>(
-            ErrorProfile::uniform(0.03, 60)));
-    EXPECT_EQ(channel.numStages(), 4u);
-
-    StrandFactory factory;
-    Rng rng(78);
-    auto refs = factory.makeMany(8, 60, rng);
-    Dataset data = channel.run(refs, rng);
-    ASSERT_EQ(data.size(), 8u);
-    EXPECT_EQ(data.totalCopies(), 200u);
-    // Copies resemble their own reference far more than others.
-    for (size_t i = 0; i < data.size(); ++i) {
-        for (const auto &copy : data[i].copies) {
-            EXPECT_LT(levenshtein(data[i].reference, copy), 20u);
-        }
-    }
-}
 
 TEST(Wetlab, DatasetShapeMatchesConfig)
 {

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "data/dataset.hh"
 #include "data/io.hh"
 #include "data/strand_factory.hh"
@@ -268,6 +269,107 @@ TEST(EvyatIo, MissingFileIsFatal)
 {
     EXPECT_THROW(readEvyatFile("/nonexistent/nope.evyat"),
                  FatalError);
+}
+
+// Mutation fuzzing of the evyat reader: every mutant of a written
+// file must parse into A/C/G/T strands or be refused with FatalError,
+// never abort or throw anything else (the ASan/UBSan lane runs this
+// through ctest).
+TEST(EvyatFuzz, MutantsParseToAcgtStrandsOrAreRefused)
+{
+    StrandFactory factory;
+    Rng make(0xe7a);
+    Dataset data;
+    for (size_t i = 0; i < 16; ++i) {
+        Cluster cluster;
+        cluster.reference = factory.make(30, make);
+        for (size_t k = make.index(5); k-- > 0;)
+            cluster.copies.push_back(factory.make(28 + make.index(5), make));
+        data.add(std::move(cluster));
+    }
+    std::ostringstream out;
+    writeEvyat(data, out);
+    const std::string text = out.str();
+
+    // Offsets of the separator lines, for the line-level mutations.
+    std::vector<size_t> separators;
+    for (size_t at = text.find("\n*"); at != std::string::npos;
+         at = text.find("\n*", at + 1))
+        separators.push_back(at + 1);
+    const std::string separator = "*****************************\n";
+    ASSERT_EQ(separators.size(), data.size());
+
+    Rng rng(0xe7b);
+    auto anyByte = [&rng] { return static_cast<char>(rng.index(256)); };
+    size_t parsed = 0, refused = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::string m = text;
+        const size_t sep = separators[rng.index(separators.size())];
+        switch (trial % 8) {
+          case 0: // byte substitutions
+            for (size_t n = 1 + rng.index(3); n-- > 0;)
+                m[rng.index(m.size())] = anyByte();
+            break;
+          case 1: // byte insertions
+            for (size_t n = 1 + rng.index(3); n-- > 0;)
+                m.insert(m.begin() + static_cast<ptrdiff_t>(
+                                         rng.index(m.size() + 1)),
+                         anyByte());
+            break;
+          case 2: // byte deletions
+            for (size_t n = 1 + rng.index(3); n-- > 0 && !m.empty();)
+                m.erase(m.begin() +
+                        static_cast<ptrdiff_t>(rng.index(m.size())));
+            break;
+          case 3: // truncation
+            m.resize(rng.index(m.size() + 1));
+            break;
+          case 4: // a duplicated separator line
+            m.insert(sep, separator);
+            break;
+          case 5: // a dropped separator line
+            m.erase(sep, separator.size());
+            break;
+          case 6: { // a non-ACGT character in a strand
+            static const char kForeign[] = "NnacgtUX-* \t\0";
+            size_t at = rng.index(m.size());
+            while (at < m.size() && !isBaseChar(m[at]))
+                ++at;
+            if (at < m.size())
+                m[at] = kForeign[rng.index(sizeof(kForeign) - 1)];
+            break;
+          }
+          default: // stray CR / LF, or every line ending as CRLF
+            if (rng.bernoulli(0.5)) {
+                m.insert(m.begin() + static_cast<ptrdiff_t>(
+                                         rng.index(m.size() + 1)),
+                         rng.bernoulli(0.5) ? '\r' : '\n');
+            } else {
+                std::string crlf;
+                for (char c : m) {
+                    if (c == '\n')
+                        crlf += '\r';
+                    crlf += c;
+                }
+                m = std::move(crlf);
+            }
+        }
+        std::istringstream in(m);
+        try {
+            const Dataset back = readEvyat(in);
+            ++parsed;
+            for (const Cluster &cluster : back.clusters()) {
+                ASSERT_TRUE(isValidStrand(cluster.reference))
+                    << "trial " << trial;
+                for (const Strand &copy : cluster.copies)
+                    ASSERT_TRUE(isValidStrand(copy)) << "trial " << trial;
+            }
+        } catch (const FatalError &) {
+            ++refused;
+        }
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 } // namespace

@@ -39,7 +39,6 @@
 #include "core/lineage_log.hh"
 #include "core/profile_io.hh"
 #include "core/profiler.hh"
-#include "core/tech_profiles.hh"
 #include "core/wetlab.hh"
 #include "data/strand_factory.hh"
 #include "obs/stats.hh"
@@ -304,19 +303,10 @@ TEST(Golden, DnaSimulatorModel)
                   0x2ed70b7d533754d6);
 }
 
-TEST(Golden, StagedChannelAndWetlab)
+TEST(Golden, Wetlab)
 {
-    const auto refs = references(30, 110, 0x57a9);
     for (size_t threads : kThreadCounts) {
         ThreadGuard guard(threads);
-        StagedChannel channel = makeArchivalChannel(
-            SequencerGeneration::Nanopore, 110, refs.size(), 8.0,
-            /*storage_years=*/50.0);
-        Rng rng(0x5a);
-        expectDigest("multistage @" + std::to_string(threads),
-                     datasetDigest(channel.run(refs, rng)),
-                     0x819abc417269c802);
-
         WetlabConfig config;
         config.num_clusters = 40;
         Rng wet_rng(0x5b);

@@ -19,9 +19,13 @@
 #include "cluster/greedy_cluster.hh"
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
+#include "core/dnasimulator_model.hh"
 #include "core/ids_model.hh"
+#include "core/profiler.hh"
+#include "core/wetlab.hh"
 #include "data/strand_factory.hh"
 #include "obs/json.hh"
+#include "obs/stats.hh"
 #include "reconstruct/consensus.hh"
 #include "reconstruct/iterative.hh"
 
@@ -193,6 +197,65 @@ TEST(LineageRecording, SimulatorFillsTheLogAndStaysByteIdentical)
     }
     EXPECT_EQ(log.counts().total(), log.totalEvents());
     EXPECT_GT(log.totalEvents(), 0u);
+}
+
+TEST(LineageRecording, EventCountsEqualTheChannelCounters)
+{
+    // A calibrated profile, so every model has conditional rates,
+    // long deletions, spatial skew and second-order entries to draw.
+    WetlabConfig config;
+    config.num_clusters = 40;
+    Rng wet(0x1c);
+    const ErrorProfile profile = ErrorProfiler().calibrate(
+        NanoporeDatasetGenerator(config).generate(wet));
+    StrandFactory factory;
+    Rng make(33);
+    const auto refs = factory.makeMany(30, config.strand_length, make);
+
+    const std::vector<IdsChannelModel> ids = {
+        IdsChannelModel::naive(profile),
+        IdsChannelModel::conditional(profile),
+        IdsChannelModel::skew(profile),
+        IdsChannelModel::secondOrder(profile),
+        IdsChannelModel::contextual(profile)};
+    const DnaSimulatorModel dnasimulator =
+        DnaSimulatorModel::fromProfile(profile);
+    std::vector<const ErrorModel *> models = {&dnasimulator};
+    for (const IdsChannelModel &model : ids)
+        models.push_back(&model);
+
+    for (const ErrorModel *model : models) {
+        ChannelSimulator sim(*model);
+        FixedCoverage coverage(6);
+        LineageLog log;
+        Rng rng(0x1d);
+        const obs::Snapshot before = obs::Registry::global().snapshot();
+        const Dataset data = sim.simulate(refs, coverage, rng, &log);
+        const obs::Snapshot after = obs::Registry::global().snapshot();
+        auto delta = [&](const char *name) {
+            return after.counter(name) - before.counter(name);
+        };
+
+        uint64_t bases_out = 0;
+        for (const Cluster &cluster : data.clusters())
+            for (const Strand &copy : cluster.copies)
+                bases_out += copy.size();
+        const LineageCounts counts = log.counts();
+        EXPECT_GT(counts.total(), 0u) << model->name();
+        EXPECT_EQ(delta("channel.strands"), data.totalCopies())
+            << model->name();
+        EXPECT_EQ(delta("channel.bases_out"), bases_out)
+            << model->name();
+        EXPECT_EQ(delta("channel.errors.sub"), counts.substitutions)
+            << model->name();
+        EXPECT_EQ(delta("channel.errors.ins"), counts.insertions)
+            << model->name();
+        EXPECT_EQ(delta("channel.errors.del"), counts.deletions)
+            << model->name();
+        EXPECT_EQ(delta("channel.errors.long_del"),
+                  counts.long_deletions)
+            << model->name();
+    }
 }
 
 // ---------------------------------------------------------------

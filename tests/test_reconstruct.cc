@@ -82,12 +82,6 @@ TEST(Consensus, BaseVoteWeighted)
     EXPECT_EQ(vote.winner(rng), 'C');
 }
 
-TEST(Consensus, PluralityCharEmpty)
-{
-    Rng rng(92);
-    EXPECT_EQ(pluralityChar({}, rng), 'A');
-}
-
 TEST(Consensus, PositionalPluralityBasics)
 {
     Rng rng(93);

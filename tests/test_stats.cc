@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the stats library: histograms, summaries,
- * chi-square distance, distributions, and positional profiles.
+ * Unit tests for the stats library: histograms, chi-square
+ * distance, distributions, and positional profiles.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "stats/distributions.hh"
 #include "stats/histogram.hh"
 #include "stats/position_profile.hh"
-#include "stats/summary.hh"
 
 namespace dnasim
 {
@@ -49,14 +48,6 @@ TEST(Histogram, FractionAndNormalized)
     auto norm = h.normalized();
     ASSERT_EQ(norm.size(), 2u);
     EXPECT_DOUBLE_EQ(norm[0] + norm[1], 1.0);
-}
-
-TEST(Histogram, MeanBin)
-{
-    Histogram h;
-    h.add(2, 2);
-    h.add(4, 2);
-    EXPECT_DOUBLE_EQ(h.meanBin(), 3.0);
 }
 
 TEST(Histogram, Merge)
@@ -123,81 +114,6 @@ TEST(ChiSquare, SymmetricInArguments)
     b.add(2, 5);
     EXPECT_DOUBLE_EQ(chiSquareDistance(a, b),
                      chiSquareDistance(b, a));
-}
-
-TEST(Summary, EmptyIsZeros)
-{
-    Summary s = summarize({});
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Summary, BasicStatistics)
-{
-    std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-    Summary s = summarize(xs);
-    EXPECT_EQ(s.count, 4u);
-    EXPECT_DOUBLE_EQ(s.mean, 2.5);
-    EXPECT_DOUBLE_EQ(s.min, 1.0);
-    EXPECT_DOUBLE_EQ(s.max, 4.0);
-    EXPECT_DOUBLE_EQ(s.median, 2.5);
-    EXPECT_NEAR(s.variance, 1.25, 1e-12);
-}
-
-TEST(Summary, QuantileInterpolation)
-{
-    std::vector<double> xs = {0.0, 10.0};
-    EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 0.0);
-    EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 10.0);
-    EXPECT_DOUBLE_EQ(quantile(xs, 0.25), 2.5);
-}
-
-TEST(Summary, QuantileUnsortedInput)
-{
-    std::vector<double> xs = {5.0, 1.0, 3.0};
-    EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 3.0);
-}
-
-TEST(Triangular, PdfIntegratesToOne)
-{
-    TriangularDist dist(0.0, 0.15, 0.30);
-    double acc = 0.0;
-    const int steps = 10000;
-    for (int i = 0; i < steps; ++i) {
-        double x = 0.30 * (i + 0.5) / steps;
-        acc += dist.pdf(x) * 0.30 / steps;
-    }
-    EXPECT_NEAR(acc, 1.0, 1e-3);
-}
-
-TEST(Triangular, CdfMonotone)
-{
-    TriangularDist dist(0.0, 0.1, 0.30);
-    double prev = -1.0;
-    for (int i = 0; i <= 30; ++i) {
-        double c = dist.cdf(0.01 * i);
-        EXPECT_GE(c, prev);
-        prev = c;
-    }
-    EXPECT_DOUBLE_EQ(dist.cdf(-1.0), 0.0);
-    EXPECT_DOUBLE_EQ(dist.cdf(1.0), 1.0);
-}
-
-TEST(Triangular, SampleMeanMatchesTheory)
-{
-    // The paper's A-shaped source: a = 0, b = 0.30, mean 0.15.
-    TriangularDist dist(0.0, 0.15, 0.30);
-    EXPECT_DOUBLE_EQ(dist.mean(), 0.15);
-    Rng rng(9);
-    double acc = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) {
-        double x = dist.sample(rng);
-        EXPECT_GE(x, 0.0);
-        EXPECT_LE(x, 0.30);
-        acc += x;
-    }
-    EXPECT_NEAR(acc / n, 0.15, 0.002);
 }
 
 TEST(CumulativeSampler, RespectsWeights)
@@ -314,18 +230,6 @@ TEST(PositionProfile, FromHistogramFloor)
     EXPECT_GT(p.multiplier(5, 10), 0.0);
 }
 
-TEST(PositionProfile, ResampledPreservesShape)
-{
-    auto p = PositionProfile::terminalSkew(110, 4.0, 8.0);
-    auto q = p.resampled(55);
-    EXPECT_EQ(q.length(), 55u);
-    EXPECT_GT(q.multiplier(54, 55), q.multiplier(27, 55));
-    double sum = 0.0;
-    for (size_t i = 0; i < 55; ++i)
-        sum += q.multiplier(i, 55);
-    EXPECT_NEAR(sum / 55.0, 1.0, 1e-9);
-}
-
 TEST(PositionProfile, MultiplierInterpolatesOtherLengths)
 {
     auto p = PositionProfile::aShaped(110);
@@ -333,14 +237,6 @@ TEST(PositionProfile, MultiplierInterpolatesOtherLengths)
     // near the profile's peak.
     EXPECT_NEAR(p.multiplier(10, 21), 2.0, 0.1);
     EXPECT_LT(p.multiplier(0, 21), 0.5);
-}
-
-TEST(PositionProfile, ReversedMirrors)
-{
-    auto p = PositionProfile::terminalSkew(100, 3.0, 9.0);
-    auto r = p.reversed();
-    EXPECT_DOUBLE_EQ(p.multiplier(0, 100), r.multiplier(99, 100));
-    EXPECT_DOUBLE_EQ(p.multiplier(99, 100), r.multiplier(0, 100));
 }
 
 TEST(PositionProfile, OutOfRangePositionClamps)
