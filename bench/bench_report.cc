@@ -8,11 +8,8 @@
 #include <mutex>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "base/logging.hh"
+#include "base/output_file.hh"
 #include "obs/json.hh"
 #include "obs/profile.hh"
 #include "obs/provenance.hh"
@@ -129,27 +126,29 @@ BenchReport::write()
     const uint64_t strands = snap.counter("channel.strands");
     const uint64_t bases = snap.counter("channel.bases_out");
 
-    std::ofstream os(path);
-    if (!os) {
-        warn("bench report: cannot write ", path);
+    OutputFile out;
+    std::string error;
+    if (!out.open(path, &error)) {
+        warn("bench report: ", error);
         // The report is lost, but an enabled trace can still land on
         // disk (no-op unless --trace-out configured an exit path).
         obs::Trace::global().flushExitFile();
         return "";
     }
 
+    std::ostream &os = out.stream();
     obs::JsonWriter w(os);
     w.beginObject();
     w.value("schema", "dnasim.bench.v1");
     w.value("name", name_);
-    w.value("git_rev", gitRevision());
+    w.value("git_rev", obs::gitRevision());
     // Shared provenance header (the top-level git_rev above predates
     // it and stays, so the schema keeps every field it had).
     obs::writeProvenance(w);
     w.value("seed", seed_);
     w.value("wall_time_s", wall_s);
     std::string rss_source;
-    w.value("peak_rss_bytes", peakRssBytes(&rss_source));
+    w.value("peak_rss_bytes", obs::peakRssBytes(&rss_source));
     w.value("rss_source", rss_source);
 
     w.beginObject("throughput");
@@ -213,11 +212,15 @@ BenchReport::write()
     w.rawValue("stats", obs::statsToJson(snap));
     w.endObject();
     os << "\n";
-    os.close();
+    const bool written = out.commit(&error);
 
     // This writer runs from atexit, which an early std::exit also
     // reaches; flush any pending trace here so both files survive.
     obs::Trace::global().flushExitFile();
+    if (!written) {
+        warn("bench report: ", error);
+        return "";
+    }
 
     std::cerr << "# bench report: wrote " << path << "\n";
     return path;
@@ -227,38 +230,6 @@ Rng
 benchRng(uint64_t salt)
 {
     return Rng(BenchReport::global().seed()).fork(salt);
-}
-
-uint64_t
-peakRssBytes(std::string *source)
-{
-    if (source)
-        *source = "none";
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line)) {
-        if (line.rfind("VmHWM:", 0) == 0) {
-            unsigned long long kb = 0;
-            std::sscanf(line.c_str(), "VmHWM: %llu", &kb);
-            if (source)
-                *source = "proc_status";
-            return static_cast<uint64_t>(kb) * 1024;
-        }
-    }
-#if defined(__unix__) || defined(__APPLE__)
-    struct rusage usage;
-    if (getrusage(RUSAGE_SELF, &usage) == 0 && usage.ru_maxrss > 0) {
-        if (source)
-            *source = "getrusage";
-        // ru_maxrss is KiB on Linux, bytes on macOS.
-#if defined(__APPLE__)
-        return static_cast<uint64_t>(usage.ru_maxrss);
-#else
-        return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
-#endif
-    }
-#endif
-    return 0;
 }
 
 bool
@@ -271,15 +242,6 @@ clearPeakRss()
     clear << "5";
     clear.flush();
     return clear.good();
-}
-
-std::string
-gitRevision()
-{
-    // The resolution moved to obs/provenance so every artifact
-    // writer shares one implementation; this forwarder keeps the
-    // bench harness API stable.
-    return obs::gitRevision();
 }
 
 } // namespace dnasim

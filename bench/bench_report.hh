@@ -94,27 +94,14 @@ class BenchReport
 Rng benchRng(uint64_t salt);
 
 /**
- * Peak resident set size in bytes: VmHWM from /proc/self/status,
- * falling back to getrusage(RUSAGE_SELF) where /proc is unavailable
- * (containers, macOS); 0 when neither source exists. A non-null
- * @p source receives which one answered ("proc_status", "getrusage"
- * or "none") — reports echo it as "rss_source" so cross-platform
- * numbers aren't compared blindly.
- */
-uint64_t peakRssBytes(std::string *source = nullptr);
-
-/**
  * Reset the kernel's peak-RSS counter (VmHWM) by writing "5" to
- * /proc/self/clear_refs, so the next peakRssBytes() reads the high
- * water of only the work since this call. Returns false where the
- * interface doesn't exist or the write is refused (non-Linux,
+ * /proc/self/clear_refs, so the next obs::peakRssBytes() reads the
+ * high water of only the work since this call. Returns false where
+ * the interface doesn't exist or the write is refused (non-Linux,
  * restricted containers) — peaks then stay monotonic and per-row
  * attribution degrades to "peak so far", never to a wrong number.
  */
 bool clearPeakRss();
-
-/** Short git revision of the source tree, "unknown" on failure. */
-std::string gitRevision();
 
 } // namespace dnasim
 

@@ -12,7 +12,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -220,7 +219,7 @@ BM_ClusterScalingPool(benchmark::State &state)
          ("dnasim_perf_pool_" + std::to_string(clusters) +
           ".dnapool"))
             .string();
-    std::ostringstream origin_bytes;
+    std::vector<size_t> origins;
     {
         PackedStrandPoolBuilder builder;
         std::string error;
@@ -228,23 +227,14 @@ BM_ClusterScalingPool(benchmark::State &state)
             state.SkipWithError(error.c_str());
             return;
         }
-        sim.simulateToPool(StrandPoolView(refs), cov, rng, builder,
-                           &origin_bytes);
+        const PoolSimulateResult sim_result = sim.simulateToPool(
+            StrandPoolView(refs), cov, rng, builder);
         if (!builder.finish(&error)) {
             state.SkipWithError(error.c_str());
             return;
         }
-    }
-    const std::string bytes = origin_bytes.str();
-    std::vector<size_t> origins(bytes.size() / 4);
-    for (size_t i = 0; i < origins.size(); ++i) {
-        const auto *p =
-            reinterpret_cast<const unsigned char *>(bytes.data()) +
-            i * 4;
-        origins[i] = static_cast<size_t>(p[0]) |
-                     static_cast<size_t>(p[1]) << 8 |
-                     static_cast<size_t>(p[2]) << 16 |
-                     static_cast<size_t>(p[3]) << 24;
+        origins.assign(sim_result.origins.begin(),
+                       sim_result.origins.end());
     }
 
     PackedStrandPool pool;

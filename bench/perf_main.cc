@@ -55,7 +55,7 @@ class ReportingReporter : public benchmark::ConsoleReporter
         // the footprint of the rows reported here. Where VmHWM can't
         // be reset the value decays to "peak so far" (monotonic);
         // rss_source in the report header says which.
-        const uint64_t rss_high_water = dnasim::peakRssBytes();
+        const uint64_t rss_high_water = dnasim::obs::peakRssBytes();
         for (const auto &run : reports) {
             if (run.error_occurred ||
                 run.run_type == Run::RT_Aggregate)

@@ -8,9 +8,9 @@
 
 #include "align/edit_distance.hh"
 #include "base/logging.hh"
+#include "base/output_file.hh"
 #include "base/table.hh"
 #include "obs/json.hh"
-#include "obs/outfile.hh"
 #include "obs/provenance.hh"
 #include "reconstruct/consensus.hh"
 
@@ -669,9 +669,9 @@ writeLineageJsonl(const std::string &path, const LineageInputs &in,
 {
     DNASIM_ASSERT(in.truth != nullptr,
                   "lineage stream needs ground truth");
-    // Atomic temp-and-rename: a killed run leaves either the previous
-    // stream intact or nothing, never a truncated JSONL tail.
-    obs::AtomicFile file;
+    // A killed run leaves a regular file's previous stream intact or
+    // nothing, never a truncated JSONL tail.
+    OutputFile file;
     if (!file.open(path, error))
         return false;
     std::ostream &os = file.stream();

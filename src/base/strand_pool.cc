@@ -1,8 +1,6 @@
 #include "base/strand_pool.hh"
 
 #include <bit>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -46,22 +44,6 @@ setPathError(std::string *error, const std::string &path,
         *error = path + ": " + what;
 }
 
-bool
-makeParentDirs(const std::string &path, std::string *error)
-{
-    std::error_code ec;
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (parent.empty())
-        return true;
-    std::filesystem::create_directories(parent, ec);
-    if (ec) {
-        setPathError(error, parent.string(),
-                     "cannot create directory: " + ec.message());
-        return false;
-    }
-    return true;
-}
-
 /** Append the whole contents of @p src to @p out in fixed chunks. */
 bool
 appendFile(std::ofstream &out, const std::string &src,
@@ -101,25 +83,6 @@ removeQuiet(const std::string &path)
 {
     std::error_code ec;
     std::filesystem::remove(path, ec);
-}
-
-std::string
-stripCr(std::string line)
-{
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
-    return line;
-}
-
-bool
-isSeparatorLine(const std::string &line)
-{
-    if (line.empty())
-        return false;
-    for (char c : line)
-        if (c != '*')
-            return false;
-    return true;
 }
 
 } // anonymous namespace
@@ -265,7 +228,7 @@ PackedStrandPoolBuilder::open(const std::string &path,
                               std::string *error)
 {
     DNASIM_ASSERT(!open_, "pool builder already open");
-    if (!makeParentDirs(path, error))
+    if (!out_.open(path, error))
         return false;
     path_ = path;
     index_out_.open(path_ + ".tmp.index",
@@ -274,10 +237,7 @@ PackedStrandPoolBuilder::open(const std::string &path,
                     std::ios::binary | std::ios::trunc);
     if (!index_out_ || !arena_out_) {
         setPathError(error, path_, "cannot create pool side files");
-        index_out_.close();
-        arena_out_.close();
-        removeQuiet(path_ + ".tmp.index");
-        removeQuiet(path_ + ".tmp.arena");
+        abort();
         return false;
     }
     count_ = 0;
@@ -322,51 +282,34 @@ PackedStrandPoolBuilder::finish(std::string *error)
 
     const std::string index_path = path_ + ".tmp.index";
     const std::string arena_path = path_ + ".tmp.arena";
-    const std::string tmp_path = path_ + ".tmp";
     bool ok = !index_out_.fail() && !arena_out_.fail();
     if (!ok)
         setPathError(error, path_, "I/O error on pool side files");
 
     if (ok) {
-        std::ofstream out(tmp_path,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            setPathError(error, tmp_path, "cannot create pool file");
-            ok = false;
-        } else {
-            char header[PackedStrandPool::kHeaderBytes] = {};
-            std::memcpy(header, PackedStrandPool::kMagic,
-                        sizeof(PackedStrandPool::kMagic));
-            storeU64(header + 8, PackedStrandPool::kVersion);
-            storeU64(header + 16, count_);
-            storeU64(header + 24, arena_words_);
-            storeU64(header + 32, PackedStrandPool::kHeaderBytes);
-            storeU64(header + 40,
-                     PackedStrandPool::kHeaderBytes +
-                         count_ * PackedStrandPool::kIndexEntryBytes);
-            storeU64(header + 48, total_bases_);
-            out.write(header, sizeof(header));
-            ok = appendFile(out, index_path, error) &&
-                 appendFile(out, arena_path, error);
-            out.close();
-            if (ok && out.fail()) {
-                setPathError(error, tmp_path,
-                             "I/O error while writing pool file");
-                ok = false;
-            }
-        }
+        char header[PackedStrandPool::kHeaderBytes] = {};
+        std::memcpy(header, PackedStrandPool::kMagic,
+                    sizeof(PackedStrandPool::kMagic));
+        storeU64(header + 8, PackedStrandPool::kVersion);
+        storeU64(header + 16, count_);
+        storeU64(header + 24, arena_words_);
+        storeU64(header + 32, PackedStrandPool::kHeaderBytes);
+        storeU64(header + 40,
+                 PackedStrandPool::kHeaderBytes +
+                     count_ * PackedStrandPool::kIndexEntryBytes);
+        storeU64(header + 48, total_bases_);
+        out_.stream().write(header, sizeof(header));
+        ok = appendFile(out_.stream(), index_path, error) &&
+             appendFile(out_.stream(), arena_path, error);
     }
 
     removeQuiet(index_path);
     removeQuiet(arena_path);
-    if (ok && std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-        setPathError(error, path_,
-                     std::string("rename: ") + std::strerror(errno));
-        ok = false;
+    if (!ok) {
+        out_.abort();
+        return false;
     }
-    if (!ok)
-        removeQuiet(tmp_path);
-    return ok;
+    return out_.commit(error);
 }
 
 void
@@ -378,288 +321,57 @@ PackedStrandPoolBuilder::abort()
     if (!path_.empty()) {
         removeQuiet(path_ + ".tmp.index");
         removeQuiet(path_ + ".tmp.arena");
-        removeQuiet(path_ + ".tmp");
     }
+    out_.abort();
 }
 
 // ---------------------------------------------------------------------
-// Streaming ingest
-
-namespace
-{
-
-/** Shared sink: appends reads, tracks skips, enforces max_reads. */
-class IngestSink
-{
-  public:
-    IngestSink(PackedStrandPoolBuilder &builder,
-               const IngestOptions &options, IngestResult &result,
-               std::ofstream *origins_out)
-        : builder_(builder), options_(options), result_(result),
-          origins_out_(origins_out)
-    {
-    }
-
-    /** False once max_reads is reached — the caller stops parsing. */
-    bool wantMore() const
-    {
-        return options_.max_reads == 0 ||
-               result_.reads < options_.max_reads;
-    }
-
-    void add(std::string_view read, uint32_t origin)
-    {
-        if (!builder_.append(read)) {
-            ++result_.skipped;
-            return;
-        }
-        ++result_.reads;
-        result_.total_bases += read.size();
-        if (origins_out_ != nullptr) {
-            origins_out_->write(
-                reinterpret_cast<const char *>(&origin),
-                sizeof(origin));
-        }
-    }
-
-  private:
-    PackedStrandPoolBuilder &builder_;
-    const IngestOptions &options_;
-    IngestResult &result_;
-    std::ofstream *origins_out_;
-};
+// .u32 sidecars
 
 bool
-ingestLines(std::istream &in, IngestSink &sink)
+writeU32File(const std::string &path,
+             const std::vector<uint32_t> &values, std::string *error)
 {
-    std::string line;
-    while (sink.wantMore() && std::getline(in, line)) {
-        line = stripCr(std::move(line));
-        if (line.empty())
-            continue;
-        sink.add(line, 0);
-    }
-    return !in.bad();
+    return OutputFile::write(
+        path,
+        std::string_view(reinterpret_cast<const char *>(values.data()),
+                         values.size() * sizeof(uint32_t)),
+        error);
 }
 
 bool
-ingestFasta(std::istream &in, IngestSink &sink, IngestResult &result)
+readU32File(const std::string &path, size_t max_entries,
+            std::vector<uint32_t> &out, std::string *error)
 {
-    std::string line;
-    std::string seq;
-    bool have_record = false;
-    auto flush = [&] {
-        if (have_record)
-            sink.add(seq, 0);
-        seq.clear();
-        have_record = false;
+    auto fail = [error](std::string msg) {
+        if (error != nullptr)
+            *error = std::move(msg);
+        return false;
     };
-    while (sink.wantMore() && std::getline(in, line)) {
-        line = stripCr(std::move(line));
-        if (!line.empty() && line[0] == '>') {
-            flush();
-            have_record = true;
-            continue;
-        }
-        if (line.empty())
-            continue;
-        // Tolerate sequence data before the first header.
-        have_record = true;
-        seq += line;
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path, ec);
+    if (ec)
+        return fail("cannot stat '" + path + "': " + ec.message());
+    if (size % sizeof(uint32_t) != 0) {
+        return fail("'" + path + "' is not a u32 array (size " +
+                    std::to_string(size) + ")");
     }
-    if (sink.wantMore())
-        flush();
-    (void)result;
-    return !in.bad();
-}
-
-bool
-ingestEvyat(std::istream &in, IngestSink &sink, IngestResult &result,
-            std::string *error)
-{
-    std::string line;
-    size_t line_no = 0;
-    while (sink.wantMore() && std::getline(in, line)) {
-        ++line_no;
-        line = stripCr(std::move(line));
-        if (line.empty())
-            continue;
-
-        // Reference line (skipped — pools hold reads), then the
-        // separator, then copies until a blank line or EOF.
-        if (!std::getline(in, line)) {
-            setPathError(error, "line " + std::to_string(line_no),
-                         "unexpected EOF, separator expected");
-            return false;
-        }
-        ++line_no;
-        line = stripCr(std::move(line));
-        if (!isSeparatorLine(line)) {
-            setPathError(error, "line " + std::to_string(line_no),
-                         "expected evyat separator, got '" + line +
-                             "'");
-            return false;
-        }
-        const auto origin = static_cast<uint32_t>(result.clusters);
-        ++result.clusters;
-        while (std::getline(in, line)) {
-            ++line_no;
-            line = stripCr(std::move(line));
-            if (line.empty())
-                break;
-            if (!sink.wantMore())
-                return true;
-            sink.add(line, origin);
-        }
+    const uint64_t entries = size / sizeof(uint32_t);
+    if (entries > max_entries) {
+        return fail("'" + path + "' holds " + std::to_string(entries) +
+                    " entries, more than the " +
+                    std::to_string(max_entries) +
+                    " reads of its pool");
     }
-    return !in.bad();
-}
-
-IngestFormat
-sniffFormat(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string first;
-    std::string line;
-    while (std::getline(in, line)) {
-        line = stripCr(std::move(line));
-        if (line.empty())
-            continue;
-        if (first.empty()) {
-            first = line;
-            if (first[0] == '>')
-                return IngestFormat::Fasta;
-            continue;
-        }
-        // The line right after the first strand decides: an all-'*'
-        // separator marks the clustered evyat layout.
-        return isSeparatorLine(line) ? IngestFormat::Evyat
-                                     : IngestFormat::Lines;
-    }
-    return IngestFormat::Lines;
-}
-
-} // anonymous namespace
-
-IngestFormat
-sniffIngestFormat(const std::string &path)
-{
-    return sniffFormat(path);
-}
-
-const char *
-ingestFormatName(IngestFormat format)
-{
-    switch (format) {
-    case IngestFormat::Auto:
-        return "auto";
-    case IngestFormat::Lines:
-        return "lines";
-    case IngestFormat::Fasta:
-        return "fasta";
-    case IngestFormat::Evyat:
-        return "evyat";
-    }
-    return "?";
-}
-
-bool
-ingestToPool(const std::string &input_path,
-             const std::string &pool_path,
-             const IngestOptions &options, IngestResult &result,
-             std::string *error)
-{
-    result = IngestResult{};
-
-    std::ifstream in(input_path);
-    if (!in) {
-        setPathError(error, input_path, "cannot open for reading");
-        return false;
-    }
-
-    IngestFormat format = options.format;
-    if (format == IngestFormat::Auto)
-        format = sniffFormat(input_path);
-
-    PackedStrandPoolBuilder builder;
-    if (!builder.open(pool_path, error))
-        return false;
-
-    std::ofstream origins_out;
-    std::string origins_tmp;
-    if (!options.origins_path.empty()) {
-        if (format != IngestFormat::Evyat) {
-            setPathError(error, options.origins_path,
-                         "--origins requires evyat input");
-            builder.abort();
-            return false;
-        }
-        if (!makeParentDirs(options.origins_path, error)) {
-            builder.abort();
-            return false;
-        }
-        origins_tmp = options.origins_path + ".tmp";
-        origins_out.open(origins_tmp,
-                         std::ios::binary | std::ios::trunc);
-        if (!origins_out) {
-            setPathError(error, origins_tmp, "cannot create");
-            builder.abort();
-            return false;
-        }
-    }
-
-    IngestSink sink(builder, options, result,
-                    origins_out.is_open() ? &origins_out : nullptr);
-    bool ok = false;
-    switch (format) {
-    case IngestFormat::Lines:
-        ok = ingestLines(in, sink);
-        if (!ok)
-            setPathError(error, input_path, "read error");
-        break;
-    case IngestFormat::Fasta:
-        ok = ingestFasta(in, sink, result);
-        if (!ok)
-            setPathError(error, input_path, "read error");
-        break;
-    case IngestFormat::Evyat:
-        ok = ingestEvyat(in, sink, result, error);
-        break;
-    case IngestFormat::Auto:
-        DNASIM_ASSERT(false, "unreachable: format sniffed above");
-        break;
-    }
-
-    if (!ok) {
-        builder.abort();
-        if (origins_out.is_open()) {
-            origins_out.close();
-            removeQuiet(origins_tmp);
-        }
-        return false;
-    }
-
-    if (origins_out.is_open()) {
-        origins_out.close();
-        if (origins_out.fail()) {
-            setPathError(error, origins_tmp, "I/O error");
-            builder.abort();
-            removeQuiet(origins_tmp);
-            return false;
-        }
-    }
-    if (!builder.finish(error)) {
-        if (!origins_tmp.empty())
-            removeQuiet(origins_tmp);
-        return false;
-    }
-    if (!origins_tmp.empty() &&
-        std::rename(origins_tmp.c_str(),
-                    options.origins_path.c_str()) != 0) {
-        setPathError(error, options.origins_path,
-                     std::string("rename: ") + std::strerror(errno));
-        removeQuiet(origins_tmp);
-        return false;
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return fail("cannot open '" + path + "'");
+    out.resize(static_cast<size_t>(entries));
+    if (!out.empty()) {
+        in.read(reinterpret_cast<char *>(out.data()),
+                static_cast<std::streamsize>(size));
+        if (in.gcount() != static_cast<std::streamsize>(size))
+            return fail("short read on '" + path + "'");
     }
     return true;
 }

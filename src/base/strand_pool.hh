@@ -23,8 +23,8 @@
  * zero, as packWordsInto() writes them.
  *
  * PackedStrandPoolBuilder streams strands to side files in bounded
- * memory and commits the assembled pool atomically (write to a temp
- * path, then rename), so a killed ingest never leaves a torn pool.
+ * memory and publishes the assembled pool through OutputFile, so a
+ * killed ingest never leaves a torn pool.
  * StrandPoolView lets ChannelSimulator, clusterReads and the
  * reconstruction pipeline consume either an in-RAM
  * std::vector<Strand> or an mmap-backed pool through one interface.
@@ -42,6 +42,7 @@
 
 #include "base/dna.hh"
 #include "base/mapped_file.hh"
+#include "base/output_file.hh"
 #include "base/packed.hh"
 
 namespace dnasim
@@ -115,9 +116,10 @@ class PackedStrandPool
 
 /**
  * Streaming writer for dnapool v1 files. Index entries and arena
- * words go to side files through small buffers, so memory use is
- * independent of pool size; finish() splices header + index + arena
- * into "<path>.tmp" and renames it over @p path in one atomic step.
+ * words go to "<path>.tmp.index" and "<path>.tmp.arena" through
+ * small buffers, so memory use is independent of pool size; finish()
+ * splices header + index + arena into the OutputFile opened on
+ * @p path and commits it.
  */
 class PackedStrandPoolBuilder
 {
@@ -131,8 +133,9 @@ class PackedStrandPoolBuilder
 
     /**
      * Start building the pool that finish() will publish at
-     * @p path. Creates parent directories. Returns false (setting
-     * @p error when non-null) if the side files cannot be created.
+     * @p path (opened as an OutputFile, which creates parent
+     * directories). Returns false (setting @p error when non-null)
+     * if it or the side files cannot be created.
      */
     bool open(const std::string &path, std::string *error = nullptr);
 
@@ -151,9 +154,9 @@ class PackedStrandPoolBuilder
     uint64_t totalBases() const { return total_bases_; }
 
     /**
-     * Assemble and atomically publish the pool file. Returns false
-     * (setting @p error when non-null) on I/O failure, in which case
-     * no file appears at the target path. The builder is closed
+     * Assemble and publish the pool file. Returns false (setting
+     * @p error when non-null) on I/O failure, in which case a
+     * regular target keeps its old content. The builder is closed
      * either way.
      */
     bool finish(std::string *error = nullptr);
@@ -163,6 +166,7 @@ class PackedStrandPoolBuilder
 
   private:
     std::string path_;
+    OutputFile out_;
     std::ofstream index_out_;
     std::ofstream arena_out_;
     std::vector<uint64_t> scratch_;
@@ -276,56 +280,25 @@ class StrandPoolView
     size_t limit_ = SIZE_MAX;
 };
 
-/** Input formats understood by ingestToPool(). */
-enum class IngestFormat
-{
-    Auto,  ///< sniff: evyat separator > FASTA '>' > plain lines
-    Lines, ///< one strand per non-empty line
-    Fasta, ///< '>' headers; sequence lines concatenated per record
-    Evyat, ///< clustered dataset; copies ingested, references skipped
-};
-
-struct IngestOptions
-{
-    IngestFormat format = IngestFormat::Auto;
-    /** Stop after this many ingested reads (0 = unlimited). */
-    size_t max_reads = 0;
-    /**
-     * Evyat input only: write one little-endian u32 per ingested
-     * read — the 0-based cluster index it came from — to this path
-     * (atomically). Enables ground-truth purity scoring on pools.
-     */
-    std::string origins_path;
-};
-
-struct IngestResult
-{
-    size_t reads = 0;        ///< strands appended to the pool
-    size_t skipped = 0;      ///< dropped: non-ACGT characters
-    size_t clusters = 0;     ///< evyat only: clusters seen
-    uint64_t total_bases = 0;
-};
-
 /**
- * Resolve IngestFormat::Auto for the file at @p path by peeking at
- * its first two non-empty lines ('>' header → Fasta, all-'*' second
- * line → Evyat, otherwise Lines). Never returns Auto.
+ * Write @p values as little-endian u32s to @p path — the `.u32`
+ * sidecar format (one entry per pool read: origins, cluster
+ * assignments). Returns false (setting @p error when non-null) on
+ * I/O failure.
  */
-IngestFormat sniffIngestFormat(const std::string &path);
-
-/** Stable lowercase name of an ingest format. */
-const char *ingestFormatName(IngestFormat format);
-
-/**
- * Stream the text input at @p input_path into a pool file at
- * @p pool_path in bounded memory. Returns false (setting @p error
- * when non-null) on I/O failure or malformed input; no pool file is
- * published in that case.
- */
-bool ingestToPool(const std::string &input_path,
-                  const std::string &pool_path,
-                  const IngestOptions &options, IngestResult &result,
+bool writeU32File(const std::string &path,
+                  const std::vector<uint32_t> &values,
                   std::string *error = nullptr);
+
+/**
+ * Read a `.u32` sidecar back. A file of more than @p max_entries
+ * entries (the pool's read count) or of a size that is no multiple
+ * of 4 is refused before anything is allocated. Returns false
+ * (setting @p error when non-null) on I/O or size errors.
+ */
+bool readU32File(const std::string &path, size_t max_entries,
+                 std::vector<uint32_t> &out,
+                 std::string *error = nullptr);
 
 } // namespace dnasim
 

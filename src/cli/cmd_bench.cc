@@ -13,10 +13,10 @@
 
 #include "cli/commands.hh"
 
-#include <fstream>
 #include <iostream>
 
 #include "base/logging.hh"
+#include "base/output_file.hh"
 #include "obs/history.hh"
 
 namespace dnasim
@@ -52,14 +52,11 @@ benchDiff(const Args &args)
     obs::DiffReport report = obs::diffBenchRuns(baseline, candidate);
     std::cout << obs::diffToText(report);
     const std::string out_path = args.get("out");
-    if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        os << obs::diffToJson(report);
-        os.close();
-        if (!os) {
-            warn("bench: cannot write ", out_path);
-            return 1;
-        }
+    std::string error;
+    if (!out_path.empty() &&
+        !OutputFile::write(out_path, obs::diffToJson(report), &error)) {
+        warn("bench: ", error);
+        return 1;
     }
     // 0 = clean, 2 = regression; 1 stays reserved for usage/IO
     // errors so CI can tell "slow" apart from "broken".

@@ -14,6 +14,7 @@
 #include "base/logging.hh"
 #include "base/strand_pool.hh"
 #include "base/table.hh"
+#include "data/ingest.hh"
 #include "pipeline/checkpoint.hh"
 
 namespace dnasim
@@ -22,11 +23,12 @@ namespace dnasim
 namespace
 {
 
+/** The format @p name names; "auto" sniffs @p input. */
 IngestFormat
-parseIngestFormat(const std::string &name)
+parseIngestFormat(const std::string &name, const std::string &input)
 {
     if (name == "auto")
-        return IngestFormat::Auto;
+        return sniffIngestFormat(input);
     if (name == "lines")
         return IngestFormat::Lines;
     if (name == "fasta")
@@ -51,9 +53,7 @@ cmdIngest(const Args &args)
     const std::string &input = args.positional()[1];
 
     IngestOptions options;
-    options.format = parseIngestFormat(args.get("format", "auto"));
-    if (options.format == IngestFormat::Auto)
-        options.format = sniffIngestFormat(input);
+    options.format = parseIngestFormat(args.get("format", "auto"), input);
     options.max_reads = args.getCount("max-reads", 0);
 
     // A checkpoint directory stands in for a completed simulate
@@ -65,14 +65,21 @@ cmdIngest(const Args &args)
     std::string pool_out = to_checkpoint
                                ? ckpt.readsPath()
                                : args.get("out", input + ".dnapool");
-    if (args.has("origins"))
-        options.origins_path = args.get("origins");
-    else if (to_checkpoint && options.format == IngestFormat::Evyat)
-        options.origins_path = ckpt.originsPath();
+    std::string origins_file = args.get("origins");
+    if (origins_file.empty() && to_checkpoint &&
+        options.format == IngestFormat::Evyat)
+        origins_file = ckpt.originsPath();
+    if (!origins_file.empty() && options.format != IngestFormat::Evyat) {
+        DNASIM_FATAL("ingest: ", origins_file,
+                     ": --origins requires evyat input");
+    }
 
     IngestResult result;
     std::string error;
     if (!ingestToPool(input, pool_out, options, result, &error))
+        DNASIM_FATAL("ingest: ", error);
+    if (!origins_file.empty() &&
+        !writeU32File(origins_file, result.origins, &error))
         DNASIM_FATAL("ingest: ", error);
 
     if (to_checkpoint) {
@@ -98,8 +105,8 @@ cmdIngest(const Args &args)
                   std::to_string(result.total_bases)});
     table.print(std::cout);
     std::cout << "wrote " << pool_out;
-    if (!options.origins_path.empty())
-        std::cout << " and " << options.origins_path;
+    if (!origins_file.empty())
+        std::cout << " and " << origins_file;
     std::cout << "\n";
     return 0;
 }

@@ -15,6 +15,7 @@
 #include "analysis/lineage.hh"
 #include "analysis/second_order.hh"
 #include "base/logging.hh"
+#include "base/output_file.hh"
 #include "base/packed.hh"
 #include "base/strand_pool.hh"
 #include "base/table.hh"
@@ -28,7 +29,6 @@
 #include "core/profiler.hh"
 #include "core/wetlab.hh"
 #include "data/io.hh"
-#include "obs/outfile.hh"
 #include "pipeline/archival_pipeline.hh"
 #include "pipeline/checkpoint.hh"
 #include "reconstruct/bma.hh"
@@ -215,10 +215,10 @@ checkIdsBelow(const std::vector<uint32_t> &ids, size_t bound,
 /**
  * The out-of-core simulate stage: pack the references into
  * <dir>/refs.dnapool, stream simulated reads straight into
- * <dir>/reads.dnapool (origins to <dir>/origins.u32) in bounded
- * memory, and commit the stage by writing the manifest last. If a
- * manifest already exists the stage completed in an earlier process
- * and the command is a no-op — the resume contract.
+ * <dir>/reads.dnapool in bounded memory (origins, 4 B a read, to
+ * <dir>/origins.u32), and commit the stage by writing the manifest
+ * last. If a manifest already exists the stage completed in an
+ * earlier process and the command is a no-op — the resume contract.
  */
 int
 simulateToCheckpoint(const Args &args, const Dataset &real,
@@ -259,23 +259,21 @@ simulateToCheckpoint(const Args &args, const Dataset &real,
     PackedStrandPoolBuilder reads_builder;
     if (!reads_builder.open(ckpt.readsPath(), &error))
         DNASIM_FATAL("checkpoint: ", error);
-    obs::AtomicFile origins;
-    if (!origins.open(ckpt.originsPath(), &error))
-        DNASIM_FATAL("checkpoint: ", error);
 
     CustomCoverage coverage(real.coverages());
     PoolSimulateResult sim_result =
         sim.simulateToPool(StrandPoolView(refs), coverage, rng,
-                           reads_builder, &origins.stream(), max_reads);
+                           reads_builder, max_reads);
 
-    if (!reads_builder.finish(&error) || !origins.commit(&error))
+    if (!reads_builder.finish(&error) ||
+        !writeU32File(ckpt.originsPath(), sim_result.origins, &error))
         DNASIM_FATAL("checkpoint: ", error);
 
     CheckpointManifest manifest;
     manifest.stage = "simulate";
     manifest.seed = args.getSeed("seed", 0x51a70);
     manifest.num_refs = refs.size();
-    manifest.num_reads = sim_result.reads;
+    manifest.num_reads = sim_result.origins.size();
     manifest.config = {
         {"model", sim.model().name()},
         {"max_reads", std::to_string(max_reads)},
@@ -284,7 +282,8 @@ simulateToCheckpoint(const Args &args, const Dataset &real,
         DNASIM_FATAL("checkpoint: ", error);
 
     std::cout << "checkpoint " << ckpt.dir() << ": simulated "
-              << sim_result.reads << " reads from " << refs.size()
+              << sim_result.origins.size() << " reads from "
+              << refs.size()
               << " references (model " << sim.model().name() << ")"
               << (sim_result.truncated ? ", truncated by --max-reads"
                                        : "")
@@ -310,8 +309,8 @@ writeInjectedLineage(const Args &args, const Dataset &simulated,
 }
 
 /**
- * Atomically publish the byte-comparable clustering artifact: one
- * line per cluster, representative then member read indices in
+ * Publish the byte-comparable clustering artifact: one line per
+ * cluster, representative then member read indices in
  * placement order — what the determinism checks diff across
  * --threads, --simd and --shards settings.
  */
@@ -319,7 +318,7 @@ void
 writeClustersOut(const std::string &path,
                  const std::vector<ReadCluster> &clusters)
 {
-    obs::AtomicFile out;
+    OutputFile out;
     std::string error;
     if (!out.open(path, &error))
         DNASIM_FATAL("cluster: ", error);
@@ -404,8 +403,8 @@ clusterPool(const Args &args, const ClusterOptions &options,
     size_t num_reads = view.size();
     if (resume) {
         std::vector<uint32_t> assignments;
-        if (!readU32File(ckpt.assignmentsPath(), assignments,
-                         &error))
+        if (!readU32File(ckpt.assignmentsPath(), pool.size(),
+                         assignments, &error))
             DNASIM_FATAL("checkpoint: ", error);
         PackedStrandPool reps;
         if (!reps.open(ckpt.representativesPath(), &error))
@@ -471,7 +470,7 @@ clusterPool(const Args &args, const ClusterOptions &options,
     ClusterPurity purity;
     if (!origins_path.empty()) {
         std::vector<uint32_t> origins32;
-        if (!readU32File(origins_path, origins32, &error))
+        if (!readU32File(origins_path, pool.size(), origins32, &error))
             DNASIM_FATAL("cluster: ", error);
         if (origins32.size() < num_reads) {
             DNASIM_FATAL("cluster: ", origins_path, " has ",
@@ -626,15 +625,11 @@ cmdReconstruct(const Args &args)
         }
         std::vector<uint32_t> assignments;
         std::vector<uint32_t> origins;
-        if (!readU32File(ckpt.assignmentsPath(), assignments, &error))
+        if (!readU32File(ckpt.assignmentsPath(), reads.size(),
+                         assignments, &error) ||
+            !readU32File(ckpt.originsPath(), reads.size(), origins,
+                         &error))
             DNASIM_FATAL("checkpoint: ", error);
-        if (!readU32File(ckpt.originsPath(), origins, &error))
-            DNASIM_FATAL("checkpoint: ", error);
-        if (assignments.size() > reads.size()) {
-            DNASIM_FATAL("checkpoint: ", ckpt.assignmentsPath(), " has ",
-                         assignments.size(), " entries for ",
-                         reads.size(), " reads");
-        }
         if (origins.size() < assignments.size()) {
             DNASIM_FATAL("checkpoint: ", ckpt.originsPath(), " has ",
                          origins.size(), " origins for ",

@@ -1,7 +1,5 @@
 #include "core/channel_simulator.hh"
 
-#include <ostream>
-
 #include "base/logging.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -123,7 +121,6 @@ ChannelSimulator::simulateToPool(const StrandPoolView &references,
                                  const CoverageModel &coverage,
                                  Rng &rng,
                                  PackedStrandPoolBuilder &reads_out,
-                                 std::ostream *origins_out,
                                  size_t max_reads) const
 {
     const size_t n = references.size();
@@ -141,18 +138,13 @@ ChannelSimulator::simulateToPool(const StrandPoolView &references,
             const auto origin = static_cast<uint32_t>(lo + k);
             bool contributed = false;
             for (const Strand &copy : chunk[k].copies) {
-                if (max_reads != 0 && result.reads >= max_reads) {
+                if (max_reads != 0 && result.origins.size() >= max_reads) {
                     result.truncated = true;
                     break;
                 }
                 const bool ok = reads_out.append(copy);
                 DNASIM_ASSERT(ok, "channel emitted a non-ACGT read");
-                if (origins_out != nullptr) {
-                    origins_out->write(
-                        reinterpret_cast<const char *>(&origin),
-                        sizeof(origin));
-                }
-                ++result.reads;
+                result.origins.push_back(origin);
                 contributed = true;
             }
             if (contributed || chunk[k].copies.empty())

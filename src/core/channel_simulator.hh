@@ -8,7 +8,7 @@
 #ifndef DNASIM_CORE_CHANNEL_SIMULATOR_HH
 #define DNASIM_CORE_CHANNEL_SIMULATOR_HH
 
-#include <iosfwd>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -24,8 +24,9 @@ namespace dnasim
 struct PoolSimulateResult
 {
     size_t clusters = 0; ///< clusters that contributed reads
-    size_t reads = 0;
     bool truncated = false; ///< max_reads cut the run short
+    /// The cluster index of each read, in read order (4 B a read).
+    std::vector<uint32_t> origins;
 };
 
 /**
@@ -76,17 +77,15 @@ class ChannelSimulator
      * inside a chunk, per-cluster streams forked by global index)
      * and drained serially to @p reads_out in cluster order, so the
      * reads — and their order — are byte-identical to flattening
-     * simulate() at any --threads. A non-null
-     * @p origins_out receives one little-endian u32 cluster index
-     * per read. A nonzero @p max_reads stops the run after that many
-     * reads, possibly mid-cluster. Lineage capture is not available
+     * simulate() at any --threads; the result carries each read's
+     * cluster index. A nonzero @p max_reads stops the run after that
+     * many reads, possibly mid-cluster. Lineage capture is not available
      * on this path; use simulate() when forensics are needed.
      */
     PoolSimulateResult
     simulateToPool(const StrandPoolView &references,
                    const CoverageModel &coverage, Rng &rng,
                    PackedStrandPoolBuilder &reads_out,
-                   std::ostream *origins_out = nullptr,
                    size_t max_reads = 0) const;
 
     /**

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "base/logging.hh"
+#include "base/output_file.hh"
 
 namespace dnasim
 {
@@ -234,12 +235,13 @@ writeProfile(const ErrorProfile &p, std::ostream &os)
 void
 writeProfileFile(const ErrorProfile &profile, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        DNASIM_FATAL("cannot open '", path, "' for writing");
-    writeProfile(profile, out);
-    if (!out)
-        DNASIM_FATAL("I/O error while writing '", path, "'");
+    OutputFile out;
+    std::string error;
+    if (!out.open(path, &error))
+        DNASIM_FATAL(error);
+    writeProfile(profile, out.stream());
+    if (!out.commit(&error))
+        DNASIM_FATAL(error);
 }
 
 ErrorProfile

@@ -6,9 +6,64 @@
 #include "core/channel_simulator.hh"
 #include "core/coverage.hh"
 #include "core/ids_model.hh"
+#include "data/strand_factory.hh"
 
 namespace dnasim
 {
+
+namespace
+{
+
+/// Coverage distribution (paper: mean 26.97, range 0-164).
+constexpr double kCoverageDispersion = 2.2;
+constexpr size_t kMaxCoverage = 164;
+constexpr double kErasure = 0.0016; ///< 16 empty clusters in 10,000
+
+/// Burst errors: fraction of copies carrying one burst, and the
+/// burst-length model (min length + geometric tail).
+constexpr double kBurstPerCopy = 0.012;
+constexpr size_t kBurstMinLength = 5;
+constexpr double kBurstContinue = 0.35;
+
+/// Per-read and per-cluster quality dispersion: every copy's
+/// error rates are scaled by exp(N(0, sigma) - sigma^2 / 2)
+/// (mean 1), drawn once per cluster and once per read. Nanopore
+/// read quality varies widely; a simulator calibrated on
+/// aggregate statistics reproduces the *mean* rate but not this
+/// dispersion — a key reason simulated data reconstructs better
+/// than real data.
+constexpr double kReadQualitySigma = 0.7;
+constexpr double kClusterQualitySigma = 0.25;
+/// Quality multipliers are clamped to this range: Nanopore
+/// basecalls never get arbitrarily clean (error floor), while
+/// the bad tail can be much worse than the mean.
+constexpr double kQualityMin = 0.6;
+constexpr double kQualityMax = 8.0;
+
+/// End truncation: the fraction of copies missing their final
+/// base(s) (incomplete synthesis and early pore exit both
+/// truncate the 3' end). The number of missing bases is
+/// 1 + Geometric(kEndTruncateContinue). This concentrates
+/// deletions on the final strand positions across copies — the
+/// paper's observation that the strand end carries about twice
+/// the errors of the beginning (Fig. 3.2b).
+constexpr double kEndTruncate = 0.32;
+constexpr double kEndTruncateContinue = 0.40;
+
+/// Alien reads: fraction of copies that are actually noisy
+/// copies of a *different* reference — the artifact real
+/// clustering algorithms leave behind (section 1.1.2: "a noisy
+/// copy n' of a strand n might be clustered together with copies
+/// of another strand m").
+constexpr double kAlien = 0.015;
+
+/// Truncated reads: Nanopore occasionally reports severely
+/// shortened reads; the fraction and the surviving-length range.
+constexpr double kTruncate = 0.02;
+constexpr double kTruncateMinFrac = 0.30;
+constexpr double kTruncateMaxFrac = 0.90;
+
+} // anonymous namespace
 
 NanoporeDatasetGenerator::NanoporeDatasetGenerator(WetlabConfig config)
     : config_(config)
@@ -125,15 +180,13 @@ NanoporeDatasetGenerator::groundTruthProfile(size_t strand_length,
 void
 NanoporeDatasetGenerator::maybeInjectBurst(Strand &copy, Rng &rng) const
 {
-    if (config_.p_burst_per_copy <= 0.0 ||
-        !rng.bernoulli(config_.p_burst_per_copy)) {
+    if (!rng.bernoulli(kBurstPerCopy))
         return;
-    }
-    if (copy.size() <= config_.burst_min_length + 1)
+    if (copy.size() <= kBurstMinLength + 1)
         return;
 
-    size_t len = config_.burst_min_length;
-    while (rng.bernoulli(config_.burst_continue))
+    size_t len = kBurstMinLength;
+    while (rng.bernoulli(kBurstContinue))
         ++len;
     len = std::min(len, copy.size() - 1);
     size_t pos = rng.index(copy.size() - len);
@@ -152,12 +205,10 @@ void
 NanoporeDatasetGenerator::maybeEndTruncate(Strand &copy,
                                            Rng &rng) const
 {
-    if (config_.p_end_truncate <= 0.0 ||
-        !rng.bernoulli(config_.p_end_truncate)) {
+    if (!rng.bernoulli(kEndTruncate))
         return;
-    }
     size_t cut = 1;
-    while (rng.bernoulli(config_.end_truncate_continue))
+    while (rng.bernoulli(kEndTruncateContinue))
         ++cut;
     if (cut >= copy.size())
         cut = copy.size() > 1 ? copy.size() - 1 : 0;
@@ -167,14 +218,11 @@ NanoporeDatasetGenerator::maybeEndTruncate(Strand &copy,
 void
 NanoporeDatasetGenerator::maybeTruncate(Strand &copy, Rng &rng) const
 {
-    if (config_.p_truncate <= 0.0 ||
-        !rng.bernoulli(config_.p_truncate)) {
+    if (!rng.bernoulli(kTruncate))
         return;
-    }
     if (copy.size() < 4)
         return;
-    double frac = rng.uniform(config_.truncate_min_frac,
-                              config_.truncate_max_frac);
+    double frac = rng.uniform(kTruncateMinFrac, kTruncateMaxFrac);
     auto keep = static_cast<size_t>(
         frac * static_cast<double>(copy.size()));
     keep = std::max<size_t>(keep, 2);
@@ -184,7 +232,7 @@ NanoporeDatasetGenerator::maybeTruncate(Strand &copy, Rng &rng) const
 Dataset
 NanoporeDatasetGenerator::generate(Rng &rng) const
 {
-    StrandFactory factory(config_.constraints);
+    StrandFactory factory;
     Rng lib_rng = rng.fork(0x11b);
     auto references = factory.makeMany(config_.num_clusters,
                                        config_.strand_length, lib_rng);
@@ -200,17 +248,14 @@ NanoporeDatasetGenerator::generateFor(
     IdsChannelModel model =
         IdsChannelModel::full(truth, "wetlab-nanopore");
     NegativeBinomialCoverage coverage(config_.mean_coverage,
-                                      config_.coverage_dispersion,
-                                      config_.max_coverage,
-                                      config_.p_erasure);
+                                      kCoverageDispersion, kMaxCoverage,
+                                      kErasure);
 
     // Log-normal quality multiplier (mean 1 before clamping).
-    auto quality = [&](double sigma, Rng &r) {
-        if (sigma <= 0.0)
-            return 1.0;
+    auto quality = [](double sigma, Rng &r) {
         double m =
             std::exp(r.gaussian(0.0, sigma) - sigma * sigma / 2.0);
-        return std::clamp(m, config_.quality_min, config_.quality_max);
+        return std::clamp(m, kQualityMin, kQualityMax);
     };
 
     Dataset dataset;
@@ -219,7 +264,7 @@ NanoporeDatasetGenerator::generateFor(
         Rng cluster_rng = rng.fork(i + 1);
         size_t n = coverage.sample(i, cluster_rng);
         double cluster_quality =
-            quality(config_.cluster_quality_sigma, cluster_rng);
+            quality(kClusterQualitySigma, cluster_rng);
         Cluster cluster;
         cluster.reference = references[i];
         cluster.copies.reserve(n);
@@ -228,12 +273,12 @@ NanoporeDatasetGenerator::generateFor(
             // mis-clustered into this cluster.
             const Strand &source =
                 (references.size() > 1 &&
-                 cluster_rng.bernoulli(config_.p_alien))
+                 cluster_rng.bernoulli(kAlien))
                     ? references[cluster_rng.index(references.size())]
                     : references[i];
             double scale =
                 cluster_quality *
-                quality(config_.read_quality_sigma, cluster_rng);
+                quality(kReadQualitySigma, cluster_rng);
             Strand copy =
                 model.transmitScaled(source, scale, cluster_rng);
             maybeEndTruncate(copy, cluster_rng);

@@ -35,72 +35,26 @@
 
 #include "core/error_profile.hh"
 #include "data/dataset.hh"
-#include "data/strand_factory.hh"
 
 namespace dnasim
 {
 
-/** Configuration of the synthetic wetlab channel. */
+/**
+ * Configuration of the synthetic wetlab channel: the settings the
+ * CLI, the harnesses and the benchmark choose. The channel's fixed
+ * physics (coverage dispersion, bursts, quality dispersion, end
+ * truncation, alien and truncated reads) are constants in wetlab.cc.
+ */
 struct WetlabConfig
 {
     size_t num_clusters = 10000;
     size_t strand_length = 110;
 
-    /// Coverage distribution (paper: mean 26.97, range 0-164).
+    /// Mean per-cluster coverage (paper: 26.97, range 0-164).
     double mean_coverage = 26.97;
-    double coverage_dispersion = 2.2;
-    size_t max_coverage = 164;
-    double p_erasure = 0.0016; ///< 16 empty clusters in 10,000
 
     /// Aggregate per-base error rate (paper: 5.9%).
     double total_error_rate = 0.059;
-
-    /// Burst errors: fraction of copies carrying one burst, and the
-    /// burst-length model (min length + geometric tail).
-    double p_burst_per_copy = 0.012;
-    size_t burst_min_length = 5;
-    double burst_continue = 0.35;
-
-    /// Per-read and per-cluster quality dispersion: every copy's
-    /// error rates are scaled by exp(N(0, sigma) - sigma^2 / 2)
-    /// (mean 1), drawn once per cluster and once per read. Nanopore
-    /// read quality varies widely; a simulator calibrated on
-    /// aggregate statistics reproduces the *mean* rate but not this
-    /// dispersion — a key reason simulated data reconstructs better
-    /// than real data.
-    double read_quality_sigma = 0.7;
-    double cluster_quality_sigma = 0.25;
-    /// Quality multipliers are clamped to this range: Nanopore
-    /// basecalls never get arbitrarily clean (error floor), while
-    /// the bad tail can be much worse than the mean.
-    double quality_min = 0.6;
-    double quality_max = 8.0;
-
-    /// End truncation: the fraction of copies missing their final
-    /// base(s) (incomplete synthesis and early pore exit both
-    /// truncate the 3' end). The number of missing bases is
-    /// 1 + Geometric(end_truncate_continue). This concentrates
-    /// deletions on the final strand positions across copies — the
-    /// paper's observation that the strand end carries about twice
-    /// the errors of the beginning (Fig. 3.2b).
-    double p_end_truncate = 0.32;
-    double end_truncate_continue = 0.40;
-
-    /// Alien reads: fraction of copies that are actually noisy
-    /// copies of a *different* reference — the artifact real
-    /// clustering algorithms leave behind (section 1.1.2: "a noisy
-    /// copy n' of a strand n might be clustered together with copies
-    /// of another strand m").
-    double p_alien = 0.015;
-
-    /// Truncated reads: Nanopore occasionally reports severely
-    /// shortened reads; the fraction and the surviving-length range.
-    double p_truncate = 0.02;
-    double truncate_min_frac = 0.30;
-    double truncate_max_frac = 0.90;
-
-    /// Constraints on the generated reference library.
-    StrandConstraints constraints;
 };
 
 /** Generates the synthetic Nanopore dataset. */

@@ -1,10 +1,9 @@
 #include "data/io.hh"
 
 #include <fstream>
-#include <sstream>
 
 #include "base/logging.hh"
-#include "obs/outfile.hh"
+#include "base/output_file.hh"
 
 namespace dnasim
 {
@@ -14,26 +13,50 @@ namespace
 
 const char *kSeparator = "*****************************";
 
-bool
-isSeparatorLine(const std::string &line)
+/** Builds a Dataset, refusing any strand outside ACGT. */
+class DatasetVisitor
 {
-    if (line.empty())
-        return false;
-    for (char c : line)
-        if (c != '*')
-            return false;
-    return true;
-}
+  public:
+    bool reference(std::string &line, size_t line_no)
+    {
+        if (!isValidStrand(line)) {
+            DNASIM_FATAL("line ", line_no,
+                         ": reference is not a DNA strand: '", line, "'");
+        }
+        cluster_.reference = std::move(line);
+        return true;
+    }
 
-std::string
-stripCr(std::string line)
-{
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
-    return line;
-}
+    bool copy(std::string &line, size_t line_no)
+    {
+        if (!isValidStrand(line)) {
+            DNASIM_FATAL("line ", line_no,
+                         ": copy is not a DNA strand: '", line, "'");
+        }
+        cluster_.copies.push_back(std::move(line));
+        return true;
+    }
+
+    void endCluster()
+    {
+        dataset.add(std::move(cluster_));
+        cluster_ = Cluster{};
+    }
+
+    Dataset dataset;
+
+  private:
+    Cluster cluster_;
+};
 
 } // anonymous namespace
+
+bool
+isEvyatSeparator(std::string_view line)
+{
+    return !line.empty() &&
+           line.find_first_not_of('*') == std::string_view::npos;
+}
 
 void
 writeEvyat(const Dataset &dataset, std::ostream &os)
@@ -49,9 +72,7 @@ writeEvyat(const Dataset &dataset, std::ostream &os)
 void
 writeEvyatFile(const Dataset &dataset, const std::string &path)
 {
-    // Streamed through an atomic temp-and-rename so a killed run
-    // never leaves a torn dataset where a reader expects one.
-    obs::AtomicFile out;
+    OutputFile out;
     std::string error;
     if (!out.open(path, &error))
         DNASIM_FATAL("cannot write dataset: ", error);
@@ -63,47 +84,9 @@ writeEvyatFile(const Dataset &dataset, const std::string &path)
 Dataset
 readEvyat(std::istream &is)
 {
-    Dataset dataset;
-    std::string line;
-    size_t line_no = 0;
-    while (std::getline(is, line)) {
-        ++line_no;
-        line = stripCr(line);
-        if (line.empty())
-            continue;
-
-        // A non-empty line starts a cluster: reference, then the
-        // separator, then copies until a blank line or EOF.
-        Cluster cluster;
-        cluster.reference = line;
-        if (!isValidStrand(cluster.reference)) {
-            DNASIM_FATAL("line ", line_no,
-                         ": reference is not a DNA strand: '", line, "'");
-        }
-        if (!std::getline(is, line)) {
-            DNASIM_FATAL("line ", line_no,
-                         ": unexpected EOF, separator expected");
-        }
-        ++line_no;
-        line = stripCr(line);
-        if (!isSeparatorLine(line)) {
-            DNASIM_FATAL("line ", line_no, ": expected separator, got '",
-                         line, "'");
-        }
-        while (std::getline(is, line)) {
-            ++line_no;
-            line = stripCr(line);
-            if (line.empty())
-                break;
-            if (!isValidStrand(line)) {
-                DNASIM_FATAL("line ", line_no,
-                             ": copy is not a DNA strand: '", line, "'");
-            }
-            cluster.copies.push_back(line);
-        }
-        dataset.add(std::move(cluster));
-    }
-    return dataset;
+    DatasetVisitor visitor;
+    readEvyatClusters(is, visitor);
+    return std::move(visitor.dataset);
 }
 
 Dataset

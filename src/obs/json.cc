@@ -1,9 +1,11 @@
 #include "obs/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "base/logging.hh"
 
@@ -192,6 +194,8 @@ JsonValue::asDouble(double fallback) const
 uint64_t
 JsonValue::asUint(uint64_t fallback) const
 {
+    if (kind_ == Kind::Number && exact_uint_)
+        return uint_;
     // Out of range (2^64 and up) converts with undefined behaviour.
     if (kind_ != Kind::Number || !(num_ >= 0.0) || num_ >= 0x1p64)
         return fallback;
@@ -492,6 +496,12 @@ class JsonParser
         }
         out.kind_ = JsonValue::Kind::Number;
         out.num_ = std::strtod(text_.c_str() + start, nullptr);
+        // from_chars takes digits only: a sign, fraction or exponent
+        // stops it short of pos_.
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        const auto [end, ec] = std::from_chars(first, last, out.uint_);
+        out.exact_uint_ = ec == std::errc() && end == last;
         return true;
     }
 

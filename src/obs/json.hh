@@ -64,8 +64,9 @@ class JsonWriter
 
 /**
  * A parsed JSON document node. Objects preserve insertion order;
- * numbers are held as double (sufficient for the report schemas —
- * counters above 2^53 would lose precision, none get there).
+ * numbers are held as double, and an integer literal that fits in a
+ * uint64_t is also kept exactly, so asUint() returns a manifest seed
+ * above 2^53 unrounded.
  */
 class JsonValue
 {
@@ -82,7 +83,11 @@ class JsonValue
     bool isArray() const { return kind_ == Kind::Array; }
     bool isObject() const { return kind_ == Kind::Object; }
 
-    /** Typed reads with fallbacks (never throw). */
+    /**
+     * Typed reads with fallbacks (never throw). asUint() returns an
+     * exact integer literal as written, else the double when it lies
+     * in [0, 2^64), else @p fallback.
+     */
     bool asBool(bool fallback = false) const;
     double asDouble(double fallback = 0.0) const;
     uint64_t asUint(uint64_t fallback = 0) const;
@@ -107,6 +112,8 @@ class JsonValue
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;
+    bool exact_uint_ = false; ///< uint_ holds the literal exactly
+    uint64_t uint_ = 0;
     std::string str_;
     std::vector<JsonValue> arr_;
     std::vector<std::pair<std::string, JsonValue>> obj_;

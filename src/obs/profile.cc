@@ -1,11 +1,13 @@
 #include "obs/profile.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -300,15 +302,27 @@ profileToJson(const Profile &profile)
     return os.str();
 }
 
-uint64_t
-currentRssBytes()
+namespace
 {
+
+/**
+ * The one reader of /proc/self/status: @p field ("VmRSS" or
+ * "VmHWM") in bytes, else getrusage's high-water mark, else 0.
+ */
+uint64_t
+rssBytes(std::string_view field, std::string *source)
+{
+    if (source)
+        *source = "none";
     std::ifstream status("/proc/self/status");
     std::string line;
     while (std::getline(status, line)) {
-        if (line.rfind("VmRSS:", 0) == 0) {
+        if (line.size() > field.size() && line.starts_with(field) &&
+            line[field.size()] == ':') {
             unsigned long long kb = 0;
-            std::sscanf(line.c_str(), "VmRSS: %llu", &kb);
+            std::sscanf(line.c_str() + field.size() + 1, "%llu", &kb);
+            if (source)
+                *source = "proc_status";
             return static_cast<uint64_t>(kb) * 1024;
         }
     }
@@ -316,6 +330,8 @@ currentRssBytes()
     struct rusage usage;
     if (getrusage(RUSAGE_SELF, &usage) == 0 &&
         usage.ru_maxrss > 0) {
+        if (source)
+            *source = "getrusage";
         // ru_maxrss is KiB on Linux, bytes on macOS.
 #if defined(__APPLE__)
         return static_cast<uint64_t>(usage.ru_maxrss);
@@ -325,6 +341,20 @@ currentRssBytes()
     }
 #endif
     return 0;
+}
+
+} // anonymous namespace
+
+uint64_t
+currentRssBytes()
+{
+    return rssBytes("VmRSS", nullptr);
+}
+
+uint64_t
+peakRssBytes(std::string *source)
+{
+    return rssBytes("VmHWM", source);
 }
 
 } // namespace obs

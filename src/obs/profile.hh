@@ -104,6 +104,15 @@ std::string profileToJson(const Profile &profile);
  */
 uint64_t currentRssBytes();
 
+/**
+ * Peak resident set size in bytes: VmHWM, with the same fallback as
+ * currentRssBytes(). A non-null @p source receives which one
+ * answered ("proc_status", "getrusage" or "none") — bench reports
+ * echo it as "rss_source" so cross-platform numbers aren't compared
+ * blindly.
+ */
+uint64_t peakRssBytes(std::string *source = nullptr);
+
 } // namespace obs
 } // namespace dnasim
 

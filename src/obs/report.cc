@@ -1,16 +1,14 @@
 #include "obs/report.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 
 #include "base/logging.hh"
+#include "base/output_file.hh"
 #include "obs/json.hh"
-#include "obs/outfile.hh"
 #include "obs/profile.hh"
 #include "obs/provenance.hh"
 
@@ -236,18 +234,10 @@ writeStatsJson(const std::string &path, const Snapshot &snap,
                const Profile *profile)
 {
     std::string error;
-    if (!prepareOutputPath(path, &error)) {
-        warn("stats: ", error);
-        return false;
-    }
-    std::ofstream os(path);
-    if (!os) {
-        warn("stats: cannot open '", path,
-             "': ", std::strerror(errno));
-        return false;
-    }
-    os << statsToJson(snap, log, profile);
-    return os.good();
+    if (OutputFile::write(path, statsToJson(snap, log, profile), &error))
+        return true;
+    warn("stats: ", error);
+    return false;
 }
 
 namespace

@@ -1,17 +1,14 @@
 #include "obs/trace.hh"
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
 #endif
 
 #include "base/logging.hh"
+#include "base/output_file.hh"
 #include "obs/json.hh"
-#include "obs/outfile.hh"
 
 namespace dnasim
 {
@@ -160,19 +157,15 @@ Trace::writeJson(std::ostream &os) const
 bool
 Trace::writeFile(const std::string &path) const
 {
+    OutputFile out;
     std::string error;
-    if (!prepareOutputPath(path, &error)) {
-        warn("trace: ", error);
-        return false;
+    if (out.open(path, &error)) {
+        writeJson(out.stream());
+        if (out.commit(&error))
+            return true;
     }
-    std::ofstream os(path);
-    if (!os) {
-        warn("trace: cannot open '", path,
-             "': ", std::strerror(errno));
-        return false;
-    }
-    writeJson(os);
-    return os.good();
+    warn("trace: ", error);
+    return false;
 }
 
 void

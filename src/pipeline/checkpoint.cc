@@ -4,8 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "base/output_file.hh"
 #include "obs/json.hh"
-#include "obs/outfile.hh"
 #include "obs/provenance.hh"
 
 namespace dnasim
@@ -90,55 +90,7 @@ CheckpointDir::writeManifest(const CheckpointManifest &manifest,
     obs::writeProvenance(w);
     w.endObject();
     os << "\n";
-    return obs::writeFileAtomic(manifestPath(), os.str(), error);
-}
-
-bool
-writeU32File(const std::string &path,
-             const std::vector<uint32_t> &values, std::string *error)
-{
-    obs::AtomicFile out;
-    if (!out.open(path, error))
-        return false;
-    if (!values.empty()) {
-        out.stream().write(
-            reinterpret_cast<const char *>(values.data()),
-            static_cast<std::streamsize>(values.size() *
-                                         sizeof(uint32_t)));
-    }
-    return out.commit(error);
-}
-
-bool
-readU32File(const std::string &path, std::vector<uint32_t> &out,
-            std::string *error)
-{
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec) {
-        setError(error, "cannot stat '" + path + "': " + ec.message());
-        return false;
-    }
-    if (size % sizeof(uint32_t) != 0) {
-        setError(error, "'" + path + "' is not a u32 array (size " +
-                            std::to_string(size) + ")");
-        return false;
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        setError(error, "cannot open '" + path + "'");
-        return false;
-    }
-    out.resize(static_cast<size_t>(size / sizeof(uint32_t)));
-    if (!out.empty()) {
-        in.read(reinterpret_cast<char *>(out.data()),
-                static_cast<std::streamsize>(size));
-        if (in.gcount() != static_cast<std::streamsize>(size)) {
-            setError(error, "short read on '" + path + "'");
-            return false;
-        }
-    }
-    return true;
+    return OutputFile::write(manifestPath(), os.str(), error);
 }
 
 } // namespace dnasim

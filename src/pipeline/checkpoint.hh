@@ -16,11 +16,12 @@
  *
  * The manifest carries the completed stage, the seed, the counts, an
  * echo of the stage configuration and the shared build-provenance
- * block. Every data file is published atomically and the manifest is
- * written *last*, so a killed run leaves the directory describing
- * the previous completed stage — resuming re-runs the interrupted
- * stage from its inputs and, because every stage is deterministic,
- * produces output byte-identical to an uninterrupted run.
+ * block. Every file is published through OutputFile (a regular file
+ * by temp-and-rename) and the manifest is written *last*, so a
+ * killed run leaves the directory describing the previous completed
+ * stage — resuming re-runs the interrupted stage from its inputs
+ * and, because every stage is deterministic, produces output
+ * byte-identical to an uninterrupted run.
  */
 
 #ifndef DNASIM_PIPELINE_CHECKPOINT_HH
@@ -81,8 +82,8 @@ class CheckpointDir
                       std::string *error = nullptr) const;
 
     /**
-     * Serialize and atomically publish the manifest — the commit
-     * point of a stage; call only after its data files are in place.
+     * Serialize and publish the manifest — the commit point of a
+     * stage; call only after its data files are in place.
      */
     bool writeManifest(const CheckpointManifest &manifest,
                        std::string *error = nullptr) const;
@@ -95,18 +96,6 @@ class CheckpointDir
 
     std::string dir_;
 };
-
-/**
- * Atomically write @p values as little-endian u32s to @p path.
- * Returns false (setting @p error when non-null) on I/O failure.
- */
-bool writeU32File(const std::string &path,
-                  const std::vector<uint32_t> &values,
-                  std::string *error = nullptr);
-
-/** Read a u32 file back; false on open/size errors. */
-bool readU32File(const std::string &path, std::vector<uint32_t> &out,
-                 std::string *error = nullptr);
 
 } // namespace dnasim
 

@@ -1,17 +1,25 @@
 /**
  * @file
  * Unit tests for the base library: DNA alphabet utilities, the RNG,
- * logging, and table formatting.
+ * logging, table formatting, and the output-file primitive.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <bit>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <set>
 
 #include "base/dna.hh"
 #include "base/logging.hh"
+#include "base/output_file.hh"
 #include "base/rng.hh"
 #include "base/table.hh"
 
@@ -428,6 +436,145 @@ TEST(Table, FmtHelpers)
     EXPECT_EQ(fmtDouble(3.14159, 2), "3.14");
     EXPECT_EQ(fmtPercent(0.5), "50.00");
     EXPECT_EQ(fmtPercent(0.123456, 1), "12.3");
+}
+
+namespace fs = std::filesystem;
+
+/** A fresh, empty scratch directory. */
+fs::path
+freshDir(const std::string &name)
+{
+    fs::path dir = fs::path(testing::TempDir()) / ("dnasim_output_" + name);
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir;
+}
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+size_t
+entries(const fs::path &dir)
+{
+    return static_cast<size_t>(std::distance(fs::directory_iterator(dir),
+                                             fs::directory_iterator()));
+}
+
+TEST(OutputFile, RegularTargetIsReplacedAtomically)
+{
+    const fs::path dir = freshDir("regular");
+    const fs::path target = dir / "out.txt";
+    ASSERT_TRUE(OutputFile::write(target.string(), "old\n"));
+
+    OutputFile out;
+    std::string error;
+    ASSERT_TRUE(out.open(target.string(), &error)) << error;
+    out.stream() << "new\n";
+    out.stream().flush();
+    // Until commit a reader sees the old file; the new one is the
+    // temporary beside it.
+    EXPECT_EQ(slurp(target), "old\n");
+    EXPECT_EQ(slurp(target.string() + ".tmp"), "new\n");
+    ASSERT_TRUE(out.commit(&error)) << error;
+    EXPECT_EQ(slurp(target), "new\n");
+    EXPECT_TRUE(fs::is_regular_file(fs::symlink_status(target)));
+    EXPECT_EQ(entries(dir), 1u);
+}
+
+TEST(OutputFile, FailedWriteKeepsTheOldContent)
+{
+    const fs::path dir = freshDir("failed");
+    const fs::path target = dir / "out.txt";
+    ASSERT_TRUE(OutputFile::write(target.string(), "old\n"));
+    {
+        OutputFile out;
+        ASSERT_TRUE(out.open(target.string()));
+        out.stream() << "torn";
+        out.stream().setstate(std::ios::badbit); // a write failed
+        std::string error;
+        EXPECT_FALSE(out.commit(&error));
+        EXPECT_NE(error.find(target.string()), std::string::npos)
+            << error;
+    }
+    EXPECT_EQ(slurp(target), "old\n");
+    {
+        OutputFile out; // abandoned: the destructor aborts
+        ASSERT_TRUE(out.open(target.string()));
+        out.stream() << "abandoned";
+    }
+    EXPECT_EQ(slurp(target), "old\n");
+    EXPECT_EQ(entries(dir), 1u);
+}
+
+TEST(OutputFile, SymlinkTargetIsWrittenThroughAndStaysALink)
+{
+    const fs::path dir = freshDir("symlink");
+    const fs::path real = dir / "real.txt";
+    const fs::path link = dir / "link.txt";
+    ASSERT_TRUE(OutputFile::write(real.string(), "old\n"));
+    fs::create_symlink(real, link);
+
+    std::string error;
+    ASSERT_TRUE(OutputFile::write(link.string(), "via the link\n", &error))
+        << error;
+    EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+    EXPECT_EQ(slurp(real), "via the link\n");
+    EXPECT_EQ(entries(dir), 2u);
+}
+
+TEST(OutputFile, FifoTargetIsWrittenInPlaceAndStaysAFifo)
+{
+    const fs::path dir = freshDir("fifo");
+    const fs::path fifo = dir / "out.fifo";
+    ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+    // A non-blocking reader lets the writer's open succeed at once,
+    // and reads EOF rather than blocking if no writer ever comes.
+    const int fd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    ASSERT_GE(fd, 0);
+
+    std::string error;
+    EXPECT_TRUE(
+        OutputFile::write(fifo.string(), "via the fifo\n", &error))
+        << error;
+    std::string got;
+    char buf[64];
+    for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) > 0;)
+        got.append(buf, static_cast<size_t>(n));
+    ::close(fd);
+    EXPECT_EQ(got, "via the fifo\n");
+    EXPECT_TRUE(fs::is_fifo(fs::symlink_status(fifo)));
+    EXPECT_EQ(entries(dir), 1u);
+}
+
+TEST(OutputFile, CreatesMissingParentDirectories)
+{
+    const fs::path dir = freshDir("parents");
+    const fs::path target = dir / "a" / "b" / "c" / "out.txt";
+    std::string error;
+    ASSERT_TRUE(OutputFile::write(target.string(), "deep\n", &error))
+        << error;
+    EXPECT_EQ(slurp(target), "deep\n");
+    EXPECT_EQ(entries(target.parent_path()), 1u);
+}
+
+TEST(OutputFile, RefusesADirectoryAndNamesAFileInThePath)
+{
+    const fs::path dir = freshDir("refused");
+    std::string error;
+    EXPECT_FALSE(OutputFile::write(dir.string(), "x", &error));
+    EXPECT_NE(error.find(dir.string()), std::string::npos) << error;
+
+    const fs::path blocker = dir / "file";
+    ASSERT_TRUE(OutputFile::write(blocker.string(), "x"));
+    const fs::path through = blocker / "sub" / "out.txt";
+    EXPECT_FALSE(OutputFile::write(through.string(), "x", &error));
+    EXPECT_NE(error.find(blocker.string()), std::string::npos) << error;
+    EXPECT_EQ(slurp(blocker), "x");
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "base/strand_pool.hh"
 #include "pipeline/checkpoint.hh"
 
 namespace dnasim
@@ -247,7 +248,7 @@ TEST(U32File, RoundTripsLittleEndian)
     EXPECT_EQ(bytes[11], 0x01);
 
     std::vector<uint32_t> back;
-    ASSERT_TRUE(readU32File(path, back, &error)) << error;
+    ASSERT_TRUE(readU32File(path, values.size(), back, &error)) << error;
     EXPECT_EQ(back, values);
     fs::remove(path);
 }
@@ -258,7 +259,7 @@ TEST(U32File, EmptyVectorRoundTrips)
         ::testing::TempDir() + "/dnasim_ckpt_u32_empty.bin";
     std::vector<uint32_t> back = {7};
     ASSERT_TRUE(writeU32File(path, {}));
-    ASSERT_TRUE(readU32File(path, back));
+    ASSERT_TRUE(readU32File(path, 0, back));
     EXPECT_TRUE(back.empty());
     fs::remove(path);
 }
@@ -269,8 +270,29 @@ TEST(U32File, MissingFileReadFails)
     std::string error;
     EXPECT_FALSE(readU32File(::testing::TempDir() +
                                  "/dnasim_ckpt_nope.bin",
-                             out, &error));
+                             100, out, &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(U32File, MoreEntriesThanThePoolHoldsAreRefused)
+{
+    const std::string path =
+        ::testing::TempDir() + "/dnasim_ckpt_u32_bound.bin";
+    ASSERT_TRUE(writeU32File(path, {1, 2, 3, 4}));
+    std::vector<uint32_t> out;
+    std::string error;
+    EXPECT_TRUE(readU32File(path, 4, out, &error)) << error;
+    EXPECT_FALSE(readU32File(path, 3, out, &error));
+    EXPECT_NE(error.find("more than the 3 reads"), std::string::npos)
+        << error;
+
+    // A sparse 64 MiB file is refused from its size alone, before
+    // anything the size of the file is allocated or read.
+    fs::resize_file(path, uint64_t{64} << 20);
+    EXPECT_FALSE(readU32File(path, 4, out, &error));
+    EXPECT_NE(error.find("more than the 4 reads"), std::string::npos)
+        << error;
+    fs::remove(path);
 }
 
 } // anonymous namespace

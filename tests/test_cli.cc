@@ -9,10 +9,13 @@
 #include <fcntl.h>
 #include <spawn.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -21,10 +24,12 @@
 #include <regex>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "align/simd_dispatch.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "base/strand_pool.hh"
 #include "cli/args.hh"
 #include "cli/commands.hh"
 #include "data/io.hh"
@@ -762,8 +767,10 @@ TEST_F(CliCommands, HostileCheckpointFilesAreFatal)
     ASSERT_TRUE(ckpt.readManifest(manifest));
     std::vector<uint32_t> assignments;
     std::vector<uint32_t> origins;
-    ASSERT_TRUE(readU32File(ckpt.assignmentsPath(), assignments));
-    ASSERT_TRUE(readU32File(ckpt.originsPath(), origins));
+    ASSERT_TRUE(readU32File(ckpt.assignmentsPath(), manifest.num_reads,
+                            assignments));
+    ASSERT_TRUE(
+        readU32File(ckpt.originsPath(), manifest.num_reads, origins));
     ASSERT_EQ(assignments.size(), origins.size());
 
     /** Each file to corrupt, what to write there, and the command. */
@@ -1201,10 +1208,21 @@ TEST_F(BenchDiffCommand, OutWritesJsonReport)
     EXPECT_EQ(doc.find("rows")->array()[0].find("verdict")->asString(),
               "REGRESSED");
 
-    // An unwritable --out is an I/O error, not a verdict.
+    // An unwritable --out (below a regular file) is an I/O error,
+    // not a verdict.
     EXPECT_EQ(diff({dir("baseline"), dir("same"), "--out",
-                    dir("no/such/dir/diff.json")}),
+                    dir("baseline/r1/BENCH_perf_demo.json/diff.json")}),
               1);
+}
+
+TEST_F(BenchDiffCommand, OutCreatesMissingDirectories)
+{
+    const std::string out = dir("no/such/dir/diff.json");
+    ASSERT_EQ(diff({dir("baseline"), dir("same"), "--out", out}), 0);
+    obs::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(readFileBytes(out), doc, &error)) << error;
+    EXPECT_EQ(doc.find("schema")->asString(), "dnasim.benchdiff.v1");
 }
 
 TEST_F(CliCommands, MissingPositionalIsFatal)
@@ -1422,6 +1440,313 @@ TEST_F(CliCommands, LongStrandGestaltScratchStaysBounded)
         peakRssOfCli({"analyze", dataset, "--threads", "1"});
     ASSERT_GT(peak, 0u) << "analyze did not run";
     EXPECT_LT(peak, size_t{64} << 20) << peak / 1024 << " KiB";
+}
+
+/**
+ * What is written into the FIFO at @p path while @p run runs. A
+ * reader thread drains the pipe as it fills, so a writer larger than
+ * the pipe buffer never blocks; the FIFO is opened non-blocking
+ * first, so the writer's open succeeds and a run that never writes
+ * there (say, one that replaced the FIFO) reads as "".
+ */
+std::string
+readFifoWhile(const std::string &path, const std::function<void()> &run)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+    EXPECT_GE(fd, 0) << path;
+    if (fd < 0)
+        return "";
+    std::string got;
+    std::atomic<bool> ran{false};
+    std::thread reader([&] {
+        char buf[4096];
+        for (;;) {
+            const bool last = ran.load();
+            ssize_t n;
+            while ((n = ::read(fd, buf, sizeof(buf))) > 0)
+                got.append(buf, static_cast<size_t>(n));
+            if (last)
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    // Join the reader on every path: a FatalError from run() is
+    // rethrown only once the thread is done with `got` and `fd`.
+    std::exception_ptr failure;
+    try {
+        run();
+    } catch (...) {
+        failure = std::current_exception();
+    }
+    ran = true;
+    reader.join();
+    ::close(fd);
+    if (failure)
+        std::rethrow_exception(failure);
+    return got;
+}
+
+TEST_F(CliCommands, DataOutputsKeepTheTypeOfTheirTarget)
+{
+    // An output path naming a symlink or a FIFO is written in place,
+    // never replaced by a regular file.
+    const std::string plain = tmpPath("plain.evyat");
+    const std::string real = tmpPath("real.evyat");
+    const std::string link = tmpPath("link.evyat");
+    const std::string fifo = tmpPath("out.fifo");
+    cleanup_ = {plain, real, link, fifo};
+    for (const auto &path : cleanup_)
+        std::remove(path.c_str());
+    auto generate = [](const std::string &out) {
+        return cmdGenerate(makeArgs({"generate", "--clusters", "3",
+                                     "--coverage", "2", "--out", out,
+                                     "--seed", "5"}));
+    };
+    ASSERT_EQ(generate(plain), 0);
+    const std::string expected = readFileBytes(plain);
+    ASSERT_FALSE(expected.empty());
+
+    std::ofstream(real) << "old\n";
+    std::filesystem::create_symlink(real, link);
+    ASSERT_EQ(generate(link), 0);
+    EXPECT_TRUE(std::filesystem::is_symlink(
+        std::filesystem::symlink_status(link)));
+    EXPECT_EQ(readFileBytes(real), expected);
+
+    ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+    int status = -1;
+    const std::string got =
+        readFifoWhile(fifo, [&] { status = generate(fifo); });
+    EXPECT_EQ(status, 0);
+    EXPECT_EQ(got, expected);
+    EXPECT_TRUE(std::filesystem::is_fifo(
+        std::filesystem::symlink_status(fifo)));
+}
+
+TEST_F(CliCommands, CalibrateOutCreatesMissingDirectories)
+{
+    const std::string dataset = tmpPath("cal.evyat");
+    const std::string dir = tmpPath("cal_dir");
+    cleanup_.push_back(dataset);
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "20",
+                                    "--out", dataset, "--seed", "4"})),
+              0);
+    const std::string profile = dir + "/new/profile.txt";
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdCalibrate(makeArgs({"calibrate", dataset, "--out",
+                                     profile})),
+              0);
+    EXPECT_TRUE(readFileBytes(profile).starts_with("dnasim-profile"))
+        << readFileBytes(profile).substr(0, 40);
+    std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliCommands, CheckpointKeepsSeedsAboveTwoToTheFiftyThree)
+{
+    const std::string dataset = tmpPath("seed.evyat");
+    const std::string dir = tmpPath("seed_ck");
+    cleanup_.push_back(dataset);
+    std::filesystem::remove_all(dir);
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "10",
+                                    "--out", dataset, "--seed", "2"})),
+              0);
+    ASSERT_EQ(cmdSimulate(makeArgs({"simulate", dataset, "--seed",
+                                    "0xdeadbeefdeadbeef",
+                                    "--checkpoint-dir", dir})),
+              0);
+    CheckpointDir ckpt(dir);
+    CheckpointManifest manifest;
+    ASSERT_TRUE(ckpt.readManifest(manifest));
+    EXPECT_EQ(manifest.seed, 0xdeadbeefdeadbeefull);
+    ASSERT_EQ(cmdCluster(makeArgs({"cluster", "--checkpoint-dir", dir})),
+              0);
+    ASSERT_TRUE(ckpt.readManifest(manifest));
+    EXPECT_EQ(manifest.stage, "cluster");
+    EXPECT_EQ(manifest.seed, 0xdeadbeefdeadbeefull);
+    EXPECT_NE(readFileBytes(ckpt.manifestPath())
+                  .find("\"seed\": 16045690984833335023"),
+              std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliCommands, IngestWordsStructuralErrorsLikeReadEvyat)
+{
+    // One evyat parser: a missing separator reads the same from
+    // cluster (readEvyat) and from ingest.
+    const std::string bad = tmpPath("nosep.evyat");
+    const std::string pool = tmpPath("nosep.dnapool");
+    cleanup_ = {bad, pool};
+    std::ofstream(bad) << "ACGTACGT\nACGTACGA\n";
+    for (const std::string &cmd :
+         {"cluster " + bad, "ingest " + bad + " --format evyat --out " + pool}) {
+        const auto [status, err] = runCli(cmd);
+        EXPECT_EQ(status, 1) << cmd;
+        EXPECT_EQ(fatalLines(err), 1u) << cmd << ": " << err;
+        EXPECT_NE(err.find("fatal: line 2: expected separator, got "
+                           "'ACGTACGA'"),
+                  std::string::npos)
+            << cmd << ": " << err;
+    }
+    EXPECT_FALSE(std::filesystem::exists(pool));
+}
+
+TEST_F(CliCommands, ObservabilityFlagsWriteParseableFiles)
+{
+    const std::string dataset = tmpPath("smoke.evyat");
+    const std::string simulated = tmpPath("smoke_sim.evyat");
+    const std::string stats = tmpPath("smoke_stats.json");
+    const std::string trace = tmpPath("smoke_trace.json");
+    const std::string fifo = tmpPath("obs.fifo");
+    const std::string real = tmpPath("obs_real.json");
+    const std::string link = tmpPath("obs_link.json");
+    cleanup_ = {dataset, simulated, stats, trace, fifo, real, link};
+    for (const auto &path : cleanup_)
+        std::remove(path.c_str());
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "40",
+                                    "--out", dataset, "--seed", "7"})),
+              0);
+    const std::string simulate = "simulate " + dataset +
+                                 " --model second-order --out " +
+                                 simulated + " --profile";
+
+    auto expectStats = [](const std::string &text) {
+        obs::JsonValue doc;
+        std::string error;
+        ASSERT_TRUE(obs::parseJson(text, doc, &error)) << error;
+        EXPECT_EQ(doc.find("schema")->asString(), "dnasim.stats.v1");
+        const obs::JsonValue *counters = doc.find("counters");
+        ASSERT_NE(counters, nullptr);
+        ASSERT_NE(counters->find("channel.errors.sub"), nullptr);
+        EXPECT_GT(counters->find("channel.errors.sub")->asUint(), 0u);
+        const obs::JsonValue *profile = doc.find("profile");
+        ASSERT_NE(profile, nullptr);
+        ASSERT_NE(profile->find("total_ns"), nullptr);
+        EXPECT_GT(profile->find("total_ns")->asDouble(), 0.0);
+    };
+    auto expectTrace = [](const std::string &text) {
+        obs::JsonValue doc;
+        std::string error;
+        EXPECT_TRUE(obs::parseJson(text, doc, &error)) << error;
+    };
+
+    ASSERT_EQ(runCli(simulate + " --stats-out " + stats +
+                         " --trace-out " + trace,
+                     "2>/dev/null >/dev/null")
+                  .first,
+              0);
+    expectStats(readFileBytes(stats));
+    expectTrace(readFileBytes(trace));
+
+    // A FIFO and a symlink are written in place and keep their type,
+    // each as --stats-out and as --trace-out.
+    ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+    std::filesystem::create_symlink(real, link);
+    for (bool stats_to_fifo : {true, false}) {
+        std::ofstream(real) << "old\n";
+        const std::string flags =
+            stats_to_fifo ? " --stats-out " + fifo + " --trace-out " + link
+                          : " --stats-out " + link + " --trace-out " + fifo;
+        int status = -1;
+        const std::string piped = readFifoWhile(fifo, [&] {
+            status = runCli(simulate + flags, "2>/dev/null >/dev/null")
+                         .first;
+        });
+        EXPECT_EQ(status, 0);
+        EXPECT_TRUE(std::filesystem::is_fifo(
+            std::filesystem::symlink_status(fifo)));
+        EXPECT_TRUE(std::filesystem::is_symlink(
+            std::filesystem::symlink_status(link)));
+        if (stats_to_fifo) {
+            expectStats(piped);
+            expectTrace(readFileBytes(real));
+        } else {
+            expectStats(readFileBytes(real));
+            expectTrace(piped);
+        }
+    }
+}
+
+// Every mutant of a checkpoint's .u32 sidecars must be read or
+// refused with a FatalError by cluster and reconstruct
+// --checkpoint-dir; it must never abort, and a sparse 64 MiB file is
+// refused from its size before it is read.
+TEST_F(CliCommands, U32MutantsAreReadOrRefusedByEveryStage)
+{
+    const std::string dataset = tmpPath("u32.evyat");
+    const std::string dir = tmpPath("u32_ck");
+    cleanup_.push_back(dataset);
+    std::filesystem::remove_all(dir);
+    StdoutCapture quiet;
+    ASSERT_EQ(cmdGenerate(makeArgs({"generate", "--clusters", "12",
+                                    "--coverage", "4", "--out", dataset,
+                                    "--seed", "9"})),
+              0);
+    ASSERT_EQ(cmdSimulate(makeArgs({"simulate", dataset,
+                                    "--checkpoint-dir", dir})),
+              0);
+    ASSERT_EQ(cmdCluster(makeArgs({"cluster", "--checkpoint-dir", dir})),
+              0);
+    CheckpointDir ckpt(dir);
+    const std::vector<std::string> paths = {ckpt.originsPath(),
+                                            ckpt.assignmentsPath()};
+    std::vector<std::string> originals;
+    for (const auto &path : paths)
+        originals.push_back(readFileBytes(path));
+
+    /** 0 when both stages ran, else how many refused. */
+    auto stages = [&] {
+        size_t refused = 0;
+        for (int (*command)(const Args &) : {cmdCluster, cmdReconstruct}) {
+            try {
+                EXPECT_EQ(command(makeArgs({"--checkpoint-dir", dir})), 0);
+            } catch (const FatalError &) {
+                ++refused;
+            }
+        }
+        return refused;
+    };
+    Rng rng(0x3b2);
+    size_t read = 0, refused = 0;
+    for (int trial = 0; trial < 120; ++trial) {
+        const size_t f = static_cast<size_t>(trial) % paths.size();
+        std::string m = originals[f];
+        switch (trial / 2 % 4) {
+          case 0: // truncated to a size that is no multiple of 4
+            m.resize(rng.index(m.size() / 4) * 4 + 1 + rng.index(3));
+            break;
+          case 1: // appended words
+            for (size_t n = 1 + rng.index(3); n-- > 0;)
+                for (int b = 0; b < 4; ++b)
+                    m.push_back(static_cast<char>(rng.index(256)));
+            break;
+          case 2: // byte flips
+            for (size_t n = 1 + rng.index(3); n-- > 0;)
+                m[rng.index(m.size())] ^=
+                    static_cast<char>(1 + rng.index(255));
+            break;
+          default: // a sparse extension to 64 MiB
+            break;
+        }
+        {
+            std::ofstream os(paths[f], std::ios::binary | std::ios::trunc);
+            os << m;
+        }
+        const bool sparse = trial / 2 % 4 == 3;
+        if (sparse)
+            std::filesystem::resize_file(paths[f], uint64_t{64} << 20);
+        const size_t n = stages();
+        EXPECT_TRUE(!sparse || n == 2) << "trial " << trial;
+        read += 2 - n;
+        refused += n;
+        std::ofstream(paths[f], std::ios::binary | std::ios::trunc)
+            << originals[f];
+    }
+    EXPECT_GT(read, 0u);
+    EXPECT_GT(refused, 0u);
+    EXPECT_EQ(stages(), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

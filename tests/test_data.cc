@@ -1,18 +1,22 @@
 /**
  * @file
  * Unit tests for the data library: dataset containers and the
- * fixed-coverage protocol, the strand factory, and evyat-format I/O.
+ * fixed-coverage protocol, the strand factory, and evyat-format I/O,
+ * whose one parser readEvyat() and ingest share.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
 #include <sstream>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "base/strand_pool.hh"
 #include "data/dataset.hh"
+#include "data/ingest.hh"
 #include "data/io.hh"
 #include "data/strand_factory.hh"
 
@@ -271,10 +275,110 @@ TEST(EvyatIo, MissingFileIsFatal)
                  FatalError);
 }
 
+/** Replace the content of 1-based line @p line_no of @p text. */
+void
+replaceLine(std::string &text, size_t line_no, const std::string &with)
+{
+    size_t begin = 0;
+    for (size_t n = 1; n < line_no; ++n)
+        begin = text.find('\n', begin) + 1;
+    const size_t end = text.find('\n', begin);
+    text.replace(begin,
+                 (end == std::string::npos ? text.size() : end) - begin,
+                 with);
+}
+
+/**
+ * ingestToPool() on the evyat text @p m must agree with readEvyat():
+ * the same reads in the same order with the same origins, or the
+ * same refusal. The differences allowed are ingest's alphabet
+ * policy: it skips a non-ACGT copy and never reads references. To
+ * predict them, each strand readEvyat refuses is replaced — a copy
+ * by a sentinel no mutant can produce, which ingest must have
+ * skipped; a reference by "A" — until readEvyat parses the text or
+ * refuses it for its structure.
+ */
+void
+expectIngestAgrees(const std::string &m, int trial)
+{
+    const std::string sentinel(100, 'T');
+    std::string repaired = m;
+    Dataset expected;
+    std::string structural;
+    for (bool done = false; !done;) {
+        std::istringstream in(repaired);
+        try {
+            expected = readEvyat(in);
+            done = true;
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            const size_t colon = msg.find(':');
+            const std::string what =
+                colon == std::string::npos ? "" : msg.substr(colon);
+            if (what.starts_with(": copy is not a DNA strand")) {
+                replaceLine(repaired, std::stoul(msg.substr(5)), sentinel);
+            } else if (what.starts_with(": reference is not a DNA strand")) {
+                replaceLine(repaired, std::stoul(msg.substr(5)), "A");
+            } else {
+                structural = msg;
+                done = true;
+            }
+        }
+    }
+
+    const std::string input =
+        ::testing::TempDir() + "/dnasim_evyat_fuzz.evyat";
+    const std::string pool_path =
+        ::testing::TempDir() + "/dnasim_evyat_fuzz.dnapool";
+    {
+        std::ofstream os(input, std::ios::binary | std::ios::trunc);
+        os << m;
+    }
+    IngestOptions options;
+    options.format = IngestFormat::Evyat;
+    IngestResult result;
+    std::string error;
+    if (!structural.empty()) {
+        try {
+            ingestToPool(input, pool_path, options, result, &error);
+            ADD_FAILURE() << "trial " << trial << ": ingest accepted a file "
+                          << "readEvyat refuses: " << structural;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), structural) << "trial " << trial;
+        }
+        return;
+    }
+    ASSERT_TRUE(ingestToPool(input, pool_path, options, result, &error))
+        << "trial " << trial << ": " << error;
+    std::vector<Strand> reads;
+    std::vector<uint32_t> origins;
+    size_t skipped = 0;
+    for (size_t c = 0; c < expected.size(); ++c) {
+        for (const Strand &copy : expected[c].copies) {
+            if (copy == sentinel) {
+                ++skipped;
+                continue;
+            }
+            reads.push_back(copy);
+            origins.push_back(static_cast<uint32_t>(c));
+        }
+    }
+    PackedStrandPool pool;
+    ASSERT_TRUE(pool.open(pool_path, &error)) << error;
+    std::vector<Strand> ingested;
+    for (size_t i = 0; i < pool.size(); ++i)
+        ingested.push_back(pool.strand(i));
+    EXPECT_EQ(ingested, reads) << "trial " << trial;
+    EXPECT_EQ(result.origins, origins) << "trial " << trial;
+    EXPECT_EQ(result.skipped, skipped) << "trial " << trial;
+    EXPECT_EQ(result.clusters, expected.size()) << "trial " << trial;
+}
+
 // Mutation fuzzing of the evyat reader: every mutant of a written
 // file must parse into A/C/G/T strands or be refused with FatalError,
 // never abort or throw anything else (the ASan/UBSan lane runs this
-// through ctest).
+// through ctest). Each mutant also goes through ingestToPool(), which
+// must agree with readEvyat().
 TEST(EvyatFuzz, MutantsParseToAcgtStrandsOrAreRefused)
 {
     StrandFactory factory;
@@ -367,6 +471,7 @@ TEST(EvyatFuzz, MutantsParseToAcgtStrandsOrAreRefused)
         } catch (const FatalError &) {
             ++refused;
         }
+        expectIngestAgrees(m, trial);
     }
     EXPECT_GT(parsed, 0u);
     EXPECT_GT(refused, 0u);

@@ -4,16 +4,19 @@
  * dnasim.bench.v1 parser, directory loading, and the noise-aware
  * diff comparator's edge cases — missing-benchmark pairs,
  * zero-variance baselines, single-repeat runs and NaN-guarded
- * fields.
+ * fields — and a mutation corpus over a written report.
  */
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/rng.hh"
 #include "obs/history.hh"
 #include "obs/json.hh"
 
@@ -308,6 +311,85 @@ TEST(HistoryDiff, LoadBenchInputFromDirectory)
     EXPECT_EQ(runs.size(), 2u);
     EXPECT_EQ(errors.size(), 1u); // BENCH_broken.json
     fs::remove_all(dir);
+}
+
+// Every mutant of a written BENCH_*.json must parse or be refused
+// with a message; it must never abort or throw. The ASan/UBSan lane
+// runs this through ctest.
+TEST(BenchReportFuzz, MutantsParseOrAreRefusedWithAMessage)
+{
+    std::ifstream in(std::string(DNASIM_SOURCE_DIR) +
+                     "/bench/baselines/r1/BENCH_perf_obs.json");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    obs::BenchRun run;
+    std::string error;
+    ASSERT_TRUE(obs::parseBenchReport(text, run, &error)) << error;
+    ASSERT_FALSE(run.rows.empty());
+
+    static const char kJsonBytes[] = "{}[]\":,\\0123456789eE.-+ \n\t";
+    static const char *const kValues[] = {
+        "-1", "0.5", "1e300", "-1e300", "18446744073709551616",
+        "null", "true", "[]", "{}", "\"\"", "\"\\u0000\"",
+        "[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[",
+    };
+    Rng rng(0xbe7c);
+    auto anyByte = [&rng] {
+        return rng.bernoulli(0.5)
+                   ? kJsonBytes[rng.index(sizeof(kJsonBytes) - 1)]
+                   : static_cast<char>(rng.index(256));
+    };
+    size_t parsed = 0, refused = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::string m = text;
+        switch (trial % 5) {
+          case 0: // byte substitutions
+            for (size_t n = 1 + rng.index(3); n-- > 0;)
+                m[rng.index(m.size())] = anyByte();
+            break;
+          case 1: // byte insertions and deletions
+            for (size_t n = 1 + rng.index(3); n-- > 0;) {
+                const auto at = static_cast<ptrdiff_t>(rng.index(m.size()));
+                if (rng.bernoulli(0.5))
+                    m.insert(m.begin() + at, anyByte());
+                else
+                    m.erase(m.begin() + at);
+            }
+            break;
+          case 2: // truncation
+            m.resize(rng.index(m.size() + 1));
+            break;
+          case 3: { // a value replaced by one of another kind or range
+            const size_t colon = m.find(':', rng.index(m.size()));
+            if (colon == std::string::npos)
+                break;
+            const size_t end = m.find_first_of(",}\n", colon);
+            m.replace(colon + 1,
+                      (end == std::string::npos ? m.size() : end) -
+                          colon - 1,
+                      kValues[rng.index(std::size(kValues))]);
+            break;
+          }
+          default: { // a duplicated line (a repeated key or row)
+            const size_t at = m.find('\n', rng.index(m.size()));
+            if (at == std::string::npos)
+                break;
+            const size_t next = m.find('\n', at + 1);
+            if (next != std::string::npos)
+                m.insert(at + 1, m.substr(at + 1, next - at));
+          }
+        }
+        error.clear();
+        if (obs::parseBenchReport(m, run, &error)) {
+            ++parsed;
+        } else {
+            ++refused;
+            EXPECT_FALSE(error.empty()) << "trial " << trial;
+        }
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 } // namespace

@@ -248,6 +248,26 @@ TEST(ObsJson, ParserRejectsTrailingGarbage)
     EXPECT_TRUE(obs::parseJson("{\"a\": 1}  \n", v, nullptr));
 }
 
+TEST(ObsJson, IntegerLiteralsUpToTwoToTheSixtyFourStayExact)
+{
+    obs::JsonValue v;
+    for (uint64_t n : {uint64_t{18446744073709551615u},
+                       uint64_t{16045690984833335023u},
+                       (uint64_t{1} << 53) + 1, uint64_t{0}}) {
+        ASSERT_TRUE(obs::parseJson(std::to_string(n), v));
+        EXPECT_EQ(v.asUint(), n);
+    }
+    // Past 2^64, negative or fractional literals are doubles again.
+    ASSERT_TRUE(obs::parseJson("18446744073709551616", v));
+    EXPECT_EQ(v.asUint(7), 7u);
+    ASSERT_TRUE(obs::parseJson("-1", v));
+    EXPECT_EQ(v.asUint(7), 7u);
+    ASSERT_TRUE(obs::parseJson("2.5", v));
+    EXPECT_EQ(v.asUint(), 2u);
+    ASSERT_TRUE(obs::parseJson("1e3", v));
+    EXPECT_EQ(v.asUint(), 1000u);
+}
+
 TEST(ObsJson, ParserRejectsNonJsonNumbers)
 {
     // strtod accepts all of these; the JSON grammar does not.

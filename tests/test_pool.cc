@@ -16,6 +16,7 @@
 
 #include "base/strand_pool.hh"
 #include "data/dataset.hh"
+#include "data/ingest.hh"
 #include "data/io.hh"
 #include "data/strand_factory.hh"
 
@@ -375,7 +376,8 @@ TEST(IngestToPool, FastaConcatenatesRecordLines)
     const std::string input = tempPath("reads.fasta");
     writeText(input, ">r1 desc\nACGT\nACGT\n>r2\nTTTT\n");
     const std::string out = tempPath("fasta.dnapool");
-    IngestOptions options; // Auto must sniff Fasta
+    IngestOptions options;
+    options.format = sniffIngestFormat(input); // must sniff Fasta
     IngestResult result;
     std::string error;
     ASSERT_TRUE(
@@ -402,9 +404,8 @@ TEST(IngestToPool, EvyatWithOriginsAndMaxReads)
     writeEvyatFile(data, input);
 
     const std::string out = tempPath("evyat.dnapool");
-    const std::string origins_path = tempPath("evyat.origins.u32");
     IngestOptions options;
-    options.origins_path = origins_path;
+    options.format = sniffIngestFormat(input);
     IngestResult result;
     std::string error;
     ASSERT_TRUE(
@@ -412,17 +413,10 @@ TEST(IngestToPool, EvyatWithOriginsAndMaxReads)
         << error;
     EXPECT_EQ(result.reads, 5u);
     EXPECT_EQ(result.clusters, 3u);
-
-    std::ifstream org(origins_path, std::ios::binary);
-    ASSERT_TRUE(org.good());
-    std::vector<uint32_t> origins(5);
-    org.read(reinterpret_cast<char *>(origins.data()),
-             static_cast<std::streamsize>(5 * sizeof(uint32_t)));
-    ASSERT_TRUE(org.good());
-    EXPECT_EQ(origins, (std::vector<uint32_t>{0, 0, 1, 2, 2}));
+    EXPECT_EQ(result.origins, (std::vector<uint32_t>{0, 0, 1, 2, 2}));
 
     // max_reads stops mid-dataset.
-    IngestOptions capped;
+    IngestOptions capped = options;
     capped.max_reads = 3;
     ASSERT_TRUE(
         ingestToPool(input, out, capped, result, &error))
@@ -431,9 +425,9 @@ TEST(IngestToPool, EvyatWithOriginsAndMaxReads)
     PackedStrandPool pool;
     ASSERT_TRUE(pool.open(out));
     EXPECT_EQ(pool.size(), 3u);
+    EXPECT_EQ(result.origins, (std::vector<uint32_t>{0, 0, 1}));
     fs::remove(input);
     fs::remove(out);
-    fs::remove(origins_path);
 }
 
 TEST(IngestToPool, SniffRecognizesAllFormats)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the live observability pieces: HDR histogram bucket math
- * and percentile accuracy, progress scopes, output-path preparation,
- * and the sampler lifecycle, including the RSS series it feeds the
+ * and percentile accuracy, progress scopes, the output-file
+ * primitive's directory and publish rules (more in test_base), and
+ * the sampler lifecycle, including the RSS series it feeds the
  * phase profiler.
  */
 
@@ -14,8 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "base/output_file.hh"
 #include "obs/hdr_histogram.hh"
-#include "obs/outfile.hh"
 #include "obs/profile.hh"
 #include "obs/progress.hh"
 #include "obs/snapshot.hh"
@@ -169,8 +170,9 @@ TEST(Outfile, CreatesMissingParentsAndDiagnosesBadPaths)
     fs::path nested = dir / "a" / "b" / "stats.json";
 
     std::string error;
-    EXPECT_TRUE(obs::prepareOutputPath(nested.string(), &error))
-        << error;
+    OutputFile out;
+    EXPECT_TRUE(out.open(nested.string(), &error)) << error;
+    out.abort();
     EXPECT_TRUE(fs::is_directory(dir / "a" / "b"));
 
     // A plain file where a parent directory is needed is diagnosed
@@ -178,7 +180,7 @@ TEST(Outfile, CreatesMissingParentsAndDiagnosesBadPaths)
     fs::path blocker = dir / "file";
     std::ofstream(blocker.string()) << "x";
     fs::path through = blocker / "sub" / "out.json";
-    EXPECT_FALSE(obs::prepareOutputPath(through.string(), &error));
+    EXPECT_FALSE(out.open(through.string(), &error));
     EXPECT_NE(error.find(blocker.string()), std::string::npos);
 }
 
@@ -189,8 +191,7 @@ TEST(Outfile, AtomicWritePublishesContentWithoutTmpResidue)
 
     std::string error;
     ASSERT_TRUE(
-        obs::writeFileAtomic(target.string(), "hello # EOF\n",
-                             &error))
+        OutputFile::write(target.string(), "hello # EOF\n", &error))
         << error;
     std::ifstream in(target.string());
     std::string content((std::istreambuf_iterator<char>(in)),
@@ -204,8 +205,7 @@ TEST(Outfile, AtomicWritePublishesContentWithoutTmpResidue)
     EXPECT_EQ(entries, 1u);
 
     // Overwrite goes through the same path.
-    ASSERT_TRUE(
-        obs::writeFileAtomic(target.string(), "v2\n", &error));
+    ASSERT_TRUE(OutputFile::write(target.string(), "v2\n", &error));
     std::ifstream in2(target.string());
     std::string content2((std::istreambuf_iterator<char>(in2)),
                          std::istreambuf_iterator<char>());
